@@ -9,9 +9,9 @@ import pytest
 
 from repro.core.attack_model import AttackModel
 from repro.harness.configs import make_engine
-from repro.harness.runner import build_core
 from repro.isa.interpreter import run_program
 from repro.pipeline import OoOCore
+from repro.pipeline.core import build_core
 from repro.pipeline.params import MachineParams
 from repro.workloads.registry import get
 

@@ -11,16 +11,15 @@ Run with::
 """
 
 from repro.core.attack_model import AttackModel
-from repro.security.attacks import nonspec_secret, spectre_v1
-from repro.security.pentest import run_attack
+from repro.security.scenarios import SCENARIOS, run_scenario
 
 CONFIGS = ["UnsafeBaseline", "STT", "SPT{Fwd,NoShadowL1}",
            "SPT{Bwd,ShadowL1}", "SecureBaseline"]
 
 
-def show(attack_maker, title: str) -> None:
+def show(scenario: str, title: str) -> None:
     print(f"\n=== {title} ===")
-    attack = attack_maker()
+    attack = SCENARIOS[scenario].build()
     print(f"secret byte: {attack.secret:#04x}; "
           f"leak line: {attack.leaked_line():#x}")
     header = f"{'configuration':<22}" + "".join(
@@ -29,15 +28,15 @@ def show(attack_maker, title: str) -> None:
     for config in CONFIGS:
         cells = []
         for model in AttackModel:
-            leaked, sim = run_attack(attack, config, model)
+            leaked, _ = run_scenario(scenario, config, model)
             cells.append("LEAKED" if leaked else "safe")
         print(f"{config:<22}" + "".join(f"{c:>13}" for c in cells))
 
 
 def main() -> None:
-    show(spectre_v1,
+    show("spectre-pht",
          "Spectre V1: bounds-check bypass (speculatively-accessed data)")
-    show(nonspec_secret,
+    show("nonspec-secret",
          "Non-speculative secret via mis-trained indirect branch")
     print("\nNote the STT row of the second attack: data that was accessed"
           "\nnon-speculatively is outside STT's protection scope (paper"

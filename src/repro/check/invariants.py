@@ -131,12 +131,3 @@ _register(
     "stall-identity", "full", "repro.obs",
     "Stall-cause accounting attributes every cycle to exactly one cause "
     "(the bucket sum equals the cycle count).")
-
-
-def invariants_at(level: str) -> list:
-    """The specs evaluated at ``level`` (commit ⊆ full)."""
-    if level == "full":
-        return list(INVARIANTS.values())
-    if level == "commit":
-        return [spec for spec in INVARIANTS.values() if spec.level == "commit"]
-    return []

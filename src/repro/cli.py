@@ -41,9 +41,10 @@ from repro.core.spt import SPTEngine
 from repro.core.stt import STTEngine
 from repro.harness.configs import CONFIGURATIONS
 from repro.harness.parallel import RunSpec, run_many
-from repro.harness.runner import RunResult, build_core
+from repro.harness.runner import RunResult
 from repro.isa.assembler import assemble
 from repro.isa.instructions import Program
+from repro.pipeline.core import build_core
 from repro.pipeline.engine_api import ProtectionEngine
 from repro.pipeline.params import MachineParams
 from repro.workloads.registry import WORKLOADS, get as get_workload
@@ -275,12 +276,6 @@ def main(argv: Optional[list] = None) -> int:
     if argv and argv[0] == "backend-diff":
         from repro.fastpath.diff import main as diff_main
         return diff_main(argv[1:])
-    if argv and argv[0] == "serve":
-        from repro.serve.cli import serve_main
-        return serve_main(argv[1:])
-    if argv and argv[0] == "sweep":
-        from repro.serve.cli import sweep_main
-        return sweep_main(argv[1:])
     if argv and argv[0] == "cache":
         from repro.harness.cache_cli import cache_main
         return cache_main(argv[1:])

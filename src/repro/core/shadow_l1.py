@@ -75,9 +75,6 @@ class ShadowTaint:
             address += span
             size -= span
 
-    def clear_range(self, address: int, size: int) -> None:
-        self.set_range(address, size, tainted=False)
-
     def invalidate_line(self, line_address: int) -> None:
         """L1D eviction/invalidation: data becomes tainted again (L1 mode)."""
         if self.mode == ShadowMode.L1:

@@ -386,15 +386,3 @@ class SPTEngine(ProtectionEngine):
             shadow.set("resident_untainted_bytes",
                        self.shadow.resident_untainted_bytes())
         return m
-
-    @property
-    def stats_summary(self) -> dict:
-        summary = dict(self.metrics.scalars)
-        summary.update(self.untaint.as_dict())
-        summary["untaint_total"] = self.untaint.total
-        summary["broadcasts"] = self.untaint.broadcasts
-        summary["broadcast_stall_cycles"] = self.untaint.broadcast_stall_cycles
-        if self.shadow is not None:
-            summary["shadow_stores_cleared"] = self.shadow.stores_cleared
-            summary["shadow_loads_cleared"] = self.shadow.loads_cleared
-        return summary

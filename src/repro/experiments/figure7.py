@@ -32,12 +32,6 @@ class Figure7Data:
     def normalized(self, model: AttackModel, workload: str, config: str) -> float:
         return self.times[(model, workload, config)]
 
-    def average_overhead(self, model: AttackModel, config: str,
-                         workloads: Optional[Sequence[str]] = None) -> float:
-        """Mean overhead (normalised time - 1) over a workload subset."""
-        names = workloads or self.workloads
-        return mean(self.normalized(model, w, config) - 1.0 for w in names)
-
     def mean_normalized(self, model: AttackModel, config: str,
                         workloads: Optional[Sequence[str]] = None) -> float:
         names = workloads or self.workloads

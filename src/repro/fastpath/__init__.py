@@ -7,7 +7,7 @@ reference backend by the differential suite in ``tests/fastpath`` and by
 the ``repro backend-diff`` command.
 
 Importing this package requires numpy; the lazy imports in
-:func:`repro.harness.runner.build_core` keep the reference backend free
+:func:`repro.pipeline.core.build_core` keep the reference backend free
 of the dependency.
 """
 

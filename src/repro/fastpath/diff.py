@@ -29,8 +29,7 @@ from typing import Optional
 from repro.check.cli import _parse_configs, _parse_workloads
 from repro.core.attack_model import AttackModel
 from repro.harness.configs import FIGURE7_ORDER, make_engine
-from repro.harness.runner import build_core
-from repro.pipeline.core import SimulationError
+from repro.pipeline.core import SimulationError, build_core
 from repro.pipeline.params import MachineParams
 from repro.security.observer import channel_digests, differing_channels
 from repro.workloads.registry import WORKLOADS, get as get_workload

@@ -12,8 +12,8 @@ continuously machine-checked property, in the style of SpecFuzz/AMuLeT:
   transmitters) among random filler.
 * :mod:`repro.fuzz.oracle` — the non-interference oracle: run each victim
   under two secrets, compare per-channel trace digests, and classify any
-  divergence against the expected-leak matrix (mirrors
-  ``pentest.expected_to_leak``).
+  divergence against the expected-leak matrix (the exposure-class rows of
+  ``repro.security.scenarios.expected_to_leak``).
 * :mod:`repro.fuzz.minimize` — delta-debugging of a leaking victim down to
   a minimal reproducing gadget.
 * :mod:`repro.fuzz.corpus` / :mod:`repro.fuzz.campaign` — the resumable

@@ -4,8 +4,9 @@ A victim leaks under a configuration when running it with two different
 secrets produces different attacker-visible traces.  The oracle reduces
 each run to per-channel digests (:func:`repro.security.observer.
 channel_digests`), diffs the pair, and judges the divergence against the
-expected-leak matrix — the same matrix as ``pentest.expected_to_leak``,
-keyed by how the victim exposes its secret instead of by attack name:
+expected-leak matrix — the same rows as the scenario library's
+``repro.security.scenarios.expected_to_leak``, keyed by how the victim
+exposes its secret instead of by scenario name:
 
 * ``UnsafeBaseline`` is *expected* to diverge — campaigns use those
   divergences as a sanity check that the oracle can see leaks at all;
@@ -25,7 +26,7 @@ from repro.core.attack_model import AttackModel
 from repro.harness.configs import make_engine
 from repro.isa.instructions import Program
 from repro.isa.interpreter import run_program
-from repro.pipeline.core import OoOCore
+from repro.pipeline.core import build_core
 from repro.pipeline.params import MachineParams
 from repro.security.observer import (channel_digests, differing_channels,
                                      differing_events)
@@ -91,8 +92,8 @@ def run_traced(program: Program, config: str, model: AttackModel,
                params: Optional[MachineParams] = None,
                max_instructions: int = FUZZ_BUDGET):
     """One in-process simulation, returning the SimResult (with observer)."""
-    core = OoOCore(program, engine=make_engine(config, model),
-                   params=params or MachineParams())
+    core = build_core(program, engine=make_engine(config, model),
+                      params=params)
     sim = core.run(max_instructions=max_instructions)
     if not sim.halted:
         raise RuntimeError(

@@ -113,12 +113,7 @@ def _path_for(key: str) -> str:
 
 
 def result_to_blob(result: RunResult) -> dict:
-    """The JSON-safe wire/disk form of a ``RunResult``.
-
-    Shared by the on-disk cache and the ``repro.serve`` wire protocol, so
-    a result round-trips identically whether it came from the local disk
-    tier or over HTTP from a remote instance.
-    """
+    """The JSON-safe disk form of a ``RunResult`` (see :func:`store`)."""
     return {
         "workload": result.workload,
         "config": result.config,
@@ -238,15 +233,14 @@ def stats() -> dict:
 
 def gc(max_bytes: Optional[int] = None, tmp_max_age: float = 3600.0,
        now: Optional[float] = None) -> dict:
-    """Bound the disk tier: sweep stale tmp files, then evict mtime-LRU.
+    """Bound the disk cache: sweep stale tmp files, then evict mtime-LRU.
 
     ``*.tmp`` files are partially written blobs left behind by killed
     writers (``store`` writes to a tempfile and renames); any older than
     ``tmp_max_age`` seconds is garbage by construction.  When the entry
     set exceeds ``max_bytes``, oldest-``mtime`` entries are deleted until
-    it fits — mtime-LRU, since ``load`` never touches entries.  A
-    long-running ``repro serve`` calls this periodically so its disk tier
-    cannot grow without bound.
+    it fits — mtime-LRU, since ``load`` never touches entries.
+    ``repro cache gc`` is the command-line entry point.
     """
     if now is None:
         now = time.time()

@@ -1,4 +1,4 @@
-"""The ``repro cache`` subcommand: stats / gc / clear for the disk tier."""
+"""The ``repro cache`` subcommand: stats / gc / clear for the disk cache."""
 
 from __future__ import annotations
 

@@ -183,18 +183,13 @@ def run_many(specs: Sequence[RunSpec],
              use_cache: Optional[bool] = None) -> list:
     """Run every spec and return ``RunResult``s in spec order.
 
-    Identical specs are simulated once.  ``use_cache=None`` consults the
-    environment (``REPRO_NO_CACHE``); pass an explicit bool to override.
+    Specs with equal cache keys (:meth:`RunSpec.key`) are simulated once,
+    and a spec whose result is already in the persistent result cache is
+    not simulated at all.  ``use_cache=None`` consults the environment
+    (``REPRO_NO_CACHE``); pass an explicit bool to override.
     ``jobs=None`` reads ``REPRO_JOBS`` / CPU count; ``jobs=1`` forces the
     in-process serial path.
-
-    Dedup, cache prefill, and spec-order reassembly live in the shared
-    planning layer (:mod:`repro.serve.planner`); this function is the
-    local executor of a plan — the ``repro serve`` server executes the
-    same plan shape through its tiered store and scheduler instead.
     """
-    from repro.serve.planner import plan_sweep
-
     specs = list(specs)
     if not specs:
         return []
@@ -207,15 +202,26 @@ def run_many(specs: Sequence[RunSpec],
     if use_cache is None:
         use_cache = cache.cache_enabled()
 
-    plan = plan_sweep(specs, use_cache=use_cache)
-    if plan.miss_specs:
+    keys = [spec.key() for spec in specs]
+    known: dict = {}            # key -> RunResult (cache hits + computed)
+    misses: dict = {}           # key -> first spec naming it, in order
+    for spec, key in zip(specs, keys):
+        if key in known or key in misses:
+            continue
+        hit = cache.load(key) if use_cache else None
+        if hit is None:
+            misses[key] = spec
+        else:
+            known[key] = hit
+    if misses:
+        miss_specs = list(misses.values())
         computed = None
-        if jobs > 1 and len(plan.miss_specs) > 1:
-            computed = _run_pool(plan.miss_specs, jobs, timeout)
+        if jobs > 1 and len(miss_specs) > 1:
+            computed = _run_pool(miss_specs, jobs, timeout)
         if computed is None:
-            computed = _run_serial(plan.miss_specs, timeout)
-        for key, result in zip(plan.miss_keys, computed):
-            plan.record(key, result)
+            computed = _run_serial(miss_specs, timeout)
+        for key, result in zip(misses, computed):
+            known[key] = result
             if use_cache:
                 cache.store(key, result)
-    return plan.results()
+    return [known[key] for key in keys]

@@ -9,7 +9,7 @@ from typing import Optional
 from repro.core.attack_model import AttackModel
 from repro.core.spt import SPTEngine
 from repro.harness.configs import make_engine
-from repro.pipeline.core import OoOCore, SimResult
+from repro.pipeline.core import SimResult, build_core
 from repro.pipeline.params import MachineParams
 from repro.security.observer import channel_digests
 from repro.workloads.registry import get as get_workload
@@ -38,23 +38,6 @@ def bench_budget(default: int = 2500) -> int:
 def bench_scale(default: int = 1) -> int:
     """Workload scale factor (env: REPRO_BENCH_SCALE)."""
     return _env_int("REPRO_BENCH_SCALE", default)
-
-
-def build_core(program, engine=None, params: Optional[MachineParams] = None,
-               **kwargs) -> OoOCore:
-    """Construct the core for ``params.backend``.
-
-    The fastpath package (and its numpy dependency) is only imported when
-    the vector backend is actually requested, so the reference backend
-    works on a bare interpreter.  The vector core may wrap ``engine`` in
-    its struct-of-arrays twin — callers must use ``core.engine``, not the
-    engine they passed in.
-    """
-    params = params or MachineParams()
-    if params.backend == "vector":
-        from repro.fastpath.vector_core import VectorCore
-        return VectorCore(program, engine=engine, params=params, **kwargs)
-    return OoOCore(program, engine=engine, params=params, **kwargs)
 
 
 @dataclass

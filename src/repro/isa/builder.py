@@ -193,16 +193,6 @@ class ProgramBuilder:
         self.emit("ADDI", rd=counter, rs1=counter, imm=-1 & ((1 << 64) - 1))
         self.emit("BNE", rs1=self._reg(counter), rs2=0, imm=top)
 
-    @contextmanager
-    def while_ne(self, rs1: Reg, rs2: Reg) -> Iterator[None]:
-        """Emit ``while (rs1 != rs2) { body }``."""
-        top = self.label()
-        done = self.forward_label()
-        self.emit("BEQ", rs1=self._reg(rs1), rs2=self._reg(rs2), imm=done)
-        yield
-        self.jal(0, top)
-        self.place(done)
-
     # ----------------------------------------------------------------- build
     def build(self) -> Program:
         symbols = {}

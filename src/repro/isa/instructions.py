@@ -39,16 +39,6 @@ class Instruction:
     def info(self) -> OpInfo:
         return OPCODES[self.op]
 
-    def source_regs(self) -> tuple[int, ...]:
-        """Architectural source registers actually read (x0 included)."""
-        info = self.info
-        sources = []
-        if info.reads_rs1:
-            sources.append(self.rs1)
-        if info.reads_rs2:
-            sources.append(self.rs2)
-        return tuple(sources)
-
     def dest_reg(self) -> Optional[int]:
         """Architectural destination, or None (x0 writes are discarded)."""
         info = self.info
@@ -114,13 +104,6 @@ class Program:
         if 0 <= pc < len(self.instructions):
             return self.instructions[pc]
         return None
-
-    def with_memory(self, patch: dict[int, int], name: Optional[str] = None) -> "Program":
-        """A copy of this program with extra/overridden initial memory bytes."""
-        merged = dict(self.initial_memory)
-        merged.update(patch)
-        return Program(self.instructions, merged, dict(self.symbols),
-                       dict(self.data_symbols), name or self.name)
 
 
 def store_word(memory: dict[int, int], address: int, value: int, size: int = 8) -> None:

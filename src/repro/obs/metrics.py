@@ -53,14 +53,6 @@ class Metrics:
     def get(self, name: str, default: Number = 0) -> Number:
         return self.scalars.get(name, default)
 
-    def add_dist(self, name: str, bucket: int, amount: int = 1) -> None:
-        """Add ``amount`` to an integer bucket of a named distribution."""
-        dist = self.dists.get(name)
-        if dist is None:
-            dist = {}
-            self.dists[name] = dist
-        dist[bucket] = dist.get(bucket, 0) + amount
-
     def set_dist(self, name: str, histogram: dict) -> None:
         self.dists[name] = {int(k): int(v) for k, v in histogram.items()}
 

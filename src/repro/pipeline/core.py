@@ -870,3 +870,20 @@ class OoOCore:
         if di.squashed:
             self.fetch_wait_for = None
             self._activity += 1
+
+
+def build_core(program: Program, engine: Optional[ProtectionEngine] = None,
+               params: Optional[MachineParams] = None, **kwargs) -> OoOCore:
+    """Construct the core for ``params.backend``: every caller's one way in.
+
+    The fastpath package (and its numpy dependency) is only imported when
+    the vector backend is actually requested, so the reference backend
+    works on a bare interpreter.  The vector core may wrap ``engine`` in
+    its struct-of-arrays twin — callers must use ``core.engine``, not the
+    engine they passed in.
+    """
+    params = params or MachineParams()
+    if params.backend == "vector":
+        from repro.fastpath.vector_core import VectorCore
+        return VectorCore(program, engine=engine, params=params, **kwargs)
+    return OoOCore(program, engine=engine, params=params, **kwargs)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.pipeline.core import OoOCore, SimResult
+from repro.pipeline.core import OoOCore, SimResult, build_core
 from repro.pipeline.dyninst import DynInst
 
 
@@ -128,13 +128,9 @@ class PipelineTracer:
         return [e for e in self.entries
                 if e.issue_delay > threshold and not e.squashed]
 
-    def squashed_count(self) -> int:
-        return sum(1 for e in self.entries if e.squashed)
-
-
 def trace_program(program, engine=None, params=None,
                   max_instructions: int = 50_000) -> PipelineTracer:
     """Convenience: build a core, trace a full run, return the tracer."""
-    tracer = PipelineTracer(OoOCore(program, engine=engine, params=params))
+    tracer = PipelineTracer(build_core(program, engine=engine, params=params))
     tracer.run(max_instructions=max_instructions)
     return tracer

@@ -20,8 +20,7 @@ from typing import Optional
 
 from repro.core.attack_model import AttackModel
 from repro.harness.configs import parse_config_names
-from repro.security.scenarios import (ALIASES, SCENARIOS, render_matrix,
-                                      scenario_matrix)
+from repro.security.scenarios import SCENARIOS, render_matrix, scenario_matrix
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,7 +73,7 @@ def main(argv: Optional[list] = None) -> int:
         return 0
     names = args.scenarios or list(SCENARIOS)
     for name in names:
-        if ALIASES.get(name, name) not in SCENARIOS:
+        if name not in SCENARIOS:
             print(f"error: unknown scenario {name!r}; known: "
                   f"{', '.join(sorted(SCENARIOS))}", file=sys.stderr)
             return 2

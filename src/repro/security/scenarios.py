@@ -32,7 +32,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from repro.core.attack_model import AttackModel
 from repro.harness.configs import CONFIGURATIONS, make_engine
-from repro.pipeline.core import OoOCore, SimResult
+from repro.pipeline.core import SimResult, build_core
 from repro.pipeline.params import MachineParams
 from repro.security import attacks
 from repro.security.attacks import AttackProgram
@@ -59,12 +59,12 @@ class Scenario:
     variant: str                  # Kocher et al. taxonomy label
     exposure: str                 # SPECULATIVE or NONSPECULATIVE
     summary: str
-    build: Callable[[], AttackProgram]
+    build: Callable[..., AttackProgram]   # keyword overrides, e.g. secret=
     expected: Mapping[str, bool]  # config name -> must the probe line leak?
 
 
 def _scenario(name: str, variant: str, exposure: str, summary: str,
-              build: Callable[[], AttackProgram]) -> Scenario:
+              build: Callable[..., AttackProgram]) -> Scenario:
     return Scenario(name, variant, exposure, summary, build,
                     _expected_row(exposure))
 
@@ -102,50 +102,46 @@ SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
         attacks.uninit_transient),
 )}
 
-# Historical names used by the original pen-test pair keep working.
-ALIASES = {"spectre-v1": "spectre-pht"}
-
-
-def get_scenario(name: str) -> Scenario:
-    """Look a scenario up by name or alias (KeyError when unknown)."""
-    return SCENARIOS[ALIASES.get(name, name)]
-
 
 def expected_to_leak(scenario: str, config: str,
                      model: Optional[AttackModel] = None) -> bool:
-    """The declarative expectation table, replacing the old hard-coding.
+    """The declarative expectation table (KeyError on unknown names).
 
     ``model`` is accepted for symmetry with ``run_scenario`` but ignored:
     the expectation rows are attack-model independent by construction.
     """
     if config not in CONFIGURATIONS:
         raise KeyError(config)
-    return get_scenario(scenario).expected[config]
+    return SCENARIOS[scenario].expected[config]
 
 
-def scenario_params(attack: AttackProgram,
-                    params: Optional[MachineParams] = None) -> MachineParams:
-    """Machine parameters with the attack's overrides applied."""
+def run_attack(attack: AttackProgram, config: str, model: AttackModel,
+               params: Optional[MachineParams] = None,
+               ) -> tuple[bool, SimResult]:
+    """Run one attack program; returns (leaked, sim_result).
+
+    Honours the attack's ``overrides`` (MachineParams fields it depends on)
+    and its ``setup`` hook (out-of-band attacker preparation).
+    """
     params = params or MachineParams()
     if attack.overrides:
         params = dataclasses.replace(params, **attack.overrides)
-    return params
+    core = build_core(attack.program, engine=make_engine(config, model),
+                      params=params)
+    if attack.setup:
+        attack.setup(core)
+    sim = core.run(max_instructions=500_000)
+    if not sim.halted:
+        raise RuntimeError(f"attack {attack.program.name} did not halt "
+                           f"under {config}/{model.name}")
+    return attack.leaked(sim.observer), sim
 
 
 def run_scenario(scenario: str, config: str, model: AttackModel,
                  params: Optional[MachineParams] = None,
                  ) -> tuple[bool, SimResult]:
     """Run one scenario cell; returns (leaked, sim_result)."""
-    attack = get_scenario(scenario).build()
-    core = OoOCore(attack.program, engine=make_engine(config, model),
-                   params=scenario_params(attack, params))
-    if attack.setup:
-        attack.setup(core)
-    sim = core.run(max_instructions=500_000)
-    if not sim.halted:
-        raise RuntimeError(
-            f"scenario {scenario} did not halt under {config}/{model.name}")
-    return attack.leaked(sim.observer), sim
+    return run_attack(SCENARIOS[scenario].build(), config, model, params)
 
 
 @dataclass(frozen=True)
@@ -182,7 +178,7 @@ def scenario_matrix(scenarios: Optional[Sequence[str]] = None,
     every cell simulation is self-contained, so worker processes return
     bit-identical verdicts to an in-process run.
     """
-    names = [ALIASES.get(n, n) for n in (scenarios or SCENARIOS)]
+    names = list(scenarios or SCENARIOS)
     for name in names:
         if name not in SCENARIOS:
             raise KeyError(name)

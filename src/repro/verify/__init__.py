@@ -3,7 +3,7 @@
 ``repro.verify`` proves (up to explicit speculation bounds) or refutes (with
 a concrete witness) that a program's attacker-visible behaviour is
 independent of its secrets — over *all* secret values, where the concrete
-fuzz oracle samples pairs.  See DESIGN.md §8 for the soundness argument.
+fuzz oracle samples pairs.  See DESIGN.md §7 for the soundness argument.
 
 Layers:
 

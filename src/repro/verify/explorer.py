@@ -25,7 +25,7 @@ targets, on the architectural path *and* on every explored transient path.
 
 **Bounds.**  ``spec_window`` (transient instructions per misprediction) and
 ``spec_depth`` (misprediction nesting) bound the exploration; a ``safe``
-verdict means safe *up to those bounds* — see DESIGN.md §8 for what that
+verdict means safe *up to those bounds* — see DESIGN.md §7 for what that
 under-approximates.  Separate instruction budgets make the run total; a
 budget exhaustion downgrades ``safe`` to ``unknown`` (never to ``leak``).
 """

@@ -26,7 +26,7 @@ recursion limit.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from repro.isa.opcodes import WORD_MASK
 from repro.isa.semantics import ConcreteDomain as _C
@@ -81,10 +81,6 @@ class Expr:
 def var(set_id: str, index: int) -> Expr:
     """A symbolic secret byte: byte ``index`` of secret-var set ``set_id``."""
     return Expr("VAR", (set_id, index), 0, _BYTE)
-
-
-def is_var(term: Term) -> bool:
-    return isinstance(term, Expr) and term.op == "VAR"
 
 
 def bounds(term: Term) -> tuple:
@@ -548,7 +544,3 @@ def size(term: Term) -> int:
         seen.add(id(node))
         stack.extend(a for a in node.args if isinstance(a, Expr))
     return len(seen)
-
-
-def any_symbolic(terms: Iterable[Term]) -> bool:
-    return any(isinstance(t, Expr) for t in terms)

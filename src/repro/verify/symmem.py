@@ -134,11 +134,6 @@ class SymMemory:
     def speculation_depth(self) -> int:
         return len(self._journals)
 
-    def symbolic_addresses(self) -> list:
-        """Addresses currently holding symbolic bytes (sorted)."""
-        return sorted(k for k, v in self._bytes.items()
-                      if isinstance(v, Expr))
-
     def concretise(self, env: dict) -> dict:
         """Fully concrete byte image under ``env`` (for witness replay)."""
         from repro.verify.expr import evaluate

@@ -37,10 +37,6 @@ class SecretLayout:
 
     ranges: tuple               # ((address, length), ...)
 
-    @property
-    def total_bytes(self) -> int:
-        return sum(length for _a, length in self.ranges)
-
     def addressed_bytes(self):
         """Yields (secret byte index, memory address) pairs."""
         index = 0

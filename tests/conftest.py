@@ -11,6 +11,7 @@ from repro.pipeline.params import MachineParams
 
 
 BOTH_MODELS = [AttackModel.SPECTRE, AttackModel.FUTURISTIC]
+BACKENDS = ["reference", "vector"]
 
 
 @pytest.fixture(autouse=True)
@@ -21,6 +22,21 @@ def _isolated_result_cache(tmp_path, monkeypatch):
     ``~/.cache/repro`` while still exercising the cache code paths.
     """
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro-cache"))
+
+
+@pytest.fixture
+def vector_runs(monkeypatch) -> list:
+    """Every ``VectorCore.run`` call, so a test can prove which core ran."""
+    from repro.fastpath.vector_core import VectorCore
+    calls: list = []
+    real = VectorCore.run
+
+    def spy(core, *args, **kwargs):
+        calls.append(core)
+        return real(core, *args, **kwargs)
+
+    monkeypatch.setattr(VectorCore, "run", spy)
+    return calls
 
 
 @pytest.fixture

@@ -12,8 +12,7 @@ from repro.core.attack_model import AttackModel
 from repro.fastpath import deps
 from repro.harness import cache
 from repro.harness.parallel import RunSpec, run_many
-from repro.harness.runner import build_core
-from repro.pipeline.core import OoOCore
+from repro.pipeline.core import OoOCore, build_core
 from repro.pipeline.params import MachineParams
 from repro.workloads.registry import get as get_workload
 

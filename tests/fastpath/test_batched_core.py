@@ -29,9 +29,8 @@ np = pytest.importorskip("numpy")
 from repro.core.attack_model import AttackModel
 from repro.fastpath.diff import compare_cell
 from repro.harness.configs import make_engine
-from repro.harness.runner import build_core
 from repro.isa.builder import ProgramBuilder
-from repro.pipeline.core import SimulationError
+from repro.pipeline.core import SimulationError, build_core
 from repro.pipeline.params import MachineParams
 from repro.security.observer import channel_digests
 

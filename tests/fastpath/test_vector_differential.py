@@ -14,8 +14,7 @@ import pytest
 from repro.core.attack_model import AttackModel
 from repro.fastpath.diff import compare_cell, run_backend
 from repro.harness.configs import make_engine
-from repro.harness.runner import build_core
-from repro.pipeline.core import SimulationError
+from repro.pipeline.core import SimulationError, build_core
 from repro.pipeline.params import MachineParams
 from repro.workloads.registry import get as get_workload
 

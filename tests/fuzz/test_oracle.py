@@ -1,6 +1,7 @@
 """Non-interference oracle: planted leaks and the expected-divergence matrix.
 
-The planted gadgets here are the oracle's ground truth:
+The planted gadgets here are the oracle's ground truth, on both the
+reference and the vector core:
 
 * a *speculative* bounds-check-bypass gadget must diverge under
   ``UnsafeBaseline`` and under no protected configuration;
@@ -18,6 +19,9 @@ from repro.fuzz.oracle import (architectural_dependence, check_pair_direct,
                                classify, divergence_detail,
                                expected_to_diverge)
 from repro.harness.configs import CONFIGURATIONS
+from repro.pipeline.params import MachineParams
+
+from tests.conftest import BACKENDS, BOTH_MODELS
 
 SPT_CONFIGS = [name for name in CONFIGURATIONS if name.startswith("SPT")]
 
@@ -32,34 +36,54 @@ def _planted(exposure: str):
     return programs
 
 
-def test_unsafe_baseline_leaks_planted_speculative_gadget():
+def _diverging(a, b, config, model, backend, vector_runs) -> list:
+    """``check_pair_direct`` on ``backend``, checking which core ran."""
+    before = len(vector_runs)
+    channels = check_pair_direct(a, b, config, model,
+                                 params=MachineParams(backend=backend))
+    assert len(vector_runs) - before == (2 if backend == "vector" else 0), (
+        f"{backend} requested but the other core ran")
+    return channels
+
+
+def test_unsafe_baseline_leaks_planted_speculative_gadget(vector_runs):
     a, b = _planted("speculative")
-    for model in (AttackModel.SPECTRE, AttackModel.FUTURISTIC):
-        channels = check_pair_direct(a, b, "UnsafeBaseline", model)
-        assert "load-line" in channels, (
-            "the secret-dependent probe load must move across cache lines")
+    for backend in BACKENDS:
+        for model in BOTH_MODELS:
+            channels = _diverging(a, b, "UnsafeBaseline", model, backend,
+                                  vector_runs)
+            assert "load-line" in channels, (
+                f"{backend}: the secret-dependent probe load must move "
+                f"across cache lines")
 
 
-def test_protected_configs_hold_on_speculative_gadget():
+def test_protected_configs_hold_on_speculative_gadget(vector_runs):
     a, b = _planted("speculative")
-    for config in ["SecureBaseline", "STT", *SPT_CONFIGS]:
-        for model in (AttackModel.SPECTRE, AttackModel.FUTURISTIC):
-            assert not check_pair_direct(a, b, config, model), (
-                f"{config}/{model.value} leaked a speculatively-accessed "
-                f"secret")
+    for backend in BACKENDS:
+        for config in ["SecureBaseline", "STT", *SPT_CONFIGS]:
+            for model in BOTH_MODELS:
+                assert not _diverging(a, b, config, model, backend,
+                                      vector_runs), (
+                    f"{config}/{model.value} on {backend} leaked a "
+                    f"speculatively-accessed secret")
 
 
-def test_stt_scope_gap_on_nonspeculative_gadget():
+def test_stt_scope_gap_on_nonspeculative_gadget(vector_runs):
     """STT leaks a non-speculatively accessed secret; SPT must not."""
     a, b = _planted("nonspeculative")
-    assert check_pair_direct(a, b, "UnsafeBaseline", AttackModel.SPECTRE)
-    assert check_pair_direct(a, b, "STT", AttackModel.SPECTRE), (
-        "the planted nonspec gadget must expose STT's scope gap")
-    for config in SPT_CONFIGS + ["SecureBaseline"]:
-        for model in (AttackModel.SPECTRE, AttackModel.FUTURISTIC):
-            assert not check_pair_direct(a, b, config, model), (
-                f"{config}/{model.value} leaked a non-speculatively "
-                f"accessed secret")
+    for backend in BACKENDS:
+        assert _diverging(a, b, "UnsafeBaseline", AttackModel.SPECTRE,
+                          backend, vector_runs)
+        assert _diverging(a, b, "STT", AttackModel.SPECTRE, backend,
+                          vector_runs), (
+            f"{backend}: the planted nonspec gadget must expose STT's "
+            f"scope gap")
+        for config in SPT_CONFIGS + ["SecureBaseline"]:
+            for model in BOTH_MODELS:
+                assert not _diverging(a, b, config, model, backend,
+                                      vector_runs), (
+                    f"{config}/{model.value} on {backend} leaked a "
+                    f"non-speculatively accessed secret")
 
 
 def test_expected_divergence_matrix():

@@ -52,6 +52,20 @@ def test_duplicate_specs_simulated_once(monkeypatch):
     assert len(results) == 3
     assert fingerprint(results[:1]) == fingerprint(results[1:2])
 
+    # Interleaved duplicates, cold then warm: the cold sweep simulates each
+    # distinct cell once, the warm one simulates nothing, and both answer
+    # in spec order.
+    other = RunSpec("mcf", "UnsafeBaseline", max_instructions=BUDGET)
+    sweep = [spec, other, spec, other, spec]
+    calls.clear()
+    cold = run_many(sweep, jobs=1, use_cache=True)
+    assert calls == [("xz", "STT"), ("mcf", "UnsafeBaseline")]
+    warm = run_many(sweep, jobs=1, use_cache=True)
+    assert len(calls) == 2
+    assert [(r.workload, r.config) for r in warm] == \
+        [(s.workload, s.config) for s in sweep]
+    assert fingerprint(warm) == fingerprint(cold)
+
 
 def test_model_independent_configs_shared(monkeypatch):
     """UnsafeBaseline ignores the attack model: one run serves both."""

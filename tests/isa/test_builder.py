@@ -47,17 +47,6 @@ def test_nested_loops():
     assert run_program(b.build()).reg(10) == 12
 
 
-def test_while_ne_helper():
-    b = ProgramBuilder()
-    b.li("a0", 5)
-    b.li("a1", 0)
-    with b.while_ne("a0", "zero"):
-        b.addi("a0", "a0", -1)
-        b.addi("a1", "a1", 1)
-    b.halt()
-    assert run_program(b.build()).reg(11) == 5
-
-
 def test_forward_label_must_be_placed():
     b = ProgramBuilder()
     label = b.forward_label()

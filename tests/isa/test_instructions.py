@@ -17,10 +17,10 @@ def test_instruction_validates_opcode_and_registers():
 
 def test_source_and_dest_registers():
     add = Instruction("ADD", rd=3, rs1=1, rs2=2)
-    assert add.source_regs() == (1, 2)
+    assert add.info.reads_rs1 and add.info.reads_rs2
     assert add.dest_reg() == 3
     store = Instruction("SD", rs1=4, rs2=5)
-    assert store.source_regs() == (4, 5)
+    assert store.info.reads_rs1 and store.info.reads_rs2
     assert store.dest_reg() is None
     x0_write = Instruction("LI", rd=0, imm=7)
     assert x0_write.dest_reg() is None
@@ -53,16 +53,6 @@ def test_program_fetch_bounds():
     assert program.fetch(1).op == "HALT"
     assert program.fetch(2) is None
     assert program.fetch(-1) is None
-
-
-def test_with_memory_patch():
-    program = Program([Instruction("HALT")], initial_memory={0: 1},
-                      name="base")
-    patched = program.with_memory({0: 2, 5: 9}, name="patched")
-    assert patched.initial_memory == {0: 2, 5: 9}
-    assert program.initial_memory == {0: 1}        # original untouched
-    assert patched.name == "patched"
-    assert patched.instructions is program.instructions
 
 
 def test_store_load_word_helpers():

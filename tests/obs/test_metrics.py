@@ -17,9 +17,7 @@ def sample_tree() -> Metrics:
     engine.add("broadcasts", 3)
     engine.add("broadcasts", 4)
     untaint = engine.child("untaint")
-    untaint.add_dist("latency", 2)
-    untaint.add_dist("latency", 2)
-    untaint.add_dist("latency", 7)
+    untaint.set_dist("latency", {2: 2, 7: 1})
     return m
 
 
@@ -38,14 +36,6 @@ def test_scalar_set_add_get():
     assert m.get("x") == 2
     assert m.get("missing") == 0
     assert m.get("missing", -1) == -1
-
-
-def test_dist_accumulation():
-    m = Metrics()
-    m.add_dist("lat", 3)
-    m.add_dist("lat", 3, 2)
-    m.add_dist("lat", 9)
-    assert m.dists["lat"] == {3: 3, 9: 1}
 
 
 def test_set_dist_coerces_keys_to_int():

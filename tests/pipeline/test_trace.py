@@ -51,7 +51,7 @@ def test_squashed_wrong_path_instructions_are_traced():
         halt
     """
     tracer = trace_program(assemble(source))
-    assert tracer.squashed_count() >= 1
+    assert any(e.squashed for e in tracer.entries)
     text = tracer.render(count=100)
     assert "X" in text
 
@@ -113,22 +113,6 @@ def test_delayed_transmitters_threshold_monotonic():
     assert len(loose) >= len(tracer.delayed_transmitters()) >= len(tight)
     assert tight == []
     assert all(not e.squashed for e in loose)
-
-
-def test_squashed_count_matches_entries():
-    source = """
-        li t0, 5
-        li t1, 0
-    loop:
-        addi t1, t1, 1
-        addi t0, t0, -1
-        bne t0, zero, loop
-        halt
-    """
-    tracer = trace_program(assemble(source))
-    assert tracer.squashed_count() == \
-        sum(1 for e in tracer.entries if e.squashed)
-    assert tracer.squashed_count() >= 1
 
 
 def test_render_window_slicing():

@@ -1,7 +1,7 @@
 """The attack scenario library and its declarative leak-expectation table.
 
-The full matrix (every scenario x Table 2 config x attack model) must match
-the expectation rows exactly:
+The full matrix (every scenario x Table 2 config x attack model, on both the
+reference and the vector core) must match the expectation rows exactly:
 
 * speculative exposure (spectre-pht, spectre-stl, uninit-transient): only
   UnsafeBaseline leaks;
@@ -13,11 +13,12 @@ import pytest
 
 from repro.core.attack_model import AttackModel
 from repro.harness.configs import CONFIGURATIONS
+from repro.pipeline.params import MachineParams
 from repro.security import attacks, scenarios
 
-from tests.conftest import BOTH_MODELS
+from tests.conftest import BACKENDS, BOTH_MODELS
 
-NONSPEC_LEAKERS = ("UnsafeBaseline", "STT")
+SECRETS = (0x11, 0x80, 0xFE)
 
 
 def test_registry_covers_all_variants():
@@ -26,10 +27,6 @@ def test_registry_covers_all_variants():
         "nonspec-secret", "uninit-transient"}
     for s in scenarios.SCENARIOS.values():
         assert set(s.expected) == set(CONFIGURATIONS)
-
-
-def test_alias_resolves_to_registered_scenario():
-    assert scenarios.get_scenario("spectre-v1").name == "spectre-pht"
 
 
 def test_expectation_rows():
@@ -51,14 +48,56 @@ def test_expected_to_leak_rejects_unknown_names():
         scenarios.expected_to_leak("not-a-scenario", "STT")
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("model", BOTH_MODELS)
 @pytest.mark.parametrize("config", list(CONFIGURATIONS))
 @pytest.mark.parametrize("name", sorted(scenarios.SCENARIOS))
-def test_scenario_cell_matches_expectation(name, config, model):
-    leaked, sim = scenarios.run_scenario(name, config, model)
+def test_scenario_cell_matches_expectation(name, config, model, backend,
+                                           vector_runs):
+    leaked, sim = scenarios.run_scenario(
+        name, config, model, params=MachineParams(backend=backend))
+    assert len(vector_runs) == (backend == "vector"), "wrong core ran"
     assert sim.halted
     assert leaked == scenarios.expected_to_leak(name, config), (
-        f"{name} under {config}/{model.value}: leaked={leaked}")
+        f"{name} under {config}/{model.value} on {backend}: leaked={leaked}")
+
+
+def test_spectre_pht_leaks_arbitrary_bytes_on_unsafe():
+    build = scenarios.SCENARIOS["spectre-pht"].build
+    for secret in SECRETS:
+        leaked, _ = scenarios.run_attack(build(secret=secret),
+                                         "UnsafeBaseline",
+                                         AttackModel.FUTURISTIC)
+        assert leaked, hex(secret)
+
+
+def test_spt_blocks_arbitrary_bytes():
+    build = scenarios.SCENARIOS["spectre-pht"].build
+    for secret in SECRETS:
+        leaked, _ = scenarios.run_attack(build(secret=secret),
+                                         "SPT{Bwd,ShadowL1}",
+                                         AttackModel.FUTURISTIC)
+        assert not leaked, hex(secret)
+
+
+@pytest.mark.parametrize("name", sorted(set(scenarios.SCENARIOS)
+                                        - {"uninit-transient"}))
+def test_attack_builders_reject_out_of_range_secrets(name):
+    build = scenarios.SCENARIOS[name].build
+    for secret in (-1, 0x100, 300):
+        with pytest.raises(ValueError, match="byte"):
+            build(secret=secret)
+
+
+def test_matrix_holds_at_small_params(small_params):
+    """The expectation rows are not an artefact of the default core size."""
+    for name in scenarios.SCENARIOS:
+        for config in ("UnsafeBaseline", "STT", "SPT{Bwd,ShadowL1}"):
+            leaked, _ = scenarios.run_scenario(name, config,
+                                               AttackModel.SPECTRE,
+                                               params=small_params)
+            assert leaked == scenarios.expected_to_leak(name, config), (
+                f"{name} under {config} at small_params: leaked={leaked}")
 
 
 def test_matrix_deterministic_across_worker_processes():
@@ -112,17 +151,11 @@ def test_uninit_transient_trace_equivalence_across_seeds():
     # Two seeds fill uninitialised memory with different secrets.  Under SPT
     # the attacker-visible trace must be identical across seeds (no leak);
     # on the unsafe baseline the probe access betrays the seed.
-    from repro.harness.configs import make_engine
-    from repro.pipeline.core import OoOCore
     from repro.security.observer import differing_events
 
     def trace(seed, config):
-        attack = attacks.uninit_transient(seed=seed)
-        core = OoOCore(attack.program,
-                       engine=make_engine(config, AttackModel.SPECTRE),
-                       params=scenarios.scenario_params(attack))
-        sim = core.run(max_instructions=500_000)
-        assert sim.halted
+        _, sim = scenarios.run_attack(attacks.uninit_transient(seed=seed),
+                                      config, AttackModel.SPECTRE)
         return sim.observer
 
     seeds = (0x5EED, 0x1234)

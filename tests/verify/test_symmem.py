@@ -87,11 +87,10 @@ def test_nested_rollback_propagates_to_outer_frame():
     assert mem.byte(0x10) == 1
 
 
-def test_symbolic_addresses_lists_secret_bytes():
+def test_concretise_instantiates_secret_bytes():
     mem = SymMemory()
     mem.store(0x20, var(SET, 0), 1)
     mem.store(0x21, 7, 1)
-    assert mem.symbolic_addresses() == [0x20]
     assert mem.concretise({(SET, 0): 0x44}) == {0x20: 0x44, 0x21: 7}
 
 
