@@ -8,10 +8,10 @@ simulation, which matters when scaling budgets up.
 import pytest
 
 from repro.core.attack_model import AttackModel
+from repro.fastpath.diff import reference_engine
 from repro.harness.configs import make_engine
 from repro.isa.interpreter import run_program
 from repro.pipeline import OoOCore
-from repro.pipeline.core import build_core
 from repro.pipeline.params import MachineParams
 from repro.workloads.registry import get
 
@@ -26,11 +26,12 @@ def simulate(config: str) -> int:
     return sim.cycles
 
 
-def simulate_backend(config: str, backend: str) -> int:
+def simulate_reference(config: str) -> int:
+    """The reference run: per-instruction phases under the full sanitizer."""
     program = get(WORKLOAD).program(scale=1)
-    engine = make_engine(config, AttackModel.FUTURISTIC)
-    core = build_core(program, engine=engine,
-                      params=MachineParams(backend=backend))
+    engine = reference_engine(make_engine(config, AttackModel.FUTURISTIC))
+    core = OoOCore(program, engine=engine,
+                   params=MachineParams(check_level="full"))
     return core.run(max_instructions=BUDGET).cycles
 
 
@@ -51,12 +52,12 @@ def test_core_throughput(benchmark, config):
     assert cycles > 0
 
 
-@pytest.mark.parametrize("backend", ["reference", "vector"])
-def test_spt_backend_throughput(benchmark, backend):
-    # The same protected cell under both execution backends; the cycle
-    # counts must agree exactly (bit-identity) while the vector backend's
-    # wall-clock should sit well below the reference's.
-    cycles = benchmark.pedantic(simulate_backend,
-                                args=("SPT{Bwd,ShadowL1}", backend),
+@pytest.mark.parametrize("run", ["default", "reference"])
+def test_spt_run_throughput(benchmark, run):
+    # The same protected cell as the default run and as the reference run;
+    # the cycle counts must agree exactly (bit-identity) while the default
+    # run's wall-clock should sit well below the reference run's.
+    sim = simulate if run == "default" else simulate_reference
+    cycles = benchmark.pedantic(sim, args=("SPT{Bwd,ShadowL1}",),
                                 rounds=2, iterations=1)
     assert cycles == simulate("SPT{Bwd,ShadowL1}")

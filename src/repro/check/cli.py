@@ -4,7 +4,9 @@ Runs (workload, configuration, attack model) cells with
 ``MachineParams.check_level`` raised (default ``full``) and reports
 per-invariant evaluation counts.  Any :class:`InvariantViolation` fails
 the sweep with the offending cell and the full violation report, so a CI
-job can gate directly on this command.
+job can gate directly on this command.  ``--level full`` steps the
+per-instruction phases; ``--level commit`` locksteps the batched path
+every figure and campaign runs, fast-forward included.
 
 Examples::
 
@@ -12,6 +14,7 @@ Examples::
     python -m repro.cli check --workloads mcf,chacha20 --configs STT \\
         --models spectre --budget 5000
     python -m repro.cli check             # the full grid (nightly)
+    python -m repro.cli check --level commit    # the batched path
 """
 
 from __future__ import annotations
@@ -60,11 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--level", default="full",
                         choices=["commit", "full"],
                         help="check level for the sweep (default full)")
-    parser.add_argument("--backend", default="reference",
-                        choices=["reference", "vector"],
-                        help="simulation backend to check (default "
-                             "reference); vector runs the fast path in "
-                             "lockstep with the golden interpreter")
     parser.add_argument("--budget", type=int, default=None,
                         help="per-run retired-instruction budget "
                              f"(default {FULL_BUDGET}, "
@@ -151,7 +149,7 @@ def main(argv: Optional[list] = None) -> int:
     models = list(BOTH_MODELS) if args.models == "both" \
         else [AttackModel(args.models)]
 
-    params = MachineParams(check_level=args.level, backend=args.backend)
+    params = MachineParams(check_level=args.level)
     specs = [RunSpec(workload, config, model, max_instructions=budget,
                      params=params)
              for workload in workloads

@@ -36,13 +36,14 @@ from typing import TYPE_CHECKING, Optional
 from repro.check.invariants import CHECK_LEVELS
 from repro.check.violation import InvariantViolation
 from repro.core.baselines import SecureBaseline
-from repro.core.spt import SPTEngine
+from repro.core.spt import ReferenceSPTEngine
 from repro.core.stt import STTEngine
 from repro.core.shadow_l1 import ShadowMode
 from repro.core.taint_algebra import initial_output_taint
 from repro.isa.interpreter import ArchState, step
 from repro.isa.opcodes import WORD_MASK
 from repro.isa.semantics import effective_address
+from repro.memory.main_memory import uninit_byte
 from repro.obs.metrics import Metrics
 
 if TYPE_CHECKING:
@@ -51,6 +52,26 @@ if TYPE_CHECKING:
 
 # How many recent pipeline events ride along in a violation report.
 TRACE_WINDOW = 24
+
+
+class _UninitGolden(ArchState):
+    """Golden state under ``MachineParams.uninit_secret_seed``: bytes
+    never written read as :func:`uninit_byte`, as the core's memory reads
+    them, instead of zero."""
+
+    def __init__(self, seed: int):
+        super().__init__()
+        self.seed = seed
+
+    def load(self, address: int, size: int) -> int:
+        value = 0
+        for offset in range(size):
+            addr = (address + offset) & WORD_MASK
+            byte = self.memory.get(addr)
+            if byte is None:
+                byte = uninit_byte(self.seed, addr)
+            value |= byte << (8 * offset)
+        return value
 
 
 class Sanitizer:
@@ -66,7 +87,8 @@ class Sanitizer:
         self.counts: dict[str, int] = {}
 
         # Golden lockstep state: an independent architectural machine.
-        self.golden = ArchState()
+        seed = core.params.uninit_secret_seed
+        self.golden = ArchState() if seed is None else _UninitGolden(seed)
         self.golden.memory.update(core.program.initial_memory)
         self.expected_pc: Optional[int] = 0
         self.golden_retired = 0
@@ -76,7 +98,7 @@ class Sanitizer:
         self.window: deque = deque(maxlen=TRACE_WINDOW)
 
         engine = core.engine
-        self._spt = engine if isinstance(engine, SPTEngine) else None
+        self._spt = engine if isinstance(engine, ReferenceSPTEngine) else None
         self._stt = engine if isinstance(engine, STTEngine) else None
         self._secure = isinstance(engine, SecureBaseline)
         self._vp_predicate = getattr(engine, "vp_predicate", None)

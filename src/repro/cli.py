@@ -44,7 +44,7 @@ from repro.harness.parallel import RunSpec, run_many
 from repro.harness.runner import RunResult
 from repro.isa.assembler import assemble
 from repro.isa.instructions import Program
-from repro.pipeline.core import build_core
+from repro.pipeline.core import OoOCore
 from repro.pipeline.engine_api import ProtectionEngine
 from repro.pipeline.params import MachineParams
 from repro.workloads.registry import WORKLOADS, get as get_workload
@@ -77,11 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scale", type=int, default=1,
                         help="workload scale factor")
     parser.add_argument("--untaint-broadcast-width", type=int, default=3)
-    parser.add_argument("--backend", choices=["reference", "vector"],
-                        default="reference",
-                        help="simulation backend: the reference model or "
-                             "the vectorised fast path (bit-identical; "
-                             "requires numpy)")
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the persistent result cache "
                              "(also: REPRO_NO_CACHE=1)")
@@ -235,8 +230,7 @@ def _run_direct(args: argparse.Namespace, executable: str,
     """The uncached path: .asm files and non-Table-2 flag combinations."""
     program = load_program(executable, args.scale)
     engine = make_engine_from_args(args)
-    core = build_core(program, engine=engine, params=params)
-    engine = core.engine    # the vector backend may have wrapped it
+    core = OoOCore(program, engine=engine, params=params)
     sim = core.run(max_instructions=args.max_instructions)
     untaint_by_kind: dict = {}
     untaints_per_cycle: dict = {}
@@ -285,8 +279,7 @@ def main(argv: Optional[list] = None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     params = MachineParams(
-        untaint_broadcast_width=args.untaint_broadcast_width,
-        backend=args.backend)
+        untaint_broadcast_width=args.untaint_broadcast_width)
     model = (AttackModel(args.threat_model) if args.threat_model
              else AttackModel.FUTURISTIC)
     config_name = config_name_from_args(args)

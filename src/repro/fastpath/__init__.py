@@ -1,19 +1,11 @@
-"""repro.fastpath: the vector execution backend (``backend="vector"``).
+"""repro.fastpath: decode tables and the default-vs-reference differential.
 
-A struct-of-arrays fast path over the reference out-of-order model —
-packed-bitmask SPT rule evaluation, decode-time metadata tables, and
-quiescent-cycle fast-forwarding — verified bit-identical against the
-reference backend by the differential suite in ``tests/fastpath`` and by
-the ``repro backend-diff`` command.
+* :mod:`repro.fastpath.tables` lowers each program once to flat per-PC
+  columns, which the batched path of :class:`~repro.pipeline.core.OoOCore`
+  and the packed :class:`~repro.core.spt.SPTEngine` index per cycle.
+* :mod:`repro.fastpath.diff` (``repro backend-diff``) pins the default
+  run against the reference run, bit for bit.
 
-Importing this package requires numpy; the lazy imports in
-:func:`repro.pipeline.core.build_core` keep the reference backend free
-of the dependency.
+This package imports no core or engine module at import time: the
+pipeline imports the tables while ``repro.core`` may still be loading.
 """
-
-from repro.fastpath.deps import have_numpy, require_numpy
-from repro.fastpath.spt_vector import VectorSPTEngine, vectorize_engine
-from repro.fastpath.vector_core import VectorCore
-
-__all__ = ["VectorCore", "VectorSPTEngine", "vectorize_engine",
-           "have_numpy", "require_numpy"]

@@ -1,17 +1,20 @@
-"""``repro backend-diff`` — pin the vector backend against the reference.
+"""``repro backend-diff`` — pin the default run against the reference run.
 
-Runs every (workload, configuration, attack model) cell of a grid under
-both backends and demands *bit-identical* outcomes: cycle counts, the
-retired-PC stream, architectural register file, flat stats, the full
-metrics tree, and the per-channel digests of the attacker-visible trace.
-A wedged simulation must wedge identically under both backends (same
-exception, same message, same cycle).
+Runs every (workload, configuration, attack model) cell of a grid twice
+and demands *bit-identical* outcomes:
 
-This is the acceptance harness for ``backend="vector"``: unlike the
-lockstep sanitizer (which checks the vector backend against the golden
-interpreter cycle by cycle), this compares the two backends against each
-other end-to-end with fast-forwarding *enabled*, so the quiescent-cycle
-batching itself is under test.
+* the **default run** is :meth:`OoOCore.run` as every figure, campaign
+  and benchmark calls it: the batched path with quiescent fast-forward
+  live, and the packed :class:`~repro.core.spt.SPTEngine`;
+* the **reference run** steps the per-instruction phases every cycle
+  under the full lockstep sanitizer (``check_level="full"``), with
+  :class:`~repro.core.spt.ReferenceSPTEngine` in place of ``SPTEngine``.
+
+Compared are cycle counts, the retired-PC stream, the architectural
+register file, flat stats, the metrics tree (less the sanitizer's own
+``check`` group: the sanitizer is passive) and the per-channel digests of
+the attacker-visible trace.  A wedged simulation must wedge identically
+in both runs (same exception, same message, same cycle).
 
 Examples::
 
@@ -27,9 +30,13 @@ import sys
 from typing import Optional
 
 from repro.check.cli import _parse_configs, _parse_workloads
+from repro.check.violation import InvariantViolation
 from repro.core.attack_model import AttackModel
+from repro.core.spt import ReferenceSPTEngine, SPTEngine
 from repro.harness.configs import FIGURE7_ORDER, make_engine
-from repro.pipeline.core import SimulationError, build_core
+from repro.isa.instructions import Program
+from repro.pipeline.core import OoOCore, SimulationError
+from repro.pipeline.engine_api import ProtectionEngine
 from repro.pipeline.params import MachineParams
 from repro.security.observer import channel_digests, differing_channels
 from repro.workloads.registry import WORKLOADS, get as get_workload
@@ -46,8 +53,8 @@ FULL_BUDGET = 2000
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="run_spt backend-diff",
-        description="Run a grid under both backends and require "
-                    "bit-identical results.")
+        description="Run a grid as default and as reference runs and "
+                    "require bit-identical results.")
     parser.add_argument("--smoke", action="store_true",
                         help=f"small CI grid: {len(SMOKE_WORKLOADS)} "
                              f"workloads x {len(SMOKE_CONFIGS)} configs x "
@@ -68,20 +75,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_backend(workload: str, config: str, model: AttackModel,
-                scale: int, budget: int, backend: str) -> dict:
-    """One cell under one backend, reduced to its comparable outcome."""
-    program = get_workload(workload).program(scale)
-    engine = make_engine(config, model)
-    params = MachineParams(backend=backend)
-    core = build_core(program, engine=engine, params=params,
-                      record_retired_pcs=True)
+def reference_engine(engine: ProtectionEngine) -> ProtectionEngine:
+    """``engine`` for the reference run: SPT swaps to its per-entry twin."""
+    if type(engine) is SPTEngine:
+        return ReferenceSPTEngine(engine.model, backward=engine.backward,
+                                  shadow=engine.shadow_mode,
+                                  ideal=engine.ideal)
+    return engine
+
+
+def run_outcome(program: Program, engine: ProtectionEngine, budget: int,
+                check_level: str = "off") -> tuple:
+    """One run of ``program`` as ``(core, comparable outcome)``.
+
+    ``check_level="full"`` with :func:`reference_engine` makes it the
+    reference run; ``"off"`` with the configuration's own engine is the
+    default run.
+    """
+    core = OoOCore(program, engine=engine,
+                   params=MachineParams(check_level=check_level),
+                   record_retired_pcs=True)
     try:
         sim = core.run(max_instructions=budget)
-    except SimulationError as exc:
-        # A wedge is an outcome too: both backends must wedge identically.
-        return {"error": f"{type(exc).__name__}: {exc}"}
-    return {
+    except (SimulationError, InvariantViolation) as exc:
+        # A wedge is an outcome too: both runs must wedge identically.
+        return core, {"error": f"{type(exc).__name__}: {exc}"}
+    return core, {
         "cycles": sim.cycles,
         "retired": sim.retired,
         "halted": sim.halted,
@@ -93,36 +112,55 @@ def run_backend(workload: str, config: str, model: AttackModel,
     }
 
 
-def compare_cell(ref: dict, vec: dict) -> list:
+def run_cell(workload: str, config: str, model: AttackModel, scale: int,
+             budget: int, reference: bool = False) -> dict:
+    """One grid cell's default (or reference) run outcome."""
+    engine = make_engine(config, model)
+    if reference:
+        engine = reference_engine(engine)
+    return run_outcome(get_workload(workload).program(scale), engine, budget,
+                       check_level="full" if reference else "off")[1]
+
+
+def _model_metrics(outcome: dict) -> dict:
+    """The metrics tree less the sanitizer's ``check`` group."""
+    metrics = dict(outcome["metrics"])
+    groups = dict(metrics.get("groups", {}))
+    groups.pop("check", None)
+    metrics["groups"] = groups
+    return metrics
+
+
+def compare_cell(ref: dict, run: dict) -> list:
     """Human-readable mismatch descriptions (empty = bit-identical)."""
-    if "error" in ref or "error" in vec:
-        if ref.get("error") == vec.get("error"):
+    if "error" in ref or "error" in run:
+        if ref.get("error") == run.get("error"):
             return []
         return [f"outcome: reference={ref.get('error', 'completed')!r} "
-                f"vector={vec.get('error', 'completed')!r}"]
+                f"default={run.get('error', 'completed')!r}"]
     mismatches = []
     for field in ("cycles", "retired", "halted"):
-        if ref[field] != vec[field]:
+        if ref[field] != run[field]:
             mismatches.append(
-                f"{field}: reference={ref[field]} vector={vec[field]}")
-    if ref["retired_pcs"] != vec["retired_pcs"]:
+                f"{field}: reference={ref[field]} default={run[field]}")
+    if ref["retired_pcs"] != run["retired_pcs"]:
         index = next((i for i, (a, b) in
-                      enumerate(zip(ref["retired_pcs"], vec["retired_pcs"]))
+                      enumerate(zip(ref["retired_pcs"], run["retired_pcs"]))
                       if a != b), min(len(ref["retired_pcs"]),
-                                      len(vec["retired_pcs"])))
+                                      len(run["retired_pcs"])))
         mismatches.append(f"retired-PC stream diverges at retirement "
                           f"#{index}")
-    if ref["arch_regs"] != vec["arch_regs"]:
+    if ref["arch_regs"] != run["arch_regs"]:
         regs = [i for i, (a, b) in
-                enumerate(zip(ref["arch_regs"], vec["arch_regs"])) if a != b]
+                enumerate(zip(ref["arch_regs"], run["arch_regs"])) if a != b]
         mismatches.append(f"architectural registers differ: {regs}")
-    stat_keys = [k for k in sorted(set(ref["stats"]) | set(vec["stats"]))
-                 if ref["stats"].get(k) != vec["stats"].get(k)]
+    stat_keys = [k for k in sorted(set(ref["stats"]) | set(run["stats"]))
+                 if ref["stats"].get(k) != run["stats"].get(k)]
     if stat_keys:
         mismatches.append(f"stats differ: {', '.join(stat_keys[:8])}")
-    if ref["metrics"] != vec["metrics"]:
+    if _model_metrics(ref) != _model_metrics(run):
         mismatches.append("metrics trees differ")
-    channels = differing_channels(ref["digests"], vec["digests"])
+    channels = differing_channels(ref["digests"], run["digests"])
     if channels:
         mismatches.append(f"trace channels differ: {', '.join(channels)}")
     return mismatches
@@ -148,11 +186,10 @@ def main(argv: Optional[list] = None) -> int:
     cells = [(w, c, m) for w in workloads for c in configs for m in models]
     failures = 0
     for workload, config, model in cells:
-        ref = run_backend(workload, config, model, args.scale, budget,
-                          "reference")
-        vec = run_backend(workload, config, model, args.scale, budget,
-                          "vector")
-        mismatches = compare_cell(ref, vec)
+        ref = run_cell(workload, config, model, args.scale, budget,
+                       reference=True)
+        run = run_cell(workload, config, model, args.scale, budget)
+        mismatches = compare_cell(ref, run)
         if mismatches:
             failures += 1
             print(f"MISMATCH {workload}/{config}/{model.value}:",
@@ -160,7 +197,7 @@ def main(argv: Optional[list] = None) -> int:
             for line in mismatches:
                 print(f"  {line}", file=sys.stderr)
     verdict = "bit-identical" if not failures else f"{failures} DIVERGENT"
-    print(f"backend-diff: {len(cells)} cells x 2 backends "
+    print(f"backend-diff: {len(cells)} cells x default and reference runs "
           f"(budget {budget}, scale {args.scale}): {verdict}")
     return 1 if failures else 0
 

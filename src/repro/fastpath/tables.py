@@ -1,11 +1,13 @@
 """Decode-time lowering of per-instruction metadata to flat flag tables.
 
-The reference engines re-derive instruction classes (pure, invertible,
-transmitter, leaked operands, ...) from :mod:`repro.core.taint_algebra`
-and :class:`~repro.isa.opcodes.OpInfo` on every consult.  The vector
-backend instead lowers every static instruction of a program **once** to
-a packed flag word, so the per-cycle rule evaluation indexes a flat
-array instead of chasing Python attributes.
+The per-instruction phases and :class:`~repro.core.spt.ReferenceSPTEngine`
+re-derive instruction classes (pure, invertible, transmitter, leaked
+operands, ...) from :mod:`repro.core.taint_algebra` and
+:class:`~repro.isa.opcodes.OpInfo` on every consult.  The batched path of
+:class:`~repro.pipeline.core.OoOCore` and the packed
+:class:`~repro.core.spt.SPTEngine` instead lower every static instruction
+of a program **once** to flat per-PC columns, so the per-cycle work
+indexes a list instead of chasing Python attributes.
 
 Every flag is *defined* in terms of the reference predicates (the tests
 compare the table against the functions over all opcodes); the lowering
@@ -14,12 +16,8 @@ must never restate a rule independently.
 
 from __future__ import annotations
 
-from repro.core.taint_algebra import (PC_INFERABLE_KINDS, PURE_KINDS,
-                                      leaked_operands)
 from repro.isa.instructions import Instruction, Program
 from repro.isa.opcodes import Kind, OpInfo
-
-from repro.fastpath.deps import np
 
 # Flag bits of one lowered instruction word.
 F_PURE = 1 << 0          # kind in PURE_KINDS: forward rule applies
@@ -38,6 +36,10 @@ F_LEAK_SRC2 = 1 << 11    # declassification leaks src2 at the VP
 
 def lower_instruction(inst: Instruction) -> int:
     """The packed flag word for one static instruction."""
+    # Imported here, not at module top: repro.core's package init imports
+    # the engines, and the SPT engine imports this module.
+    from repro.core.taint_algebra import (PC_INFERABLE_KINDS, PURE_KINDS,
+                                          leaked_operands)
     info: OpInfo = inst.info
     kind = info.kind
     flags = 0
@@ -86,12 +88,8 @@ DC_JUMP = 4        # JAL: link write + completes at dispatch
 class ProgramTable:
     """Flat per-PC metadata for one program.
 
-    ``flags`` is a plain Python list (scalar indexing by PC in the hot
-    loop beats a numpy element read); ``flags_v``/``latency_v``/
-    ``mem_size_v`` are the numpy views used by whole-array operations.
-
-    The remaining columns drive the vector backend's batched frontend
-    (:mod:`repro.fastpath.vector_core`): ``insts``/``infos`` give the
+    ``flags`` feeds the packed SPT engine's rule evaluation.  The remaining
+    columns drive the core's batched frontend: ``insts``/``infos`` give the
     fetch loop direct references (no ``inst.info`` property per fetch),
     ``kindc``/``runlen`` classify PCs for run-length batch fetch
     (``runlen[pc]`` = number of consecutive ``KC_SIMPLE`` instructions
@@ -102,8 +100,7 @@ class ProgramTable:
     pin them against those functions over all opcodes.
     """
 
-    __slots__ = ("flags", "flags_v", "latency_v", "mem_size_v",
-                 "insts", "infos", "kindc", "runlen",
+    __slots__ = ("flags", "insts", "infos", "kindc", "runlen",
                  "hasdest", "needs_rs", "dclass", "rtier", "aluc")
 
     def __init__(self, program: Program):
@@ -165,28 +162,16 @@ class ProgramTable:
             run = run + 1 if kindc[pc] == KC_SIMPLE else 0
             runlen[pc] = run
         self.runlen = runlen
-        if np is not None:
-            self.flags_v = np.asarray(self.flags, dtype=np.uint32)
-            self.latency_v = np.asarray([inst.info.latency
-                                         for inst in program],
-                                        dtype=np.int32)
-            self.mem_size_v = np.asarray([inst.info.mem_size
-                                          for inst in program],
-                                         dtype=np.int32)
-        else:                      # pragma: no cover - no-numpy fallback
-            self.flags_v = None
-            self.latency_v = None
-            self.mem_size_v = None
 
 
 def lower_program(program: Program) -> ProgramTable:
     """Lower ``program``, caching the table on the program object.
 
     Programs are immutable once assembled (the core copies the memory
-    image, never the other way around), and both the vector core and the
-    vector SPT engine lower the same program at construction — the cache
-    makes that one lowering, and makes repeated runs of one workload
-    program table-free.
+    image, never the other way around), and both the core's batched path
+    and the packed SPT engine lower the same program — the cache makes
+    that one lowering, and makes repeated runs of one workload program
+    table-free.
     """
     table = getattr(program, "_fastpath_table", None)
     if table is None:

@@ -26,7 +26,7 @@ from repro.core.attack_model import AttackModel
 from repro.harness.configs import make_engine
 from repro.isa.instructions import Program
 from repro.isa.interpreter import run_program
-from repro.pipeline.core import build_core
+from repro.pipeline.core import OoOCore
 from repro.pipeline.params import MachineParams
 from repro.security.observer import (channel_digests, differing_channels,
                                      differing_events)
@@ -92,8 +92,8 @@ def run_traced(program: Program, config: str, model: AttackModel,
                params: Optional[MachineParams] = None,
                max_instructions: int = FUZZ_BUDGET):
     """One in-process simulation, returning the SimResult (with observer)."""
-    core = build_core(program, engine=make_engine(config, model),
-                      params=params)
+    core = OoOCore(program, engine=make_engine(config, model),
+                   params=params)
     sim = core.run(max_instructions=max_instructions)
     if not sim.halted:
         raise RuntimeError(

@@ -32,10 +32,10 @@ from repro.pipeline.params import MachineParams
 # Bump when the cached-blob layout changes (keys everything to a new slot).
 # v4: MachineParams grew check_level (sanitized and unsanitized runs must
 # never share a cache entry, even across versions where the field is new).
-# v5: MachineParams grew backend; reference and vector runs key separately
-# (bit-identical by contract, but a backend bug must never hide behind a
-# cache hit from the other backend).
-CACHE_VERSION = 5
+# v5: MachineParams grew backend; reference and vector runs keyed separately.
+# v6: MachineParams lost backend again (every run takes the one machine's
+# batched path); the bump retires the per-backend slots.
+CACHE_VERSION = 6
 
 _FINGERPRINT: Optional[str] = None
 

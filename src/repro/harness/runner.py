@@ -9,7 +9,7 @@ from typing import Optional
 from repro.core.attack_model import AttackModel
 from repro.core.spt import SPTEngine
 from repro.harness.configs import make_engine
-from repro.pipeline.core import SimResult, build_core
+from repro.pipeline.core import OoOCore, SimResult
 from repro.pipeline.params import MachineParams
 from repro.security.observer import channel_digests
 from repro.workloads.registry import get as get_workload
@@ -79,8 +79,7 @@ def run_one(workload: str, config: str,
     """
     program = get_workload(workload).program(scale)
     engine = make_engine(config, model)
-    core = build_core(program, engine=engine, params=params or MachineParams())
-    engine = core.engine    # the vector backend may have wrapped it
+    core = OoOCore(program, engine=engine, params=params or MachineParams())
     sim = core.run(max_instructions=max_instructions or 10_000_000)
     untaint_by_kind: dict = {}
     untaints_per_cycle: dict = {}

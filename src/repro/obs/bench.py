@@ -4,8 +4,9 @@ A snapshot (``BENCH_<date>.json``) freezes everything CI needs to detect a
 performance regression in one schema-versioned JSON file:
 
 * **Simulator throughput** — wall-clock and retired instructions/second of
-  an uncached reference simulation (best of several repetitions, which
-  absorbs scheduler noise on shared CI runners).
+  an uncached simulation as every figure runs it, the batched path (best
+  of several repetitions, which absorbs scheduler noise on shared CI
+  runners).
 * **Headline Figure-7 overheads** — the Section 9.2 numbers from a full
   (workload, configuration, model) sweep at the snapshot budget.  These
   are *model outputs*, not timings: the simulation is deterministic
@@ -13,15 +14,8 @@ performance regression in one schema-versioned JSON file:
   float-printing noise, and any drift means the modelled microarchitecture
   changed.
 * **Stall-cause breakdown** — the fraction of cycles per
-  :class:`~repro.obs.stall.StallCause` for the reference cell (mcf under
+  :class:`~repro.obs.stall.StallCause` for the protected cell (mcf under
   full SPT, FUTURISTIC model): the shape of *where the overhead goes*.
-  Recorded under both backends (``stall`` / ``stall_vector``): the two
-  must agree exactly, so the snapshot itself witnesses the vector
-  backend's bit-identity contract.
-* **Per-backend protected throughput** — the same protected cell timed
-  under ``backend="reference"`` and ``backend="vector"``, plus the
-  resulting ``vector_speedup`` ratio, which ``compare`` can gate with a
-  floor (``--min-vector-speedup``).
 
 ``compare`` diffs two snapshots under configurable tolerances and returns
 non-zero on regression; the CI ``perf-regression`` job gates on it against
@@ -41,26 +35,21 @@ from repro.experiments import figure7
 from repro.harness.configs import FIGURE7_ORDER, FULL_SPT
 from repro.harness.runner import bench_budget, bench_scale, run_one
 from repro.obs.stall import stall_breakdown
-from repro.pipeline.params import MachineParams
 
 # v2: per-backend protected throughput cells + vector speedup + a second
 # stall shape recorded under the vector backend.
-SCHEMA_VERSION = 2
+# v3: one machine — the per-backend cells and the second stall shape are
+# gone; ``throughput`` and ``stall`` describe the batched path.
+SCHEMA_VERSION = 3
 
-# The reference cell for throughput and the stall-shape snapshot: mcf is
-# the paper's canonical memory-bound victim and the workload where SPT's
-# overhead mechanisms (delayed loads, broadcast pressure) bite hardest.
+# The cell for throughput and the stall-shape snapshot: mcf is the paper's
+# canonical memory-bound victim and the workload where SPT's overhead
+# mechanisms (delayed loads, broadcast pressure) bite hardest.  The stall
+# cell is also the one ``bench profile`` profiles.
 THROUGHPUT_WORKLOAD = "mcf"
 STALL_WORKLOAD = "mcf"
 STALL_CONFIG = FULL_SPT
 STALL_MODEL = AttackModel.FUTURISTIC
-
-# The protected cell both backends are timed on: the full SPT design is
-# where the vector engine's packed-bitmask rules matter most.
-SPEEDUP_WORKLOAD = "mcf"
-SPEEDUP_CONFIG = FULL_SPT
-SPEEDUP_MODEL = AttackModel.FUTURISTIC
-BACKENDS = ("reference", "vector")
 
 
 def default_snapshot_name(today: Optional[datetime.date] = None) -> str:
@@ -90,81 +79,11 @@ def _throughput_probe(budget: int, scale: int, reps: int) -> dict:
     }
 
 
-def _backend_cell(budget: int, scale: int, reps: int, backend: str) -> dict:
-    """Best-of-``reps`` protected-cell speed under one backend."""
-    params = MachineParams(backend=backend)
-    best = None
-    instructions = 0
-    for _ in range(max(1, reps)):
-        start = time.perf_counter()
-        result = run_one(SPEEDUP_WORKLOAD, SPEEDUP_CONFIG,
-                         model=SPEEDUP_MODEL, scale=scale,
-                         max_instructions=budget, params=params)
-        elapsed = time.perf_counter() - start
-        instructions = result.retired
-        if best is None or elapsed < best:
-            best = elapsed
-    return {
-        "backend": backend,
-        "reps": max(1, reps),
-        "instructions": instructions,
-        "best_wall_seconds": best,
-        "instr_per_sec": instructions / best if best else 0.0,
-    }
-
-
-def _spt_throughput(budget: int, scale: int, reps: int) -> dict:
-    """The same protected cell timed under every backend."""
-    cells = {backend: _backend_cell(budget, scale, reps, backend)
-             for backend in BACKENDS}
-    ref = cells["reference"]["instr_per_sec"]
-    vec = cells["vector"]["instr_per_sec"]
-    return {
-        "workload": SPEEDUP_WORKLOAD,
-        "config": SPEEDUP_CONFIG,
-        "model": SPEEDUP_MODEL.value,
-        "backends": cells,
-        "vector_speedup": vec / ref if ref else 0.0,
-    }
-
-
-def backend_canary(budget: Optional[int] = None,
-                   scale: Optional[int] = None, reps: int = 3) -> dict:
-    """Time the CI bench cell under both backends (the PR-time canary).
-
-    Much cheaper than a full snapshot: one protected cell, best-of-reps
-    per backend.  CI fails the run when ``vector_speedup`` drops below
-    its floor (1.0 = the vector backend must never be *slower* than the
-    reference), catching fast-path regressions long before the nightly
-    full bench.
-    """
-    budget = budget or bench_budget()
-    scale = scale or bench_scale()
-    canary = _spt_throughput(budget, scale, reps)
-    canary["budget"] = budget
-    canary["scale"] = scale
-    return canary
-
-
-def render_canary(canary: dict) -> str:
-    cells = canary["backends"]
-    lines = [
-        f"backend canary: {canary['workload']} under {canary['config']} "
-        f"({canary['model']}), budget {canary['budget']}, "
-        f"best of {cells['reference']['reps']}",
-    ]
-    for backend in BACKENDS:
-        cell = cells[backend]
-        lines.append(f"  {backend:<10} {cell['instr_per_sec']:>10,.0f} "
-                     f"instr/s  ({cell['best_wall_seconds'] * 1e3:.1f} ms)")
-    lines.append(f"  speedup    {canary['vector_speedup']:>9.2f}x")
-    return "\n".join(lines)
-
-
-def profile_speedup_cell(path: str, budget: Optional[int] = None,
-                         scale: Optional[int] = None, runs: int = 3,
-                         backend: str = "vector", top: int = 25) -> str:
-    """cProfile the CI bench cell, dump pstats to ``path``, return a summary.
+def profile_cell(path: str, budget: Optional[int] = None,
+                 scale: Optional[int] = None, runs: int = 3,
+                 top: int = 25) -> str:
+    """cProfile the protected bench cell, dump pstats to ``path``, return a
+    summary.
 
     CI uploads the dump as the ``profile-artifact`` whenever the
     perf-regression gate goes red, so the profile that explains a
@@ -177,39 +96,36 @@ def profile_speedup_cell(path: str, budget: Optional[int] = None,
 
     budget = budget or bench_budget()
     scale = scale or bench_scale()
-    params = MachineParams(backend=backend)
     # One warm-up run keeps import/first-touch costs out of the profile.
-    run_one(SPEEDUP_WORKLOAD, SPEEDUP_CONFIG, model=SPEEDUP_MODEL,
-            scale=scale, max_instructions=budget, params=params)
+    run_one(STALL_WORKLOAD, STALL_CONFIG, model=STALL_MODEL,
+            scale=scale, max_instructions=budget)
     profiler = cProfile.Profile()
     profiler.enable()
     for _ in range(max(1, runs)):
-        run_one(SPEEDUP_WORKLOAD, SPEEDUP_CONFIG, model=SPEEDUP_MODEL,
-                scale=scale, max_instructions=budget, params=params)
+        run_one(STALL_WORKLOAD, STALL_CONFIG, model=STALL_MODEL,
+                scale=scale, max_instructions=budget)
     profiler.disable()
     profiler.dump_stats(path)
     out = io.StringIO()
-    out.write(f"cProfile of {SPEEDUP_WORKLOAD}/{SPEEDUP_CONFIG} "
-              f"({SPEEDUP_MODEL.value}), backend={backend}, "
-              f"budget={budget}, runs={max(1, runs)}\n")
+    out.write(f"cProfile of {STALL_WORKLOAD}/{STALL_CONFIG} "
+              f"({STALL_MODEL.value}), budget={budget}, "
+              f"runs={max(1, runs)}\n")
     stats = pstats.Stats(profiler, stream=out)
     stats.sort_stats("cumulative").print_stats(top)
     stats.sort_stats("tottime").print_stats(top)
     return out.getvalue()
 
 
-def _stall_shape(budget: int, scale: int, backend: str = "reference") -> dict:
-    """Per-cause cycle fractions for the reference protection cell."""
+def _stall_shape(budget: int, scale: int) -> dict:
+    """Per-cause cycle fractions for the protected cell."""
     result = run_one(STALL_WORKLOAD, STALL_CONFIG, model=STALL_MODEL,
-                     scale=scale, max_instructions=budget,
-                     params=MachineParams(backend=backend))
+                     scale=scale, max_instructions=budget)
     cycles = stall_breakdown(result.metrics)
     total = max(1, sum(cycles.values()))
     return {
         "workload": STALL_WORKLOAD,
         "config": STALL_CONFIG,
         "model": STALL_MODEL.value,
-        "backend": backend,
         "total_cycles": sum(cycles.values()),
         "cycles": cycles,
         "fractions": {cause: count / total for cause, count in cycles.items()},
@@ -240,10 +156,8 @@ def record_snapshot(budget: Optional[int] = None,
         "workloads": list(data.workloads),
         "configs": ["UnsafeBaseline"] + list(FIGURE7_ORDER),
         "throughput": _throughput_probe(budget, scale, reps),
-        "spt_throughput": _spt_throughput(budget, scale, reps),
         "overheads": figure7.headline(data),
         "stall": _stall_shape(budget, scale),
-        "stall_vector": _stall_shape(budget, scale, backend="vector"),
     }
 
 
@@ -270,23 +184,16 @@ def load_snapshot(path: str) -> dict:
 def compare_snapshots(baseline: dict, current: dict,
                       throughput_tolerance: float = 0.30,
                       overhead_tolerance: float = 1e-6,
-                      stall_tolerance: float = 1e-6,
-                      min_vector_speedup: Optional[float] = None) -> list:
+                      stall_tolerance: float = 1e-6) -> list:
     """Diff two snapshots; returns the list of regression descriptions.
 
-    * Throughput is a one-sided check per cell and backend: ``current``
-      may be up to ``throughput_tolerance`` (a fraction) slower than
-      ``baseline``; being faster never fails.
-    * ``min_vector_speedup`` additionally floors the current snapshot's
-      vector/reference speedup ratio (an absolute property of ``current``,
-      not a diff — the ratio is wall-clock-noise-resistant because both
-      backends are timed in the same process on the same machine).
+    * Throughput is a one-sided check: ``current`` may be up to
+      ``throughput_tolerance`` (a fraction) slower than ``baseline``;
+      being faster never fails.
     * Overheads and stall fractions are two-sided (absolute difference):
       the simulation is deterministic, so with the default near-zero
       tolerances any drift flags a modelling change that must be
-      acknowledged by re-recording the baseline.  The vector backend's
-      stall shape must also match the reference backend's within the
-      same tolerance — the snapshot carries its own bit-identity witness.
+      acknowledged by re-recording the baseline.
     """
     failures: list = []
     if baseline.get("budget") != current.get("budget"):
@@ -313,36 +220,6 @@ def compare_snapshots(baseline: dict, current: dict,
             f"throughput regression: {cur_tp:,.0f} instr/s is below "
             f"{floor:,.0f} (baseline {base_tp:,.0f} "
             f"- {throughput_tolerance:.0%} tolerance)")
-
-    for backend in BACKENDS:
-        base_cell = baseline["spt_throughput"]["backends"][backend]
-        cur_cell = current["spt_throughput"]["backends"][backend]
-        floor = base_cell["instr_per_sec"] * (1.0 - throughput_tolerance)
-        if cur_cell["instr_per_sec"] < floor:
-            failures.append(
-                f"protected throughput regression ({backend} backend): "
-                f"{cur_cell['instr_per_sec']:,.0f} instr/s is below "
-                f"{floor:,.0f} (baseline "
-                f"{base_cell['instr_per_sec']:,.0f} "
-                f"- {throughput_tolerance:.0%} tolerance)")
-    if min_vector_speedup is not None:
-        speedup = current["spt_throughput"]["vector_speedup"]
-        if speedup < min_vector_speedup:
-            failures.append(
-                f"vector speedup below floor: {speedup:.2f}x < "
-                f"{min_vector_speedup:.2f}x on "
-                f"{current['spt_throughput']['config']}")
-
-    base_frac = baseline["stall"]["fractions"]
-    vec_frac = current.get("stall_vector", {}).get("fractions", {})
-    for cause in sorted(set(base_frac) | set(vec_frac)):
-        old = current["stall"]["fractions"].get(cause, 0.0)
-        new = vec_frac.get(cause, 0.0)
-        if abs(new - old) > stall_tolerance:
-            failures.append(
-                f"backend divergence: stall fraction {cause} is {old:.6f} "
-                f"under reference but {new:.6f} under vector "
-                f"(tolerance {stall_tolerance})")
 
     base_over = baseline["overheads"]
     cur_over = current["overheads"]
@@ -380,17 +257,6 @@ def render_snapshot(snapshot: dict) -> str:
         f"  throughput: {tp['instr_per_sec']:,.0f} instr/s "
         f"({tp['workload']}, best of {tp['reps']})",
     ]
-    spt = snapshot.get("spt_throughput")
-    if spt:
-        cells = spt["backends"]
-        lines.append(
-            f"  protected throughput ({spt['workload']} under "
-            f"{spt['config']}, {spt['model']}):")
-        for backend in BACKENDS:
-            cell = cells[backend]
-            lines.append(f"    {backend:10s} "
-                         f"{cell['instr_per_sec']:>10,.0f} instr/s")
-        lines.append(f"    speedup    {spt['vector_speedup']:>9.2f}x")
     lines.append("  overheads:")
     for key, value in sorted(snapshot["overheads"].items()):
         lines.append(f"    {key:38s} = {value:8.4f}")

@@ -88,22 +88,6 @@ def _build_bench_parser() -> argparse.ArgumentParser:
                          help="allowed absolute drift per headline overhead")
     compare.add_argument("--stall-tolerance", type=float, default=1e-6,
                          help="allowed absolute drift per stall fraction")
-    compare.add_argument("--min-vector-speedup", type=float, default=None,
-                         help="fail unless the current snapshot's vector/"
-                              "reference speedup meets this floor")
-
-    canary = sub.add_parser(
-        "canary", help="time the CI bench cell under both backends; "
-                       "non-zero exit if the vector backend is too slow")
-    canary.add_argument("--budget", type=int, default=None,
-                        help="retired-instruction budget "
-                             "(default: REPRO_BENCH_BUDGET or 2500)")
-    canary.add_argument("--scale", type=int, default=None)
-    canary.add_argument("--reps", type=int, default=3,
-                        help="repetitions per backend (best wins)")
-    canary.add_argument("--min-ratio", type=float, default=1.0,
-                        help="minimum vector/reference throughput ratio "
-                             "(default 1.0: vector must never be slower)")
 
     profile = sub.add_parser(
         "profile", help="cProfile the CI bench cell and dump pstats")
@@ -114,8 +98,6 @@ def _build_bench_parser() -> argparse.ArgumentParser:
     profile.add_argument("--scale", type=int, default=None)
     profile.add_argument("--runs", type=int, default=3,
                          help="profiled repetitions (default: 3)")
-    profile.add_argument("--backend", choices=["reference", "vector"],
-                         default="vector")
     profile.add_argument("--top", type=int, default=25,
                          help="rows per sort order in the text summary")
 
@@ -146,8 +128,7 @@ def bench_main(argv: Optional[list] = None) -> int:
             baseline, current,
             throughput_tolerance=args.throughput_tolerance,
             overhead_tolerance=args.overhead_tolerance,
-            stall_tolerance=args.stall_tolerance,
-            min_vector_speedup=args.min_vector_speedup)
+            stall_tolerance=args.stall_tolerance)
         if failures:
             print(f"{len(failures)} regression(s) against {args.baseline}:")
             for failure in failures:
@@ -155,20 +136,10 @@ def bench_main(argv: Optional[list] = None) -> int:
             return 1
         print(f"no regressions against {args.baseline}")
         return 0
-    if args.command == "canary":
-        canary = bench.backend_canary(budget=args.budget, scale=args.scale,
-                                      reps=args.reps)
-        print(bench.render_canary(canary))
-        if canary["vector_speedup"] < args.min_ratio:
-            print(f"canary: vector/reference ratio "
-                  f"{canary['vector_speedup']:.2f}x is below the "
-                  f"{args.min_ratio:.2f}x floor", file=sys.stderr)
-            return 1
-        return 0
     if args.command == "profile":
-        summary = bench.profile_speedup_cell(
+        summary = bench.profile_cell(
             args.output, budget=args.budget, scale=args.scale,
-            runs=args.runs, backend=args.backend, top=args.top)
+            runs=args.runs, top=args.top)
         print(summary)
         print(f"pstats written to {args.output}")
         return 0

@@ -13,13 +13,56 @@ width, perfect I-cache), but every mechanism SPT interacts with is modelled
 faithfully: the visibility point, delayed branch resolution, delayed
 transmitter execution, forwarding visibility, and cache state changes by
 transient instructions.
+
+The machine has one behaviour and two ways of computing it.
+
+**The batched path** is what :meth:`OoOCore.run` takes.  It has two layers
+of mechanical speed work, both bit-identical to the per-instruction phases
+(``repro backend-diff`` and the differential suite in ``tests/fastpath``
+pin the two against each other):
+
+* *Quiescent-cycle fast-forward.*  ``_activity`` is bumped at every true
+  state mutation; a cycle that leaves it unchanged proved that nothing in
+  the machine moved, so every following cycle is an identical no-op until
+  the next scheduled event (a completion bucket, the fetch-redirect
+  resume, the fetch buffer's frontend delay, or an MSHR expiry).  Time
+  jumps to the cycle before that event, and the skipped cycles are
+  accounted in batch: stall buckets repeat the detection cycle's cause
+  (split at the squash-recovery boundary), the per-cycle delayed
+  transmitter/resolution counters replay the detection cycle's delta, and
+  engines replay their own counters via
+  :meth:`~repro.pipeline.engine_api.ProtectionEngine.on_quiet_cycles`.
+* *Batched phases over the decode tables* of :mod:`repro.fastpath.tables`.
+  Fetch decodes whole straight-line runs in one loop and re-stamps pooled
+  :class:`DynInst` carcasses (:meth:`DynInst.reinit_recycled`) instead of
+  allocating; squash victims are quarantined until their squash cycle has
+  passed and any scheduled completion-bucket entry has drained.  Dispatch
+  reads precomputed ``dclass``/``hasdest`` columns and registers each
+  entry with a wakeup network; select is wakeup-driven (waiters keyed by
+  physical register, ready candidates merged with the engine-gated list
+  in seq order) instead of scanning the reservation station.  Structures
+  hold ``(seq, di)`` pairs and revalidate ``di.seq``, which makes stale
+  references from squashes and recycling self-cleaning.
+
+**The per-instruction phases** are what :meth:`OoOCore.step` runs: one
+real ``DynInst`` per fetch, every cycle stepped.  ``run`` takes them only
+when an observer needs every cycle and every real instruction — a
+``check_level="full"`` sanitizer, a tracer's squash sink, or a core that
+was already stepped by hand.  A stepped run at ``check_level="full"`` is
+the *reference run* the differential checks compare against.  The
+``commit`` sanitizer level only hooks retire, squash and finish, so it
+rides the batched path.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappop, heappush
 from typing import Callable, Optional
 
+from repro.fastpath.tables import (DC_LOAD, DC_NONE, DC_STORE, F_INV_ALU,
+                                   F_INV_MONO, F_LOAD, F_PC_INFERABLE,
+                                   F_PURE, KC_HALT, KC_SIMPLE, lower_program)
 from repro.isa.instructions import Program
 from repro.isa.opcodes import Kind, NUM_ARCH_REGS, WORD_MASK
 from repro.isa.semantics import alu_result, branch_taken, effective_address
@@ -35,6 +78,15 @@ from repro.pipeline.rename import RenameUnit
 from repro.security.observer import Observer
 
 _RETIRING = int(StallCause.RETIRING)
+_SQUASH_RECOVERY = int(StallCause.SQUASH_RECOVERY)
+_FETCH_STARVED = int(StallCause.FETCH_STARVED)
+_ROB_FULL = int(StallCause.ROB_FULL)
+_RS_FULL = int(StallCause.RS_FULL)
+_LSQ_FULL = int(StallCause.LSQ_FULL)
+
+
+def _seq_of(di: DynInst) -> int:
+    return di.seq
 
 
 class SimulationError(Exception):
@@ -117,7 +169,7 @@ class OoOCore:
 
         # Frontend.
         self.fetch_pc = 0
-        self.fetch_buffer: list[tuple[int, DynInst]] = []   # (ready_cycle, di)
+        self.fetch_buffer: deque = deque()     # (ready_cycle, di) pairs
         self.fetch_halted = False          # HALT fetched / off-program
         self.fetch_wait_for: Optional[DynInst] = None   # JALR with no BTB target
         self.fetch_resume_cycle = 0
@@ -148,12 +200,12 @@ class OoOCore:
         self._lq_used = 0
         self._sq_used = 0
 
-        # Activity counter for the fast path (repro.fastpath): bumped at
-        # every site that mutates machine state beyond the per-cycle
-        # monotone counters.  A step that leaves it unchanged proved the
-        # cycle was a pure no-op, so the vector backend may fast-forward
-        # time to the next scheduled event.  Over-bumping is safe (it only
-        # costs skip opportunities); a missed bump would be unsound.
+        # Activity counter for fast-forward: bumped at every site (core or
+        # engine) that mutates machine state beyond the per-cycle monotone
+        # counters.  A cycle that leaves it unchanged proved itself a pure
+        # no-op, so the batched path may jump time to the next scheduled
+        # event.  Over-bumping is safe (it only costs skip opportunities);
+        # a missed bump would be unsound.
         self._activity = 0
 
         # Stall-cause cycle accounting (repro.obs.stall): one bucket per
@@ -174,6 +226,39 @@ class OoOCore:
         if self.params.check_level != "off":
             from repro.check.sanitizer import Sanitizer
             self.checker = Sanitizer(self, self.params.check_level)
+
+        # Batched-path state (see the module docstring).  ``_batched`` is
+        # decided at the first ``run()`` call and is None until then.
+        self._batched: Optional[bool] = None
+        self._table = None
+        # The packed SPTEngine whose rename hook dispatch inlines, if any.
+        self._inline_spt = None
+        # Recycling pools, keyed by pc: a carcass is only ever reused as
+        # the same static instruction, which lets the re-stamp skip every
+        # field whose value is pc-determined or dead across same-pc lives
+        # (DynInst.reinit_recycled documents the proof per field).
+        self._pool: dict[int, list[DynInst]] = {}
+        self._quar: list = []              # heap of (release_cycle, seq, di)
+        # Squash victims with no still-scheduled completion-bucket entry
+        # (``ready_cycle <= cycle``): they only need to stay visible as
+        # ``squashed = True`` until the squash cycle's remaining observers
+        # (this cycle's engine tick, the STL watch prune) have run, so they
+        # cool in a plain list tagged with the squash cycle and re-pool in
+        # one batch on the first later cycle — no heap traffic.
+        self._cool: list[DynInst] = []
+        self._cool_cycle = -1
+        # Wakeup network: preg -> [(seq, di), ...] waiting on that register;
+        # a min-heap of operand-ready candidates; and the seq-sorted list of
+        # ready candidates the engine gated (or the width cut off) last
+        # cycle.  All entries are revalidated by seq before use.  The RS
+        # list itself stays empty; ``_rs_count`` is its occupancy.
+        self._rs_wait: dict[int, list] = {}
+        self._rs_ready: list = []
+        self._rs_gated: list = []
+        self._rs_count = 0
+        # Loads whose data arrived this cycle (writeback bucket pop), to be
+        # finalised without scanning the LSQ.
+        self._fin_loads: list[DynInst] = []
 
     # ------------------------------------------------------------- metrics
     def legacy_stats(self) -> dict:
@@ -246,7 +331,20 @@ class OoOCore:
 
     # ------------------------------------------------------------------ run
     def run(self, max_instructions: int = 1_000_000) -> SimResult:
-        """Simulate until HALT retires, the budget is hit, or deadlock."""
+        """Simulate until HALT retires, the budget is hit, or deadlock.
+
+        Takes the batched path unless a full-level sanitizer, a tracer's
+        squash sink or earlier hand stepping needs the per-instruction
+        phases; the choice is made once, at the first call.
+        """
+        if self._batched is None:
+            checker = self.checker
+            self._batched = (self.cycle == 0 and self.squash_sink is None
+                             and (checker is None or not checker.full))
+            if self._batched:
+                self._start_batched()
+        if self._batched:
+            return self._run_batched(max_instructions)
         budget = max_instructions
         last_progress_cycle = 0
         last_retired = 0
@@ -268,11 +366,12 @@ class OoOCore:
         return SimResult(self, self.halted)
 
     def step(self) -> None:
-        """Advance the machine by one clock cycle."""
+        """Advance the machine by one clock cycle (per-instruction phases)."""
         self.cycle += 1
         retired_before = self.retired_count
         self._writeback()
         self._memory_stage()
+        self._finish_loads()
         self._resolve_control()
         self._commit()
         self._issue()
@@ -287,6 +386,157 @@ class OoOCore:
             self.stall_counts[attribute_cycle(self)] += 1
         if self.checker is not None:
             self.checker.on_cycle()
+
+    # ---------------------------------------------------------- batched run
+    def _start_batched(self) -> None:
+        # Imported here: repro.core's package init imports the pipeline.
+        from repro.core.spt import SPTEngine
+        self._table = lower_program(self.program)
+        if type(self.engine) is SPTEngine:
+            self._inline_spt = self.engine
+
+    def _run_batched(self, budget: int) -> SimResult:
+        """The run loop with :meth:`step` inlined over the batched phases.
+
+        Phase order and the retirement/deadlock/cycle-cap accounting
+        replicate :meth:`step` plus the stepped loop in :meth:`run`
+        statement for statement; the quiescence test and the jump are the
+        batched path's own.
+        """
+        engine = self.engine
+        quiet_state = engine.quiet_state
+        # Engines without per-cycle monotone counters inherit the base
+        # quiet_state, a constant ``()`` — no point calling it every cycle.
+        if type(engine).quiet_state is ProtectionEngine.quiet_state:
+            quiet_state = None
+        engine_tick = engine.tick
+        writeback = self._writeback_batched
+        memory_stage = self._memory_stage
+        finish_loads = self._finish_loads_batched
+        resolve_control = self._resolve_control
+        commit = self._commit
+        issue = self._issue_batched
+        dispatch = self._dispatch_batched
+        fetch = self._fetch_batched
+        rob = self.rob
+        stall_counts = self.stall_counts
+        max_cycles = self.params.max_cycles
+        last_progress_cycle = 0
+        quiet_before: tuple = ()
+        while not self.halted and self.retired_count < budget:
+            activity = self._activity
+            if quiet_state is not None:
+                quiet_before = quiet_state()
+            trans_before = self._transmitters_delayed
+            res_before = self._resolutions_delayed
+            self.cycle += 1
+            retired_before = self.retired_count
+            writeback()
+            memory_stage()
+            finish_loads()
+            resolve_control()
+            # An incomplete head can never retire (HALT/NOP complete at
+            # dispatch; a load's ``mem_complete`` implies ``complete``;
+            # predicted control needs ``complete`` too), and retirement is
+            # in order: only a complete head makes commit worth calling.
+            head = self.rob_head
+            if head < len(rob) and rob[head].complete:
+                commit()
+            issue()
+            dispatch()
+            fetch()
+            engine_tick()
+            if self.retired_count != retired_before:
+                stall_counts[_RETIRING] += 1
+                last_progress_cycle = self.cycle
+            else:
+                stall_counts[attribute_cycle(self)] += 1
+                if self.cycle - last_progress_cycle > 100_000:
+                    raise SimulationError(
+                        f"{engine.name}/{self.program.name}: no retirement "
+                        f"for 100k cycles at cycle {self.cycle} "
+                        f"(head={self.head_inst()!r})")
+            if self.cycle >= max_cycles:
+                raise SimulationError(
+                    f"{self.program.name}: exceeded max_cycles")
+            if not self.halted and self._activity == activity:
+                self._quiet_jump(last_progress_cycle, quiet_before,
+                                 trans_before, res_before)
+                if self.cycle >= max_cycles:
+                    raise SimulationError(
+                        f"{self.program.name}: exceeded max_cycles")
+        if self.checker is not None:
+            self.checker.on_finish(self.halted)
+        return SimResult(self, self.halted)
+
+    def _next_event_cycle(self) -> Optional[int]:
+        """First future cycle at which the quiescent machine can move."""
+        candidates = []
+        if self._completion_buckets:
+            candidates.append(min(self._completion_buckets))
+        if (not self.fetch_halted and self.fetch_wait_for is None
+                and self.cycle < self.fetch_resume_cycle
+                and len(self.fetch_buffer) < 4 * self.params.fetch_width):
+            candidates.append(self.fetch_resume_cycle)
+        if self.fetch_buffer:
+            ready = self.fetch_buffer[0][0]
+            if ready > self.cycle:
+                candidates.append(ready)
+        # A load stalled on exhausted MSHRs unblocks at the expiry that
+        # first brings the busy count under the pool size.
+        for di in self.lsq:
+            if (di.is_load and di.addr_ready and not di.mem_issued
+                    and not di.mem_complete and not di.squashed):
+                busy = sorted(t for t in self.hierarchy._mshr_busy_until
+                              if t > self.cycle)
+                mshrs = self.hierarchy.params.mshrs
+                if len(busy) >= mshrs:
+                    candidates.append(busy[len(busy) - mshrs])
+                break
+        if not candidates:
+            return None
+        return min(candidates)
+
+    def _quiet_jump(self, last_progress_cycle: int, quiet_before: tuple,
+                    trans_before: int, res_before: int) -> None:
+        """Jump time to just before the next event, accounting in batch."""
+        cycle = self.cycle
+        # Never jump past the deadlock detector or the cycle cap: landing
+        # exactly on them reproduces the stepped run's raises byte-for-byte.
+        horizon = last_progress_cycle + 100_000
+        if self.params.max_cycles < horizon:
+            horizon = self.params.max_cycles
+        event = self._next_event_cycle()
+        if event is None:
+            land = horizon
+        else:
+            land = min(event - 1, horizon)
+        skipped = land - cycle
+        if skipped <= 0:
+            return
+        # Stall attribution: the skipped cycles repeat the detection
+        # cycle's cause; only the empty-window case is cycle-dependent
+        # (squash-recovery turns into fetch-starved at the refill boundary).
+        if self.rob_head >= len(self.rob):
+            recovery_end = (self.last_squash_cycle
+                            + self.params.redirect_penalty
+                            + self.params.frontend_delay)
+            n_recovery = min(land, recovery_end) - cycle
+            if n_recovery < 0:
+                n_recovery = 0
+            self.stall_counts[_SQUASH_RECOVERY] += n_recovery
+            self.stall_counts[_FETCH_STARVED] += skipped - n_recovery
+        else:
+            self.stall_counts[int(attribute_cycle(self))] += skipped
+        # Per-cycle monotone counters: replay the detection cycle's delta.
+        delta = self._transmitters_delayed - trans_before
+        if delta:
+            self._transmitters_delayed += delta * skipped
+        delta = self._resolutions_delayed - res_before
+        if delta:
+            self._resolutions_delayed += delta * skipped
+        self.engine.on_quiet_cycles(skipped, quiet_before)
+        self.cycle = land
 
     # ------------------------------------------------------------- writeback
     def _writeback(self) -> None:
@@ -348,15 +598,6 @@ class OoOCore:
             issued += 1
         self._transmitters_delayed += delayed
         self.rs = remaining
-
-    def _operands_ready_for_issue(self, di: DynInst) -> bool:
-        rename = self.rename
-        if di.is_store:
-            # Stores split address (rs1) from data (rs2): address issue only
-            # needs rs1; data is captured in the LSQ when it becomes ready.
-            return rename.operand_ready(di.prs1)
-        return (rename.operand_ready(di.prs1)
-                and rename.operand_ready(di.prs2))
 
     def _execute(self, di: DynInst) -> None:
         """Begin execution of an RS entry (operands are ready)."""
@@ -570,8 +811,6 @@ class OoOCore:
 
     # ------------------------------------------------------------ resolution
     def _resolve_control(self) -> None:
-        # Also finalise load data arrival (engine hook) before resolution.
-        self._finish_loads()
         if not self.pending_control:
             return
         still_pending: list[DynInst] = []
@@ -641,30 +880,42 @@ class OoOCore:
             restore = checkpoints.pop()
         if restore is not None:
             self.predictor.restore_speculative_state(restore[1])
+        rob = self.rob
         squashed: list[DynInst] = []
-        while len(self.rob) > self.rob_head and self.rob[-1].seq > di.seq:
-            victim = self.rob.pop()
+        while len(rob) > self.rob_head and rob[-1].seq > di.seq:
+            victim = rob.pop()
             victim.squashed = True
             squashed.append(victim)
         self.n_squashed_insts += len(squashed)
         if squashed:
-            dead = {d.seq for d in squashed}
-            self.rs = [d for d in self.rs if d.seq not in dead]
-            self.lsq = [d for d in self.lsq if d.seq not in dead]
-            self._sq_used = sum(1 for d in self.lsq if d.is_store)
-            self._lq_used = len(self.lsq) - self._sq_used
-            self.pending_control = [d for d in self.pending_control
-                                    if d.seq not in dead]
+            # Every squash filters its victims out of each structure at
+            # once, so the ``squashed`` flag marks exactly these victims.
+            if self.rs:
+                self.rs = [d for d in self.rs if not d.squashed]
+            if self.lsq:
+                self.lsq = [d for d in self.lsq if not d.squashed]
+                self._sq_used = sum(1 for d in self.lsq if d.is_store)
+                self._lq_used = len(self.lsq) - self._sq_used
+            if self.pending_control:
+                self.pending_control = [d for d in self.pending_control
+                                        if not d.squashed]
             # The engine sees victims before rename-undo recycles their
             # destination registers (it must drop pending taint broadcasts).
             self.engine.on_squash(squashed)
             if self.squash_sink is not None:
                 self.squash_sink.extend(squashed)
+            undo = self.rename.undo
             for victim in squashed:    # youngest-first, as popped
-                self.rename.undo(victim)
+                undo(victim)
+            if self._batched:
+                self._park_victims(squashed)
+        if self._batched and self.fetch_buffer:
+            # Cleared fetch-buffer entries were never renamed and are
+            # referenced by nothing else: recycle them immediately.
+            self._repool(d for _, d in self.fetch_buffer)
         self.fetch_buffer.clear()
         self.fetch_wait_for = None
-        self._vp_scan = min(self._vp_scan, len(self.rob))
+        self._vp_scan = min(self._vp_scan, len(rob))
         if self.checker is not None:
             self.checker.on_squash(di, squashed)
 
@@ -762,7 +1013,7 @@ class OoOCore:
             if di.is_store and self._lsq_count(is_store=True) >= self.params.sq_entries:
                 self.dispatch_block = int(StallCause.LSQ_FULL)
                 break
-            self.fetch_buffer.pop(0)
+            self.fetch_buffer.popleft()
             self._activity += 1
             di.dispatch_cycle = self.cycle
             self.rename.rename(di)
@@ -872,18 +1123,485 @@ class OoOCore:
             self._activity += 1
 
 
-def build_core(program: Program, engine: Optional[ProtectionEngine] = None,
-               params: Optional[MachineParams] = None, **kwargs) -> OoOCore:
-    """Construct the core for ``params.backend``: every caller's one way in.
+    # ------------------------------------------------------- batched phases
+    # The batched twins of the per-instruction phases above.  Each body
+    # replicates its twin's semantics statement for statement; deviations
+    # are commented at the point of proof.  Lifecycle timestamps
+    # (``complete_cycle``, ``dispatch_cycle``, ...) are tracer-only reads
+    # and are not materialised here.
 
-    The fastpath package (and its numpy dependency) is only imported when
-    the vector backend is actually requested, so the reference backend
-    works on a bare interpreter.  The vector core may wrap ``engine`` in
-    its struct-of-arrays twin — callers must use ``core.engine``, not the
-    engine they passed in.
-    """
-    params = params or MachineParams()
-    if params.backend == "vector":
-        from repro.fastpath.vector_core import VectorCore
-        return VectorCore(program, engine=engine, params=params, **kwargs)
-    return OoOCore(program, engine=engine, params=params, **kwargs)
+    def _repool(self, carcasses) -> None:
+        pool = self._pool
+        for d in carcasses:
+            p = pool.get(d.pc)
+            if p is None:
+                pool[d.pc] = [d]
+            else:
+                p.append(d)
+
+    def _park_victims(self, squashed: list) -> None:
+        """Squash bookkeeping of the batched path: RS occupancy, recycling."""
+        needs_rs = self._table.needs_rs
+        self._rs_count -= sum(1 for v in squashed
+                              if not v.issued and needs_rs[v.pc])
+        # Victims become recyclable once the squash cycle has passed (the
+        # cycle's later readers test ``squashed`` or a seq tag) and any
+        # still-scheduled completion-bucket entry has been popped by
+        # writeback.  Victims with no future bucket entry take the cheap
+        # cooldown list; only in-flight ones pay the release-ordering heap.
+        cycle = self.cycle
+        cool = self._cool
+        if cool and cycle > self._cool_cycle:
+            self._repool(cool)
+            cool.clear()
+        self._cool_cycle = cycle
+        quar = self._quar
+        for victim in squashed:
+            rc = victim.ready_cycle
+            if rc > cycle:
+                heappush(quar, (rc, victim.seq, victim))
+            else:
+                cool.append(victim)
+
+    def _writeback_batched(self) -> None:
+        done = self._completion_buckets.pop(self.cycle, None)
+        if not done:
+            return
+        rename = self.rename
+        value = rename.value
+        ready = rename.ready
+        wait = self._rs_wait
+        heap = self._rs_ready
+        fin = self._fin_loads
+        for di in done:
+            # A quarantined squash victim stays un-recycled until this pop
+            # has happened, so the skip below always sees the squashed
+            # incarnation that scheduled the entry.
+            if di.squashed:
+                continue
+            self._activity += 1
+            di.complete = True
+            if di.is_load:
+                fin.append(di)
+            result = di.result
+            if result is not None:
+                prd = di.prd
+                if prd >= 0:
+                    value[prd] = result
+                    ready[prd] = True
+                    waiters = wait.pop(prd, None)
+                    if waiters:
+                        for wseq, wdi in waiters:
+                            if wdi.seq == wseq:
+                                n = wdi.fp_wait - 1
+                                wdi.fp_wait = n
+                                if n == 0:
+                                    heappush(heap, (wseq, wdi))
+
+    def _issue_batched(self) -> None:
+        heap = self._rs_ready
+        gated = self._rs_gated
+        if not heap and not gated:
+            return
+        width = self.params.issue_width
+        may_compute_address = self.engine.may_compute_address
+        aluc = self._table.aluc
+        value = self.rename.value
+        buckets = self._completion_buckets
+        cycle = self.cycle
+        issued = 0
+        delayed = 0
+        new_gated: list = []
+        keep = new_gated.append
+        gi = 0
+        glen = len(gated)
+        # Merge the gated list (seq-sorted) with the ready heap so
+        # candidates are examined in program order — the stepped issue
+        # scans its RS list, which is dispatch order, which is seq order.
+        while True:
+            if gi < glen:
+                if heap and heap[0][0] < gated[gi][0]:
+                    entry = heappop(heap)
+                else:
+                    entry = gated[gi]
+                    gi += 1
+            elif heap:
+                entry = heappop(heap)
+            else:
+                break
+            seq, di = entry
+            # Lazy purge: squashes (and pooled recycling) invalidate
+            # entries in place instead of scanning these structures.
+            if di.seq != seq or di.squashed or di.issued:
+                continue
+            if issued >= width:
+                # Width exhausted: the stepped issue keeps the rest of the
+                # RS untouched — in particular gated transmitters past this
+                # point are not counted delayed and the engine is not
+                # consulted.
+                keep(entry)
+                continue
+            if di.is_transmitter and not (di.reached_vp
+                                          or may_compute_address(di)):
+                delayed += 1
+                di.engine_delayed = True
+                keep(entry)
+                continue
+            if aluc[di.pc]:
+                # Inlined _execute, ALU arm only (compute and schedule).
+                self._activity += 1
+                di.issued = True
+                if di.engine_delayed:
+                    di.engine_delayed = False
+                info = di.info
+                if info.reads_rs1:
+                    di.rs1_value = value[di.prs1]
+                if info.reads_rs2:
+                    di.rs2_value = value[di.prs2]
+                di.result = alu_result(di.inst, di.rs1_value or 0,
+                                       di.rs2_value or 0)
+                lat = info.latency
+                rc = cycle + (lat if lat > 1 else 1)
+                di.ready_cycle = rc
+                b = buckets.get(rc)
+                if b is None:
+                    buckets[rc] = [di]
+                else:
+                    b.append(di)
+            else:
+                self._execute(di)
+            self._rs_count -= 1
+            issued += 1
+        if delayed:
+            self._transmitters_delayed += delayed
+        self._rs_gated = new_gated
+
+    def _finish_loads_batched(self) -> None:
+        # Event-driven: every load completes through a writeback bucket pop
+        # (the only site that sets ``complete`` on loads), which queued it
+        # here — no LSQ scan.  Drained in seq order (the stepped phase walks
+        # the program-ordered LSQ; bucket order is schedule order) and
+        # re-checked for squashes, which _memory_stage's memory-order
+        # violation check can raise between writeback and this phase.
+        pending = self._fin_loads
+        if not pending:
+            return
+        self._fin_loads = []
+        if len(pending) > 1:
+            pending.sort(key=_seq_of)
+        on_load_data = self.engine.on_load_data
+        for di in pending:
+            if di.squashed:
+                continue
+            di.mem_complete = True
+            self._activity += 1
+            on_load_data(di)
+
+    def _dispatch_batched(self) -> None:
+        self.dispatch_block = -1
+        buf = self.fetch_buffer
+        cycle = self.cycle
+        if not buf or buf[0][0] > cycle:
+            return
+        params = self.params
+        width = params.issue_width
+        rob_entries = params.rob_entries
+        rs_entries = params.rs_entries
+        lq_entries = params.lq_entries
+        sq_entries = params.sq_entries
+        rename = self.rename
+        rat = rename.rat
+        free = rename.free
+        ready = rename.ready
+        value = rename.value
+        # The engine's rename hook is the per-dispatch hot call; for the
+        # packed SPTEngine its body is inlined below with the window masks
+        # accumulated in locals for the whole dispatch group.  Any other
+        # engine (baselines, STT, ReferenceSPTEngine, subclasses) keeps
+        # the call.
+        spt = self._inline_spt
+        if spt is None:
+            engine_on_rename = self.engine.on_rename
+        else:
+            taint = spt.taint
+            taint_since = spt._taint_since
+            pc_flags = spt._pc_flags
+            cap = spt._cap
+            slot_di = spt._slot_di
+            rows = spt._preg_slots
+            tail = spt._tail
+            t_src1_m = spt._t_src1_m
+            t_src2_m = spt._t_src2_m
+            t_dst_m = spt._t_dst_m
+            pure_m = spt._pure_m
+            inv_mono_m = spt._inv_mono_m
+            inv_alu_m = spt._inv_alu_m
+        rob = self.rob
+        rob_head = self.rob_head
+        table = self._table
+        hasdest = table.hasdest
+        dclass_t = table.dclass
+        rs_wait = self._rs_wait
+        heap = self._rs_ready
+        lsq = self.lsq
+        dispatched = 0
+        while buf and dispatched < width and buf[0][0] <= cycle:
+            di = buf[0][1]
+            pc = di.pc
+            dc = dclass_t[pc]
+            if len(rob) - rob_head >= rob_entries:
+                self.dispatch_block = _ROB_FULL
+                break
+            if not free and hasdest[pc]:
+                self.dispatch_block = _ROB_FULL
+                break
+            if dc <= DC_STORE:                        # RS/LQ/SQ resources
+                if self._rs_count >= rs_entries:
+                    self.dispatch_block = _RS_FULL
+                    break
+                if dc == DC_LOAD and self._lq_used >= lq_entries:
+                    self.dispatch_block = _LSQ_FULL
+                    break
+                if dc == DC_STORE and self._sq_used >= sq_entries:
+                    self.dispatch_block = _LSQ_FULL
+                    break
+            buf.popleft()
+            self._activity += 1
+            # Inlined RenameUnit.rename: the free-list check above already
+            # guaranteed a register when one is needed.
+            inst = di.inst
+            info = di.info
+            # A pc that does not read/write a register leaves the recycled
+            # carcass's field at -1 (no life at this pc ever set it), so the
+            # locals mirror di.prs1/prs2/prd exactly.
+            prs1 = prs2 = prd = -1
+            if info.reads_rs1:
+                di.prs1 = prs1 = rat[inst.rs1]
+            if info.reads_rs2:
+                di.prs2 = prs2 = rat[inst.rs2]
+            if info.writes_rd and inst.rd != 0:
+                prd = free.popleft()
+                di.old_prd = rat[inst.rd]
+                di.prd = prd
+                rat[inst.rd] = prd
+                ready[prd] = False
+                value[prd] = 0
+            if spt is None:
+                engine_on_rename(di)
+            else:
+                # Inlined SPTEngine.on_rename — that method is the
+                # specification (and the path every stepped run takes); the
+                # differential suite pins the two against each other.
+                t1 = prs1 >= 0 and taint[prs1]
+                t2 = prs2 >= 0 and taint[prs2]
+                di.t_src1 = t1
+                di.t_src2 = t2
+                flags = pc_flags[pc]
+                if flags & F_LOAD:
+                    tainted = True
+                elif flags & F_PC_INFERABLE:
+                    tainted = False
+                else:
+                    tainted = t1 or t2
+                di.t_dst = tainted
+                if prd >= 0:
+                    taint[prd] = tainted
+                    if tainted:
+                        taint_since[prd] = cycle
+                    else:
+                        taint_since.pop(prd, None)
+                slot = tail
+                tail = slot + 1 if slot + 1 < cap else 0
+                di.fp_slot = slot
+                slot_di[slot] = di
+                bit = 1 << slot
+                if flags & F_PURE:
+                    pure_m |= bit
+                if flags & F_INV_MONO:
+                    inv_mono_m |= bit
+                elif flags & F_INV_ALU:
+                    inv_alu_m |= bit
+                if t1:
+                    t_src1_m |= bit
+                if t2:
+                    t_src2_m |= bit
+                if tainted:
+                    t_dst_m |= bit
+                if prs1 >= 0:
+                    rows[prs1] |= bit
+                if prs2 >= 0 and prs2 != prs1:
+                    rows[prs2] |= bit
+                if prd >= 0:
+                    rows[prd] |= bit
+            rob.append(di)
+            if dc <= DC_STORE:
+                self._rs_count += 1
+                seq = di.seq
+                nwait = 0
+                if prs1 >= 0 and not ready[prs1]:
+                    w = rs_wait.get(prs1)
+                    if w is None:
+                        rs_wait[prs1] = [(seq, di)]
+                    else:
+                        w.append((seq, di))
+                    nwait = 1
+                if dc != DC_STORE:
+                    # Stores split address (rs1) from data (rs2): address
+                    # issue only needs rs1; data is captured in the LSQ.
+                    if prs2 >= 0 and prs2 != prs1 and not ready[prs2]:
+                        w = rs_wait.get(prs2)
+                        if w is None:
+                            rs_wait[prs2] = [(seq, di)]
+                        else:
+                            w.append((seq, di))
+                        nwait += 1
+                di.fp_wait = nwait
+                if nwait == 0:
+                    heappush(heap, (seq, di))
+                if dc:                                # DC_LOAD / DC_STORE
+                    lsq.append(di)
+                    if dc == DC_STORE:
+                        self._sq_used += 1
+                    else:
+                        self._lq_used += 1
+            elif dc == DC_NONE:                       # HALT / NOP
+                di.complete = True
+            else:                                     # DC_JUMP: JAL
+                result = (pc + 1) & WORD_MASK
+                di.result = result
+                di.actual_taken = True
+                di.actual_target = inst.imm
+                di.resolution_applied = True
+                if prd >= 0:
+                    # write_result on a just-allocated register: no live
+                    # waiter can exist for it, so no wakeup scan is needed.
+                    value[prd] = result
+                    ready[prd] = True
+                di.complete = True
+            dispatched += 1
+        if spt is not None:
+            spt._tail = tail
+            spt._t_src1_m = t_src1_m
+            spt._t_src2_m = t_src2_m
+            spt._t_dst_m = t_dst_m
+            spt._pure_m = pure_m
+            spt._inv_mono_m = inv_mono_m
+            spt._inv_alu_m = inv_alu_m
+
+    def _fetch_batched(self) -> None:
+        cycle = self.cycle
+        cool = self._cool
+        if cool and cycle > self._cool_cycle:
+            self._repool(cool)
+            cool.clear()
+        quar = self._quar
+        if quar and quar[0][0] <= cycle:
+            released = []
+            while quar and quar[0][0] <= cycle:
+                released.append(heappop(quar)[2])
+            self._repool(released)
+        if (self.fetch_halted or self.fetch_wait_for is not None
+                or cycle < self.fetch_resume_cycle):
+            self._maybe_release_fetch_wait()
+            return
+        buf = self.fetch_buffer
+        if len(buf) >= 4 * self.params.fetch_width:
+            return
+        table = self._table
+        kindc = table.kindc
+        runlen = table.runlen
+        insts = table.insts
+        infos = table.infos
+        rtier = table.rtier
+        prog_len = len(insts)
+        pool_get = self._pool.get
+        new = DynInst.__new__
+        cls = DynInst
+        append = buf.append
+        checkpoints = self._bp_checkpoints
+        predictor = self.predictor
+        pc = self.fetch_pc
+        seq = self.seq
+        fetched = 0
+        budget = self.params.fetch_width
+        ready = cycle + self.params.frontend_delay
+        while budget > 0:
+            if pc < 0 or pc >= prog_len:
+                # Off-program wrong-path fetch: implicit halt bubble.
+                self.fetch_halted = True
+                self._activity += 1
+                break
+            kc = kindc[pc]
+            if kc == KC_SIMPLE:
+                n = runlen[pc]
+                if n > budget:
+                    n = budget
+                end = pc + n
+                while pc < end:
+                    p = pool_get(pc)
+                    if p:
+                        # Inlined DynInst.reinit_recycled (hot path): the
+                        # same-pc slim re-stamp, tier 0/1 only (KC_SIMPLE
+                        # has no branches).
+                        di = p.pop()
+                        di.seq = seq
+                        di.issued = False
+                        di.complete = False
+                        di.ready_cycle = -1
+                        di.retired = False
+                        di.squashed = False
+                        di.engine_delayed = False
+                        di.resolution_delayed = False
+                        di.reached_vp = False
+                        if rtier[pc]:
+                            di.declassified = False
+                            di.addr_ready = False
+                            di.mem_issued = False
+                            di.mem_complete = False
+                            di.forwarded_from = None
+                            di.fwding_st = -1
+                            di.stl_public = False
+                    else:
+                        di = new(cls)
+                        di.reinit(seq, pc, insts[pc], infos[pc])
+                    append((ready, di))
+                    seq += 1
+                    pc += 1
+                budget -= n
+                fetched += n
+                continue
+            inst = insts[pc]
+            p = pool_get(pc)
+            if p:
+                di = p.pop()
+                di.reinit_recycled(seq, rtier[pc])
+            else:
+                di = new(cls)
+                di.reinit(seq, pc, inst, infos[pc])
+            seq += 1
+            fetched += 1
+            if kc == KC_HALT:
+                append((ready, di))
+                self.fetch_halted = True
+                break
+            # Control flow: checkpoint the speculative predictor state (RAS,
+            # gshare history) before the prediction mutates it; restored by
+            # ``_squash_after`` if this instruction gets squashed.
+            checkpoints.append((di.seq, predictor.speculative_state()))
+            taken, target, snapshot = predictor.predict(pc, inst)
+            di.predicted_taken = taken
+            di.predicted_target = target
+            di.history_snapshot = snapshot
+            append((ready, di))
+            if target is None:
+                di.prediction_missing = True
+                di.mispredicted = True
+                self.fetch_wait_for = di
+                break
+            pc = target
+            budget -= 1
+        self.fetch_pc = pc
+        self.seq = seq
+        if fetched:
+            self.n_fetched += fetched
+            self._activity += fetched

@@ -49,12 +49,12 @@ class DynInst:
         "stt_root",
         # SPT per-slot taint bits + untaint-broadcast-pending flags (7.3).
         "t_src1", "t_src2", "t_dst", "pend_src1", "pend_src2", "pend_dst",
-        # Fast-path window slot (repro.fastpath): index of this entry's bit
-        # in the vector backend's packed bitmask vectors, -1 outside it.
+        # Window slot: index of this entry's bit in the packed SPTEngine's
+        # bitmasks, -1 outside it.
         "fp_slot",
-        # Fast-path wakeup state: number of source operands this entry still
-        # waits on before it becomes an issue candidate (vector backend's
-        # event-driven scheduler; unused by the reference issue loop).
+        # Wakeup state: number of source operands this entry still waits on
+        # before it becomes an issue candidate (the batched path's
+        # event-driven scheduler; unused by the per-instruction issue).
         "fp_wait",
     )
 
@@ -65,8 +65,8 @@ class DynInst:
                info) -> None:
         """(Re)initialise every field, recycling the allocation.
 
-        The vector backend pools squashed instances and re-stamps them for
-        new fetches (allocation is a hot-path cost under wrong-path
+        The core's batched path pools squashed instances and re-stamps them
+        for new fetches (allocation is a hot-path cost under wrong-path
         overfetch); ``info`` is passed in so the pool's tight fetch loop can
         reuse the decode table's :class:`~repro.isa.opcodes.OpInfo` instead
         of paying the ``inst.info`` property per instruction.  Any structure
@@ -138,7 +138,7 @@ class DynInst:
     def reinit_recycled(self, seq: int, tier: int) -> None:
         """Slim re-stamp for a pooled carcass reused at the *same pc*.
 
-        The vector backend keeps its recycling pools keyed by pc, so a
+        The batched path keeps its recycling pools keyed by pc, so a
         recycled instance is always re-fetched as the same static
         instruction.  Every field :meth:`reinit` resets but this method
         skips is then provably dead state, in one of three ways:
@@ -153,10 +153,11 @@ class DynInst:
           before any consumer), control outcomes (``predicted_*``/
           ``history_snapshot`` at fetch, ``actual_*``/``mispredicted`` at
           execute), and SPT slot bits (``t_*`` at rename);
-        * *reader-free in fast mode*: the lifecycle timestamps, the
+        * *reader-free on the batched path*: the lifecycle timestamps, the
           ``pend_*`` broadcast bookkeeping, ``lsq_index``, ``stt_root``,
           ``prediction_missing``, ``load_value``/``access_level`` are only
-          read by the tracer/sanitizer, which disable the fast path.
+          read by the tracer and the full-level sanitizer, which step the
+          per-instruction phases instead.
 
         ``tier`` widens the reset set for kinds with cross-life hazards:
         1 (loads/stores) clears the memory-disambiguation and

@@ -107,14 +107,19 @@ class ProtectionEngine:
         """End-of-cycle hook: VP advance, declassification, untaint rules."""
 
     # ------------------------------------------------- quiescent fast-forward
+    # The core fast-forwards over cycles in which nothing bumped
+    # ``core._activity``.  An engine must therefore bump it in every cycle
+    # in which its own state moves (SPT's untaint requests and broadcasts),
+    # and in every cycle in which a gating answer could change without any
+    # machine state moving (a gate that opens on a cycle count).
+
     def quiet_state(self) -> tuple:
         """Snapshot of per-cycle monotone engine counters.
 
-        The vector backend (repro.fastpath) fast-forwards over provably
-        quiescent cycles.  Engines whose :meth:`tick`/gating hooks mutate
-        *monotone counters* even on quiescent cycles (STT's per-cycle
-        delayed-check bumps) return them here so the skipped cycles can be
-        accounted for in batch; engines with no such counters return ``()``.
+        Engines whose :meth:`tick`/gating hooks mutate *monotone counters*
+        even on quiescent cycles (STT's per-cycle delayed-check bumps)
+        return them here so the skipped cycles can be accounted for in
+        batch; engines with no such counters return ``()``.
         """
         return ()
 

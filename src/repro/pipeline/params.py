@@ -43,10 +43,6 @@ class MachineParams:
     uninit_secret_seed: Optional[int] = None
     # SPT (paper Table 1: untaint broadcast width 3).
     untaint_broadcast_width: int = 3
-    # Execution backend: "reference" is the canonical per-DynInst Python
-    # model; "vector" is the struct-of-arrays fast path (repro.fastpath),
-    # bit-identical by construction and by the differential test suite.
-    backend: str = "reference"
     # Simulation safety net.
     max_cycles: int = 5_000_000
     # Lockstep invariant sanitizer (repro.check): "off" (no checking, zero
@@ -69,10 +65,6 @@ class MachineParams:
                 not isinstance(self.uninit_secret_seed, int)
                 or self.uninit_secret_seed < 0):
             raise ValueError("uninit_secret_seed must be a non-negative int")
-        if self.backend not in ("reference", "vector"):
-            raise ValueError(
-                f"backend must be 'reference' or 'vector' "
-                f"(got {self.backend!r})")
 
 
 def table1_text() -> str:

@@ -32,7 +32,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from repro.core.attack_model import AttackModel
 from repro.harness.configs import CONFIGURATIONS, make_engine
-from repro.pipeline.core import SimResult, build_core
+from repro.pipeline.core import OoOCore, SimResult
 from repro.pipeline.params import MachineParams
 from repro.security import attacks
 from repro.security.attacks import AttackProgram
@@ -126,8 +126,8 @@ def run_attack(attack: AttackProgram, config: str, model: AttackModel,
     params = params or MachineParams()
     if attack.overrides:
         params = dataclasses.replace(params, **attack.overrides)
-    core = build_core(attack.program, engine=make_engine(config, model),
-                      params=params)
+    core = OoOCore(attack.program, engine=make_engine(config, model),
+                   params=params)
     if attack.setup:
         attack.setup(core)
     sim = core.run(max_instructions=500_000)

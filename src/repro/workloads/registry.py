@@ -25,8 +25,8 @@ CATEGORY_CT = "data-oblivious"
 # Built programs, keyed (name, scale).  Builders are deterministic and
 # programs are immutable once assembled (MainMemory copies the image at
 # core construction; nothing writes through to the Program), so repeated
-# runs of one workload can share the build — and, with it, the vector
-# backend's decode-table lowering cached on the program object.
+# runs of one workload can share the build — and, with it, the core's
+# decode-table lowering cached on the program object.
 _PROGRAM_CACHE: dict[tuple[str, int], Program] = {}
 
 

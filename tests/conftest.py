@@ -11,7 +11,13 @@ from repro.pipeline.params import MachineParams
 
 
 BOTH_MODELS = [AttackModel.SPECTRE, AttackModel.FUTURISTIC]
-BACKENDS = ["reference", "vector"]
+RUNS = ["default", "reference"]
+
+
+def run_params(run: str) -> MachineParams:
+    """Parameters of the default run (the batched path) or the reference
+    run (the per-instruction phases stepped under the full sanitizer)."""
+    return MachineParams(check_level="full" if run == "reference" else "off")
 
 
 @pytest.fixture(autouse=True)
@@ -25,17 +31,16 @@ def _isolated_result_cache(tmp_path, monkeypatch):
 
 
 @pytest.fixture
-def vector_runs(monkeypatch) -> list:
-    """Every ``VectorCore.run`` call, so a test can prove which core ran."""
-    from repro.fastpath.vector_core import VectorCore
+def batched_runs(monkeypatch) -> list:
+    """Every batched-path run, so a test can prove which path ran."""
     calls: list = []
-    real = VectorCore.run
+    real = OoOCore._run_batched
 
     def spy(core, *args, **kwargs):
         calls.append(core)
         return real(core, *args, **kwargs)
 
-    monkeypatch.setattr(VectorCore, "run", spy)
+    monkeypatch.setattr(OoOCore, "_run_batched", spy)
     return calls
 
 

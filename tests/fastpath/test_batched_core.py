@@ -1,6 +1,6 @@
-"""Adversarial micro-programs for the batched vector core.
+"""Adversarial micro-programs for the core's batched path.
 
-The registry workloads exercise the fast path at steady state; these
+The registry workloads exercise the batched path at steady state; these
 programs are built to hit the batched sweeps where they are weakest:
 
 * a branch that alternates taken/not-taken every iteration, so squashes
@@ -10,11 +10,14 @@ programs are built to hit the batched sweeps where they are weakest:
   resolution is delayed behind a missing load while the predicted path
   runs into a long straight-line block, maximising pool/quarantine
   churn per squash;
-* the sanitizer-on configuration, where the vector core must *refuse*
-  the fast path (flyweights would be invisible to the lockstep checker)
-  and still match the reference bit for bit.
+* untaint work while nothing else in the machine moves — a broadcast
+  backlog draining, and a store-to-load rule clearing a retired store's
+  data taint — which fast-forward must not skip;
+* the sanitizer levels: commit-level lockstep must ride the batched path
+  (so it checks the path that runs), full-level checking must step.
 
-Each cell is compared with the same comparator as ``repro backend-diff``
+Each default run is compared with the reference run by the same
+comparator as ``repro backend-diff``
 (:func:`repro.fastpath.diff.compare_cell`), so "match" means cycles,
 retired-PC stream, architectural registers, stats, the metrics tree and
 the attacker-visible trace digests are all identical.
@@ -24,54 +27,33 @@ from __future__ import annotations
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.core.attack_model import AttackModel
-from repro.fastpath.diff import compare_cell
-from repro.harness.configs import make_engine
+from repro.core.shadow_l1 import ShadowMode
+from repro.core.spt import ReferenceSPTEngine, SPTEngine
+from repro.fastpath.diff import compare_cell, reference_engine, run_outcome
+from repro.harness.configs import FULL_SPT, make_engine
+from repro.isa.assembler import assemble
 from repro.isa.builder import ProgramBuilder
-from repro.pipeline.core import SimulationError, build_core
-from repro.pipeline.params import MachineParams
-from repro.security.observer import channel_digests
 
 BUDGET = 4000
 CONFIGS = ("UnsafeBaseline", "SecureBaseline", "STT", "SPT{Bwd,ShadowL1}")
 
 
-def _run(program, config, backend, *, model=AttackModel.FUTURISTIC,
-         budget=BUDGET, check_level="off"):
-    """One cell reduced to its comparable outcome, plus the core itself.
-
-    Mirrors :func:`repro.fastpath.diff.run_backend`, but for a locally
-    built :class:`Program` instead of a registered workload.
-    """
-    engine = make_engine(config, model)
-    params = MachineParams(backend=backend, check_level=check_level)
-    core = build_core(program, engine=engine, params=params,
-                      record_retired_pcs=True)
-    try:
-        sim = core.run(max_instructions=budget)
-    except SimulationError as exc:
-        return core, {"error": f"{type(exc).__name__}: {exc}"}
-    return core, {
-        "cycles": sim.cycles,
-        "retired": sim.retired,
-        "halted": sim.halted,
-        "retired_pcs": sim.retired_pcs,
-        "arch_regs": sim.arch_regs,
-        "stats": sim.stats,
-        "metrics": sim.metrics.as_dict(),
-        "digests": channel_digests(sim.observer, sim.cycles),
-    }
+def _reference(program, config, model):
+    """The reference run's outcome for a locally built program."""
+    engine = reference_engine(make_engine(config, model))
+    return run_outcome(program, engine, BUDGET, check_level="full")[1]
 
 
-def _assert_identical(program, config, **kwargs):
-    _, ref = _run(program, config, "reference", **kwargs)
-    vec_core, vec = _run(program, config, "vector", **kwargs)
-    mismatches = compare_cell(ref, vec)
+def _assert_identical(program, config, model=AttackModel.FUTURISTIC,
+                      check_level="off"):
+    """Default run (at ``check_level``) against the reference run."""
+    core, run = run_outcome(program, make_engine(config, model), BUDGET,
+                            check_level=check_level)
+    mismatches = compare_cell(_reference(program, config, model), run)
     assert not mismatches, (
         f"{program.name}/{config}: {'; '.join(mismatches)}")
-    return vec_core
+    return core
 
 
 def parity_flip_program():
@@ -143,16 +125,58 @@ def overfetch_storm_program():
     return b.build()
 
 
+def broadcast_backlog_program():
+    """An untaint-broadcast backlog draining behind a DRAM miss.
+
+    ``ld t0`` misses to DRAM and holds retirement; everything younger is
+    dispatched and HALT stops fetch.  ``ld a1`` hits the line the older
+    store filled, its result is untainted, and the next cycle the forward
+    rule fires for every ``add`` that reads it — more requests than the
+    width-3 broadcast bus retires in one cycle.  Once the adds have
+    completed, the queue keeps draining while nothing else moves: those
+    cycles are work, and fast-forward must not skip them.
+    """
+    source = ["li s3, 0x4000", "li a5, 7", "sd a5, 0(s3)",
+              "li s2, 0x100000", "ld t0, 0(s2)", "ld a1, 0(s3)"]
+    source += ["add a0, a1, zero"] * 16
+    source.append("halt")
+    return assemble("\n".join(source))
+
+
+def retired_store_stl_program():
+    """An STL-backward request that queues nothing, behind a DRAM miss.
+
+    ``sd a6`` stores a tainted register (never written) and retires at
+    once; ``ld a1`` and ``ld a2`` both forward from it.  ``ld t0`` misses
+    to DRAM and ``ld t5``, whose address waits on it, misses again: it
+    holds retirement long after ``bne`` has resolved.  When ``bne`` resolves, the VP
+    sweeps past both trailing loads: ``a6`` is declassified, and the
+    chain's end too, so over the next cycles the backward rule walks the
+    ``mov`` chain back to ``a2``.  Once ``a2`` is public, the STL-backward
+    rule of the younger load clears the retired store's ``t_src2`` with a
+    request that queues nothing (``a6`` is already public) — the only
+    engine work that cycle.  The next cycle the older load sees the store
+    public and untaints ``a1``.
+    """
+    source = ["li s3, 0x4000", "li s2, 0x100000", "sd a6, 0(s3)",
+              "ld t0, 0(s2)", "add t4, t0, s2", "ld t5, 4096(t4)",
+              "ld a1, 0(s3)", "ld a2, 0(s3)", "mov a3, a2"]
+    source += ["mov a3, a3"] * 11
+    source += ["bne t0, zero, next", "next:", "ld s8, 0(a6)",
+               "ld s9, 0(a3)", "halt"]
+    return assemble("\n".join(source))
+
+
 @pytest.mark.parametrize("config", CONFIGS)
 def test_squash_mid_fetch_group(config):
     core = _assert_identical(parity_flip_program(), config)
-    assert core._fast, "micro-program unexpectedly fell off the fast path"
+    assert core._batched, "micro-program unexpectedly fell off the fast path"
 
 
 @pytest.mark.parametrize("config", CONFIGS)
 def test_wrong_path_overfetch_storm(config):
     core = _assert_identical(overfetch_storm_program(), config)
-    assert core._fast, "micro-program unexpectedly fell off the fast path"
+    assert core._batched, "micro-program unexpectedly fell off the fast path"
 
 
 @pytest.mark.parametrize("model",
@@ -162,16 +186,47 @@ def test_storm_under_both_attack_models(model):
                       model=model)
 
 
+@pytest.mark.parametrize("engine_cls", [SPTEngine, ReferenceSPTEngine])
+def test_broadcast_backlog_is_not_fast_forwarded(engine_cls):
+    """Fails if ``_broadcast`` stops bumping the core's activity counter."""
+    program = broadcast_backlog_program()
+
+    def engine():
+        return engine_cls(AttackModel.FUTURISTIC, backward=True,
+                          shadow=ShadowMode.L1)
+
+    _, ref = run_outcome(program, engine(), BUDGET, check_level="full")
+    _, run = run_outcome(program, engine(), BUDGET)
+    assert compare_cell(ref, run) == []
+    # The backlog really drained across several cycles.
+    assert run["stats"]["engine.broadcast.stall_cycles"] >= 3
+
+
+@pytest.mark.parametrize("engine_cls", [SPTEngine, ReferenceSPTEngine])
+def test_retired_store_stl_clear_is_not_fast_forwarded(engine_cls):
+    """Fails if ``_request`` stops bumping the core's activity counter."""
+    program = retired_store_stl_program()
+
+    def engine():
+        return engine_cls(AttackModel.SPECTRE, backward=True,
+                          shadow=ShadowMode.NONE)
+
+    _, ref = run_outcome(program, engine(), BUDGET, check_level="full")
+    _, run = run_outcome(program, engine(), BUDGET)
+    assert compare_cell(ref, run) == []
+    assert run["stats"]["engine.untaint.stl-forward"] == 1
+
+
 def test_recycled_window_drains_clean():
     """After an overfetch storm, no stale state survives in the window.
 
     The engine's window masks and slot map must be empty, and every
     pooled carcass (retired or squashed) must have released its
-    fast-path window slot — a leak here would silently corrupt the
-    *next* allocation from the pool rather than this run.
+    window slot — a leak here would silently corrupt the *next*
+    allocation from the pool rather than this run.
     """
-    core, _ = _run(overfetch_storm_program(), "SPT{Bwd,ShadowL1}", "vector")
-    engine = core.engine
+    engine = make_engine(FULL_SPT, AttackModel.FUTURISTIC)
+    core, _ = run_outcome(overfetch_storm_program(), engine, BUDGET)
     for mask in (engine._t_src1_m, engine._t_src2_m, engine._t_dst_m,
                  engine._pure_m, engine._inv_mono_m, engine._inv_alu_m):
         assert mask == 0
@@ -184,22 +239,30 @@ def test_recycled_window_drains_clean():
         assert di.squashed
 
 
-def test_sanitizer_forces_materialisation():
-    """check_level != off must disable the fast path, not break it.
+@pytest.mark.parametrize("level", ["commit", "full"])
+def test_check_level_picks_the_path(level, batched_runs):
+    """Commit-level lockstep rides the batched path; full level steps.
 
-    The lockstep sanitizer walks real DynInst objects at retirement, so
-    the vector core must fall back to full materialisation — and the
-    checked run must still be bit-identical to the reference backend at
-    the same check level.
+    The commit level hooks only retire, squash and finish, so the batched
+    phases and fast-forward stay live under it: the lockstep checks the
+    path every figure and campaign runs, and the result still equals the
+    reference run.  The full level's per-cycle window scans need every
+    cycle and every real DynInst, so the core steps the per-instruction
+    phases.
     """
-    program = overfetch_storm_program()
-    core = _assert_identical(program, "SPT{Bwd,ShadowL1}",
-                             check_level="commit")
-    assert core._fast is False
+    core = _assert_identical(overfetch_storm_program(), FULL_SPT,
+                             check_level=level)
     assert core.checker is not None
+    assert core._batched == (level == "commit")
+    assert batched_runs == ([core] if level == "commit" else [])
+    passed = core.build_metrics().groups["check"].groups["passed"].scalars
+    assert passed["retire-order"] == core.retired_count
+    assert passed["final-state"] == 1
 
 
 def test_sanitizer_off_enables_fast_path():
-    core, _ = _run(parity_flip_program(), "UnsafeBaseline", "vector")
-    assert core._fast is True
+    core, _ = run_outcome(parity_flip_program(),
+                          make_engine("UnsafeBaseline",
+                                      AttackModel.FUTURISTIC), BUDGET)
+    assert core._batched is True
     assert core.checker is None

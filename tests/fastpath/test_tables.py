@@ -3,8 +3,9 @@
 Every flag in :mod:`repro.fastpath.tables` is checked against the
 predicate it lowers — over *every* opcode in the ISA and, for the
 forward/backward rules, over every realizable taint combination — so a
-new opcode or a rule change cannot silently diverge between the two
-backends.
+new opcode or a rule change cannot silently diverge between the packed
+SPTEngine and ReferenceSPTEngine, or between the batched path and the
+per-instruction phases.
 """
 
 import pytest
@@ -101,10 +102,6 @@ def test_program_table_covers_every_pc():
     assert len(table.flags) == len(insts)
     for pc, inst in enumerate(insts):
         assert table.flags[pc] == lower_instruction(inst)
-    if table.flags_v is not None:
-        assert table.flags_v.tolist() == table.flags
-        assert table.latency_v.tolist() == [i.info.latency for i in insts]
-        assert table.mem_size_v.tolist() == [i.info.mem_size for i in insts]
 
 
 # The frontend/dispatch columns are *defined* by these reference

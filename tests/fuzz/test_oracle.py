@@ -1,7 +1,7 @@
 """Non-interference oracle: planted leaks and the expected-divergence matrix.
 
-The planted gadgets here are the oracle's ground truth, on both the
-reference and the vector core:
+The planted gadgets here are the oracle's ground truth, as the default run
+and as the reference run:
 
 * a *speculative* bounds-check-bypass gadget must diverge under
   ``UnsafeBaseline`` and under no protected configuration;
@@ -19,9 +19,8 @@ from repro.fuzz.oracle import (architectural_dependence, check_pair_direct,
                                classify, divergence_detail,
                                expected_to_diverge)
 from repro.harness.configs import CONFIGURATIONS
-from repro.pipeline.params import MachineParams
 
-from tests.conftest import BACKENDS, BOTH_MODELS
+from tests.conftest import BOTH_MODELS, RUNS, run_params
 
 SPT_CONFIGS = [name for name in CONFIGURATIONS if name.startswith("SPT")]
 
@@ -36,53 +35,53 @@ def _planted(exposure: str):
     return programs
 
 
-def _diverging(a, b, config, model, backend, vector_runs) -> list:
-    """``check_pair_direct`` on ``backend``, checking which core ran."""
-    before = len(vector_runs)
+def _diverging(a, b, config, model, run, batched_runs) -> list:
+    """``check_pair_direct`` as the ``run`` run, checking which path ran."""
+    before = len(batched_runs)
     channels = check_pair_direct(a, b, config, model,
-                                 params=MachineParams(backend=backend))
-    assert len(vector_runs) - before == (2 if backend == "vector" else 0), (
-        f"{backend} requested but the other core ran")
+                                 params=run_params(run))
+    assert len(batched_runs) - before == (2 if run == "default" else 0), (
+        f"{run} run requested but the other path ran")
     return channels
 
 
-def test_unsafe_baseline_leaks_planted_speculative_gadget(vector_runs):
+def test_unsafe_baseline_leaks_planted_speculative_gadget(batched_runs):
     a, b = _planted("speculative")
-    for backend in BACKENDS:
+    for run in RUNS:
         for model in BOTH_MODELS:
-            channels = _diverging(a, b, "UnsafeBaseline", model, backend,
-                                  vector_runs)
+            channels = _diverging(a, b, "UnsafeBaseline", model, run,
+                                  batched_runs)
             assert "load-line" in channels, (
-                f"{backend}: the secret-dependent probe load must move "
+                f"{run} run: the secret-dependent probe load must move "
                 f"across cache lines")
 
 
-def test_protected_configs_hold_on_speculative_gadget(vector_runs):
+def test_protected_configs_hold_on_speculative_gadget(batched_runs):
     a, b = _planted("speculative")
-    for backend in BACKENDS:
+    for run in RUNS:
         for config in ["SecureBaseline", "STT", *SPT_CONFIGS]:
             for model in BOTH_MODELS:
-                assert not _diverging(a, b, config, model, backend,
-                                      vector_runs), (
-                    f"{config}/{model.value} on {backend} leaked a "
+                assert not _diverging(a, b, config, model, run,
+                                      batched_runs), (
+                    f"{config}/{model.value}, {run} run, leaked a "
                     f"speculatively-accessed secret")
 
 
-def test_stt_scope_gap_on_nonspeculative_gadget(vector_runs):
+def test_stt_scope_gap_on_nonspeculative_gadget(batched_runs):
     """STT leaks a non-speculatively accessed secret; SPT must not."""
     a, b = _planted("nonspeculative")
-    for backend in BACKENDS:
+    for run in RUNS:
         assert _diverging(a, b, "UnsafeBaseline", AttackModel.SPECTRE,
-                          backend, vector_runs)
-        assert _diverging(a, b, "STT", AttackModel.SPECTRE, backend,
-                          vector_runs), (
-            f"{backend}: the planted nonspec gadget must expose STT's "
+                          run, batched_runs)
+        assert _diverging(a, b, "STT", AttackModel.SPECTRE, run,
+                          batched_runs), (
+            f"{run} run: the planted nonspec gadget must expose STT's "
             f"scope gap")
         for config in SPT_CONFIGS + ["SecureBaseline"]:
             for model in BOTH_MODELS:
-                assert not _diverging(a, b, config, model, backend,
-                                      vector_runs), (
-                    f"{config}/{model.value} on {backend} leaked a "
+                assert not _diverging(a, b, config, model, run,
+                                      batched_runs), (
+                    f"{config}/{model.value}, {run} run, leaked a "
                     f"non-speculatively accessed secret")
 
 

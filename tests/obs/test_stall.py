@@ -38,6 +38,12 @@ class GateUntil(ProtectionEngine):
     def untaint_pending(self, preg: int) -> bool:
         return self.pending and not self._released()
 
+    def tick(self) -> None:
+        # The gates open on a cycle count, not on a state change: report
+        # activity until then, or fast-forward would jump past the release.
+        if not self._released():
+            self.core._activity += 1
+
 
 LOAD_PROGRAM = """
     li a0, 0x100

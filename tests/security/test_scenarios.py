@@ -1,7 +1,8 @@
 """The attack scenario library and its declarative leak-expectation table.
 
-The full matrix (every scenario x Table 2 config x attack model, on both the
-reference and the vector core) must match the expectation rows exactly:
+The full matrix (every scenario x Table 2 config x attack model, as the
+default run and as the reference run) must match the expectation rows
+exactly:
 
 * speculative exposure (spectre-pht, spectre-stl, uninit-transient): only
   UnsafeBaseline leaks;
@@ -13,10 +14,9 @@ import pytest
 
 from repro.core.attack_model import AttackModel
 from repro.harness.configs import CONFIGURATIONS
-from repro.pipeline.params import MachineParams
 from repro.security import attacks, scenarios
 
-from tests.conftest import BACKENDS, BOTH_MODELS
+from tests.conftest import BOTH_MODELS, RUNS, run_params
 
 SECRETS = (0x11, 0x80, 0xFE)
 
@@ -48,18 +48,18 @@ def test_expected_to_leak_rejects_unknown_names():
         scenarios.expected_to_leak("not-a-scenario", "STT")
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("run", RUNS)
 @pytest.mark.parametrize("model", BOTH_MODELS)
 @pytest.mark.parametrize("config", list(CONFIGURATIONS))
 @pytest.mark.parametrize("name", sorted(scenarios.SCENARIOS))
-def test_scenario_cell_matches_expectation(name, config, model, backend,
-                                           vector_runs):
-    leaked, sim = scenarios.run_scenario(
-        name, config, model, params=MachineParams(backend=backend))
-    assert len(vector_runs) == (backend == "vector"), "wrong core ran"
+def test_scenario_cell_matches_expectation(name, config, model, run,
+                                           batched_runs):
+    leaked, sim = scenarios.run_scenario(name, config, model,
+                                         params=run_params(run))
+    assert len(batched_runs) == (run == "default"), "wrong path ran"
     assert sim.halted
     assert leaked == scenarios.expected_to_leak(name, config), (
-        f"{name} under {config}/{model.value} on {backend}: leaked={leaked}")
+        f"{name} under {config}/{model.value}, {run} run: leaked={leaked}")
 
 
 def test_spectre_pht_leaks_arbitrary_bytes_on_unsafe():
