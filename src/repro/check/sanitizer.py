@@ -30,6 +30,7 @@ under the ``check`` group.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from typing import TYPE_CHECKING, Optional
 
@@ -75,13 +76,18 @@ class _UninitGolden(ArchState):
 
 
 class Sanitizer:
-    """Passive lockstep checker for one simulation run."""
+    """Passive lockstep checker for one simulation run.
+
+    The core owns its sanitizer (``core.checker``); the sanitizer holds the
+    core only weakly, like the engine does, so neither back-reference keeps
+    a finished simulation alive.
+    """
 
     def __init__(self, core: "OoOCore", level: str):
         if level not in CHECK_LEVELS or level == "off":
             raise ValueError(f"invalid check level {level!r}; "
                              f"expected one of {CHECK_LEVELS[1:]}")
-        self.core = core
+        self._core_ref = weakref.ref(core)
         self.level = level
         self.full = level == "full"
         self.counts: dict[str, int] = {}
@@ -116,6 +122,11 @@ class Sanitizer:
             self._prev_untaint_total = self._spt.untaint.total
 
     # -------------------------------------------------------------- plumbing
+    @property
+    def core(self) -> Optional["OoOCore"]:
+        """The checked core, or None once it has been freed."""
+        return self._core_ref()
+
     def _pass(self, invariant: str) -> None:
         self.counts[invariant] = self.counts.get(invariant, 0) + 1
 

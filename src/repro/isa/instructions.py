@@ -72,6 +72,10 @@ class Program:
     to byte value (0-255); unmentioned bytes read as zero.  ``symbols`` maps
     label name to instruction index, ``data_symbols`` maps data label to byte
     address — both are conveniences for tests and attack harnesses.
+
+    Programs are immutable once assembled: every core built on one reads
+    ``initial_memory`` in place, and the registry shares one program
+    between runs.
     """
 
     instructions: Sequence[Instruction]

@@ -37,20 +37,22 @@ class CacheStats:
     misses: int = 0
     evictions: int = 0
 
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
 
 class Cache:
-    """One level of set-associative, LRU, write-allocate cache."""
+    """One level of set-associative, LRU, write-allocate cache.
+
+    A set's way list is created by its first fill: a short simulation
+    touches a few dozen of the L3's 2,048 sets, so building a core
+    allocates one list per level instead of one per set.
+    """
 
     def __init__(self, params: CacheParams):
         self.params = params
         self.stats = CacheStats()
         self._num_sets = params.num_sets
-        # Per set: list of line addresses, most recently used last.
-        self._sets: list[list[int]] = [[] for _ in range(self._num_sets)]
+        # Per set: None until first filled, then the list of line
+        # addresses, most recently used last.
+        self._sets: list[Optional[list[int]]] = [None] * self._num_sets
 
     def line_address(self, address: int) -> int:
         return address - address % self.params.line_bytes
@@ -61,7 +63,8 @@ class Cache:
     def probe(self, address: int) -> bool:
         """Tag check without any state change."""
         line = self.line_address(address)
-        return line in self._sets[self._set_index(line)]
+        ways = self._sets[self._set_index(line)]
+        return ways is not None and line in ways
 
     def access(self, address: int) -> tuple[bool, Optional[int]]:
         """Access ``address``; returns (hit, evicted_line_or_None).
@@ -70,7 +73,12 @@ class Cache:
         full.
         """
         line = self.line_address(address)
-        ways = self._sets[self._set_index(line)]
+        index = self._set_index(line)
+        ways = self._sets[index]
+        if ways is None:
+            self._sets[index] = [line]
+            self.stats.misses += 1
+            return False, None
         if line in ways:
             ways.remove(line)
             ways.append(line)
@@ -88,10 +96,11 @@ class Cache:
         """Drop the line holding ``address``; returns whether it was present."""
         line = self.line_address(address)
         ways = self._sets[self._set_index(line)]
-        if line in ways:
+        if ways is not None and line in ways:
             ways.remove(line)
             return True
         return False
 
     def resident_lines(self) -> list[int]:
-        return [line for ways in self._sets for line in ways]
+        """Every resident line, in set-index order and LRU-first in a set."""
+        return [line for ways in self._sets if ways for line in ways]

@@ -18,7 +18,6 @@ from repro.memory.cache import Cache, CacheParams
 class HierarchyParams:
     """Latency/geometry knobs for the whole hierarchy (paper Table 1)."""
 
-    l1 = None  # placeholder for dataclass default workaround
     l1_params: CacheParams = field(default_factory=lambda: CacheParams(
         "L1D", size_bytes=32 * 1024, line_bytes=64, ways=8, latency=2))
     l2_params: CacheParams = field(default_factory=lambda: CacheParams(
@@ -57,10 +56,6 @@ class MemoryHierarchy:
         # core wires this to the engine so the shadow L1 never tracks a
         # non-resident line (the shadow-residency invariant).
         self.on_l1_invalidate = None
-
-    @property
-    def line_bytes(self) -> int:
-        return self.params.l1_params.line_bytes
 
     def access(self, address: int, now: int, is_write: bool = False) -> AccessResult:
         """Perform a timed access at cycle ``now``.

@@ -28,6 +28,11 @@ def uninit_byte(seed: int, address: int) -> int:
 class MainMemory:
     """Byte-addressed main memory with little-endian multi-byte accessors.
 
+    The program's image is read in place and never written: stores go to a
+    per-memory overlay that wins over the image, so building a core copies
+    nothing and any number of cores may share one
+    :class:`~repro.isa.instructions.Program`.
+
     With ``uninit_seed`` set, never-written bytes read as
     :func:`uninit_byte` instead of zero (pitchfork's ``SpectreOOBState``
     policy: uninitialised memory carries secrets).  Writes behave
@@ -36,22 +41,30 @@ class MainMemory:
 
     def __init__(self, image: dict[int, int] | None = None,
                  uninit_seed: int | None = None):
-        self._bytes: dict[int, int] = dict(image) if image else {}
+        self._image: dict[int, int] = image if image is not None else {}
+        self._bytes: dict[int, int] = {}
         self._uninit_seed = uninit_seed
 
     def load(self, address: int, size: int) -> int:
         data = self._bytes
+        image = self._image
         value = 0
         if self._uninit_seed is None:
             for offset in range(size):
-                value |= data.get((address + offset) & WORD_MASK, 0) << (8 * offset)
+                addr = (address + offset) & WORD_MASK
+                byte = data.get(addr)
+                if byte is None:
+                    byte = image.get(addr, 0)
+                value |= byte << (8 * offset)
             return value
         seed = self._uninit_seed
         for offset in range(size):
             addr = (address + offset) & WORD_MASK
             byte = data.get(addr)
             if byte is None:
-                byte = uninit_byte(seed, addr)
+                byte = image.get(addr)
+                if byte is None:
+                    byte = uninit_byte(seed, addr)
             value |= byte << (8 * offset)
         return value
 
@@ -61,5 +74,7 @@ class MainMemory:
             data[(address + offset) & WORD_MASK] = (value >> (8 * offset)) & 0xFF
 
     def snapshot(self) -> dict[int, int]:
-        """A copy of all nonzero bytes (zero bytes are normalised away)."""
-        return {a: b for a, b in self._bytes.items() if b}
+        """A copy of all nonzero bytes, stores over the image (zero bytes
+        are normalised away)."""
+        merged = {**self._image, **self._bytes}
+        return {a: b for a, b in merged.items() if b}

@@ -11,10 +11,15 @@ it into the run's metrics hierarchy under ``engine.`` when the simulation
 finishes.  ``bump`` is the cheap hot-path counter API; subclasses with
 richer state (SPT's untaint machinery) override :meth:`metrics_tree` to
 fold it in at collection time.
+
+The core owns its engine; the engine reaches back to the core only through
+a weak reference (:attr:`ProtectionEngine.core`), so a finished simulation
+holds no reference cycle and is freed as soon as its last user drops it.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Optional
 
 from repro.obs.metrics import Metrics
@@ -24,8 +29,17 @@ if TYPE_CHECKING:
     from repro.pipeline.dyninst import DynInst
 
 
+def _detached() -> None:
+    return None
+
+
 class ProtectionEngine:
-    """Default engine: no protection (UnsafeBaseline)."""
+    """Default engine: no protection (UnsafeBaseline).
+
+    Once its core is gone, an engine may be read only for its own counters
+    and metrics (:meth:`metrics_tree`, SPT's ``untaint`` ledger): every hook
+    that consults the machine goes through :attr:`core`, which is then None.
+    """
 
     name = "UnsafeBaseline"
     protects_speculative_data = False
@@ -37,11 +51,17 @@ class ProtectionEngine:
     vp_predicate = None
 
     def __init__(self) -> None:
-        self.core: Optional["OoOCore"] = None
+        self._core_ref = _detached
         self.metrics = Metrics("engine")
 
+    @property
+    def core(self) -> Optional["OoOCore"]:
+        """The attached core; None before :meth:`attach` and after the core
+        is freed (the core holds the only strong reference between them)."""
+        return self._core_ref()
+
     def attach(self, core: "OoOCore") -> None:
-        self.core = core
+        self._core_ref = weakref.ref(core)
 
     def bump(self, stat: str, amount: int = 1) -> None:
         self.metrics.add(stat, amount)

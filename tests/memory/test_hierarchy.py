@@ -82,3 +82,16 @@ def test_inclusive_fill_on_miss():
     assert h.l1.probe(0x7000)
     assert h.l2.probe(0x7000)
     assert h.l3.probe(0x7000)
+
+
+def test_flush_all_reports_l1_lines_in_set_index_order():
+    h = MemoryHierarchy()
+    flushed = []
+    h.on_l1_invalidate = flushed.append
+    # 64-byte lines, 64 L1 sets: set 2, then set 0, then set 1 again.
+    for address in (0x0080, 0x0000, 0x1040, 0x0040, 0x1000):
+        h.access(address, now=0)
+    h.flush_all()
+    assert flushed == [0x0000, 0x1000, 0x1040, 0x0040, 0x0080]
+    assert h.l1.resident_lines() == h.l2.resident_lines() == []
+    assert h.l3.resident_lines() == []
