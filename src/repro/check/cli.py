@@ -110,11 +110,10 @@ def _parse_workloads(text: str) -> list:
     return names
 
 
-def check_counts(metrics_blob: dict) -> dict:
-    """Per-invariant pass counts from a RunResult's metrics dict."""
-    check = metrics_blob.get("groups", {}).get("check", {})
-    return dict(check.get("groups", {}).get("passed", {})
-                .get("scalars", {}))
+def check_counts(metrics) -> dict:
+    """Per-invariant pass counts from a run's metrics tree."""
+    passed = metrics.group("check.passed")
+    return dict(passed.scalars) if passed is not None else {}
 
 
 def render_report(counts: dict, cells: int, level: str) -> str:

@@ -2,7 +2,11 @@
 
 The paper's artifact drives gem5 through a helper script ``run_spt.py``
 (Appendix A.4).  This CLI accepts the same parameters against this
-reproduction's simulator and emits a gem5-style ``stats.txt``:
+reproduction's simulator and emits a gem5-style ``stats.txt``.  The file
+opens with the artifact's four header lines (``numCycles``,
+``committedInsts``, ``ipc``, ``configName``); every other line is one
+metric of the run's tree under its dotted path, as ``repro stats`` prints
+it (``frontend.fetched``, ``engine.untaint.vp-branch``, ...):
 
 ========================  =======================================
 Artifact parameter        Here
@@ -44,6 +48,7 @@ from repro.harness.parallel import RunSpec, run_many
 from repro.harness.runner import RunResult
 from repro.isa.assembler import assemble
 from repro.isa.instructions import Program
+from repro.obs.metrics import Metrics
 from repro.pipeline.core import OoOCore
 from repro.pipeline.engine_api import ProtectionEngine
 from repro.pipeline.params import MachineParams
@@ -104,6 +109,13 @@ def validate_args(args: argparse.Namespace) -> Optional[str]:
                                 or args.enable_shadow_mem
                                 or args.untaint_method):
         return "shadow/untaint options require --enable-spt"
+    writers: dict = {}
+    for executable in args.executable:
+        name = _stats_filename(executable, len(args.executable) > 1)
+        if name in writers:
+            return (f"{writers[name]!r} and {executable!r} would both "
+                    f"write {name}")
+        writers[name] = executable
     return None
 
 
@@ -163,59 +175,34 @@ def load_program(executable: str, scale: int) -> Program:
         f"({', '.join(sorted(WORKLOADS))}) nor an existing .asm file")
 
 
-def format_stats(sim, engine: ProtectionEngine) -> str:
-    """gem5-style stats.txt body."""
-    lines = [
-        "---------- Begin Simulation Statistics ----------",
-        f"numCycles {sim.cycles:>40} # total cycles simulated",
-        f"committedInsts {sim.retired:>36} # instructions retired",
-        f"ipc {format(sim.ipc, '.6f'):>47} # committed IPC",
-        f"configName {sim.config_name:>40} # protection configuration",
-    ]
-    for key in sorted(sim.stats):
-        lines.append(f"{key} {sim.stats[key]:>{max(1, 50 - len(key))}} #")
-    if isinstance(engine, SPTEngine):
-        for kind, count in sorted(engine.untaint.as_dict().items()):
-            name = f"untaint::{kind}"
-            lines.append(f"{name} {count:>{max(1, 50 - len(name))}} #")
-        lines.append(f"untaint::total {engine.untaint.total:>36} #")
-    lines.append("---------- End Simulation Statistics   ----------")
-    return "\n".join(lines) + "\n"
-
-
-def format_stats_result(result: RunResult) -> str:
-    """gem5-style stats.txt body from a harness ``RunResult``.
-
-    Mirrors :func:`format_stats`; ``result.stats`` already carries the
-    engine counters merged in by ``SimResult``.
-    """
-    lines = [
-        "---------- Begin Simulation Statistics ----------",
+def format_stats(result: RunResult) -> str:
+    """The gem5-style ``stats.txt``: the artifact's four header lines, then
+    the lines of ``Metrics.render`` less ``sim.*``, which the header states."""
+    begin, *body = result.metrics.render("Simulation Statistics").splitlines()
+    return "\n".join([
+        begin,
         f"numCycles {result.cycles:>40} # total cycles simulated",
         f"committedInsts {result.retired:>36} # instructions retired",
         f"ipc {format(result.ipc, '.6f'):>47} # committed IPC",
         f"configName {result.config:>40} # protection configuration",
-    ]
-    for key in sorted(result.stats):
-        lines.append(f"{key} {result.stats[key]:>{max(1, 50 - len(key))}} #")
-    if result.untaint_by_kind:
-        for kind, count in sorted(result.untaint_by_kind.items()):
-            name = f"untaint::{kind}"
-            lines.append(f"{name} {count:>{max(1, 50 - len(name))}} #")
-        total = sum(result.untaint_by_kind.values())
-        lines.append(f"untaint::total {total:>36} #")
-    lines.append("---------- End Simulation Statistics   ----------")
-    return "\n".join(lines) + "\n"
+        *[line for line in body if not line.startswith("sim.")]]) + "\n"
 
 
-def _print_track_insts(untaint_by_kind: dict, untaints_per_cycle: dict) -> None:
+def _print_track_insts(metrics: Metrics) -> None:
+    untaint = metrics.group("engine.untaint")
+    kinds = {} if untaint is None else {
+        kind: count for kind, count in untaint.scalars.items()
+        if kind != "total"}
+    if not kinds:
+        return
     print("untaint events:")
-    for kind, count in sorted(untaint_by_kind.items()):
+    for kind, count in sorted(kinds.items()):
         print(f"  {kind:<16} {count}")
-    if untaints_per_cycle:
+    widths = untaint.dists.get("untaints_per_cycle")
+    if widths:
         print("registers untainted per untainting cycle:")
-        for width in sorted(untaints_per_cycle):
-            print(f"  {width:>3}: {untaints_per_cycle[width]}")
+        for width in sorted(widths):
+            print(f"  {width:>3}: {widths[width]}")
 
 
 def _stats_filename(executable: str, multiple: bool) -> str:
@@ -226,23 +213,16 @@ def _stats_filename(executable: str, multiple: bool) -> str:
 
 
 def _run_direct(args: argparse.Namespace, executable: str,
-                params: MachineParams) -> tuple:
+                params: MachineParams) -> RunResult:
     """The uncached path: .asm files and non-Table-2 flag combinations."""
     program = load_program(executable, args.scale)
     engine = make_engine_from_args(args)
-    core = OoOCore(program, engine=engine, params=params)
-    sim = core.run(max_instructions=args.max_instructions)
-    untaint_by_kind: dict = {}
-    untaints_per_cycle: dict = {}
-    if isinstance(engine, SPTEngine):
-        untaint_by_kind = engine.untaint.as_dict()
-        untaints_per_cycle = dict(engine.untaint.untaints_per_cycle)
-    result = RunResult(program.name, engine.name,
-                       AttackModel(args.threat_model) if args.threat_model
-                       else AttackModel.FUTURISTIC,
-                       sim.cycles, sim.retired, sim.stats,
-                       untaint_by_kind, untaints_per_cycle)
-    return result, format_stats(sim, engine)
+    sim = OoOCore(program, engine=engine, params=params).run(
+        max_instructions=args.max_instructions)
+    model = (AttackModel(args.threat_model) if args.threat_model
+             else AttackModel.FUTURISTIC)
+    return RunResult(program.name, engine.name, model, sim.cycles,
+                     sim.retired, sim.metrics)
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -299,30 +279,28 @@ def main(argv: Optional[list] = None) -> int:
             load_program(executable, args.scale)    # fail fast on bad input
             direct.append(executable)
 
-    outputs: list = []          # (executable, RunResult, stats text)
+    outputs: list = []          # (executable, RunResult)
     if sweep:
         results = run_many([spec for _, spec in sweep], jobs=args.jobs,
                            use_cache=use_cache)
         for (executable, _), result in zip(sweep, results):
-            outputs.append((executable, result, format_stats_result(result)))
+            outputs.append((executable, result))
     for executable in direct:
-        result, text = _run_direct(args, executable, params)
-        outputs.append((executable, result, text))
+        outputs.append((executable, _run_direct(args, executable, params)))
 
     os.makedirs(args.output_dir, exist_ok=True)
     multiple = len(args.executable) > 1
-    for executable, result, text in outputs:
+    for executable, result in outputs:
         stats_path = os.path.join(args.output_dir,
                                   _stats_filename(executable, multiple))
         with open(stats_path, "w") as handle:
-            handle.write(text)
+            handle.write(format_stats(result))
         print(f"{result.workload}: {result.retired} instructions, "
               f"{result.cycles} cycles (IPC {result.ipc:.2f}) "
               f"under {result.config}")
         print(f"stats written to {stats_path}")
-        if args.track_insts and result.untaint_by_kind:
-            _print_track_insts(result.untaint_by_kind,
-                               result.untaints_per_cycle)
+        if args.track_insts:
+            _print_track_insts(result.metrics)
     return 0
 
 

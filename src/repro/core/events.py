@@ -37,7 +37,8 @@ class UntaintStats:
 
     by_kind: dict = field(default_factory=dict)
     # Histogram for Figure 9: untainting cycles by number of registers
-    # untainted that cycle (ideal propagation only).
+    # untainted that cycle.  Ideal propagation records its fixed point's
+    # width; bounded configurations record each cycle's broadcast.
     untaints_per_cycle: dict = field(default_factory=dict)
     # Taint-lifecycle histograms (log2 buckets): taint-to-untaint latency
     # per untaint rule, and time spent queued behind the broadcast width.

@@ -61,8 +61,10 @@ def collect(workloads: Optional[Sequence[str]] = None,
     results = iter(run_many(specs, jobs=jobs, use_cache=use_cache))
     for model in models:
         for workload in workloads:
-            data.counts[(model, workload)] = \
-                dict(next(results).untaint_by_kind)
+            untaint = next(results).metrics.group("engine.untaint")
+            data.counts[(model, workload)] = {} if untaint is None else {
+                kind: count for kind, count in untaint.scalars.items()
+                if kind != "total"}
     return data
 
 

@@ -68,8 +68,8 @@ def collect(workloads: Optional[Sequence[str]] = None,
     for workload, result in zip(workloads,
                                 run_many(specs, jobs=jobs,
                                          use_cache=use_cache)):
-        data.histograms[workload] = {
-            n: c for n, c in result.untaints_per_cycle.items() if n > 0}
+        data.histograms[workload] = result.metrics.group(
+            "engine.untaint").dists.get("untaints_per_cycle", {})
     return data
 
 

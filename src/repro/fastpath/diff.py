@@ -11,10 +11,11 @@ and demands *bit-identical* outcomes:
   :class:`~repro.core.spt.ReferenceSPTEngine` in place of ``SPTEngine``.
 
 Compared are cycle counts, the retired-PC stream, the architectural
-register file, flat stats, the metrics tree (less the sanitizer's own
-``check`` group: the sanitizer is passive) and the per-channel digests of
-the attacker-visible trace.  A wedged simulation must wedge identically
-in both runs (same exception, same message, same cycle).
+register file, every metric path of the metrics tree (less the
+sanitizer's own ``check`` group: the sanitizer is passive) and the
+per-channel digests of the attacker-visible trace.  A wedged simulation
+must wedge identically in both runs (same exception, same message, same
+cycle).
 
 Examples::
 
@@ -106,8 +107,9 @@ def run_outcome(program: Program, engine: ProtectionEngine, budget: int,
         "halted": sim.halted,
         "retired_pcs": sim.retired_pcs,
         "arch_regs": sim.arch_regs,
-        "stats": sim.stats,
-        "metrics": sim.metrics.as_dict(),
+        "metrics": {path: value
+                    for path, value in sim.metrics.flatten().items()
+                    if not path.startswith("check.")},
         "digests": channel_digests(sim.observer, sim.cycles),
     }
 
@@ -120,15 +122,6 @@ def run_cell(workload: str, config: str, model: AttackModel, scale: int,
         engine = reference_engine(engine)
     return run_outcome(get_workload(workload).program(scale), engine, budget,
                        check_level="full" if reference else "off")[1]
-
-
-def _model_metrics(outcome: dict) -> dict:
-    """The metrics tree less the sanitizer's ``check`` group."""
-    metrics = dict(outcome["metrics"])
-    groups = dict(metrics.get("groups", {}))
-    groups.pop("check", None)
-    metrics["groups"] = groups
-    return metrics
 
 
 def compare_cell(ref: dict, run: dict) -> list:
@@ -154,12 +147,11 @@ def compare_cell(ref: dict, run: dict) -> list:
         regs = [i for i, (a, b) in
                 enumerate(zip(ref["arch_regs"], run["arch_regs"])) if a != b]
         mismatches.append(f"architectural registers differ: {regs}")
-    stat_keys = [k for k in sorted(set(ref["stats"]) | set(run["stats"]))
-                 if ref["stats"].get(k) != run["stats"].get(k)]
-    if stat_keys:
-        mismatches.append(f"stats differ: {', '.join(stat_keys[:8])}")
-    if _model_metrics(ref) != _model_metrics(run):
-        mismatches.append("metrics trees differ")
+    paths = [path
+             for path in sorted(set(ref["metrics"]) | set(run["metrics"]))
+             if ref["metrics"].get(path) != run["metrics"].get(path)]
+    if paths:
+        mismatches.append(f"metrics differ: {', '.join(paths[:8])}")
     channels = differing_channels(ref["digests"], run["digests"])
     if channels:
         mismatches.append(f"trace channels differ: {', '.join(channels)}")

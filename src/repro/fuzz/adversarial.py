@@ -64,8 +64,9 @@ _W_SHADOW_BYTES = 0.01
 _W_SHADOW_LINES = 0.01
 
 
-def taint_reach_score(stats: dict) -> float:
-    """Fold one instrumented run's stats into a leak-proximity scalar.
+def taint_reach_score(flat: dict) -> float:
+    """Fold one instrumented run's flattened metrics (``Metrics.flatten``)
+    into a leak-proximity scalar.
 
     ``transmitters_delayed_cycles`` dominates: every cycle a transmitter
     sat delayed is a cycle tainted (secret-derived) data was at its
@@ -74,12 +75,14 @@ def taint_reach_score(stats: dict) -> float:
     shadow-L1 occupancy reward plans that move more (declassifiable) data
     through the protection machinery at all.
     """
-    return (_W_TRANSMIT_DELAY * stats.get("transmitters_delayed_cycles", 0)
-            + _W_RESOLUTION_DELAY * stats.get("resolutions_delayed_cycles", 0)
-            + _W_UNTAINT * stats.get("engine.untaint.total", 0)
+    return (_W_TRANSMIT_DELAY
+            * flat.get("protection.transmitters_delayed_cycles", 0)
+            + _W_RESOLUTION_DELAY
+            * flat.get("protection.resolutions_delayed_cycles", 0)
+            + _W_UNTAINT * flat.get("engine.untaint.total", 0)
             + _W_SHADOW_BYTES
-            * stats.get("engine.shadow.resident_untainted_bytes", 0)
-            + _W_SHADOW_LINES * stats.get("engine.shadow.tracked_lines", 0))
+            * flat.get("engine.shadow.resident_untainted_bytes", 0)
+            + _W_SHADOW_LINES * flat.get("engine.shadow.tracked_lines", 0))
 
 
 # ------------------------------------------------------------------ mutation
@@ -202,7 +205,7 @@ def _instrument_score(plan: FuzzPlan, model: AttackModel,
                          max_instructions=max_instructions)
     except RuntimeError:
         return None
-    return taint_reach_score(sim.stats)
+    return taint_reach_score(sim.metrics.flatten())
 
 
 def hill_climb(profile: str = "hard", config: str = "UnsafeBaseline",

@@ -27,6 +27,7 @@ import repro
 from repro.core.attack_model import AttackModel
 from repro.harness.configs import CONFIGURATIONS
 from repro.harness.runner import RunResult
+from repro.obs.metrics import Metrics
 from repro.pipeline.params import MachineParams
 
 # Bump when the cached-blob layout changes (keys everything to a new slot).
@@ -35,7 +36,9 @@ from repro.pipeline.params import MachineParams
 # v5: MachineParams grew backend; reference and vector runs keyed separately.
 # v6: MachineParams lost backend again (every run takes the one machine's
 # batched path); the bump retires the per-backend slots.
-CACHE_VERSION = 6
+# v7: blobs carry only the metrics tree; the flat stats and the copied
+# untaint views are gone.
+CACHE_VERSION = 7
 
 _FINGERPRINT: Optional[str] = None
 
@@ -120,10 +123,7 @@ def result_to_blob(result: RunResult) -> dict:
         "model": result.model.value,
         "cycles": result.cycles,
         "retired": result.retired,
-        "stats": result.stats,
-        "metrics": result.metrics,
-        "untaint_by_kind": result.untaint_by_kind,
-        "untaints_per_cycle": result.untaints_per_cycle,
+        "metrics": result.metrics.as_dict(),
         "trace_digests": result.trace_digests,
     }
 
@@ -140,15 +140,10 @@ def result_from_blob(blob: dict) -> Optional[RunResult]:
             model=AttackModel(blob["model"]),
             cycles=blob["cycles"],
             retired=blob["retired"],
-            stats=blob["stats"],
-            metrics=blob["metrics"],
-            untaint_by_kind=blob["untaint_by_kind"],
-            # JSON stringifies integer keys; restore them.
-            untaints_per_cycle={int(k): v for k, v
-                                in blob["untaints_per_cycle"].items()},
+            metrics=Metrics.from_dict(blob["metrics"], name="sim"),
             trace_digests=blob.get("trace_digests", {}),
         )
-    except (KeyError, ValueError, TypeError):
+    except (AttributeError, KeyError, ValueError, TypeError):
         return None
 
 

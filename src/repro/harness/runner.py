@@ -7,9 +7,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.attack_model import AttackModel
-from repro.core.spt import SPTEngine
 from repro.harness.configs import make_engine
-from repro.pipeline.core import OoOCore, SimResult
+from repro.obs.metrics import Metrics
+from repro.pipeline.core import OoOCore
 from repro.pipeline.params import MachineParams
 from repro.security.observer import channel_digests
 from repro.workloads.registry import get as get_workload
@@ -42,20 +42,16 @@ def bench_scale(default: int = 1) -> int:
 
 @dataclass
 class RunResult:
-    """Everything the experiment modules need from one simulation."""
+    """One simulation's outcome.  ``metrics`` is the run's
+    :class:`~repro.obs.metrics.Metrics` tree, the same object as
+    ``SimResult.metrics`` and the only carrier of its counters."""
 
     workload: str
     config: str
     model: AttackModel
     cycles: int
     retired: int
-    stats: dict
-    # Hierarchical metrics in Metrics.as_dict() form (JSON-safe: dist
-    # buckets stringified); rebuild with Metrics.from_dict for rendering.
-    metrics: dict = field(default_factory=dict)
-    untaint_by_kind: dict = field(default_factory=dict)
-    untaints_per_cycle: dict = field(default_factory=dict)
-    sim: Optional[SimResult] = None
+    metrics: Metrics
     # Per-channel hashes of the attacker-visible trace (see
     # repro.security.observer.channel_digests); filled when the run was
     # requested with collect_trace=True.
@@ -70,7 +66,7 @@ def run_one(workload: str, config: str,
             model: AttackModel = AttackModel.FUTURISTIC,
             scale: int = 1, max_instructions: Optional[int] = None,
             params: Optional[MachineParams] = None,
-            keep_sim: bool = False, collect_trace: bool = False) -> RunResult:
+            collect_trace: bool = False) -> RunResult:
     """Simulate ``workload`` under ``config`` and collect statistics.
 
     ``collect_trace=True`` additionally hashes the attacker-visible trace
@@ -81,11 +77,6 @@ def run_one(workload: str, config: str,
     engine = make_engine(config, model)
     core = OoOCore(program, engine=engine, params=params or MachineParams())
     sim = core.run(max_instructions=max_instructions or 10_000_000)
-    untaint_by_kind: dict = {}
-    untaints_per_cycle: dict = {}
-    if isinstance(engine, SPTEngine):
-        untaint_by_kind = engine.untaint.as_dict()
-        untaints_per_cycle = dict(engine.untaint.untaints_per_cycle)
     trace_digests: dict = {}
     if collect_trace:
         if not sim.halted:
@@ -94,11 +85,7 @@ def run_one(workload: str, config: str,
                 f"would describe a truncated run")
         trace_digests = channel_digests(sim.observer, sim.cycles)
     return RunResult(workload, config, model, sim.cycles, sim.retired,
-                     sim.stats, metrics=sim.metrics.as_dict(),
-                     untaint_by_kind=untaint_by_kind,
-                     untaints_per_cycle=untaints_per_cycle,
-                     sim=sim if keep_sim else None,
-                     trace_digests=trace_digests)
+                     sim.metrics, trace_digests)
 
 
 def normalized_time(result: RunResult, baseline: RunResult) -> float:

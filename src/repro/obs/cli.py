@@ -2,9 +2,10 @@
 
 ``stats`` runs one (workload, configuration, model) cell and renders the
 hierarchical metrics tree — gem5-``stats.txt``-style text by default,
-``--json`` for the raw nested form.  The legacy Appendix A.4 artifact
-interface (``python -m repro.cli <workload> ...``) is unchanged and keeps
-emitting the flat compatibility view.
+``--json`` for the nested form the result cache stores.  The Appendix A.4
+artifact interface (``python -m repro.cli <workload> ...``) writes the same
+lines into its ``stats.txt``, with the artifact's four header lines in
+place of ``sim.*``.
 
 ``bench record`` writes a schema-versioned performance snapshot;
 ``bench compare`` diffs two snapshots and exits non-zero on regression
@@ -22,7 +23,6 @@ from repro.core.attack_model import AttackModel
 from repro.harness.configs import CONFIGURATIONS
 from repro.harness.runner import run_one
 from repro.obs import bench
-from repro.obs.metrics import Metrics
 
 
 def _build_stats_parser() -> argparse.ArgumentParser:
@@ -49,12 +49,11 @@ def stats_main(argv: Optional[list] = None) -> int:
                      scale=args.scale,
                      max_instructions=args.max_instructions)
     if args.json:
-        print(json.dumps(result.metrics, indent=2, sort_keys=True))
+        print(json.dumps(result.metrics.as_dict(), indent=2, sort_keys=True))
         return 0
-    tree = Metrics.from_dict(result.metrics, name="sim")
     title = (f"Simulation Metrics: {result.workload} under {result.config} "
              f"({result.model.value})")
-    sys.stdout.write(tree.render(title))
+    sys.stdout.write(result.metrics.render(title))
     return 0
 
 

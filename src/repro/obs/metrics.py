@@ -9,17 +9,18 @@ distributions, and named child groups, forming a tree such as::
     engine.untaint.forward      312
     engine.broadcast.width::2    57
 
-The tree is the single source of truth for everything a run measures.  It
-serialises to a nested JSON-safe dict (:meth:`as_dict` /
-:meth:`from_dict`) so results parallelise across processes and memoise in
-the on-disk result cache, flattens to dotted keys for programmatic access
-(:meth:`flatten`), and renders gem5-``stats.txt``-style text
-(:meth:`render`) for the ``repro stats`` subcommand.
+The tree is the only carrier of a run's counters: ``SimResult.metrics``
+and ``RunResult.metrics`` are both a :class:`Metrics`, and readers resolve
+dotted paths (:meth:`group`, :meth:`get`, :meth:`flatten`).  It renders
+gem5-``stats.txt``-style text (:meth:`render`) for ``repro stats`` and the
+artifact CLI's ``stats.txt``.  Only the on-disk result cache (and
+``repro stats --json``) use the nested JSON-safe dict form
+(:meth:`as_dict` / :meth:`from_dict`).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 Number = Union[int, float]
 
@@ -68,12 +69,6 @@ class Metrics:
         for name, group in self.groups.items():
             out.update(group.flatten(f"{prefix}{name}."))
         return out
-
-    def walk(self, prefix: str = "") -> Iterator[tuple]:
-        """Yield (dotted-path, node) depth-first, self first."""
-        yield prefix + self.name if not prefix else prefix.rstrip("."), self
-        for name, group in self.groups.items():
-            yield from group.walk(f"{prefix}{name}.")
 
     def group(self, path: str) -> Optional["Metrics"]:
         """Resolve a dotted group path (``"engine.untaint"``), or None."""

@@ -179,17 +179,8 @@ def _producer_of(core, preg: int, younger_than: int):
 
 
 def stall_breakdown(metrics) -> dict:
-    """Per-cause cycle counts from a metrics tree or its ``as_dict`` form.
-
-    Accepts either a :class:`~repro.obs.metrics.Metrics` instance or the
-    nested dict stored on :class:`~repro.harness.runner.RunResult`;
-    returns ``{cause-key: cycles}`` over all ten causes.
-    """
-    if isinstance(metrics, dict):
-        scalars = (metrics.get("groups", {}).get("stalls", {})
-                   .get("scalars", {}))
-    else:
-        group = metrics.group("stalls")
-        scalars = group.scalars if group is not None else {}
-    return {cause.key: int(scalars.get(cause.key, 0))
+    """Per-cause cycle counts from a run's metrics tree:
+    ``{cause-key: cycles}`` over all ten causes."""
+    stalls = metrics.group("stalls")
+    return {cause.key: int(stalls.get(cause.key, 0))
             for cause in STALL_CAUSES}

@@ -97,9 +97,9 @@ class SimResult:
     """Outcome of one simulation run.
 
     ``metrics`` is the hierarchical :class:`~repro.obs.metrics.Metrics`
-    tree (stall accounting, taint lifecycle, engine counters); ``stats``
-    is the flat compatibility view the pre-observability code consumed
-    (original key names, engine counters under an ``engine.`` prefix).
+    tree (stall accounting, taint lifecycle, engine counters) and the only
+    carrier of the run's counters; read them by path, e.g.
+    ``metrics.group("frontend").get("fetched")``.
     """
 
     def __init__(self, core: "OoOCore", halted: bool):
@@ -110,13 +110,15 @@ class SimResult:
         self.arch_regs = [core.rename.arch_value(i) for i in range(NUM_ARCH_REGS)]
         self.memory = core.memory
         self.observer = core.observer
-        self.stats = core.legacy_stats()
-        engine_tree = self.metrics.groups.get("engine")
-        if engine_tree is not None:
-            self.stats.update({f"engine.{k}": v
-                               for k, v in engine_tree.flatten().items()})
-        self.config_name = core.engine.name
         self.retired_pcs = core.retired_pcs
+
+    @property
+    def stats(self) -> dict:
+        """The core counters under their pre-tree names (``fetched``, ...),
+        computed from :attr:`metrics`; kept only for ``perfbench``."""
+        return {key: value
+                for group in ("frontend", "speculation", "memory", "protection")
+                for key, value in self.metrics.group(group).scalars.items()}
 
     def reg(self, index: int) -> int:
         return self.arch_regs[index]
@@ -261,20 +263,6 @@ class OoOCore:
         self._fin_loads: list[DynInst] = []
 
     # ------------------------------------------------------------- metrics
-    def legacy_stats(self) -> dict:
-        """Flat compatibility view with the pre-observability key names."""
-        return {
-            "squashes": self.n_squashes,
-            "mispredicts": self.n_mispredicts,
-            "squashed_insts": self.n_squashed_insts,
-            "fetched": self.n_fetched,
-            "transmitters_delayed_cycles": self._transmitters_delayed,
-            "resolutions_delayed_cycles": self._resolutions_delayed,
-            "loads_forwarded": self.n_loads_forwarded,
-            "loads_forwarded_with_cache_access": self.n_loads_forwarded_cache,
-            "mem_order_violations": self.n_mem_order_violations,
-        }
-
     def build_metrics(self) -> Metrics:
         """Assemble the hierarchical metrics tree for this run.
 

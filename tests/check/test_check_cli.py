@@ -7,6 +7,7 @@ import pytest
 from repro.check.cli import (SMOKE_CONFIGS, SMOKE_WORKLOADS, check_counts,
                              _parse_configs, _parse_workloads, main)
 from repro.harness.configs import CONFIGURATIONS
+from repro.obs.metrics import Metrics
 from repro.workloads.registry import WORKLOADS
 
 
@@ -33,10 +34,12 @@ def test_parse_workloads_rejects_unknown():
 
 
 def test_check_counts_extraction():
-    blob = {"groups": {"check": {"groups": {"passed": {
-        "scalars": {"pc-sequence": 7, "zero-reg": 3}}}}}}
-    assert check_counts(blob) == {"pc-sequence": 7, "zero-reg": 3}
-    assert check_counts({}) == {}
+    tree = Metrics("sim")
+    passed = tree.child("check").child("passed")
+    passed.set("pc-sequence", 7)
+    passed.set("zero-reg", 3)
+    assert check_counts(tree) == {"pc-sequence": 7, "zero-reg": 3}
+    assert check_counts(Metrics("sim")) == {}
 
 
 def test_single_cell_sweep_passes(capsys):

@@ -35,8 +35,8 @@ def test_shadow_l1_keeps_spilled_pointers_public():
     with_shadow, engine = run(SPILL_RELOAD, shadow=ShadowMode.L1)
     without, _ = run(SPILL_RELOAD, shadow=ShadowMode.NONE)
     assert engine.shadow.stores_cleared >= 1
-    assert with_shadow.stats["transmitters_delayed_cycles"] <= \
-        without.stats["transmitters_delayed_cycles"]
+    assert with_shadow.metrics.flatten()["protection.transmitters_delayed_cycles"] <= \
+        without.metrics.flatten()["protection.transmitters_delayed_cycles"]
 
 
 def test_shadow_l1_untaint_event_on_reload():
@@ -68,7 +68,7 @@ def test_tainted_store_data_keeps_bytes_tainted():
         halt
     """
     sim, engine = run(source, shadow=ShadowMode.L1)
-    assert sim.stats["transmitters_delayed_cycles"] > 0
+    assert sim.metrics.flatten()["protection.transmitters_delayed_cycles"] > 0
 
 
 def test_stl_forwarding_propagates_untaint_when_public():
@@ -126,8 +126,8 @@ def test_eviction_retaints_under_shadow_l1_but_not_shadow_mem():
     """
     l1_sim, l1_engine = run(source, shadow=ShadowMode.L1)
     mem_sim, _ = run(source, shadow=ShadowMode.FULL_MEMORY)
-    assert mem_sim.stats["transmitters_delayed_cycles"] <= \
-        l1_sim.stats["transmitters_delayed_cycles"]
+    assert mem_sim.metrics.flatten()["protection.transmitters_delayed_cycles"] <= \
+        l1_sim.metrics.flatten()["protection.transmitters_delayed_cycles"]
 
 
 @pytest.mark.parametrize("model", BOTH_MODELS)

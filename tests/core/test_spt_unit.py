@@ -48,7 +48,7 @@ def test_load_immediate_output_untainted():
     """)
     # The load's address operand was untainted, so the load was never
     # delayed by the protection policy.
-    assert sim.stats["transmitters_delayed_cycles"] == 0
+    assert sim.metrics.flatten()["protection.transmitters_delayed_cycles"] == 0
 
 
 def test_vp_declassification_of_transmitter_operand():
@@ -125,7 +125,7 @@ def test_tainted_address_transmitter_is_delayed():
         ld a1, 0(a0)
         halt
     """)
-    assert sim.stats["transmitters_delayed_cycles"] > 0
+    assert sim.metrics.flatten()["protection.transmitters_delayed_cycles"] > 0
 
 
 def test_untainted_chain_is_never_delayed():
@@ -137,7 +137,7 @@ def test_untainted_chain_is_never_delayed():
         sd a0, 8(s3)
         halt
     """)
-    assert sim.stats["transmitters_delayed_cycles"] == 0
+    assert sim.metrics.flatten()["protection.transmitters_delayed_cycles"] == 0
 
 
 def test_broadcast_width_limits_untaints_per_cycle():

@@ -66,8 +66,8 @@ def test_non_speculative_data_is_not_protected():
         halt
     """
     stt, engine = run_with_stt(source)
-    assert stt.stats.get("engine.delayed_transmitter_checks", 0) == 0 or \
-        stt.stats["engine.delayed_transmitter_checks"] < 5
+    # Absent when never bumped; get() reads that as 0.
+    assert stt.metrics.group("engine").get("delayed_transmitter_checks") < 5
 
 
 def test_alu_results_propagate_taint():

@@ -19,8 +19,8 @@ programs are built to hit the batched sweeps where they are weakest:
 Each default run is compared with the reference run by the same
 comparator as ``repro backend-diff``
 (:func:`repro.fastpath.diff.compare_cell`), so "match" means cycles,
-retired-PC stream, architectural registers, stats, the metrics tree and
-the attacker-visible trace digests are all identical.
+retired-PC stream, architectural registers, every metric path of the
+metrics tree and the attacker-visible trace digests are all identical.
 """
 
 from __future__ import annotations
@@ -199,7 +199,7 @@ def test_broadcast_backlog_is_not_fast_forwarded(engine_cls):
     _, run = run_outcome(program, engine(), BUDGET)
     assert compare_cell(ref, run) == []
     # The backlog really drained across several cycles.
-    assert run["stats"]["engine.broadcast.stall_cycles"] >= 3
+    assert run["metrics"]["engine.broadcast.stall_cycles"] >= 3
 
 
 @pytest.mark.parametrize("engine_cls", [SPTEngine, ReferenceSPTEngine])
@@ -214,7 +214,7 @@ def test_retired_store_stl_clear_is_not_fast_forwarded(engine_cls):
     _, ref = run_outcome(program, engine(), BUDGET, check_level="full")
     _, run = run_outcome(program, engine(), BUDGET)
     assert compare_cell(ref, run) == []
-    assert run["stats"]["engine.untaint.stl-forward"] == 1
+    assert run["metrics"]["engine.untaint.stl-forward"] == 1
 
 
 def test_recycled_window_drains_clean():

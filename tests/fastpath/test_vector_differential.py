@@ -5,8 +5,8 @@ keeps a representative slice in the fast test tier: every protection
 family, a memory-bound and a compute-bound workload, both attack models,
 with fast-forwarding live on the default run so the quiescent-cycle
 batching itself is under differential test.  ``compare_cell`` checks
-cycles, the retired-PC stream, architectural state, flat stats, the whole
-metrics tree, and the per-channel trace digests.
+cycles, the retired-PC stream, architectural state, every metric path of
+the metrics tree, and the per-channel trace digests.
 """
 
 import pytest

@@ -54,8 +54,8 @@ def test_mutated_plans_stay_architecturally_secret_independent():
 
 # ----------------------------------------------------------------- scoring
 def test_taint_reach_score_weights_transmit_delay():
-    low = taint_reach_score({"transmitters_delayed_cycles": 10})
-    high = taint_reach_score({"transmitters_delayed_cycles": 200})
+    low = taint_reach_score({"protection.transmitters_delayed_cycles": 10})
+    high = taint_reach_score({"protection.transmitters_delayed_cycles": 200})
     assert high > low > 0
     assert taint_reach_score({}) == 0.0
 

@@ -1,7 +1,9 @@
 """Tests for the persistent result cache (``repro.harness.cache``)."""
 
+import json
 import os
 
+import pytest
 
 from repro.core.attack_model import AttackModel
 from repro.harness import cache, parallel
@@ -48,8 +50,8 @@ def test_second_invocation_hits_cache(monkeypatch):
     second = run_many([SPEC], jobs=1)
     assert len(calls) == 1          # served from disk, no simulation
     assert first[0].cycles == second[0].cycles
-    assert first[0].stats == second[0].stats
-    assert first[0].untaint_by_kind == second[0].untaint_by_kind
+    assert first[0].metrics.flatten() == second[0].metrics.flatten()
+    assert first[0].metrics.group("engine.untaint").get("total") > 0
 
 
 def test_no_cache_env_opts_out(monkeypatch):
@@ -65,9 +67,14 @@ def test_untaints_per_cycle_keys_survive_round_trip():
                    max_instructions=BUDGET)
     fresh = run_many([spec], jobs=1)[0]
     cached = run_many([spec], jobs=1)[0]
-    assert fresh.untaints_per_cycle
-    assert cached.untaints_per_cycle == fresh.untaints_per_cycle
-    assert all(isinstance(k, int) for k in cached.untaints_per_cycle)
+
+    def widths(result):
+        return result.metrics.group("engine.untaint").dists[
+            "untaints_per_cycle"]
+
+    assert widths(fresh)
+    assert widths(cached) == widths(fresh)
+    assert all(isinstance(k, int) for k in widths(cached))
 
 
 def test_key_changes_with_budget():
@@ -113,12 +120,23 @@ def test_source_fingerprint_is_stable_and_memoised():
     assert len(first) == 64
 
 
-def test_corrupt_blob_is_a_miss(monkeypatch):
+def _malformed_metrics(path: str) -> str:
+    with open(path) as handle:
+        blob = json.load(handle)
+    blob["metrics"] = []
+    return json.dumps(blob)
+
+
+@pytest.mark.parametrize("corrupt", [lambda path: "{ not json",
+                                     _malformed_metrics],
+                         ids=["not-json", "malformed-metrics"])
+def test_corrupt_blob_is_a_miss(monkeypatch, corrupt):
     run_many([SPEC], jobs=1)
     key = SPEC.key()
     path = os.path.join(cache.cache_dir(), f"{key}.json")
+    text = corrupt(path)
     with open(path, "w") as handle:
-        handle.write("{ not json")
+        handle.write(text)
     assert cache.load(key) is None
     calls = counting_run_one(monkeypatch)
     run_many([SPEC], jobs=1)
@@ -153,13 +171,13 @@ def test_checked_and_unchecked_runs_never_share_a_cache_entry(monkeypatch):
     unchecked_result = run_many([SPEC], jobs=1)[0]
     checked_result = run_many([checked], jobs=1)[0]
     assert len(calls) == 2      # the checked run missed the unchecked entry
-    assert "check" in checked_result.metrics["groups"]
-    assert "check" not in unchecked_result.metrics["groups"]
+    assert checked_result.metrics.group("check") is not None
+    assert unchecked_result.metrics.group("check") is None
     # And the cached checked blob round-trips its check metrics.
     cached = run_many([checked], jobs=1)[0]
     assert len(calls) == 2
-    assert cached.metrics["groups"]["check"] \
-        == checked_result.metrics["groups"]["check"]
+    assert cached.metrics.group("check").flatten() \
+        == checked_result.metrics.group("check").flatten()
 
 
 # ------------------------------------------------------------- stats / gc

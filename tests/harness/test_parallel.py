@@ -20,8 +20,8 @@ def specs_small():
 
 
 def fingerprint(results):
-    return [(r.workload, r.config, r.cycles, r.retired, r.stats,
-             r.untaint_by_kind) for r in results]
+    return [(r.workload, r.config, r.cycles, r.retired, r.metrics.flatten())
+            for r in results]
 
 
 def test_serial_parallel_equivalence():

@@ -104,6 +104,8 @@ def test_core_never_writes_its_programs_image():
     assert program.initial_memory == before
     assert first.memory.snapshot() != before, "mcf stored nothing"
     assert first.memory.snapshot() == second.memory.snapshot()
-    assert (first.cycles, first.retired, first.arch_regs, first.stats) == \
-        (second.cycles, second.retired, second.arch_regs, second.stats)
+    assert (first.cycles, first.retired, first.arch_regs,
+            first.metrics.flatten()) == \
+        (second.cycles, second.retired, second.arch_regs,
+         second.metrics.flatten())
     assert first.observer.events == second.observer.events

@@ -8,9 +8,9 @@ must survive the RunResult JSON path unchanged.
 import pytest
 
 from repro.core.attack_model import AttackModel
+from repro.harness import cache
 from repro.harness.configs import FULL_SPT
 from repro.harness.runner import run_one
-from repro.obs.metrics import Metrics
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +21,7 @@ def result():
 
 @pytest.fixture(scope="module")
 def tree(result):
-    return Metrics.from_dict(result.metrics, name="sim")
+    return result.metrics
 
 
 def test_untaint_latency_histograms_present(result, tree):
@@ -61,7 +61,6 @@ def test_broadcast_queue_wait_present(tree):
 def test_lifecycle_survives_json_round_trip(result):
     import json
 
-    blob = json.loads(json.dumps(result.metrics))
-    rebuilt = Metrics.from_dict(blob, name="sim")
-    original = Metrics.from_dict(result.metrics, name="sim")
-    assert rebuilt.flatten() == original.flatten()
+    blob = json.loads(json.dumps(cache.result_to_blob(result)))
+    rebuilt = cache.result_from_blob(blob).metrics
+    assert rebuilt.flatten() == result.metrics.flatten()

@@ -90,9 +90,3 @@ def test_render_gem5_style():
                for line in lines)
     # Floats render with six decimals, like gem5.
     assert any("0.500000" in line for line in lines)
-
-
-def test_walk_visits_every_group():
-    paths = [path for path, _ in sample_tree().walk()]
-    assert "engine.untaint" in paths
-    assert "stalls" in paths

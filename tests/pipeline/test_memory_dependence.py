@@ -36,13 +36,13 @@ VIOLATION_PROGRAM = """
 def test_violation_is_detected_and_corrected():
     sim = assert_matches_interpreter(assemble(VIOLATION_PROGRAM), params=MDS)
     assert sim.reg(12) == 222                      # architecturally correct
-    assert sim.stats["mem_order_violations"] >= 1
+    assert sim.metrics.flatten()["speculation.mem_order_violations"] >= 1
 
 
 def test_conservative_mode_has_no_violations():
     sim = assert_matches_interpreter(assemble(VIOLATION_PROGRAM))
     assert sim.reg(12) == 222
-    assert sim.stats["mem_order_violations"] == 0
+    assert sim.metrics.flatten()["speculation.mem_order_violations"] == 0
 
 
 def test_speculation_speeds_up_independent_loads():
@@ -87,5 +87,5 @@ def test_secure_engines_force_conservative_disambiguation():
     sim = OoOCore(program, engine=engine, params=MDS).run()
     # The engine's scope disables the speculative issue path entirely, so a
     # violation squash (an unprotected implicit channel) can never occur.
-    assert sim.stats["mem_order_violations"] == 0
+    assert sim.metrics.flatten()["speculation.mem_order_violations"] == 0
     assert sim.reg(12) == 222

@@ -45,7 +45,7 @@ def test_wrong_path_return_does_not_eat_live_ras_entry():
     # Only the trained-cold bounds branch mispredicts.  Before the fix the
     # wrong-path pop emptied the RAS, the real return fell through to an
     # untrained BTB, and a second misprediction showed up here.
-    assert sim.stats["mispredicts"] == 1
+    assert sim.metrics.flatten()["speculation.mispredicts"] == 1
     assert core.predictor.ras.depth() == 0
 
 
@@ -70,5 +70,5 @@ def test_wrong_path_calls_leave_no_stale_ras_entries():
     assert sim.halted
     # Both wrong-path pushes must be rolled back by the squash.
     assert core.predictor.ras.depth() == 0
-    assert sim.stats["mispredicts"] == 1
-    assert sim.stats["squashed_insts"] > 0
+    assert sim.metrics.flatten()["speculation.mispredicts"] == 1
+    assert sim.metrics.flatten()["speculation.squashed_insts"] > 0
