@@ -27,7 +27,7 @@ def simulate(config: str) -> int:
 
 
 def simulate_reference(config: str) -> int:
-    """The reference run: per-instruction phases under the full sanitizer."""
+    """The reference run: stepped mode under the full sanitizer."""
     program = get(WORKLOAD).program(scale=1)
     engine = reference_engine(make_engine(config, AttackModel.FUTURISTIC))
     core = OoOCore(program, engine=engine,

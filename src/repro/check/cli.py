@@ -4,9 +4,10 @@ Runs (workload, configuration, attack model) cells with
 ``MachineParams.check_level`` raised (default ``full``) and reports
 per-invariant evaluation counts.  Any :class:`InvariantViolation` fails
 the sweep with the offending cell and the full violation report, so a CI
-job can gate directly on this command.  ``--level full`` steps the
-per-instruction phases; ``--level commit`` locksteps the batched path
-every figure and campaign runs, fast-forward included.
+job can gate directly on this command.  ``--level full`` runs the core in
+stepped mode (every cycle stepped, window scans at its end); ``--level
+commit`` locksteps the default run every figure and campaign takes,
+fast-forward included.
 
 Examples::
 
@@ -14,7 +15,7 @@ Examples::
     python -m repro.cli check --workloads mcf,chacha20 --configs STT \\
         --models spectre --budget 5000
     python -m repro.cli check             # the full grid (nightly)
-    python -m repro.cli check --level commit    # the batched path
+    python -m repro.cli check --level commit    # with fast-forward
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Optional
 
 from repro.check.invariants import INVARIANTS
 from repro.core.attack_model import AttackModel
-from repro.harness.configs import CONFIGURATIONS
+from repro.harness.configs import CONFIGURATIONS, parse_config_names
 from repro.harness.parallel import RunFailure, RunSpec, run_many
 from repro.pipeline.params import MachineParams
 from repro.workloads.registry import WORKLOADS
@@ -75,29 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_configs(text: str) -> list:
-    """Split a --configs value on commas, honouring brace nesting
-    (configuration names such as SPT{Bwd,ShadowL1} contain commas)."""
-    names: list = []
-    pending = ""
-    for part in text.split(","):
-        pending = f"{pending},{part}" if pending else part
-        if pending.count("{") == pending.count("}"):
-            if pending.strip():
-                names.append(pending.strip())
-            pending = ""
-    if pending.strip():
-        names.append(pending.strip())
-    for name in names:
-        if name not in CONFIGURATIONS:
-            raise SystemExit(
-                f"error: unknown configuration {name!r}; "
-                f"known: {', '.join(CONFIGURATIONS)}")
-    if not names:
-        raise SystemExit("error: --configs selected nothing")
-    return names
-
-
 def _parse_workloads(text: str) -> list:
     names = [name.strip() for name in text.split(",") if name.strip()]
     for name in names:
@@ -144,7 +122,7 @@ def main(argv: Optional[list] = None) -> int:
     if args.workloads:
         workloads = _parse_workloads(args.workloads)
     if args.configs:
-        configs = _parse_configs(args.configs)
+        configs = parse_config_names(args.configs)
     models = list(BOTH_MODELS) if args.models == "both" \
         else [AttackModel(args.models)]
 

@@ -62,7 +62,8 @@ _register(
 _register(
     "squash-complete", "commit", "§7.1",
     "A squash removes every instruction younger than its anchor from the "
-    "ROB, RS, LSQ, and pending-control list, and clears the fetch buffer.")
+    "ROB, LSQ, and pending-control list, frees their reservation-station "
+    "entries, and clears the fetch buffer.")
 _register(
     "final-state", "commit", "§7.1",
     "At HALT the drained pipeline's architectural registers and memory "

@@ -42,7 +42,7 @@ from repro.core.stt import STTEngine
 from repro.core.shadow_l1 import ShadowMode
 from repro.core.taint_algebra import initial_output_taint
 from repro.isa.interpreter import ArchState, step
-from repro.isa.opcodes import WORD_MASK
+from repro.isa.opcodes import WORD_MASK, Kind
 from repro.isa.semantics import effective_address
 from repro.memory.main_memory import uninit_byte
 from repro.obs.metrics import Metrics
@@ -53,6 +53,15 @@ if TYPE_CHECKING:
 
 # How many recent pipeline events ride along in a violation report.
 TRACE_WINDOW = 24
+
+# Kinds that complete at dispatch and never take a reservation-station
+# entry; every other in-flight instruction holds one until it issues.
+_NO_RS_KINDS = (Kind.HALT, Kind.NOP, Kind.JUMP)
+
+
+def _rs_mismatch(core: "OoOCore", waiting: int) -> str:
+    return (f"the RS holds {core._rs_count} entries but {waiting} "
+            f"un-issued instructions in the window need one")
 
 
 class _UninitGolden(ArchState):
@@ -367,7 +376,7 @@ class Sanitizer:
             and not core.fetch_buffer
         detail = ""
         if ok:
-            for name, structure in (("RS", core.rs), ("LSQ", core.lsq),
+            for name, structure in (("LSQ", core.lsq),
                                     ("pending-control",
                                      core.pending_control)):
                 for di in structure:
@@ -378,6 +387,11 @@ class Sanitizer:
                         break
                 if not ok:
                     break
+        if ok:
+            waiting = sum(1 for di in core.in_flight()
+                          if not di.issued and di.kind not in _NO_RS_KINDS)
+            if core._rs_count != waiting:
+                ok, detail = False, _rs_mismatch(core, waiting)
         self._check(
             "squash-complete", ok,
             f"squash younger than #{boundary} incomplete: "
@@ -430,6 +444,7 @@ class Sanitizer:
     def _scan_window(self, core: "OoOCore") -> None:
         prev_seq = -1
         live = set()
+        waiting = 0
         for di in core.in_flight():
             if di.squashed or di.seq <= prev_seq:
                 self._fail(
@@ -438,8 +453,10 @@ class Sanitizer:
                     f"prev_seq={prev_seq})", di)
             prev_seq = di.seq
             live.add(di.seq)
+            if not di.issued and di.kind not in _NO_RS_KINDS:
+                waiting += 1
         self._pass("rob-age-order")
-        for name, structure in (("RS", core.rs), ("LSQ", core.lsq),
+        for name, structure in (("LSQ", core.lsq),
                                 ("pending-control", core.pending_control)):
             for di in structure:
                 if di.squashed or di.seq not in live:
@@ -448,6 +465,8 @@ class Sanitizer:
                         f"dead instruction resident in the {name} "
                         f"(squashed={di.squashed}, in_rob={di.seq in live})",
                         di)
+        if core._rs_count != waiting:
+            self._fail("squash-complete", _rs_mismatch(core, waiting))
         self._pass("squash-complete")
 
     def _scan_vp(self, core: "OoOCore") -> None:

@@ -109,6 +109,11 @@ def validate_args(args: argparse.Namespace) -> Optional[str]:
                                 or args.enable_shadow_mem
                                 or args.untaint_method):
         return "shadow/untaint options require --enable-spt"
+    if args.max_instructions < 1:
+        return (f"--max-instructions must be at least 1, "
+                f"got {args.max_instructions}")
+    if args.scale < 1:
+        return f"--scale must be at least 1, got {args.scale}"
     writers: dict = {}
     for executable in args.executable:
         name = _stats_filename(executable, len(args.executable) > 1)

@@ -480,8 +480,7 @@ class SPTEngine(ReferenceSPTEngine):
     def on_rename(self, di: DynInst) -> None:
         # The reference rename (taint_algebra.initial_output_taint, Section
         # 6.3) re-expressed over the decode-table flags, so one pass fills
-        # both the per-entry bits and the packed window masks.  The core's
-        # batched dispatch inlines this body.
+        # both the per-entry bits and the packed window masks.
         taint = self.taint
         prs1 = di.prs1
         prs2 = di.prs2

@@ -37,7 +37,7 @@ class STTEngine(ProtectionEngine):
         self.vp_predicate = vp_obstacle(model)
         # Physical register -> youngest root of taint, stored as
         # (seq, load DynInst).  The seq tag makes the lazy liveness check
-        # safe under the batched path's DynInst pooling: a squashed root
+        # safe under the core's DynInst recycling: a squashed root
         # may be recycled into a brand-new instruction (``squashed`` back to
         # False), but its seq changes — seqs are never reused — so a stale
         # entry can never masquerade as a live root.

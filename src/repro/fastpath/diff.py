@@ -4,10 +4,11 @@ Runs every (workload, configuration, attack model) cell of a grid twice
 and demands *bit-identical* outcomes:
 
 * the **default run** is :meth:`OoOCore.run` as every figure, campaign
-  and benchmark calls it: the batched path with quiescent fast-forward
+  and benchmark calls it: quiescent fast-forward and DynInst recycling
   live, and the packed :class:`~repro.core.spt.SPTEngine`;
-* the **reference run** steps the per-instruction phases every cycle
-  under the full lockstep sanitizer (``check_level="full"``), with
+* the **reference run** is the core in stepped mode — every cycle
+  stepped, no recycling — under the full lockstep sanitizer
+  (``check_level="full"``), with
   :class:`~repro.core.spt.ReferenceSPTEngine` in place of ``SPTEngine``.
 
 Compared are cycle counts, the retired-PC stream, the architectural
@@ -30,11 +31,12 @@ import argparse
 import sys
 from typing import Optional
 
-from repro.check.cli import _parse_configs, _parse_workloads
+from repro.check.cli import _parse_workloads
 from repro.check.violation import InvariantViolation
 from repro.core.attack_model import AttackModel
 from repro.core.spt import ReferenceSPTEngine, SPTEngine
-from repro.harness.configs import FIGURE7_ORDER, make_engine
+from repro.harness.configs import (FIGURE7_ORDER, make_engine,
+                                   parse_config_names)
 from repro.isa.instructions import Program
 from repro.pipeline.core import OoOCore, SimulationError
 from repro.pipeline.engine_api import ProtectionEngine
@@ -77,7 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def reference_engine(engine: ProtectionEngine) -> ProtectionEngine:
-    """``engine`` for the reference run: SPT swaps to its per-entry twin."""
+    """``engine`` for the reference run: SPT swaps to the per-entry
+    :class:`~repro.core.spt.ReferenceSPTEngine`."""
     if type(engine) is SPTEngine:
         return ReferenceSPTEngine(engine.model, backward=engine.backward,
                                   shadow=engine.shadow_mode,
@@ -171,7 +174,7 @@ def main(argv: Optional[list] = None) -> int:
     if args.workloads:
         workloads = _parse_workloads(args.workloads)
     if args.configs:
-        configs = _parse_configs(args.configs)
+        configs = parse_config_names(args.configs)
     models = list(BOTH_MODELS) if args.models == "both" \
         else [AttackModel(args.models)]
 

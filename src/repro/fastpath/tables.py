@@ -1,10 +1,9 @@
 """Decode-time lowering of per-instruction metadata to flat flag tables.
 
-The per-instruction phases and :class:`~repro.core.spt.ReferenceSPTEngine`
-re-derive instruction classes (pure, invertible, transmitter, leaked
-operands, ...) from :mod:`repro.core.taint_algebra` and
-:class:`~repro.isa.opcodes.OpInfo` on every consult.  The batched path of
-:class:`~repro.pipeline.core.OoOCore` and the packed
+:class:`~repro.core.spt.ReferenceSPTEngine` re-derives instruction classes
+(pure, invertible, transmitter, ...) from :mod:`repro.core.taint_algebra`
+and :class:`~repro.isa.opcodes.OpInfo` on every consult.  The pipeline
+phases of :class:`~repro.pipeline.core.OoOCore` and the packed
 :class:`~repro.core.spt.SPTEngine` instead lower every static instruction
 of a program **once** to flat per-PC columns, so the per-cycle work
 indexes a list instead of chasing Python attributes.
@@ -23,23 +22,18 @@ from repro.isa.opcodes import Kind, OpInfo
 F_PURE = 1 << 0          # kind in PURE_KINDS: forward rule applies
 F_INV_MONO = 1 << 1      # invertible MOVE/ALU_IMM: backward -> src1
 F_INV_ALU = 1 << 2       # invertible ALU: backward -> the one tainted src
-F_READS_RS2 = 1 << 3
-F_LOAD = 1 << 4
-F_STORE = 1 << 5
-F_TRANSMITTER = 1 << 6
-F_BRANCH = 1 << 7
-F_JUMP_REG = 1 << 8
-F_PC_INFERABLE = 1 << 9  # output public by Property 1 (Section 6.5)
-F_LEAK_SRC1 = 1 << 10    # declassification leaks src1 at the VP
-F_LEAK_SRC2 = 1 << 11    # declassification leaks src2 at the VP
+F_LOAD = 1 << 3
+F_TRANSMITTER = 1 << 4
+F_BRANCH = 1 << 5
+F_JUMP_REG = 1 << 6
+F_PC_INFERABLE = 1 << 7  # output public by Property 1 (Section 6.5)
 
 
 def lower_instruction(inst: Instruction) -> int:
     """The packed flag word for one static instruction."""
     # Imported here, not at module top: repro.core's package init imports
     # the engines, and the SPT engine imports this module.
-    from repro.core.taint_algebra import (PC_INFERABLE_KINDS, PURE_KINDS,
-                                          leaked_operands)
+    from repro.core.taint_algebra import PC_INFERABLE_KINDS, PURE_KINDS
     info: OpInfo = inst.info
     kind = info.kind
     flags = 0
@@ -50,12 +44,8 @@ def lower_instruction(inst: Instruction) -> int:
             flags |= F_INV_MONO
         elif kind == Kind.ALU:
             flags |= F_INV_ALU
-    if info.reads_rs2:
-        flags |= F_READS_RS2
     if kind == Kind.LOAD:
         flags |= F_LOAD
-    if kind == Kind.STORE:
-        flags |= F_STORE
     if info.is_transmitter:
         flags |= F_TRANSMITTER
     if kind == Kind.BRANCH:
@@ -64,11 +54,6 @@ def lower_instruction(inst: Instruction) -> int:
         flags |= F_JUMP_REG
     if kind in PC_INFERABLE_KINDS:
         flags |= F_PC_INFERABLE
-    leaked = leaked_operands(inst)
-    if "src1" in leaked:
-        flags |= F_LEAK_SRC1
-    if "src2" in leaked:
-        flags |= F_LEAK_SRC2
     return flags
 
 
@@ -94,10 +79,9 @@ class ProgramTable:
     ``kindc``/``runlen`` classify PCs for run-length batch fetch
     (``runlen[pc]`` = number of consecutive ``KC_SIMPLE`` instructions
     starting at ``pc``), and ``hasdest``/``needs_rs``/``dclass`` encode
-    the per-PC dispatch checks the reference re-derives per dynamic
-    instruction.  Every column is *defined* by the reference predicates
-    (``Instruction.dest_reg``, the ``_dispatch`` kind tests); the tests
-    pin them against those functions over all opcodes.
+    the per-PC dispatch checks.  Every column is *defined* by a predicate
+    over the instruction (``Instruction.dest_reg``, its kind); the tests
+    pin them against those predicates over all opcodes.
     """
 
     __slots__ = ("flags", "insts", "infos", "kindc", "runlen",
@@ -148,8 +132,8 @@ class ProgramTable:
         self.needs_rs = needs_rs
         self.dclass = dclass
         self.rtier = rtier
-        # ALU-class PCs (the reference _execute's first arm): issue takes
-        # the inlined compute-and-schedule path for these.
+        # ALU-class PCs (the first arm of the core's ``_execute``): issue
+        # takes the inlined compute-and-schedule path for these.
         self.aluc = [info.kind in (Kind.ALU, Kind.ALU_IMM, Kind.MOVE,
                                    Kind.LOAD_IMM)
                      for info in self.infos]
@@ -168,8 +152,8 @@ def lower_program(program: Program) -> ProgramTable:
     """Lower ``program``, caching the table on the program object.
 
     Programs are immutable once assembled (the core copies the memory
-    image, never the other way around), and both the core's batched path
-    and the packed SPT engine lower the same program — the cache makes
+    image, never the other way around), and both the core and the packed
+    SPT engine lower the same program — the cache makes
     that one lowering, and makes repeated runs of one workload program
     table-free.
     """

@@ -25,6 +25,13 @@ from repro.harness.runner import run_one
 from repro.obs import bench
 
 
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_stats_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro stats",
@@ -35,8 +42,9 @@ def _build_stats_parser() -> argparse.ArgumentParser:
                         help="Table 2 configuration (default: UnsafeBaseline)")
     parser.add_argument("--threat-model", choices=["spectre", "futuristic"],
                         default="futuristic")
-    parser.add_argument("--scale", type=int, default=1)
-    parser.add_argument("--max-instructions", type=int, default=100_000)
+    parser.add_argument("--scale", type=_at_least_one, default=1)
+    parser.add_argument("--max-instructions", type=_at_least_one,
+                        default=100_000)
     parser.add_argument("--json", action="store_true",
                         help="emit the nested JSON form instead of text")
     return parser

@@ -14,12 +14,17 @@ faithfully: the visibility point, delayed branch resolution, delayed
 transmitter execution, forwarding visibility, and cache state changes by
 transient instructions.
 
-The machine has one behaviour and two ways of computing it.
+The pipeline phases are batched over the decode tables of
+:mod:`repro.fastpath.tables`.  Fetch decodes whole straight-line runs in
+one loop.  Dispatch reads precomputed ``dclass``/``hasdest`` columns and
+registers each entry with a wakeup network; select is wakeup-driven
+(waiters keyed by physical register, ready candidates merged with the
+engine-gated list in seq order), so the reservation station is only an
+occupancy count.  Structures hold ``(seq, di)`` pairs and revalidate
+``di.seq``, which makes stale references from squashes and recycling
+self-cleaning.
 
-**The batched path** is what :meth:`OoOCore.run` takes.  It has two layers
-of mechanical speed work, both bit-identical to the per-instruction phases
-(``repro backend-diff`` and the differential suite in ``tests/fastpath``
-pin the two against each other):
+:meth:`OoOCore.run` adds two layers of mechanical speed work by default:
 
 * *Quiescent-cycle fast-forward.*  ``_activity`` is bumped at every true
   state mutation; a cycle that leaves it unchanged proved that nothing in
@@ -32,26 +37,22 @@ pin the two against each other):
   transmitter/resolution counters replay the detection cycle's delta, and
   engines replay their own counters via
   :meth:`~repro.pipeline.engine_api.ProtectionEngine.on_quiet_cycles`.
-* *Batched phases over the decode tables* of :mod:`repro.fastpath.tables`.
-  Fetch decodes whole straight-line runs in one loop and re-stamps pooled
-  :class:`DynInst` carcasses (:meth:`DynInst.reinit_recycled`) instead of
-  allocating; squash victims are quarantined until their squash cycle has
-  passed and any scheduled completion-bucket entry has drained.  Dispatch
-  reads precomputed ``dclass``/``hasdest`` columns and registers each
-  entry with a wakeup network; select is wakeup-driven (waiters keyed by
-  physical register, ready candidates merged with the engine-gated list
-  in seq order) instead of scanning the reservation station.  Structures
-  hold ``(seq, di)`` pairs and revalidate ``di.seq``, which makes stale
-  references from squashes and recycling self-cleaning.
+* *DynInst recycling.*  Fetch re-stamps pooled :class:`DynInst` carcasses
+  (:meth:`DynInst.reinit_recycled`) instead of allocating; squash victims
+  are quarantined until their squash cycle has passed and any scheduled
+  completion-bucket entry has drained.
 
-**The per-instruction phases** are what :meth:`OoOCore.step` runs: one
-real ``DynInst`` per fetch, every cycle stepped.  ``run`` takes them only
-when an observer needs every cycle and every real instruction — a
-``check_level="full"`` sanitizer, a tracer's squash sink, or a core that
-was already stepped by hand.  A stepped run at ``check_level="full"`` is
-the *reference run* the differential checks compare against.  The
-``commit`` sanitizer level only hooks retire, squash and finish, so it
-rides the batched path.
+A core runs in *stepped mode* instead when an observer needs every cycle
+or holds instructions across cycles: a ``check_level="full"`` sanitizer, a
+tracer's squash sink, or a core stepped by hand with :meth:`OoOCore.step`.
+Stepped mode turns both layers off and records every lifecycle timestamp
+(``fetch_cycle`` through ``retire_cycle``); it runs the same phase
+methods.  The mode is decided once per core.  The ``commit`` sanitizer
+level only hooks retire, squash and finish, so it keeps fast-forward.
+``repro backend-diff`` and the differential suite in ``tests/fastpath``
+pin the default run against the *reference run* — stepped mode with
+:class:`~repro.core.spt.ReferenceSPTEngine` under the full sanitizer — and
+against a committed golden record of earlier reference runs.
 """
 
 from __future__ import annotations
@@ -60,9 +61,8 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import Callable, Optional
 
-from repro.fastpath.tables import (DC_LOAD, DC_NONE, DC_STORE, F_INV_ALU,
-                                   F_INV_MONO, F_LOAD, F_PC_INFERABLE,
-                                   F_PURE, KC_HALT, KC_SIMPLE, lower_program)
+from repro.fastpath.tables import (DC_LOAD, DC_NONE, DC_STORE, KC_HALT,
+                                   KC_SIMPLE, lower_program)
 from repro.isa.instructions import Program
 from repro.isa.opcodes import Kind, NUM_ARCH_REGS, WORD_MASK
 from repro.isa.semantics import alu_result, branch_taken, effective_address
@@ -137,18 +137,16 @@ class OoOCore:
     def __init__(self, program: Program,
                  engine: Optional[ProtectionEngine] = None,
                  params: Optional[MachineParams] = None,
-                 observer: Optional[Observer] = None,
-                 predictor: Optional[BranchPredictor] = None,
                  record_retired_pcs: bool = False):
         self.program = program
         self.params = params or MachineParams()
         self.params.validate()
         self.engine = engine or ProtectionEngine()
-        self.observer = observer or Observer()
+        self.observer = Observer()
         self.memory = MainMemory(program.initial_memory,
                                  uninit_seed=self.params.uninit_secret_seed)
         self.hierarchy = MemoryHierarchy(self.params.hierarchy)
-        self.predictor = predictor or BranchPredictor(
+        self.predictor = BranchPredictor(
             self.params.bp_history_bits, self.params.btb_entries,
             self.params.ras_entries)
         self.rename = RenameUnit(self.params.num_phys_regs)
@@ -163,7 +161,6 @@ class OoOCore:
         # avoids O(n) pops and is compacted periodically.
         self.rob: list[DynInst] = []
         self.rob_head = 0
-        self.rs: list[DynInst] = []
         self.lsq: list[DynInst] = []
         self.pending_control: list[DynInst] = []
         self._completion_buckets: dict[int, list[DynInst]] = {}
@@ -229,12 +226,10 @@ class OoOCore:
             from repro.check.sanitizer import Sanitizer
             self.checker = Sanitizer(self, self.params.check_level)
 
-        # Batched-path state (see the module docstring).  ``_batched`` is
-        # decided at the first ``run()`` call and is None until then.
-        self._batched: Optional[bool] = None
-        self._table = None
-        # The packed SPTEngine whose rename hook dispatch inlines, if any.
-        self._inline_spt = None
+        # Stepped mode (see the module docstring): decided at the first
+        # ``run()`` or ``step()`` call, None until then.
+        self._stepped: Optional[bool] = None
+        self._table = lower_program(program)
         # Recycling pools, keyed by pc: a carcass is only ever reused as
         # the same static instruction, which lets the re-stamp skip every
         # field whose value is pc-determined or dead across same-pc lives
@@ -252,8 +247,8 @@ class OoOCore:
         # Wakeup network: preg -> [(seq, di), ...] waiting on that register;
         # a min-heap of operand-ready candidates; and the seq-sorted list of
         # ready candidates the engine gated (or the width cut off) last
-        # cycle.  All entries are revalidated by seq before use.  The RS
-        # list itself stays empty; ``_rs_count`` is its occupancy.
+        # cycle.  All entries are revalidated by seq before use.  There is
+        # no RS list: ``_rs_count`` is the reservation station's occupancy.
         self._rs_wait: dict[int, list] = {}
         self._rs_ready: list = []
         self._rs_gated: list = []
@@ -321,82 +316,25 @@ class OoOCore:
     def run(self, max_instructions: int = 1_000_000) -> SimResult:
         """Simulate until HALT retires, the budget is hit, or deadlock.
 
-        Takes the batched path unless a full-level sanitizer, a tracer's
-        squash sink or earlier hand stepping needs the per-instruction
-        phases; the choice is made once, at the first call.
+        Fast-forwards quiescent cycles unless the core is in stepped mode
+        (see the module docstring); the mode is decided once per core, at
+        its first ``run`` or :meth:`step`.
         """
-        if self._batched is None:
-            checker = self.checker
-            self._batched = (self.cycle == 0 and self.squash_sink is None
-                             and (checker is None or not checker.full))
-            if self._batched:
-                self._start_batched()
-        if self._batched:
-            return self._run_batched(max_instructions)
-        budget = max_instructions
-        last_progress_cycle = 0
-        last_retired = 0
-        while not self.halted and self.retired_count < budget:
-            self.step()
-            if self.retired_count != last_retired:
-                last_retired = self.retired_count
-                last_progress_cycle = self.cycle
-            elif self.cycle - last_progress_cycle > 100_000:
-                raise SimulationError(
-                    f"{self.engine.name}/{self.program.name}: no retirement "
-                    f"for 100k cycles at cycle {self.cycle} "
-                    f"(head={self.head_inst()!r})")
-            if self.cycle >= self.params.max_cycles:
-                raise SimulationError(
-                    f"{self.program.name}: exceeded max_cycles")
-        if self.checker is not None:
-            self.checker.on_finish(self.halted)
-        return SimResult(self, self.halted)
-
-    def step(self) -> None:
-        """Advance the machine by one clock cycle (per-instruction phases)."""
-        self.cycle += 1
-        retired_before = self.retired_count
-        self._writeback()
-        self._memory_stage()
-        self._finish_loads()
-        self._resolve_control()
-        self._commit()
-        self._issue()
-        self._dispatch()
-        self._fetch()
-        self.engine.tick()
-        # Attribute the cycle (repro.obs.stall).  Retiring cycles — the
-        # common case — are counted inline without the classifier.
-        if self.retired_count != retired_before:
-            self.stall_counts[_RETIRING] += 1
-        else:
-            self.stall_counts[attribute_cycle(self)] += 1
-        if self.checker is not None:
-            self.checker.on_cycle()
-
-    # ---------------------------------------------------------- batched run
-    def _start_batched(self) -> None:
-        # Imported here: repro.core's package init imports the pipeline.
-        from repro.core.spt import SPTEngine
-        self._table = lower_program(self.program)
-        if type(self.engine) is SPTEngine:
-            self._inline_spt = self.engine
-
-    def _run_batched(self, budget: int) -> SimResult:
-        """The run loop with :meth:`step` inlined over the batched phases.
-
-        Phase order and the retirement/deadlock/cycle-cap accounting
-        replicate :meth:`step` plus the stepped loop in :meth:`run`
-        statement for statement; the quiescence test and the jump are the
-        batched path's own.
-        """
+        checker = self.checker
+        if self._stepped is None:
+            self._stepped = (self.squash_sink is not None
+                             or (checker is not None and checker.full))
+        stepped = self._stepped
         engine = self.engine
         quiet_state = engine.quiet_state
         # Engines without per-cycle monotone counters inherit the base
         # quiet_state, a constant ``()`` — no point calling it every cycle.
-        if type(engine).quiet_state is ProtectionEngine.quiet_state:
+        if stepped or type(engine).quiet_state is ProtectionEngine.quiet_state:
             quiet_state = None
+        # The full-level sanitizer's end-of-cycle window scans.
+        on_cycle = None
+        if checker is not None and checker.full:
+            on_cycle = checker.on_cycle
         engine_tick = engine.tick
         writeback = self._writeback_batched
         memory_stage = self._memory_stage
@@ -411,12 +349,13 @@ class OoOCore:
         max_cycles = self.params.max_cycles
         last_progress_cycle = 0
         quiet_before: tuple = ()
-        while not self.halted and self.retired_count < budget:
+        while not self.halted and self.retired_count < max_instructions:
             activity = self._activity
             if quiet_state is not None:
                 quiet_before = quiet_state()
             trans_before = self._transmitters_delayed
             res_before = self._resolutions_delayed
+            # One cycle: the body of step(), with its phases bound above.
             self.cycle += 1
             retired_before = self.retired_count
             writeback()
@@ -439,24 +378,55 @@ class OoOCore:
                 last_progress_cycle = self.cycle
             else:
                 stall_counts[attribute_cycle(self)] += 1
-                if self.cycle - last_progress_cycle > 100_000:
-                    raise SimulationError(
-                        f"{engine.name}/{self.program.name}: no retirement "
-                        f"for 100k cycles at cycle {self.cycle} "
-                        f"(head={self.head_inst()!r})")
+            if on_cycle is not None:
+                on_cycle()
+            if self.cycle - last_progress_cycle > 100_000:
+                raise SimulationError(
+                    f"{engine.name}/{self.program.name}: no retirement "
+                    f"for 100k cycles at cycle {self.cycle} "
+                    f"(head={self.head_inst()!r})")
             if self.cycle >= max_cycles:
                 raise SimulationError(
                     f"{self.program.name}: exceeded max_cycles")
-            if not self.halted and self._activity == activity:
+            if not stepped and not self.halted and self._activity == activity:
                 self._quiet_jump(last_progress_cycle, quiet_before,
                                  trans_before, res_before)
                 if self.cycle >= max_cycles:
                     raise SimulationError(
                         f"{self.program.name}: exceeded max_cycles")
-        if self.checker is not None:
-            self.checker.on_finish(self.halted)
+        if checker is not None:
+            checker.on_finish(self.halted)
         return SimResult(self, self.halted)
 
+    def step(self) -> None:
+        """Advance the machine by one clock cycle.
+
+        Runs the phases :meth:`run` runs, without fast-forward.  A core
+        stepped by hand before its first ``run`` is in stepped mode.
+        """
+        if self._stepped is None:
+            self._stepped = True
+        self.cycle += 1
+        retired_before = self.retired_count
+        self._writeback_batched()
+        self._memory_stage()
+        self._finish_loads_batched()
+        self._resolve_control()
+        self._commit()
+        self._issue_batched()
+        self._dispatch_batched()
+        self._fetch_batched()
+        self.engine.tick()
+        # Attribute the cycle (repro.obs.stall).  Retiring cycles — the
+        # common case — are counted inline without the classifier.
+        if self.retired_count != retired_before:
+            self.stall_counts[_RETIRING] += 1
+        else:
+            self.stall_counts[attribute_cycle(self)] += 1
+        if self.checker is not None:
+            self.checker.on_cycle()
+
+    # -------------------------------------------------------- fast-forward
     def _next_event_cycle(self) -> Optional[int]:
         """First future cycle at which the quiescent machine can move."""
         candidates = []
@@ -527,66 +497,11 @@ class OoOCore:
         self.cycle = land
 
     # ------------------------------------------------------------- writeback
-    def _writeback(self) -> None:
-        done = self._completion_buckets.pop(self.cycle, None)
-        if not done:
-            return
-        for di in done:
-            if di.squashed:
-                continue
-            self._activity += 1
-            di.complete = True
-            di.complete_cycle = self.cycle
-            if di.result is not None:
-                self.rename.write_result(di, di.result)
-
     def _schedule_completion(self, di: DynInst, latency: int) -> None:
         di.ready_cycle = self.cycle + max(1, latency)
         self._completion_buckets.setdefault(di.ready_cycle, []).append(di)
 
     # ------------------------------------------------------------------ issue
-    def _issue(self) -> None:
-        issued = 0
-        width = self.params.issue_width
-        remaining: list[DynInst] = []
-        append = remaining.append
-        # Hoisted out of the loop: the readiness test runs once per RS entry
-        # per cycle, so the RAT's ready list is indexed directly instead of
-        # going through two attribute lookups and a method call.
-        ready = self.rename.ready
-        may_compute_address = self.engine.may_compute_address
-        checker = self.checker
-        delayed = 0
-        for di in self.rs:
-            if di.squashed:
-                continue
-            if issued >= width:
-                append(di)
-                continue
-            prs1 = di.prs1
-            if not (prs1 < 0 or ready[prs1]):
-                append(di)
-                continue
-            if not di.is_store:
-                prs2 = di.prs2
-                if not (prs2 < 0 or ready[prs2]):
-                    append(di)
-                    continue
-            # Stores split address (rs1) from data (rs2): address issue only
-            # needs rs1; data is captured in the LSQ when it becomes ready.
-            if di.is_transmitter and not (di.reached_vp
-                                          or may_compute_address(di)):
-                delayed += 1
-                di.engine_delayed = True
-                append(di)
-                continue
-            if checker is not None and di.is_transmitter:
-                checker.on_transmit(di)
-            self._execute(di)
-            issued += 1
-        self._transmitters_delayed += delayed
-        self.rs = remaining
-
     def _execute(self, di: DynInst) -> None:
         """Begin execution of an RS entry (operands are ready)."""
         self._activity += 1
@@ -823,16 +738,6 @@ class OoOCore:
         self.pending_control = [d for d in still_pending
                                 if not d.squashed and not d.resolution_applied]
 
-    def _finish_loads(self) -> None:
-        if not self.lsq:
-            return
-        for di in self.lsq:
-            if (di.is_load and di.complete and not di.mem_complete
-                    and not di.squashed):
-                di.mem_complete = True
-                self._activity += 1
-                self.engine.on_load_data(di)
-
     def _apply_resolution(self, di: DynInst) -> None:
         self._activity += 1
         if self.checker is not None:
@@ -878,8 +783,6 @@ class OoOCore:
         if squashed:
             # Every squash filters its victims out of each structure at
             # once, so the ``squashed`` flag marks exactly these victims.
-            if self.rs:
-                self.rs = [d for d in self.rs if not d.squashed]
             if self.lsq:
                 self.lsq = [d for d in self.lsq if not d.squashed]
                 self._sq_used = sum(1 for d in self.lsq if d.is_store)
@@ -895,9 +798,13 @@ class OoOCore:
             undo = self.rename.undo
             for victim in squashed:    # youngest-first, as popped
                 undo(victim)
-            if self._batched:
+            # The victims still waiting for issue free their RS entries.
+            needs_rs = self._table.needs_rs
+            self._rs_count -= sum(1 for v in squashed
+                                  if not v.issued and needs_rs[v.pc])
+            if not self._stepped:
                 self._park_victims(squashed)
-        if self._batched and self.fetch_buffer:
+        if not self._stepped and self.fetch_buffer:
             # Cleared fetch-buffer entries were never renamed and are
             # referenced by nothing else: recycle them immediately.
             self._repool(d for _, d in self.fetch_buffer)
@@ -974,63 +881,6 @@ class OoOCore:
         if self._vp_scan < self.rob_head:
             self._vp_scan = self.rob_head
 
-    # -------------------------------------------------------------- dispatch
-    def _dispatch(self) -> None:
-        width = self.params.issue_width
-        dispatched = 0
-        # Record why dispatch stalled (if it did) for the cycle accountant;
-        # phys-reg exhaustion is folded into rob-full (both are window-size
-        # backpressure in this model).
-        self.dispatch_block = -1
-        while (self.fetch_buffer and dispatched < width
-               and self.fetch_buffer[0][0] <= self.cycle):
-            di = self.fetch_buffer[0][1]
-            if self.rob_occupancy() >= self.params.rob_entries:
-                self.dispatch_block = int(StallCause.ROB_FULL)
-                break
-            if self.rename.free_count() == 0 and di.inst.dest_reg() is not None:
-                self.dispatch_block = int(StallCause.ROB_FULL)
-                break
-            needs_rs = di.kind not in (Kind.HALT, Kind.NOP, Kind.JUMP)
-            if needs_rs and len(self.rs) >= self.params.rs_entries:
-                self.dispatch_block = int(StallCause.RS_FULL)
-                break
-            if di.is_load and self._lsq_count(is_store=False) >= self.params.lq_entries:
-                self.dispatch_block = int(StallCause.LSQ_FULL)
-                break
-            if di.is_store and self._lsq_count(is_store=True) >= self.params.sq_entries:
-                self.dispatch_block = int(StallCause.LSQ_FULL)
-                break
-            self.fetch_buffer.popleft()
-            self._activity += 1
-            di.dispatch_cycle = self.cycle
-            self.rename.rename(di)
-            self.engine.on_rename(di)
-            if self.checker is not None:
-                self.checker.on_rename(di)
-            self.rob.append(di)
-            if di.kind in (Kind.HALT, Kind.NOP):
-                di.complete = True
-            elif di.kind == Kind.JUMP:   # JAL: exact target, completes now
-                di.result = (di.pc + 1) & WORD_MASK
-                di.actual_taken = True
-                di.actual_target = di.inst.imm
-                di.resolution_applied = True
-                self.rename.write_result(di, di.result)
-                di.complete = True
-            else:
-                self.rs.append(di)
-                if di.is_transmitter:
-                    self.lsq.append(di)
-                    if di.is_store:
-                        self._sq_used += 1
-                    else:
-                        self._lq_used += 1
-            dispatched += 1
-
-    def _lsq_count(self, is_store: bool) -> int:
-        return self._sq_used if is_store else self._lq_used
-
     # -------------------------------------------------------- visibility point
     def advance_vp(self, is_obstacle: Callable[[DynInst], bool]) -> list:
         """Advance the visibility-point frontier (paper Section 7.3).
@@ -1056,52 +906,6 @@ class OoOCore:
             self._activity += 1
         return newly
 
-    # ----------------------------------------------------------------- fetch
-    def _fetch(self) -> None:
-        if (self.fetch_halted or self.fetch_wait_for is not None
-                or self.cycle < self.fetch_resume_cycle):
-            self._maybe_release_fetch_wait()
-            return
-        if len(self.fetch_buffer) >= 4 * self.params.fetch_width:
-            return
-        for _ in range(self.params.fetch_width):
-            inst = self.program.fetch(self.fetch_pc)
-            if inst is None:
-                self.fetch_halted = True
-                self._activity += 1
-                return
-            di = DynInst(self.seq, self.fetch_pc, inst)
-            di.fetch_cycle = self.cycle
-            self.seq += 1
-            self.n_fetched += 1
-            self._activity += 1
-            ready = self.cycle + self.params.frontend_delay
-            kind = inst.info.kind
-            if kind == Kind.HALT:
-                self.fetch_buffer.append((ready, di))
-                self.fetch_halted = True
-                return
-            if kind in (Kind.BRANCH, Kind.JUMP, Kind.JUMP_REG):
-                # Checkpoint the speculative predictor state (RAS, gshare
-                # history) before the prediction mutates it; restored by
-                # ``_squash_after`` if this instruction gets squashed.
-                self._bp_checkpoints.append(
-                    (di.seq, self.predictor.speculative_state()))
-                taken, target, snapshot = self.predictor.predict(self.fetch_pc, inst)
-                di.predicted_taken = taken
-                di.predicted_target = target
-                di.history_snapshot = snapshot
-                self.fetch_buffer.append((ready, di))
-                if target is None:
-                    di.prediction_missing = True
-                    di.mispredicted = True
-                    self.fetch_wait_for = di
-                    return
-                self.fetch_pc = target
-                continue
-            self.fetch_buffer.append((ready, di))
-            self.fetch_pc += 1
-
     def _maybe_release_fetch_wait(self) -> None:
         di = self.fetch_wait_for
         if di is None:
@@ -1112,11 +916,9 @@ class OoOCore:
 
 
     # ------------------------------------------------------- batched phases
-    # The batched twins of the per-instruction phases above.  Each body
-    # replicates its twin's semantics statement for statement; deviations
-    # are commented at the point of proof.  Lifecycle timestamps
-    # (``complete_cycle``, ``dispatch_cycle``, ...) are tracer-only reads
-    # and are not materialised here.
+    # DynInst recycling, then the phases over the decode tables that
+    # ``run`` and ``step`` call besides the memory stage, resolution and
+    # commit above.
 
     def _repool(self, carcasses) -> None:
         pool = self._pool
@@ -1128,10 +930,7 @@ class OoOCore:
                 p.append(d)
 
     def _park_victims(self, squashed: list) -> None:
-        """Squash bookkeeping of the batched path: RS occupancy, recycling."""
-        needs_rs = self._table.needs_rs
-        self._rs_count -= sum(1 for v in squashed
-                              if not v.issued and needs_rs[v.pc])
+        """Queue squash victims for recycling (not in stepped mode)."""
         # Victims become recyclable once the squash cycle has passed (the
         # cycle's later readers test ``squashed`` or a seq tag) and any
         # still-scheduled completion-bucket entry has been popped by
@@ -1152,7 +951,8 @@ class OoOCore:
                 cool.append(victim)
 
     def _writeback_batched(self) -> None:
-        done = self._completion_buckets.pop(self.cycle, None)
+        cycle = self.cycle
+        done = self._completion_buckets.pop(cycle, None)
         if not done:
             return
         rename = self.rename
@@ -1169,6 +969,7 @@ class OoOCore:
                 continue
             self._activity += 1
             di.complete = True
+            di.complete_cycle = cycle
             if di.is_load:
                 fin.append(di)
             result = di.result
@@ -1193,6 +994,7 @@ class OoOCore:
             return
         width = self.params.issue_width
         may_compute_address = self.engine.may_compute_address
+        checker = self.checker
         aluc = self._table.aluc
         value = self.rename.value
         buckets = self._completion_buckets
@@ -1204,8 +1006,8 @@ class OoOCore:
         gi = 0
         glen = len(gated)
         # Merge the gated list (seq-sorted) with the ready heap so
-        # candidates are examined in program order — the stepped issue
-        # scans its RS list, which is dispatch order, which is seq order.
+        # candidates are examined in program order (seq order), as a scan
+        # of a dispatch-ordered reservation station would.
         while True:
             if gi < glen:
                 if heap and heap[0][0] < gated[gi][0]:
@@ -1223,10 +1025,9 @@ class OoOCore:
             if di.seq != seq or di.squashed or di.issued:
                 continue
             if issued >= width:
-                # Width exhausted: the stepped issue keeps the rest of the
-                # RS untouched — in particular gated transmitters past this
-                # point are not counted delayed and the engine is not
-                # consulted.
+                # Width exhausted: the rest of the RS stays untouched — in
+                # particular gated transmitters past this point are not
+                # counted delayed and the engine is not consulted.
                 keep(entry)
                 continue
             if di.is_transmitter and not (di.reached_vp
@@ -1239,6 +1040,7 @@ class OoOCore:
                 # Inlined _execute, ALU arm only (compute and schedule).
                 self._activity += 1
                 di.issued = True
+                di.issue_cycle = cycle
                 if di.engine_delayed:
                     di.engine_delayed = False
                 info = di.info
@@ -1257,6 +1059,8 @@ class OoOCore:
                 else:
                     b.append(di)
             else:
+                if checker is not None and di.is_transmitter:
+                    checker.on_transmit(di)
                 self._execute(di)
             self._rs_count -= 1
             issued += 1
@@ -1267,8 +1071,8 @@ class OoOCore:
     def _finish_loads_batched(self) -> None:
         # Event-driven: every load completes through a writeback bucket pop
         # (the only site that sets ``complete`` on loads), which queued it
-        # here — no LSQ scan.  Drained in seq order (the stepped phase walks
-        # the program-ordered LSQ; bucket order is schedule order) and
+        # here — no LSQ scan.  Drained in seq order (the order of the
+        # program-ordered LSQ; bucket order is schedule order) and
         # re-checked for squashes, which _memory_stage's memory-order
         # violation check can raise between writeback and this phase.
         pending = self._fin_loads
@@ -1302,28 +1106,8 @@ class OoOCore:
         free = rename.free
         ready = rename.ready
         value = rename.value
-        # The engine's rename hook is the per-dispatch hot call; for the
-        # packed SPTEngine its body is inlined below with the window masks
-        # accumulated in locals for the whole dispatch group.  Any other
-        # engine (baselines, STT, ReferenceSPTEngine, subclasses) keeps
-        # the call.
-        spt = self._inline_spt
-        if spt is None:
-            engine_on_rename = self.engine.on_rename
-        else:
-            taint = spt.taint
-            taint_since = spt._taint_since
-            pc_flags = spt._pc_flags
-            cap = spt._cap
-            slot_di = spt._slot_di
-            rows = spt._preg_slots
-            tail = spt._tail
-            t_src1_m = spt._t_src1_m
-            t_src2_m = spt._t_src2_m
-            t_dst_m = spt._t_dst_m
-            pure_m = spt._pure_m
-            inv_mono_m = spt._inv_mono_m
-            inv_alu_m = spt._inv_alu_m
+        on_rename = self.engine.on_rename
+        checker = self.checker
         rob = self.rob
         rob_head = self.rob_head
         table = self._table
@@ -1355,6 +1139,7 @@ class OoOCore:
                     break
             buf.popleft()
             self._activity += 1
+            di.dispatch_cycle = cycle
             # Inlined RenameUnit.rename: the free-list check above already
             # guaranteed a register when one is needed.
             inst = di.inst
@@ -1374,53 +1159,9 @@ class OoOCore:
                 rat[inst.rd] = prd
                 ready[prd] = False
                 value[prd] = 0
-            if spt is None:
-                engine_on_rename(di)
-            else:
-                # Inlined SPTEngine.on_rename — that method is the
-                # specification (and the path every stepped run takes); the
-                # differential suite pins the two against each other.
-                t1 = prs1 >= 0 and taint[prs1]
-                t2 = prs2 >= 0 and taint[prs2]
-                di.t_src1 = t1
-                di.t_src2 = t2
-                flags = pc_flags[pc]
-                if flags & F_LOAD:
-                    tainted = True
-                elif flags & F_PC_INFERABLE:
-                    tainted = False
-                else:
-                    tainted = t1 or t2
-                di.t_dst = tainted
-                if prd >= 0:
-                    taint[prd] = tainted
-                    if tainted:
-                        taint_since[prd] = cycle
-                    else:
-                        taint_since.pop(prd, None)
-                slot = tail
-                tail = slot + 1 if slot + 1 < cap else 0
-                di.fp_slot = slot
-                slot_di[slot] = di
-                bit = 1 << slot
-                if flags & F_PURE:
-                    pure_m |= bit
-                if flags & F_INV_MONO:
-                    inv_mono_m |= bit
-                elif flags & F_INV_ALU:
-                    inv_alu_m |= bit
-                if t1:
-                    t_src1_m |= bit
-                if t2:
-                    t_src2_m |= bit
-                if tainted:
-                    t_dst_m |= bit
-                if prs1 >= 0:
-                    rows[prs1] |= bit
-                if prs2 >= 0 and prs2 != prs1:
-                    rows[prs2] |= bit
-                if prd >= 0:
-                    rows[prd] |= bit
+            on_rename(di)
+            if checker is not None:
+                checker.on_rename(di)
             rob.append(di)
             if dc <= DC_STORE:
                 self._rs_count += 1
@@ -1467,14 +1208,6 @@ class OoOCore:
                     ready[prd] = True
                 di.complete = True
             dispatched += 1
-        if spt is not None:
-            spt._tail = tail
-            spt._t_src1_m = t_src1_m
-            spt._t_src2_m = t_src2_m
-            spt._t_dst_m = t_dst_m
-            spt._pure_m = pure_m
-            spt._inv_mono_m = inv_mono_m
-            spt._inv_alu_m = inv_alu_m
 
     def _fetch_batched(self) -> None:
         cycle = self.cycle
@@ -1593,3 +1326,9 @@ class OoOCore:
         if fetched:
             self.n_fetched += fetched
             self._activity += fetched
+            if self._stepped:
+                # Stepped mode records fetch cycles too.  The new entries
+                # are the buffer's last ``fetched``: stamping them here
+                # keeps the run-length loop above lean in the default run.
+                for index in range(-fetched, 0):
+                    buf[index][1].fetch_cycle = cycle

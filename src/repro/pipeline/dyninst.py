@@ -53,8 +53,8 @@ class DynInst:
         # bitmasks, -1 outside it.
         "fp_slot",
         # Wakeup state: number of source operands this entry still waits on
-        # before it becomes an issue candidate (the batched path's
-        # event-driven scheduler; unused by the per-instruction issue).
+        # before it becomes an issue candidate (the core's event-driven
+        # scheduler).
         "fp_wait",
     )
 
@@ -65,8 +65,8 @@ class DynInst:
                info) -> None:
         """(Re)initialise every field, recycling the allocation.
 
-        The core's batched path pools squashed instances and re-stamps them
-        for new fetches (allocation is a hot-path cost under wrong-path
+        The core pools squashed instances and re-stamps them for new
+        fetches (allocation is a hot-path cost under wrong-path
         overfetch); ``info`` is passed in so the pool's tight fetch loop can
         reuse the decode table's :class:`~repro.isa.opcodes.OpInfo` instead
         of paying the ``inst.info`` property per instruction.  Any structure
@@ -138,10 +138,10 @@ class DynInst:
     def reinit_recycled(self, seq: int, tier: int) -> None:
         """Slim re-stamp for a pooled carcass reused at the *same pc*.
 
-        The batched path keeps its recycling pools keyed by pc, so a
-        recycled instance is always re-fetched as the same static
-        instruction.  Every field :meth:`reinit` resets but this method
-        skips is then provably dead state, in one of three ways:
+        The core keeps its recycling pools keyed by pc, so a recycled
+        instance is always re-fetched as the same static instruction.
+        Every field :meth:`reinit` resets but this method skips is then
+        provably dead state, in one of three ways:
 
         * *identical by construction*: ``pc``/``inst``/``info``/``kind``
           and the kind predicates depend only on the pc;
@@ -153,11 +153,11 @@ class DynInst:
           before any consumer), control outcomes (``predicted_*``/
           ``history_snapshot`` at fetch, ``actual_*``/``mispredicted`` at
           execute), and SPT slot bits (``t_*`` at rename);
-        * *reader-free on the batched path*: the lifecycle timestamps, the
+        * *reader-free in a recycling run*: the lifecycle timestamps, the
           ``pend_*`` broadcast bookkeeping, ``lsq_index``, ``stt_root``,
           ``prediction_missing``, ``load_value``/``access_level`` are only
-          read by the tracer and the full-level sanitizer, which step the
-          per-instruction phases instead.
+          read by the tracer and the full-level sanitizer, and either one
+          puts the core in stepped mode, which does not recycle.
 
         ``tier`` widens the reset set for kinds with cross-life hazards:
         1 (loads/stores) clears the memory-disambiguation and
@@ -165,9 +165,9 @@ class DynInst:
         plus ``declassified`` (transmitters leak operands at the VP);
         2 (branches/indirect jumps) clears ``resolution_applied`` (read by
         the visibility-point predicate before execute re-sets it) and
-        ``declassified``.  The batched fetch loop inlines these stores —
-        this method is the specification it mirrors (and the path the
-        per-instruction control fetch takes).
+        ``declassified``.  The fetch loop inlines these stores for
+        straight-line runs — this method is the specification it mirrors
+        (and the path control-flow fetches take).
         """
         self.seq = seq
         self.issued = False

@@ -49,7 +49,12 @@ class TraceEntry:
 
 
 class PipelineTracer:
-    """Runs a core while recording every dynamic instruction's lifecycle."""
+    """Runs a core while recording every dynamic instruction's lifecycle.
+
+    The squash sink puts the core in stepped mode, which records every
+    lifecycle timestamp and never recycles an instruction the tracer has
+    yet to record.
+    """
 
     def __init__(self, core: OoOCore, max_entries: int = 10_000):
         self.core = core
@@ -67,6 +72,8 @@ class PipelineTracer:
             if core.cycle >= core.params.max_cycles:
                 break
         self._harvest(final=True)
+        if core.checker is not None:
+            core.checker.on_finish(core.halted)
         return SimResult(core, core.halted)
 
     def _harvest(self, final: bool = False) -> None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.check.cli import (SMOKE_CONFIGS, SMOKE_WORKLOADS, check_counts,
-                             _parse_configs, _parse_workloads, main)
+                             _parse_workloads, main)
 from repro.harness.configs import CONFIGURATIONS
 from repro.obs.metrics import Metrics
 from repro.workloads.registry import WORKLOADS
@@ -18,13 +18,21 @@ def test_smoke_grid_is_well_formed():
         assert name in CONFIGURATIONS
 
 
-def test_parse_configs_honours_braces():
-    names = _parse_configs("STT,SPT{Bwd,ShadowL1}")
-    assert names == ["STT", "SPT{Bwd,ShadowL1}"]
+def test_parse_configs_honours_braces(monkeypatch):
+    seen = []
+
+    def recording(specs, jobs=None, use_cache=None):
+        seen.extend(spec.config for spec in specs)
+        return []
+
+    monkeypatch.setattr("repro.check.cli.run_many", recording)
+    assert main(["--workloads", "chacha20", "--models", "spectre",
+                 "--configs", "STT,SPT{Bwd,ShadowL1}"]) == 0
+    assert seen == ["STT", "SPT{Bwd,ShadowL1}"]
     with pytest.raises(SystemExit):
-        _parse_configs("NotAConfig")
+        main(["--configs", "NotAConfig"])
     with pytest.raises(SystemExit):
-        _parse_configs(",")
+        main(["--configs", ","])
 
 
 def test_parse_workloads_rejects_unknown():

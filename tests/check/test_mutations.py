@@ -17,10 +17,12 @@ from repro.core.attack_model import AttackModel
 from repro.core.shadow_l1 import ShadowMode
 from repro.core.spt import SPTEngine
 from repro.core.stt import STTEngine
+from repro.harness.configs import FULL_SPT, make_engine
 from repro.isa.assembler import assemble
 from repro.pipeline.core import OoOCore
 from repro.pipeline.params import MachineParams
 from repro.workloads.random_programs import random_program
+from repro.workloads.registry import get as get_workload
 
 
 def checked_params() -> MachineParams:
@@ -124,6 +126,28 @@ skip:
         core.squash_sink = []
         core.run(max_instructions=20_000)
     assert exc_info.value.invariant == "squash-complete", str(exc_info.value)
+
+
+@pytest.mark.parametrize("level", ["commit", "full"])
+def test_mutation_squash_keeps_rs_occupancy(monkeypatch, level):
+    """Seeded bug: a squash leaves its victims' RS entries occupied.
+
+    The leak never corrupts a result — it only shrinks the reservation
+    station, so the run slows down — and the reservation station is only
+    an occupancy count, so the check is an identity between that count
+    and the window's un-issued entries.
+    """
+    original = OoOCore._squash_after
+
+    def buggy(self, di):
+        held = self._rs_count
+        original(self, di)
+        self._rs_count = held           # the victims' entries stay taken
+
+    monkeypatch.setattr(OoOCore, "_squash_after", buggy)
+    expect_violation("squash-complete", get_workload("deepsjeng").program(1),
+                     engine=make_engine(FULL_SPT, AttackModel.FUTURISTIC),
+                     params=MachineParams(check_level=level), budget=3000)
 
 
 def test_mutation_forward_from_stale_store(monkeypatch):

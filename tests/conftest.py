@@ -11,13 +11,13 @@ from repro.pipeline.params import MachineParams
 
 
 BOTH_MODELS = [AttackModel.SPECTRE, AttackModel.FUTURISTIC]
-RUNS = ["default", "reference"]
+RUNS = ["default", "checked"]
 
 
 def run_params(run: str) -> MachineParams:
-    """Parameters of the default run (the batched path) or the reference
-    run (the per-instruction phases stepped under the full sanitizer)."""
-    return MachineParams(check_level="full" if run == "reference" else "off")
+    """Parameters of the default run (fast-forward live) or the checked
+    run (stepped mode under the full sanitizer, same engine)."""
+    return MachineParams(check_level="full" if run == "checked" else "off")
 
 
 @pytest.fixture(autouse=True)
@@ -31,17 +31,20 @@ def _isolated_result_cache(tmp_path, monkeypatch):
 
 
 @pytest.fixture
-def batched_runs(monkeypatch) -> list:
-    """Every batched-path run, so a test can prove which path ran."""
-    calls: list = []
-    real = OoOCore._run_batched
+def run_modes(monkeypatch) -> list:
+    """Whether each ``OoOCore.run`` call ran in stepped mode (True) or
+    with the default fast-forward (False), so a test can prove which."""
+    modes: list = []
+    real = OoOCore.run
 
     def spy(core, *args, **kwargs):
-        calls.append(core)
-        return real(core, *args, **kwargs)
+        try:
+            return real(core, *args, **kwargs)
+        finally:
+            modes.append(core._stepped)
 
-    monkeypatch.setattr(OoOCore, "_run_batched", spy)
-    return calls
+    monkeypatch.setattr(OoOCore, "run", spy)
+    return modes
 
 
 @pytest.fixture

@@ -13,17 +13,23 @@ programs are built to hit the batched sweeps where they are weakest:
 * untaint work while nothing else in the machine moves — a broadcast
   backlog draining, and a store-to-load rule clearing a retired store's
   data taint — which fast-forward must not skip;
-* the sanitizer levels: commit-level lockstep must ride the batched path
-  (so it checks the path that runs), full-level checking must step.
+* the run modes: commit-level lockstep must fast-forward (so it checks
+  the run every figure and campaign takes), while full-level checking,
+  tracing and hand stepping put the core in stepped mode — over the same
+  phase methods.
 
 Each default run is compared with the reference run by the same
 comparator as ``repro backend-diff``
 (:func:`repro.fastpath.diff.compare_cell`), so "match" means cycles,
 retired-PC stream, architectural registers, every metric path of the
-metrics tree and the attacker-visible trace digests are all identical.
+metrics tree and the attacker-visible trace digests are all identical;
+and with its entry in the golden record (:mod:`tests.fastpath.golden`).
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -34,9 +40,18 @@ from repro.fastpath.diff import compare_cell, reference_engine, run_outcome
 from repro.harness.configs import FULL_SPT, make_engine
 from repro.isa.assembler import assemble
 from repro.isa.builder import ProgramBuilder
+from repro.pipeline.core import OoOCore
+from repro.pipeline.params import MachineParams
+from repro.pipeline.trace import trace_program
+
+from tests.fastpath.golden import assert_golden
 
 BUDGET = 4000
 CONFIGS = ("UnsafeBaseline", "SecureBaseline", "STT", "SPT{Bwd,ShadowL1}")
+
+
+def golden_key(program, engine_name: str, model: AttackModel) -> str:
+    return f"micro/{program.name}/{engine_name}/{model.value}"
 
 
 def _reference(program, config, model):
@@ -47,12 +62,14 @@ def _reference(program, config, model):
 
 def _assert_identical(program, config, model=AttackModel.FUTURISTIC,
                       check_level="off"):
-    """Default run (at ``check_level``) against the reference run."""
+    """Default run (at ``check_level``) against the reference run and the
+    golden record."""
     core, run = run_outcome(program, make_engine(config, model), BUDGET,
                             check_level=check_level)
     mismatches = compare_cell(_reference(program, config, model), run)
     assert not mismatches, (
         f"{program.name}/{config}: {'; '.join(mismatches)}")
+    assert_golden(golden_key(program, config, model), run)
     return core
 
 
@@ -140,7 +157,7 @@ def broadcast_backlog_program():
               "li s2, 0x100000", "ld t0, 0(s2)", "ld a1, 0(s3)"]
     source += ["add a0, a1, zero"] * 16
     source.append("halt")
-    return assemble("\n".join(source))
+    return assemble("\n".join(source), name="broadcast-backlog")
 
 
 def retired_store_stl_program():
@@ -164,19 +181,74 @@ def retired_store_stl_program():
     source += ["mov a3, a3"] * 11
     source += ["bne t0, zero, next", "next:", "ld s8, 0(a6)",
                "ld s9, 0(a3)", "halt"]
-    return assemble("\n".join(source))
+    return assemble("\n".join(source), name="retired-store-stl")
+
+
+def backlog_engine(engine_cls):
+    return engine_cls(AttackModel.FUTURISTIC, backward=True,
+                      shadow=ShadowMode.L1)
+
+
+def stl_engine(engine_cls):
+    return engine_cls(AttackModel.SPECTRE, backward=True,
+                      shadow=ShadowMode.NONE)
+
+
+# The fast-forward micro-programs: each runs with the engine class itself
+# as both the default and the reference run's engine.
+ENGINE_CELLS = ((broadcast_backlog_program, backlog_engine),
+                (retired_store_stl_program, stl_engine))
+ENGINE_CLASSES = (SPTEngine, ReferenceSPTEngine)
+
+
+def golden_cells() -> dict:
+    """Every golden-record key of this module, with a thunk computing the
+    reference run's outcome for it."""
+    cells = {}
+    futuristic = AttackModel.FUTURISTIC
+    for build in (parity_flip_program, overfetch_storm_program):
+        for config in CONFIGS:
+            cells[golden_key(build(), config, futuristic)] = partial(
+                _reference, build(), config, futuristic)
+    spectre = AttackModel.SPECTRE
+    cells[golden_key(overfetch_storm_program(), FULL_SPT, spectre)] = \
+        partial(_reference, overfetch_storm_program(), FULL_SPT, spectre)
+    for build, engine in ENGINE_CELLS:
+        for engine_cls in ENGINE_CLASSES:
+            cells[_engine_cell_key(build, engine, engine_cls)] = partial(
+                _checked_outcome, build, engine, engine_cls)
+    return cells
+
+
+def _engine_cell_key(build, engine, engine_cls) -> str:
+    return golden_key(build(), engine_cls.__name__, engine(engine_cls).model)
+
+
+def _checked_outcome(build, engine, engine_cls) -> dict:
+    """An engine-class cell run in stepped mode under the full sanitizer."""
+    return run_outcome(build(), engine(engine_cls), BUDGET,
+                       check_level="full")[1]
+
+
+def _assert_fast_forward_identical(build, engine, engine_cls) -> dict:
+    """The engine-class cell's default run against its checked run and the
+    golden record; returns the default outcome."""
+    _, run = run_outcome(build(), engine(engine_cls), BUDGET)
+    assert compare_cell(_checked_outcome(build, engine, engine_cls), run) == []
+    assert_golden(_engine_cell_key(build, engine, engine_cls), run)
+    return run
 
 
 @pytest.mark.parametrize("config", CONFIGS)
 def test_squash_mid_fetch_group(config):
     core = _assert_identical(parity_flip_program(), config)
-    assert core._batched, "micro-program unexpectedly fell off the fast path"
+    assert core._stepped is False, "micro-program ran without fast-forward"
 
 
 @pytest.mark.parametrize("config", CONFIGS)
 def test_wrong_path_overfetch_storm(config):
     core = _assert_identical(overfetch_storm_program(), config)
-    assert core._batched, "micro-program unexpectedly fell off the fast path"
+    assert core._stepped is False, "micro-program ran without fast-forward"
 
 
 @pytest.mark.parametrize("model",
@@ -186,34 +258,20 @@ def test_storm_under_both_attack_models(model):
                       model=model)
 
 
-@pytest.mark.parametrize("engine_cls", [SPTEngine, ReferenceSPTEngine])
+@pytest.mark.parametrize("engine_cls", ENGINE_CLASSES)
 def test_broadcast_backlog_is_not_fast_forwarded(engine_cls):
     """Fails if ``_broadcast`` stops bumping the core's activity counter."""
-    program = broadcast_backlog_program()
-
-    def engine():
-        return engine_cls(AttackModel.FUTURISTIC, backward=True,
-                          shadow=ShadowMode.L1)
-
-    _, ref = run_outcome(program, engine(), BUDGET, check_level="full")
-    _, run = run_outcome(program, engine(), BUDGET)
-    assert compare_cell(ref, run) == []
+    run = _assert_fast_forward_identical(broadcast_backlog_program,
+                                         backlog_engine, engine_cls)
     # The backlog really drained across several cycles.
     assert run["metrics"]["engine.broadcast.stall_cycles"] >= 3
 
 
-@pytest.mark.parametrize("engine_cls", [SPTEngine, ReferenceSPTEngine])
+@pytest.mark.parametrize("engine_cls", ENGINE_CLASSES)
 def test_retired_store_stl_clear_is_not_fast_forwarded(engine_cls):
     """Fails if ``_request`` stops bumping the core's activity counter."""
-    program = retired_store_stl_program()
-
-    def engine():
-        return engine_cls(AttackModel.SPECTRE, backward=True,
-                          shadow=ShadowMode.NONE)
-
-    _, ref = run_outcome(program, engine(), BUDGET, check_level="full")
-    _, run = run_outcome(program, engine(), BUDGET)
-    assert compare_cell(ref, run) == []
+    run = _assert_fast_forward_identical(retired_store_stl_program,
+                                         stl_engine, engine_cls)
     assert run["metrics"]["engine.untaint.stl-forward"] == 1
 
 
@@ -226,7 +284,9 @@ def test_recycled_window_drains_clean():
     allocation from the pool rather than this run.
     """
     engine = make_engine(FULL_SPT, AttackModel.FUTURISTIC)
-    core, _ = run_outcome(overfetch_storm_program(), engine, BUDGET)
+    program = overfetch_storm_program()
+    core, run = run_outcome(program, engine, BUDGET)
+    assert_golden(golden_key(program, FULL_SPT, AttackModel.FUTURISTIC), run)
     for mask in (engine._t_src1_m, engine._t_src2_m, engine._t_dst_m,
                  engine._pure_m, engine._inv_mono_m, engine._inv_alu_m):
         assert mask == 0
@@ -240,29 +300,66 @@ def test_recycled_window_drains_clean():
 
 
 @pytest.mark.parametrize("level", ["commit", "full"])
-def test_check_level_picks_the_path(level, batched_runs):
-    """Commit-level lockstep rides the batched path; full level steps.
+def test_check_level_picks_the_path(level, run_modes):
+    """Commit-level lockstep fast-forwards; full level steps.
 
-    The commit level hooks only retire, squash and finish, so the batched
-    phases and fast-forward stay live under it: the lockstep checks the
-    path every figure and campaign runs, and the result still equals the
-    reference run.  The full level's per-cycle window scans need every
-    cycle and every real DynInst, so the core steps the per-instruction
-    phases.
+    The commit level hooks only retire, squash and finish, so fast-forward
+    stays live under it: the lockstep checks the run every figure and
+    campaign takes, and the result still equals the reference run.  The
+    full level's per-cycle window scans need every cycle, so the core runs
+    in stepped mode — the same phases, without fast-forward or recycling.
     """
     core = _assert_identical(overfetch_storm_program(), FULL_SPT,
                              check_level=level)
     assert core.checker is not None
-    assert core._batched == (level == "commit")
-    assert batched_runs == ([core] if level == "commit" else [])
+    assert core._stepped == (level == "full")
+    # The run at ``level``, then the reference run.
+    assert run_modes == [level == "full", True]
     passed = core.build_metrics().groups["check"].groups["passed"].scalars
     assert passed["retire-order"] == core.retired_count
     assert passed["final-state"] == 1
 
 
 def test_sanitizer_off_enables_fast_path():
-    core, _ = run_outcome(parity_flip_program(),
-                          make_engine("UnsafeBaseline",
-                                      AttackModel.FUTURISTIC), BUDGET)
-    assert core._batched is True
+    program = parity_flip_program()
+    config, model = "UnsafeBaseline", AttackModel.FUTURISTIC
+    core, run = run_outcome(program, make_engine(config, model), BUDGET)
+    assert core._stepped is False
     assert core.checker is None
+    assert_golden(golden_key(program, config, model), run)
+
+
+# Every phase method a cycle runs, in both modes.
+PHASES = ("_writeback_batched", "_memory_stage", "_finish_loads_batched",
+          "_resolve_control", "_commit", "_issue_batched",
+          "_dispatch_batched", "_fetch_batched")
+
+
+def test_every_mode_runs_the_same_phases(monkeypatch):
+    """Full-level, traced and hand-stepped runs are in stepped mode, and
+    stepped mode calls the very phase methods the default run calls."""
+    calls: Counter = Counter()
+    for name in PHASES:
+        def spy(core, *args, _real=getattr(OoOCore, name), _name=name):
+            calls[_name, core._stepped] += 1
+            return _real(core, *args)
+        monkeypatch.setattr(OoOCore, name, spy)
+    program = parity_flip_program()
+    default = OoOCore(program)
+    default.run()
+    checked = OoOCore(program, params=MachineParams(check_level="full"))
+    checked.run()
+    traced = trace_program(program).core
+    by_hand = OoOCore(program)
+    while not by_hand.halted:
+        by_hand.step()
+    assert default._stepped is False
+    assert checked._stepped and traced._stepped and by_hand._stepped
+    for core in (checked, traced, by_hand):
+        assert (core.cycle, core.retired_count) == \
+            (default.cycle, default.retired_count)
+    for name in PHASES:
+        assert calls[name, False] and calls[name, True], name
+    # Stepped mode steps every cycle; the default run fast-forwarded some.
+    assert calls["_writeback_batched", True] == 3 * default.cycle
+    assert calls["_writeback_batched", False] < default.cycle

@@ -4,8 +4,8 @@ Every flag in :mod:`repro.fastpath.tables` is checked against the
 predicate it lowers — over *every* opcode in the ISA and, for the
 forward/backward rules, over every realizable taint combination — so a
 new opcode or a rule change cannot silently diverge between the packed
-SPTEngine and ReferenceSPTEngine, or between the batched path and the
-per-instruction phases.
+SPTEngine and ReferenceSPTEngine, or between the core's columns and the
+instruction predicates they cache.
 """
 
 import pytest
@@ -13,14 +13,13 @@ import pytest
 from repro.core.taint_algebra import (PC_INFERABLE_KINDS, PURE_KINDS,
                                       backward_untaints,
                                       forward_untaints_output,
-                                      initial_output_taint, leaked_operands)
+                                      initial_output_taint)
 from repro.fastpath.tables import (DC_JUMP, DC_LOAD, DC_NONE, DC_RS,
                                    DC_STORE, F_BRANCH, F_INV_ALU, F_INV_MONO,
-                                   F_JUMP_REG, F_LEAK_SRC1, F_LEAK_SRC2,
-                                   F_LOAD, F_PC_INFERABLE, F_PURE,
-                                   F_READS_RS2, F_STORE, F_TRANSMITTER,
-                                   KC_CONTROL, KC_HALT, KC_SIMPLE,
-                                   lower_instruction, lower_program)
+                                   F_JUMP_REG, F_LOAD, F_PC_INFERABLE, F_PURE,
+                                   F_TRANSMITTER, KC_CONTROL, KC_HALT,
+                                   KC_SIMPLE, lower_instruction,
+                                   lower_program)
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import OPCODES, Kind
 from repro.workloads.registry import get as get_workload
@@ -41,16 +40,11 @@ def test_static_flags_match_predicates(inst):
     info = inst.info
     flags = lower_instruction(inst)
     assert bool(flags & F_PURE) == (info.kind in PURE_KINDS)
-    assert bool(flags & F_READS_RS2) == info.reads_rs2
     assert bool(flags & F_LOAD) == (info.kind == Kind.LOAD)
-    assert bool(flags & F_STORE) == (info.kind == Kind.STORE)
     assert bool(flags & F_TRANSMITTER) == info.is_transmitter
     assert bool(flags & F_BRANCH) == (info.kind == Kind.BRANCH)
     assert bool(flags & F_JUMP_REG) == (info.kind == Kind.JUMP_REG)
     assert bool(flags & F_PC_INFERABLE) == (info.kind in PC_INFERABLE_KINDS)
-    leaked = leaked_operands(inst)
-    assert bool(flags & F_LEAK_SRC1) == ("src1" in leaked)
-    assert bool(flags & F_LEAK_SRC2) == ("src2" in leaked)
     # The two invertibility classes partition the invertible opcodes.
     assert not (flags & F_INV_MONO and flags & F_INV_ALU)
     assert bool(flags & (F_INV_MONO | F_INV_ALU)) == info.invertible

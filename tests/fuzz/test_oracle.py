@@ -1,7 +1,7 @@
 """Non-interference oracle: planted leaks and the expected-divergence matrix.
 
 The planted gadgets here are the oracle's ground truth, as the default run
-and as the reference run:
+and as the checked run (stepped mode under the full sanitizer):
 
 * a *speculative* bounds-check-bypass gadget must diverge under
   ``UnsafeBaseline`` and under no protected configuration;
@@ -35,52 +35,52 @@ def _planted(exposure: str):
     return programs
 
 
-def _diverging(a, b, config, model, run, batched_runs) -> list:
-    """``check_pair_direct`` as the ``run`` run, checking which path ran."""
-    before = len(batched_runs)
+def _diverging(a, b, config, model, run, run_modes) -> list:
+    """``check_pair_direct`` as the ``run`` run, checking which mode ran."""
+    before = len(run_modes)
     channels = check_pair_direct(a, b, config, model,
                                  params=run_params(run))
-    assert len(batched_runs) - before == (2 if run == "default" else 0), (
-        f"{run} run requested but the other path ran")
+    assert run_modes[before:] == [run == "checked"] * 2, (
+        f"{run} run requested but the other mode ran")
     return channels
 
 
-def test_unsafe_baseline_leaks_planted_speculative_gadget(batched_runs):
+def test_unsafe_baseline_leaks_planted_speculative_gadget(run_modes):
     a, b = _planted("speculative")
     for run in RUNS:
         for model in BOTH_MODELS:
             channels = _diverging(a, b, "UnsafeBaseline", model, run,
-                                  batched_runs)
+                                  run_modes)
             assert "load-line" in channels, (
                 f"{run} run: the secret-dependent probe load must move "
                 f"across cache lines")
 
 
-def test_protected_configs_hold_on_speculative_gadget(batched_runs):
+def test_protected_configs_hold_on_speculative_gadget(run_modes):
     a, b = _planted("speculative")
     for run in RUNS:
         for config in ["SecureBaseline", "STT", *SPT_CONFIGS]:
             for model in BOTH_MODELS:
                 assert not _diverging(a, b, config, model, run,
-                                      batched_runs), (
+                                      run_modes), (
                     f"{config}/{model.value}, {run} run, leaked a "
                     f"speculatively-accessed secret")
 
 
-def test_stt_scope_gap_on_nonspeculative_gadget(batched_runs):
+def test_stt_scope_gap_on_nonspeculative_gadget(run_modes):
     """STT leaks a non-speculatively accessed secret; SPT must not."""
     a, b = _planted("nonspeculative")
     for run in RUNS:
         assert _diverging(a, b, "UnsafeBaseline", AttackModel.SPECTRE,
-                          run, batched_runs)
+                          run, run_modes)
         assert _diverging(a, b, "STT", AttackModel.SPECTRE, run,
-                          batched_runs), (
+                          run_modes), (
             f"{run} run: the planted nonspec gadget must expose STT's "
             f"scope gap")
         for config in SPT_CONFIGS + ["SecureBaseline"]:
             for model in BOTH_MODELS:
                 assert not _diverging(a, b, config, model, run,
-                                      batched_runs), (
+                                      run_modes), (
                     f"{config}/{model.value}, {run} run, leaked a "
                     f"non-speculatively accessed secret")
 

@@ -62,6 +62,16 @@ def test_stt_flag():
     (["mcf", "--track-insts"], "--track-insts"),
     (["mcf", "--stt"], "--threat-model"),
     (["mcf", "--enable-shadow-l1"], "--enable-spt"),
+    # Budgets and scales below 1: the harness would read a zero budget as
+    # its default, the direct path would simulate nothing, and a zero
+    # scale builds a workload that never halts.
+    (["mcf", "--max-instructions", "0"], "--max-instructions"),
+    (["mcf", "--max-instructions", "-5"], "--max-instructions"),
+    (["mcf", "--enable-spt", "--threat-model", "futuristic",
+      "--untaint-method", "fwd", "--enable-shadow-l1",
+      "--max-instructions", "0"], "--max-instructions"),
+    (["mcf", "--scale", "0"], "--scale"),
+    (["mcf", "--scale", "-1"], "--scale"),
 ])
 def test_invalid_combinations_rejected(argv, fragment):
     error = validate_args(parse(argv))

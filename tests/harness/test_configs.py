@@ -73,5 +73,7 @@ def test_parse_config_names_handles_brace_commas():
     assert parse_config_names("all") == list(CONFIGURATIONS)
     with pytest.raises(SystemExit, match="unknown configuration"):
         parse_config_names("SPT{Bwd")
+    with pytest.raises(SystemExit, match="unknown configuration"):
+        parse_config_names("NotAConfig")
     with pytest.raises(SystemExit, match="selected nothing"):
         parse_config_names(",")

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.obs import bench
-from repro.obs.cli import bench_main, stats_main
+from repro.obs.cli import _build_stats_parser, bench_main, stats_main
 from repro.obs.stall import STALL_CAUSES
 
 BUDGET = 120
@@ -138,3 +138,15 @@ def test_stats_cli_text(capsys):
     assert "Begin Simulation Metrics" in out
     assert "sim.cycles" in out
     assert "stalls." in out
+
+
+@pytest.mark.parametrize("flag,value", [("--scale", "0"), ("--scale", "-1"),
+                                        ("--max-instructions", "0")])
+def test_stats_parser_rejects_sizes_below_one(flag, value, capsys):
+    # A zero scale builds a workload that never halts; the parser must
+    # refuse it (and a budget below 1) before anything simulates.
+    with pytest.raises(SystemExit) as info:
+        _build_stats_parser().parse_args(["mcf", flag, value])
+    assert info.value.code == 2
+    assert f"error: argument {flag}: must be at least 1" in \
+        capsys.readouterr().err

@@ -40,8 +40,8 @@ def test_dyninst_kind_predicates_are_precomputed():
 def test_precomputed_predicates_match_kind_for_every_opcode(name):
     # The hot-path booleans baked into DynInst at construction must agree
     # with the Kind-derived definitions for the whole ISA, so a new opcode
-    # cannot ship with stale precomputes (both the batched path and the
-    # per-instruction phases consume these).
+    # cannot ship with stale precomputes (the pipeline phases and the
+    # engines consume these).
     info = OPCODES[name]
     di = DynInst(0, 0, Instruction(name, rd=1, rs1=2, rs2=3))
     assert di.is_load == (info.kind == Kind.LOAD)

@@ -1,10 +1,12 @@
 """Tests for the pipeline tracer."""
 
+from repro.check.cli import check_counts
 from repro.core.attack_model import AttackModel
 from repro.core.spt import SPTEngine
 from repro.isa.assembler import assemble
 from repro.pipeline.trace import PipelineTracer, trace_program
 from repro.pipeline.core import OoOCore
+from repro.pipeline.params import MachineParams
 
 
 SIMPLE = """
@@ -38,6 +40,24 @@ def test_render_contains_stage_markers():
     text = tracer.render()
     assert "F" in text and "D" in text and "R" in text
     assert "li x10, 1" in text
+
+
+def test_traced_run_ends_the_way_run_does():
+    """A traced full-level run gets the final-state comparison at HALT,
+    and so every check a plain ``run()`` evaluates."""
+    program = assemble("""
+        li t0, 3
+    loop:
+        addi t0, t0, -1
+        bne t0, zero, loop
+        halt
+    """)
+    run = OoOCore(program, params=MachineParams(check_level="full")).run()
+    tracer = trace_program(program, params=MachineParams(check_level="full"))
+    assert tracer.core.halted
+    counts = check_counts(tracer.core.build_metrics())
+    assert counts["final-state"] == 1
+    assert counts == check_counts(run.metrics)
 
 
 def test_squashed_wrong_path_instructions_are_traced():

@@ -1,7 +1,7 @@
 """The attack scenario library and its declarative leak-expectation table.
 
 The full matrix (every scenario x Table 2 config x attack model, as the
-default run and as the reference run) must match the expectation rows
+default run and as the checked run) must match the expectation rows
 exactly:
 
 * speculative exposure (spectre-pht, spectre-stl, uninit-transient): only
@@ -53,10 +53,10 @@ def test_expected_to_leak_rejects_unknown_names():
 @pytest.mark.parametrize("config", list(CONFIGURATIONS))
 @pytest.mark.parametrize("name", sorted(scenarios.SCENARIOS))
 def test_scenario_cell_matches_expectation(name, config, model, run,
-                                           batched_runs):
+                                           run_modes):
     leaked, sim = scenarios.run_scenario(name, config, model,
                                          params=run_params(run))
-    assert len(batched_runs) == (run == "default"), "wrong path ran"
+    assert run_modes == [run == "checked"], "wrong mode ran"
     assert sim.halted
     assert leaked == scenarios.expected_to_leak(name, config), (
         f"{name} under {config}/{model.value}, {run} run: leaked={leaked}")
