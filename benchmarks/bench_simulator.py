@@ -8,7 +8,7 @@ simulation, which matters when scaling budgets up.
 import pytest
 
 from repro.core.attack_model import AttackModel
-from repro.fastpath.diff import reference_engine
+from repro.check.diff import reference_engine
 from repro.harness.configs import make_engine
 from repro.isa.interpreter import run_program
 from repro.pipeline import OoOCore

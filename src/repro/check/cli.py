@@ -9,6 +9,9 @@ stepped mode (every cycle stepped, window scans at its end); ``--level
 commit`` locksteps the default run every figure and campaign takes,
 fast-forward included.
 
+A usage error (a budget or job count below 1, an unknown workload,
+configuration or attack model) exits 2 before anything simulates.
+
 Examples::
 
     python -m repro.cli check --smoke
@@ -25,13 +28,9 @@ import sys
 from typing import Optional
 
 from repro.check.invariants import INVARIANTS
-from repro.core.attack_model import AttackModel
-from repro.harness.configs import CONFIGURATIONS, parse_config_names
+from repro.harness.configs import Grid, at_least_one
 from repro.harness.parallel import RunFailure, RunSpec, run_many
 from repro.pipeline.params import MachineParams
-from repro.workloads.registry import WORKLOADS
-
-BOTH_MODELS = (AttackModel.SPECTRE, AttackModel.FUTURISTIC)
 
 # The CI smoke grid: one memory-bound SPEC workload, one branchy SPEC
 # workload, one constant-time kernel — against one representative of each
@@ -41,6 +40,7 @@ SMOKE_CONFIGS = ("UnsafeBaseline", "SecureBaseline", "STT",
                  "SPT{Bwd,ShadowL1}")
 SMOKE_BUDGET = 1500
 FULL_BUDGET = 2000
+GRID = Grid(SMOKE_WORKLOADS, SMOKE_CONFIGS, SMOKE_BUDGET, FULL_BUDGET)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,44 +48,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="run_spt check",
         description="Run the lockstep invariant sanitizer over a grid of "
                     "(workload, configuration, attack model) cells.")
-    parser.add_argument("--smoke", action="store_true",
-                        help=f"small CI grid: {len(SMOKE_WORKLOADS)} "
-                             f"workloads x {len(SMOKE_CONFIGS)} configs x "
-                             f"both models, budget {SMOKE_BUDGET}")
-    parser.add_argument("--workloads", default=None,
-                        help="comma-separated workload names "
-                             "(default: all, or the smoke set)")
-    parser.add_argument("--configs", default=None,
-                        help="comma-separated Table 2 configuration names "
-                             "(default: all, or the smoke set)")
-    parser.add_argument("--models", default="both",
-                        choices=["spectre", "futuristic", "both"],
-                        help="attack model(s) to check under (default both)")
+    GRID.add_arguments(parser)
     parser.add_argument("--level", default="full",
                         choices=["commit", "full"],
                         help="check level for the sweep (default full)")
-    parser.add_argument("--budget", type=int, default=None,
-                        help="per-run retired-instruction budget "
-                             f"(default {FULL_BUDGET}, "
-                             f"smoke {SMOKE_BUDGET})")
-    parser.add_argument("--jobs", type=int, default=None,
+    parser.add_argument("--jobs", type=at_least_one, default=None,
                         help="worker processes (default: REPRO_JOBS or "
                              "CPU count)")
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the persistent result cache")
     return parser
-
-
-def _parse_workloads(text: str) -> list:
-    names = [name.strip() for name in text.split(",") if name.strip()]
-    for name in names:
-        if name not in WORKLOADS:
-            raise SystemExit(
-                f"error: unknown workload {name!r}; "
-                f"known: {', '.join(sorted(WORKLOADS))}")
-    if not names:
-        raise SystemExit("error: --workloads selected nothing")
-    return names
 
 
 def check_counts(metrics) -> dict:
@@ -111,21 +83,7 @@ def render_report(counts: dict, cells: int, level: str) -> str:
 
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.smoke:
-        workloads = list(SMOKE_WORKLOADS)
-        configs = list(SMOKE_CONFIGS)
-        budget = args.budget or SMOKE_BUDGET
-    else:
-        workloads = sorted(WORKLOADS)
-        configs = list(CONFIGURATIONS)
-        budget = args.budget or FULL_BUDGET
-    if args.workloads:
-        workloads = _parse_workloads(args.workloads)
-    if args.configs:
-        configs = parse_config_names(args.configs)
-    models = list(BOTH_MODELS) if args.models == "both" \
-        else [AttackModel(args.models)]
-
+    workloads, configs, models, budget = GRID.select(args)
     params = MachineParams(check_level=args.level)
     specs = [RunSpec(workload, config, model, max_instructions=budget,
                      params=params)

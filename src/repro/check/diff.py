@@ -18,6 +18,10 @@ per-channel digests of the attacker-visible trace.  A wedged simulation
 must wedge identically in both runs (same exception, same message, same
 cycle).
 
+The cells run through :func:`repro.harness.parallel.fan_out` with
+``REPRO_JOBS`` workers, as ``repro check``'s do; the grid flags are the
+ones ``repro check`` takes, and a usage error exits 2.
+
 Examples::
 
     python -m repro.cli backend-diff --smoke
@@ -31,26 +35,25 @@ import argparse
 import sys
 from typing import Optional
 
-from repro.check.cli import _parse_workloads
 from repro.check.violation import InvariantViolation
 from repro.core.attack_model import AttackModel
 from repro.core.spt import ReferenceSPTEngine, SPTEngine
-from repro.harness.configs import (FIGURE7_ORDER, make_engine,
-                                   parse_config_names)
+from repro.harness.configs import Grid, at_least_one, make_engine
+from repro.harness.parallel import (RunFailure, RunSpec, default_jobs,
+                                    fan_out)
 from repro.isa.instructions import Program
 from repro.pipeline.core import OoOCore, SimulationError
 from repro.pipeline.engine_api import ProtectionEngine
 from repro.pipeline.params import MachineParams
 from repro.security.observer import channel_digests, differing_channels
-from repro.workloads.registry import WORKLOADS, get as get_workload
-
-BOTH_MODELS = (AttackModel.SPECTRE, AttackModel.FUTURISTIC)
+from repro.workloads.registry import get as get_workload
 
 SMOKE_WORKLOADS = ("mcf", "chacha20")
 SMOKE_CONFIGS = ("UnsafeBaseline", "SecureBaseline", "STT",
                  "SPT{Bwd,ShadowL1}")
 SMOKE_BUDGET = 3000
 FULL_BUDGET = 2000
+GRID = Grid(SMOKE_WORKLOADS, SMOKE_CONFIGS, SMOKE_BUDGET, FULL_BUDGET)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,22 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="run_spt backend-diff",
         description="Run a grid as default and as reference runs and "
                     "require bit-identical results.")
-    parser.add_argument("--smoke", action="store_true",
-                        help=f"small CI grid: {len(SMOKE_WORKLOADS)} "
-                             f"workloads x {len(SMOKE_CONFIGS)} configs x "
-                             f"both models, budget {SMOKE_BUDGET}")
-    parser.add_argument("--workloads", default=None,
-                        help="comma-separated workload names "
-                             "(default: all, or the smoke set)")
-    parser.add_argument("--configs", default=None,
-                        help="comma-separated Table 2 configuration names "
-                             "(default: the Figure 7 set, or the smoke set)")
-    parser.add_argument("--models", default="both",
-                        choices=["spectre", "futuristic", "both"])
-    parser.add_argument("--budget", type=int, default=None,
-                        help="per-run retired-instruction budget "
-                             f"(default {FULL_BUDGET}, smoke {SMOKE_BUDGET})")
-    parser.add_argument("--scale", type=int, default=1,
+    GRID.add_arguments(parser)
+    parser.add_argument("--scale", type=at_least_one, default=1,
                         help="workload scale factor")
     return parser
 
@@ -161,34 +150,30 @@ def compare_cell(ref: dict, run: dict) -> list:
     return mismatches
 
 
+def diff_cell(spec: RunSpec) -> list:
+    """One cell's :func:`compare_cell` of its reference and default runs
+    (module-level: the fan-out pickles it)."""
+    cell = (spec.workload, spec.config, spec.model, spec.scale,
+            spec.max_instructions)
+    return compare_cell(run_cell(*cell, reference=True), run_cell(*cell))
+
+
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.smoke:
-        workloads = list(SMOKE_WORKLOADS)
-        configs = list(SMOKE_CONFIGS)
-        budget = args.budget or SMOKE_BUDGET
-    else:
-        workloads = sorted(WORKLOADS)
-        configs = ["UnsafeBaseline"] + list(FIGURE7_ORDER)
-        budget = args.budget or FULL_BUDGET
-    if args.workloads:
-        workloads = _parse_workloads(args.workloads)
-    if args.configs:
-        configs = parse_config_names(args.configs)
-    models = list(BOTH_MODELS) if args.models == "both" \
-        else [AttackModel(args.models)]
-
-    cells = [(w, c, m) for w in workloads for c in configs for m in models]
+    workloads, configs, models, budget = GRID.select(args)
+    cells = [RunSpec(w, c, m, scale=args.scale, max_instructions=budget)
+             for w in workloads for c in configs for m in models]
+    try:
+        outcomes = fan_out(diff_cell, cells, default_jobs())
+    except RunFailure as failure:
+        print(f"error: {failure}", file=sys.stderr)
+        return 1
     failures = 0
-    for workload, config, model in cells:
-        ref = run_cell(workload, config, model, args.scale, budget,
-                       reference=True)
-        run = run_cell(workload, config, model, args.scale, budget)
-        mismatches = compare_cell(ref, run)
+    for spec, mismatches in zip(cells, outcomes):
         if mismatches:
             failures += 1
-            print(f"MISMATCH {workload}/{config}/{model.value}:",
-                  file=sys.stderr)
+            print(f"MISMATCH {spec.workload}/{spec.config}/"
+                  f"{spec.model.value}:", file=sys.stderr)
             for line in mismatches:
                 print(f"  {line}", file=sys.stderr)
     verdict = "bit-identical" if not failures else f"{failures} DIVERGENT"

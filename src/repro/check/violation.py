@@ -37,6 +37,6 @@ class InvariantViolation(AssertionError):
 
     def __reduce__(self):
         # Exceptions with non-trivial __init__ signatures need an explicit
-        # reduce to cross the ProcessPoolExecutor pickle boundary.
+        # reduce to cross the process-pool pickle boundary.
         return (type(self), (self.invariant, self.cycle, self.message,
                              self.inst, self.window))

@@ -253,7 +253,7 @@ def main(argv: Optional[list] = None) -> int:
         from repro.verify.cli import main as verify_main
         return verify_main(argv[1:])
     if argv and argv[0] == "backend-diff":
-        from repro.fastpath.diff import main as diff_main
+        from repro.check.diff import main as diff_main
         return diff_main(argv[1:])
     if argv and argv[0] == "cache":
         from repro.harness.cache_cli import cache_main

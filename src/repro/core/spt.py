@@ -45,12 +45,12 @@ from repro.core.shadow_l1 import ShadowMode, ShadowTaint
 from repro.core.taint_algebra import (PURE_KINDS, backward_untaints,
                                       forward_untaints_output,
                                       initial_output_taint, leaked_operands)
-from repro.fastpath.tables import (F_BRANCH, F_INV_ALU, F_INV_MONO,
-                                   F_JUMP_REG, F_LOAD, F_PC_INFERABLE, F_PURE,
-                                   F_TRANSMITTER, lower_program)
 from repro.isa.opcodes import Kind
 from repro.pipeline.dyninst import DynInst
 from repro.pipeline.engine_api import ProtectionEngine
+from repro.pipeline.tables import (F_BRANCH, F_INV_ALU, F_INV_MONO,
+                                   F_JUMP_REG, F_LOAD, F_PC_INFERABLE, F_PURE,
+                                   F_TRANSMITTER, lower_program)
 
 # Newly-VP kinds the tick loop declassifies (Section 6.6).
 _F_DECLASS = F_TRANSMITTER | F_BRANCH | F_JUMP_REG
@@ -426,7 +426,7 @@ class SPTEngine(ReferenceSPTEngine):
       window in a handful of bitwise operations;
     * the static rule class of every instruction (pure, invertible-monadic,
       invertible-ALU) comes from the decode-time tables of
-      :mod:`repro.fastpath.tables`, and the rename-time taint
+      :mod:`repro.pipeline.tables`, and the rename-time taint
       initialisation is folded into the same table lookup;
     * the dependence matrix is kept as packed bitmasks *per physical
       register* (bitset of window slots referencing it), so an untaint

@@ -16,7 +16,7 @@ from repro.core.attack_model import AttackModel
 from repro.harness.configs import FIGURE7_ORDER, FULL_SPT
 from repro.harness.parallel import RunSpec, run_many
 from repro.harness.report import format_table, geomean, mean
-from repro.harness.runner import RunResult, bench_budget, bench_scale
+from repro.harness.runner import bench_budget, bench_scale, normalized_time
 from repro.workloads.registry import WORKLOADS, ct_workloads, spec_workloads
 
 
@@ -74,16 +74,8 @@ def collect(workloads: Optional[Sequence[str]] = None,
             baseline = next(results)
             for config in configs:
                 data.times[(model, workload, config)] = \
-                    _normalized(next(results), baseline)
+                    normalized_time(next(results), baseline)
     return data
-
-
-def _normalized(result: RunResult, baseline: RunResult) -> float:
-    if baseline.retired == result.retired:
-        return result.cycles / baseline.cycles
-    per_inst = result.cycles / max(1, result.retired)
-    base_per_inst = baseline.cycles / max(1, baseline.retired)
-    return per_inst / base_per_inst
 
 
 def render(data: Figure7Data) -> str:

@@ -47,8 +47,9 @@ from repro.fuzz.generator import (PROFILES, SECRET_BYTES, FuzzPlan,
                                   generate_plan, render, secret_pair,
                                   with_blocks)
 from repro.fuzz.oracle import (FUZZ_BUDGET, architectural_dependence,
-                               check_pair_direct, expected_to_diverge,
-                               run_traced)
+                               check_pair_direct)
+from repro.harness.runner import simulate
+from repro.security.attacks import expected_to_leak
 
 # The instrument: the full SPT design's taint machinery measures how far
 # secrets travel speculatively, whatever configuration the leak targets.
@@ -166,7 +167,7 @@ class SearchOutcome:
     def counterexample(self) -> bool:
         """True when the leak contradicts the protection-scope matrix."""
         return (self.found and self.plan is not None
-                and not expected_to_diverge(self.plan.exposure, self.config))
+                and not expected_to_leak(self.plan.exposure, self.config))
 
 
 class _Budget:
@@ -201,8 +202,8 @@ def _instrument_score(plan: FuzzPlan, model: AttackModel,
                       max_instructions: int) -> Optional[float]:
     secret, _ = secret_pair(plan.seed)
     try:
-        sim = run_traced(render(plan, secret), INSTRUMENT_CONFIG, model,
-                         max_instructions=max_instructions)
+        sim = simulate(render(plan, secret), INSTRUMENT_CONFIG, model,
+                       max_instructions, require_halt=True)
     except RuntimeError:
         return None
     return taint_reach_score(sim.metrics.flatten())

@@ -23,16 +23,15 @@ from repro.fuzz.corpus import Corpus
 from repro.fuzz.generator import (FuzzPlan, generate_plan, plan_to_json,
                                   render, secret_pair, workload_name)
 from repro.fuzz.minimize import minimize_plan
-from repro.fuzz.oracle import (FUZZ_BUDGET, architectural_dependence,
-                               classify, divergence_detail)
+from repro.fuzz.oracle import (FUZZ_BUDGET, CellVerdict,
+                               architectural_dependence, divergence_detail)
 from repro.fuzz.report import FuzzReport
 from repro.harness import cache
-from repro.harness.configs import CONFIGURATIONS
+from repro.harness.configs import BOTH_MODELS, CONFIGURATIONS
 from repro.harness.parallel import RunSpec, run_many
 from repro.isa.interpreter import InterpreterError
+from repro.security.attacks import expected_to_leak
 from repro.security.observer import differing_channels
-
-BOTH_MODELS = (AttackModel.SPECTRE, AttackModel.FUTURISTIC)
 
 
 @dataclass
@@ -127,7 +126,8 @@ def run_campaign(cfg: CampaignConfig) -> FuzzReport:
         result_b = results[2 * pair_index + 1]
         channels = differing_channels(result_a.trace_digests,
                                       result_b.trace_digests)
-        verdict = classify(item.plan.exposure, config, model, channels)
+        verdict = CellVerdict(config, model, tuple(channels),
+                              expected_to_leak(item.plan.exposure, config))
         report.cells_checked += 1
         if verdict.diverged:
             report.divergences_by_config[config] = \

@@ -56,6 +56,7 @@ from typing import Optional, Union
 
 from repro.isa.builder import ProgramBuilder
 from repro.isa.instructions import Program
+from repro.security.attacks import EXPOSURES, NONSPECULATIVE, SPECULATIVE
 from repro.workloads.random_programs import _ALU_RI, _ALU_RR
 from repro.workloads.registry import Workload
 
@@ -68,8 +69,6 @@ SECRET_BYTES = 64               # size of the secret region
 PROBE_LINE_BYTES = 64
 PROBE_LINES = 256
 
-EXPOSURE_SPECULATIVE = "speculative"
-EXPOSURE_NONSPECULATIVE = "nonspeculative"
 TRANSMITS = ("line", "branch", "loop")
 
 # Filler operates on these registers only; gadget/secret registers are
@@ -108,7 +107,7 @@ class Branch:
 class Gadget:
     """One leak attempt: how the secret is exposed and transmitted."""
 
-    exposure: str       # EXPOSURE_SPECULATIVE | EXPOSURE_NONSPECULATIVE
+    exposure: str       # attacks.SPECULATIVE | attacks.NONSPECULATIVE
     transmit: str       # "line" | "branch" | "loop"
     trainings: int      # mis-training iterations before the attack pass
     widen: int          # multiply-chain length delaying resolution
@@ -132,10 +131,9 @@ class FuzzPlan:
     def exposure(self) -> str:
         """The strongest exposure class present (drives expectations)."""
         for block in self.blocks:
-            if isinstance(block, Gadget) and \
-                    block.exposure == EXPOSURE_NONSPECULATIVE:
-                return EXPOSURE_NONSPECULATIVE
-        return EXPOSURE_SPECULATIVE
+            if isinstance(block, Gadget) and block.exposure == NONSPECULATIVE:
+                return NONSPECULATIVE
+        return SPECULATIVE
 
     @property
     def gadgets(self) -> list:
@@ -155,7 +153,7 @@ class FuzzProfile:
     trainings: tuple = (2, 3, 4)
     widen: tuple = (8, 12, 18, 24)
     in_bounds: tuple = (4, 6, 8)
-    exposures: tuple = (EXPOSURE_SPECULATIVE, EXPOSURE_NONSPECULATIVE)
+    exposures: tuple = EXPOSURES
     transmits: tuple = TRANSMITS
 
 
@@ -178,7 +176,7 @@ PROFILES: dict[str, FuzzProfile] = {
                         trainings=(0, 1, 2),
                         widen=(0, 0, 1, 1, 2, 2),
                         in_bounds=(4, 6, 8),
-                        exposures=(EXPOSURE_SPECULATIVE,),
+                        exposures=(SPECULATIVE,),
                         transmits=("line",)),
 }
 
@@ -386,9 +384,9 @@ def _transmit(b: ProgramBuilder, gadget: Gadget, value_reg: str) -> None:
 
 def _render_gadget(b: ProgramBuilder, gadget: Gadget, index: int,
                    secret_base: int) -> None:
-    if gadget.exposure == EXPOSURE_SPECULATIVE:
+    if gadget.exposure == SPECULATIVE:
         _render_bounds_bypass(b, gadget, index, secret_base)
-    elif gadget.exposure == EXPOSURE_NONSPECULATIVE:
+    elif gadget.exposure == NONSPECULATIVE:
         _render_mistrain_call(b, gadget, index)
     else:
         raise ValueError(f"unknown exposure {gadget.exposure!r}")

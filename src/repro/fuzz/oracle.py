@@ -3,10 +3,9 @@
 A victim leaks under a configuration when running it with two different
 secrets produces different attacker-visible traces.  The oracle reduces
 each run to per-channel digests (:func:`repro.security.observer.
-channel_digests`), diffs the pair, and judges the divergence against the
-expected-leak matrix — the same rows as the scenario library's
-``repro.security.scenarios.expected_to_leak``, keyed by how the victim
-exposes its secret instead of by scenario name:
+channel_digests`) and diffs the pair.  The campaign judges a divergence by
+the leak rule, :func:`repro.security.attacks.expected_to_leak`, keyed by
+the plan's exposure class:
 
 * ``UnsafeBaseline`` is *expected* to diverge — campaigns use those
   divergences as a sanity check that the oracle can see leaks at all;
@@ -23,15 +22,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.attack_model import AttackModel
-from repro.harness.configs import make_engine
+from repro.harness.runner import simulate
 from repro.isa.instructions import Program
 from repro.isa.interpreter import run_program
-from repro.pipeline.core import OoOCore
 from repro.pipeline.params import MachineParams
 from repro.security.observer import (channel_digests, differing_channels,
                                      differing_events)
-from repro.fuzz.generator import (EXPOSURE_NONSPECULATIVE,
-                                  EXPOSURE_SPECULATIVE)
 
 # Retired-instruction budget for fuzz victims: they are small programs, so
 # a run that hits this without halting is itself a finding.
@@ -57,24 +53,6 @@ class CellVerdict:
         return self.diverged and not self.expected
 
 
-def expected_to_diverge(exposure: str, config: str) -> bool:
-    """The pen-test matrix, keyed by the victim's secret-exposure class."""
-    if exposure not in (EXPOSURE_SPECULATIVE, EXPOSURE_NONSPECULATIVE):
-        raise ValueError(f"unknown exposure class {exposure!r}")
-    if config == "UnsafeBaseline":
-        return True
-    if exposure == EXPOSURE_NONSPECULATIVE:
-        return config == "STT"      # STT's scope excludes non-spec secrets
-    return False
-
-
-def classify(exposure: str, config: str, model: AttackModel,
-             channels) -> CellVerdict:
-    """Fold a digest diff into a verdict for one cell."""
-    return CellVerdict(config, model, tuple(channels),
-                       expected_to_diverge(exposure, config))
-
-
 def architectural_dependence(a: Program, b: Program,
                              max_instructions: int = FUZZ_BUDGET) -> bool:
     """Does the *committed* execution path differ between two renderings?
@@ -88,20 +66,6 @@ def architectural_dependence(a: Program, b: Program,
     return ra.halted != rb.halted or ra.pc_trace != rb.pc_trace
 
 
-def run_traced(program: Program, config: str, model: AttackModel,
-               params: Optional[MachineParams] = None,
-               max_instructions: int = FUZZ_BUDGET):
-    """One in-process simulation, returning the SimResult (with observer)."""
-    core = OoOCore(program, engine=make_engine(config, model),
-                   params=params)
-    sim = core.run(max_instructions=max_instructions)
-    if not sim.halted:
-        raise RuntimeError(
-            f"{program.name} did not halt under {config}/{model.value} "
-            f"within {max_instructions} instructions")
-    return sim
-
-
 def check_pair_direct(a: Program, b: Program, config: str,
                       model: AttackModel,
                       params: Optional[MachineParams] = None,
@@ -110,8 +74,10 @@ def check_pair_direct(a: Program, b: Program, config: str,
 
     The minimiser's (and the tests') fast path — no pool, no cache.
     """
-    sim_a = run_traced(a, config, model, params, max_instructions)
-    sim_b = run_traced(b, config, model, params, max_instructions)
+    sim_a = simulate(a, config, model, max_instructions, params,
+                     require_halt=True)
+    sim_b = simulate(b, config, model, max_instructions, params,
+                     require_halt=True)
     return differing_channels(channel_digests(sim_a.observer, sim_a.cycles),
                               channel_digests(sim_b.observer, sim_b.cycles))
 
@@ -119,8 +85,8 @@ def check_pair_direct(a: Program, b: Program, config: str,
 def divergence_detail(a: Program, b: Program, config: str,
                       model: AttackModel, limit: int = 5) -> str:
     """Human-readable first differing events (counterexample reports)."""
-    sim_a = run_traced(a, config, model)
-    sim_b = run_traced(b, config, model)
+    sim_a = simulate(a, config, model, FUZZ_BUDGET, require_halt=True)
+    sim_b = simulate(b, config, model, FUZZ_BUDGET, require_halt=True)
     diffs = differing_events(sim_a.observer, sim_b.observer, limit=limit)
     if not diffs and sim_a.cycles != sim_b.cycles:
         return f"event streams equal; total cycles {sim_a.cycles} != {sim_b.cycles}"

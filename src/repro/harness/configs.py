@@ -1,7 +1,10 @@
-"""The evaluated design variants (paper Table 2)."""
+"""The evaluated design variants (paper Table 2), and the command-line
+grid every sweep command parses: configurations, attack models, workloads
+and sizes."""
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass
 from typing import Callable
 
@@ -11,6 +14,7 @@ from repro.core.shadow_l1 import ShadowMode
 from repro.core.spt import SPTEngine
 from repro.core.stt import STTEngine
 from repro.pipeline.engine_api import ProtectionEngine
+from repro.workloads.registry import WORKLOADS
 
 
 @dataclass(frozen=True)
@@ -80,13 +84,41 @@ SECURE_CONFIGS = [name for name in CONFIGURATIONS if name != "UnsafeBaseline"]
 SPT_CONFIGS = [name for name in CONFIGURATIONS if name.startswith("SPT")]
 
 
+# The two attack models, in the order every sweep runs them.
+BOTH_MODELS = (AttackModel.SPECTRE, AttackModel.FUTURISTIC)
+MODELS_HELP = ("attack models: both, or a comma-separated list of "
+               "spectre, futuristic (default both)")
+
+# The argparse types below turn a bad value into a usage error (exit 2).
+
+
+def at_least_one(text: str) -> int:
+    """An integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _known(parts, known, what: str) -> list:
+    """The non-blank ``parts``, stripped, each of which must be in
+    ``known``; an empty selection is an error too."""
+    names = [part.strip() for part in parts if part.strip()]
+    for name in names:
+        if name not in known:
+            raise argparse.ArgumentTypeError(
+                f"unknown {what} {name!r}; known: {', '.join(known)}")
+    if not names:
+        raise argparse.ArgumentTypeError("selected nothing")
+    return names
+
+
 def parse_config_names(text: str) -> list:
     """Split a comma-separated ``--configs`` value into Table 2 names.
 
     Configuration names themselves contain commas (``SPT{Bwd,ShadowL1}``),
     so fragments are re-merged until their braces balance.  ``"all"``
-    selects every configuration.  Unknown names and an empty selection
-    raise ``SystemExit`` with a CLI-shaped error message.
+    selects every configuration.
     """
     if text == "all":
         return list(CONFIGURATIONS)
@@ -95,19 +127,64 @@ def parse_config_names(text: str) -> list:
     for part in text.split(","):
         pending = f"{pending},{part}" if pending else part
         if pending.count("{") == pending.count("}"):
-            if pending.strip():
-                names.append(pending.strip())
+            names.append(pending)
             pending = ""
-    if pending.strip():
-        names.append(pending.strip())
-    for name in names:
-        if name not in CONFIGURATIONS:
-            raise SystemExit(
-                f"error: unknown configuration {name!r}; "
-                f"known: {', '.join(CONFIGURATIONS)}")
-    if not names:
-        raise SystemExit("error: --configs selected nothing")
-    return names
+    return _known(names + [pending], list(CONFIGURATIONS), "configuration")
+
+
+def parse_models(text: str) -> list:
+    """``both``, or a comma-separated list of attack-model names."""
+    if text == "both":
+        return list(BOTH_MODELS)
+    return [AttackModel(name) for name in _known(
+        text.split(","), [m.value for m in AttackModel], "attack model")]
+
+
+def parse_workloads(text: str) -> list:
+    """A comma-separated list of registered workload names."""
+    return _known(text.split(","), sorted(WORKLOADS), "workload")
+
+
+@dataclass(frozen=True)
+class Grid:
+    """A sweep command's cells: the smoke grid (``--smoke``) or every
+    workload and configuration, narrowed by ``--workloads``, ``--configs``
+    and ``--models``, at ``--budget`` or the grid's default budget."""
+
+    smoke_workloads: tuple
+    smoke_configs: tuple
+    smoke_budget: int
+    full_budget: int
+
+    def add_arguments(self, parser: argparse.ArgumentParser) -> None:
+        parser.add_argument(
+            "--smoke", action="store_true",
+            help=f"small CI grid: {len(self.smoke_workloads)} workloads x "
+                 f"{len(self.smoke_configs)} configs x both models, "
+                 f"budget {self.smoke_budget}")
+        parser.add_argument("--workloads", type=parse_workloads,
+                            help="comma-separated workload names "
+                                 "(default: all, or the smoke set)")
+        parser.add_argument("--configs", type=parse_config_names,
+                            help="comma-separated Table 2 configuration "
+                                 "names (default: all, or the smoke set)")
+        parser.add_argument("--models", type=parse_models, default="both",
+                            help=MODELS_HELP)
+        parser.add_argument("--budget", type=at_least_one,
+                            help="per-run retired-instruction budget "
+                                 f"(default {self.full_budget}, "
+                                 f"smoke {self.smoke_budget})")
+
+    def select(self, args: argparse.Namespace) -> tuple:
+        """``(workloads, configs, models, budget)`` the parsed flags pick."""
+        smoke = args.smoke
+        return (args.workloads or list(self.smoke_workloads if smoke
+                                       else sorted(WORKLOADS)),
+                args.configs or list(self.smoke_configs if smoke
+                                     else CONFIGURATIONS),
+                args.models,
+                args.budget or (self.smoke_budget if smoke
+                                else self.full_budget))
 
 
 def make_engine(name: str, model: AttackModel) -> ProtectionEngine:

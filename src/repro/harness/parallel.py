@@ -1,18 +1,18 @@
-"""Parallel experiment fan-out with result caching.
+"""Parallel fan-out of independent cells, with result caching for runs.
 
-Every paper artefact (Figures 7/8/9, the CLI sweeps, the benches) is a
-sweep of independent (workload, configuration, attack model) simulations.
-:func:`run_many` is the shared substrate: it expresses a sweep as a list
-of :class:`RunSpec` values, deduplicates identical specs, satisfies what
-it can from the persistent result cache, fans the misses across a
-``ProcessPoolExecutor`` (worker count from ``REPRO_JOBS``, default
-``os.cpu_count()``), and returns results in spec order regardless of
-completion order.
+:func:`fan_out` maps a picklable function over cells, in order, serially
+or across a ``ProcessPoolExecutor`` (imported only when a pool is first
+built), and fails with a :class:`RunFailure` naming the failing cell.
+:func:`run_many` is the substrate of every paper artefact (Figures 7/8/9,
+the CLI sweeps, ``repro check``, fuzz campaigns): it deduplicates a list
+of :class:`RunSpec` values, satisfies what it can from the persistent
+result cache, and fans out only the misses.  The scenario matrix and
+``repro backend-diff`` fan out verdicts, which are not cached.
 
-Degradation is graceful at every layer: ``REPRO_JOBS=1`` runs serially
-in-process (the debuggable path), and a pool that cannot start (no
-``fork``/``spawn`` support, sandboxed semaphores, ...) falls back to the
-serial path rather than failing the sweep.
+Degradation is graceful at every layer: one job runs serially in-process
+(the debuggable path), and a pool that cannot start (no ``fork``/``spawn``
+support, sandboxed semaphores, ...) falls back to the serial path rather
+than failing the sweep.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import concurrent.futures
 import os
 import threading
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.core.attack_model import AttackModel
 from repro.harness import cache
@@ -53,9 +53,9 @@ class RunSpec:
 
 
 class RunFailure(RuntimeError):
-    """A simulation in a sweep failed; names the offending spec."""
+    """A cell of a fan-out failed; names it by ``spec.describe()``."""
 
-    def __init__(self, spec: RunSpec, cause: str):
+    def __init__(self, spec, cause: str):
         super().__init__(f"run failed ({spec.describe()}): {cause}")
         self.spec = spec
         self.cause = cause
@@ -89,8 +89,8 @@ def _execute_spec(spec: RunSpec) -> RunResult:
                    params=spec.params, collect_trace=spec.collect_trace)
 
 
-def _run_one_bounded(spec: RunSpec, timeout: float) -> RunResult:
-    """Run ``spec`` in a daemon thread with a wall-clock bound.
+def _run_one_bounded(fn: Callable, cell, timeout: float):
+    """Run ``fn(cell)`` in a daemon thread with a wall-clock bound.
 
     The serial path has no worker process to abandon, so the bound is
     best-effort: on timeout the simulation thread keeps running in the
@@ -102,41 +102,41 @@ def _run_one_bounded(spec: RunSpec, timeout: float) -> RunResult:
 
     def target() -> None:
         try:
-            box["result"] = _execute_spec(spec)
+            box["result"] = fn(cell)
         except BaseException as exc:     # noqa: BLE001 — reraised below
             box["error"] = exc
 
     thread = threading.Thread(target=target, daemon=True,
-                              name=f"repro-serial-{spec.workload}")
+                              name="repro-serial-run")
     thread.start()
     thread.join(timeout)
     if thread.is_alive():
-        raise RunFailure(spec, f"exceeded the {timeout}s run timeout "
+        raise RunFailure(cell, f"exceeded the {timeout}s run timeout "
                                f"(serial path: run abandoned in a "
                                f"daemon thread)")
     if "error" in box:
         exc = box["error"]
-        raise RunFailure(spec, f"{type(exc).__name__}: {exc}") from exc
+        raise RunFailure(cell, f"{type(exc).__name__}: {exc}") from exc
     return box["result"]
 
 
-def _run_serial(specs: Sequence[RunSpec],
+def _run_serial(fn: Callable, cells: Sequence,
                 timeout: Optional[float] = None) -> list:
     results = []
-    for spec in specs:
+    for cell in cells:
         if timeout is not None:
-            results.append(_run_one_bounded(spec, timeout))
+            results.append(_run_one_bounded(fn, cell, timeout))
             continue
         try:
-            results.append(_execute_spec(spec))
+            results.append(fn(cell))
         except Exception as exc:
-            raise RunFailure(spec, f"{type(exc).__name__}: {exc}") from exc
+            raise RunFailure(cell, f"{type(exc).__name__}: {exc}") from exc
     return results
 
 
-def _run_pool(specs: Sequence[RunSpec], jobs: int,
+def _run_pool(fn: Callable, cells: Sequence, jobs: int,
               timeout: Optional[float]) -> Optional[list]:
-    """Fan ``specs`` across a process pool; None if the pool cannot start.
+    """Fan ``cells`` across a process pool; None if the pool cannot start.
 
     The per-run ``timeout`` is enforced as a bound on each future's result,
     collected in submission order: while earlier runs are being awaited the
@@ -151,20 +151,20 @@ def _run_pool(specs: Sequence[RunSpec], jobs: int,
     results: list = []
     try:
         try:
-            futures = [pool.submit(_execute_spec, spec) for spec in specs]
+            futures = [pool.submit(fn, cell) for cell in cells]
         except (OSError, RuntimeError):
             return None        # pool died before accepting work
-        for spec, future in zip(specs, futures):
+        for cell, future in zip(cells, futures):
             try:
                 results.append(future.result(timeout=timeout))
             except concurrent.futures.process.BrokenProcessPool:
                 return None    # workers died (OOM, signal): retry serially
             except concurrent.futures.TimeoutError:
-                raise RunFailure(spec,
+                raise RunFailure(cell,
                                  f"exceeded the {timeout}s run timeout")
             except Exception as exc:
                 raise RunFailure(
-                    spec, f"{type(exc).__name__}: {exc}") from exc
+                    cell, f"{type(exc).__name__}: {exc}") from exc
     finally:
         # On success every future is done, so a waiting shutdown is free.
         # On any other exit a worker may be wedged mid-simulation (that is
@@ -172,8 +172,25 @@ def _run_pool(specs: Sequence[RunSpec], jobs: int,
         # exit behaviour — would stall the sweep for as long as the hang
         # lasts, defeating the deadline.  Drop the queue and abandon the
         # pool without waiting instead.
-        done = len(results) == len(specs)
+        done = len(results) == len(cells)
         pool.shutdown(wait=done, cancel_futures=not done)
+    return results
+
+
+def fan_out(fn: Callable, cells: Sequence, jobs: int,
+            timeout: Optional[float] = None) -> list:
+    """``[fn(cell) for cell in cells]``: across ``jobs`` worker processes
+    when there is more than one of each (``fn`` and the cells must
+    pickle), else serially in-process.  ``timeout`` bounds each cell in
+    seconds (``None`` reads ``REPRO_RUN_TIMEOUT``)."""
+    cells = list(cells)
+    if timeout is None:
+        timeout = default_timeout()
+    results = None
+    if jobs > 1 and len(cells) > 1:
+        results = _run_pool(fn, cells, jobs, timeout)
+    if results is None:
+        results = _run_serial(fn, cells, timeout)
     return results
 
 
@@ -197,8 +214,6 @@ def run_many(specs: Sequence[RunSpec],
         jobs = default_jobs()
     elif jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if timeout is None:
-        timeout = default_timeout()
     if use_cache is None:
         use_cache = cache.cache_enabled()
 
@@ -214,12 +229,7 @@ def run_many(specs: Sequence[RunSpec],
         else:
             known[key] = hit
     if misses:
-        miss_specs = list(misses.values())
-        computed = None
-        if jobs > 1 and len(miss_specs) > 1:
-            computed = _run_pool(miss_specs, jobs, timeout)
-        if computed is None:
-            computed = _run_serial(miss_specs, timeout)
+        computed = fan_out(_execute_spec, misses.values(), jobs, timeout)
         for key, result in zip(misses, computed):
             known[key] = result
             if use_cache:

@@ -1,15 +1,17 @@
-"""Experiment runner: one (workload, configuration, attack model) simulation."""
+"""Experiment runner: :func:`simulate` builds and runs a core for a Table 2
+configuration; :func:`run_one` does it for a registered workload."""
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.core.attack_model import AttackModel
 from repro.harness.configs import make_engine
+from repro.isa.instructions import Program
 from repro.obs.metrics import Metrics
-from repro.pipeline.core import OoOCore
+from repro.pipeline.core import OoOCore, SimResult
 from repro.pipeline.params import MachineParams
 from repro.security.observer import channel_digests
 from repro.workloads.registry import get as get_workload
@@ -62,6 +64,27 @@ class RunResult:
         return self.retired / self.cycles if self.cycles else 0.0
 
 
+def simulate(program: Program, config: str, model: AttackModel,
+             max_instructions: int,
+             params: Optional[MachineParams] = None,
+             setup: Optional[Callable[[OoOCore], None]] = None,
+             require_halt: bool = False) -> SimResult:
+    """Run ``program`` on a core with ``config``'s engine.  ``setup`` sees
+    the core before the run (e.g. an attacker planting a BTB entry);
+    ``require_halt`` makes a run cut at ``max_instructions`` raise
+    ``RuntimeError``, since its trace would describe a truncated run."""
+    core = OoOCore(program, engine=make_engine(config, model),
+                   params=params)
+    if setup is not None:
+        setup(core)
+    sim = core.run(max_instructions=max_instructions)
+    if require_halt and not sim.halted:
+        raise RuntimeError(
+            f"{program.name} did not halt under {config}/{model.value} "
+            f"within {max_instructions} instructions")
+    return sim
+
+
 def run_one(workload: str, config: str,
             model: AttackModel = AttackModel.FUTURISTIC,
             scale: int = 1, max_instructions: Optional[int] = None,
@@ -73,17 +96,11 @@ def run_one(workload: str, config: str,
     per channel into ``RunResult.trace_digests`` (the non-interference
     oracle's comparison unit; cheap and cacheable, unlike the trace).
     """
-    program = get_workload(workload).program(scale)
-    engine = make_engine(config, model)
-    core = OoOCore(program, engine=engine, params=params or MachineParams())
-    sim = core.run(max_instructions=max_instructions or 10_000_000)
-    trace_digests: dict = {}
-    if collect_trace:
-        if not sim.halted:
-            raise RuntimeError(
-                f"{workload} did not halt under {config}; its trace digests "
-                f"would describe a truncated run")
-        trace_digests = channel_digests(sim.observer, sim.cycles)
+    sim = simulate(get_workload(workload).program(scale), config, model,
+                   max_instructions or 10_000_000, params,
+                   require_halt=collect_trace)
+    trace_digests = (channel_digests(sim.observer, sim.cycles)
+                     if collect_trace else {})
     return RunResult(workload, config, model, sim.cycles, sim.retired,
                      sim.metrics, trace_digests)
 

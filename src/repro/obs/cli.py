@@ -20,16 +20,9 @@ import sys
 from typing import Optional
 
 from repro.core.attack_model import AttackModel
-from repro.harness.configs import CONFIGURATIONS
+from repro.harness.configs import CONFIGURATIONS, at_least_one
 from repro.harness.runner import run_one
 from repro.obs import bench
-
-
-def _at_least_one(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
 
 
 def _build_stats_parser() -> argparse.ArgumentParser:
@@ -42,8 +35,8 @@ def _build_stats_parser() -> argparse.ArgumentParser:
                         help="Table 2 configuration (default: UnsafeBaseline)")
     parser.add_argument("--threat-model", choices=["spectre", "futuristic"],
                         default="futuristic")
-    parser.add_argument("--scale", type=_at_least_one, default=1)
-    parser.add_argument("--max-instructions", type=_at_least_one,
+    parser.add_argument("--scale", type=at_least_one, default=1)
+    parser.add_argument("--max-instructions", type=at_least_one,
                         default=100_000)
     parser.add_argument("--json", action="store_true",
                         help="emit the nested JSON form instead of text")

@@ -15,7 +15,7 @@ transmitter execution, forwarding visibility, and cache state changes by
 transient instructions.
 
 The pipeline phases are batched over the decode tables of
-:mod:`repro.fastpath.tables`.  Fetch decodes whole straight-line runs in
+:mod:`repro.pipeline.tables`.  Fetch decodes whole straight-line runs in
 one loop.  Dispatch reads precomputed ``dclass``/``hasdest`` columns and
 registers each entry with a wakeup network; select is wakeup-driven
 (waiters keyed by physical register, ready candidates merged with the
@@ -61,8 +61,6 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import Callable, Optional
 
-from repro.fastpath.tables import (DC_LOAD, DC_NONE, DC_STORE, KC_HALT,
-                                   KC_SIMPLE, lower_program)
 from repro.isa.instructions import Program
 from repro.isa.opcodes import Kind, NUM_ARCH_REGS, WORD_MASK
 from repro.isa.semantics import alu_result, branch_taken, effective_address
@@ -75,6 +73,8 @@ from repro.pipeline.dyninst import DynInst
 from repro.pipeline.engine_api import ProtectionEngine
 from repro.pipeline.params import MachineParams
 from repro.pipeline.rename import RenameUnit
+from repro.pipeline.tables import (DC_LOAD, DC_NONE, DC_STORE, KC_HALT,
+                                   KC_SIMPLE, lower_program)
 from repro.security.observer import Observer
 
 _RETIRING = int(StallCause.RETIRING)
@@ -299,9 +299,6 @@ class OoOCore:
         return m
 
     # ----------------------------------------------------------------- utils
-    def rob_occupancy(self) -> int:
-        return len(self.rob) - self.rob_head
-
     def in_flight(self):
         """The live window, oldest first (a snapshot list: the engines
         iterate it several times per cycle and a slice beats a generator)."""

@@ -76,7 +76,7 @@ class ProgramTable:
     ``flags`` feeds the packed SPT engine's rule evaluation.  The remaining
     columns drive the core's batched frontend: ``insts``/``infos`` give the
     fetch loop direct references (no ``inst.info`` property per fetch),
-    ``kindc``/``runlen`` classify PCs for run-length batch fetch
+    ``kindc``/``runlen`` sort PCs into kinds for run-length batch fetch
     (``runlen[pc]`` = number of consecutive ``KC_SIMPLE`` instructions
     starting at ``pc``), and ``hasdest``/``needs_rs``/``dclass`` encode
     the per-PC dispatch checks.  Every column is *defined* by a predicate
@@ -157,8 +157,8 @@ def lower_program(program: Program) -> ProgramTable:
     that one lowering, and makes repeated runs of one workload program
     table-free.
     """
-    table = getattr(program, "_fastpath_table", None)
+    table = getattr(program, "_decode_table", None)
     if table is None:
         table = ProgramTable(program)
-        program._fastpath_table = table
+        program._decode_table = table
     return table

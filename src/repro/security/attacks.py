@@ -34,6 +34,9 @@ registered and documented in :mod:`repro.security.scenarios`:
 
 All builders take the secret (byte or seed) as a parameter so
 trace-equivalence tests can diff runs across secrets.
+
+The module also holds the one leak rule every verdict command judges by
+(:func:`expected_to_leak`), keyed by a victim's exposure class.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from repro.harness.configs import CONFIGURATIONS
 from repro.isa.builder import ProgramBuilder
 from repro.isa.instructions import Program
 from repro.memory.main_memory import uninit_byte
@@ -48,10 +52,29 @@ from repro.memory.main_memory import uninit_byte
 PROBE_LINE_BYTES = 64
 ATTACK_BASE = 0x400000
 
+# How a victim exposes its secret (paper Section 9.1).
+SPECULATIVE = "speculative"         # the secret only exists transiently
+NONSPECULATIVE = "nonspeculative"   # loaded and retired before the window
+EXPOSURES = (SPECULATIVE, NONSPECULATIVE)
+
+
+def expected_to_leak(exposure: str, config: str) -> bool:
+    """Must a victim of this exposure class leak under ``config``, under
+    either attack model?  UnsafeBaseline leaks every secret; every other
+    scheme blocks a transient-only one, but STT's scope excludes
+    non-speculatively accessed data (paper Section 3)."""
+    if exposure not in EXPOSURES:
+        raise ValueError(f"unknown exposure class {exposure!r}")
+    if config not in CONFIGURATIONS:
+        raise ValueError(f"unknown configuration {config!r}")
+    return config == "UnsafeBaseline" or (exposure == NONSPECULATIVE
+                                          and config == "STT")
+
 
 @dataclass(frozen=True)
 class AttackProgram:
-    """A victim program plus how to detect the leak in the observer trace.
+    """A victim program, where its secret byte lives, and how to detect the
+    leak in the observer trace.
 
     ``setup`` (when present) runs against the constructed core before the
     simulation starts — the attacker's out-of-band preparation step, e.g.
@@ -62,6 +85,7 @@ class AttackProgram:
     program: Program
     probe_base: int
     secret: int
+    secret_address: int
     setup: Optional[Callable] = None
     overrides: Optional[dict] = None
 
@@ -142,7 +166,7 @@ def spectre_v1(secret: int = 0xA7, in_bounds: int = 16,
         b.add("s6", "s6", "a3")
         b.place(skip)
     b.halt()
-    return AttackProgram(b.build(), probe, secret)
+    return AttackProgram(b.build(), probe, secret, array + in_bounds)
 
 
 def nonspec_secret(secret: int = 0x5C, trainings: int = 4) -> AttackProgram:
@@ -214,7 +238,7 @@ def nonspec_secret(secret: int = 0x5C, trainings: int = 4) -> AttackProgram:
 
     b.place(done)
     b.halt()
-    return AttackProgram(b.build(), probe, secret)
+    return AttackProgram(b.build(), probe, secret, value_bytes + trainings)
 
 
 def spectre_btb(secret: int = 0x6D, widen: int = 64) -> AttackProgram:
@@ -268,7 +292,7 @@ def spectre_btb(secret: int = 0x6D, widen: int = 64) -> AttackProgram:
         core.predictor.train_btb(aliased_pc, program.symbols["gadget"],
                                  alias_ok=True)
 
-    return AttackProgram(program, probe, secret, setup=setup)
+    return AttackProgram(program, probe, secret, values, setup=setup)
 
 
 def spectre_rsb(secret: int = 0x3B, widen: int = 64) -> AttackProgram:
@@ -319,7 +343,7 @@ def spectre_rsb(secret: int = 0x3B, widen: int = 64) -> AttackProgram:
 
     b.place(done)
     b.halt()
-    return AttackProgram(b.build(), probe, secret)
+    return AttackProgram(b.build(), probe, secret, values)
 
 
 def spectre_stl(secret: int = 0x51, widen: int = 24) -> AttackProgram:
@@ -351,7 +375,7 @@ def spectre_stl(secret: int = 0x51, widen: int = 24) -> AttackProgram:
     b.lb("a1", "t0", 0)               # the bypassing load (address ready now)
     _transmit(b, "a1")
     b.halt()
-    return AttackProgram(b.build(), probe, secret,
+    return AttackProgram(b.build(), probe, secret, slot,
                          overrides={"memory_dependence_speculation": True})
 
 
@@ -413,5 +437,5 @@ def uninit_transient(seed: int = 0x5EED, in_bounds: int = 8,
         _transmit(b, "a1")
         b.place(skip)
     b.halt()
-    return AttackProgram(b.build(), probe, leaked + 1,
+    return AttackProgram(b.build(), probe, leaked + 1, heap,
                          overrides={"uninit_secret_seed": seed})

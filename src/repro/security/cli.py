@@ -7,8 +7,9 @@ Examples::
     python -m repro.cli pentest --configs UnsafeBaseline,STT --jobs 4
     python -m repro.cli pentest --json
 
-Exit status is 0 when every cell matches the declarative expectation table
-of :mod:`repro.security.scenarios`, 1 otherwise — so CI can gate on it.
+Exit status is 0 when every cell matches the leak rule
+(:func:`repro.security.attacks.expected_to_leak`), 1 otherwise — so CI can
+gate on it — and 2 for a usage error.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ import json
 import sys
 from typing import Optional
 
-from repro.core.attack_model import AttackModel
-from repro.harness.configs import parse_config_names
+from repro.harness.configs import (MODELS_HELP, at_least_one,
+                                   parse_config_names, parse_models)
+from repro.harness.parallel import RunFailure
 from repro.security.scenarios import SCENARIOS, render_matrix, scenario_matrix
 
 
@@ -32,36 +34,18 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="NAME",
                         help="scenario to run (repeatable; default: all). "
                              f"Known: {', '.join(sorted(SCENARIOS))}")
-    parser.add_argument("--configs", default="all",
+    parser.add_argument("--configs", type=parse_config_names, default="all",
                         help="comma-separated Table 2 configuration names "
                              "(default: all)")
-    parser.add_argument("--models", default="spectre,futuristic",
-                        help="attack models to run under "
-                             "(default: spectre,futuristic)")
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--models", type=parse_models, default="both",
+                        help=MODELS_HELP)
+    parser.add_argument("--jobs", type=at_least_one, default=1,
                         help="worker processes for the matrix (default: 1)")
     parser.add_argument("--json", action="store_true",
                         help="emit the matrix as JSON instead of a table")
     parser.add_argument("--list", action="store_true",
                         help="list the registered scenarios and exit")
     return parser
-
-
-def _parse_models(text: str) -> list:
-    models = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            models.append(AttackModel(part))
-        except ValueError:
-            raise SystemExit(
-                f"error: unknown attack model {part!r}; "
-                f"known: {', '.join(m.value for m in AttackModel)}")
-    if not models:
-        raise SystemExit("error: --models selected nothing")
-    return models
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -77,10 +61,12 @@ def main(argv: Optional[list] = None) -> int:
             print(f"error: unknown scenario {name!r}; known: "
                   f"{', '.join(sorted(SCENARIOS))}", file=sys.stderr)
             return 2
-    results = scenario_matrix(scenarios=names,
-                              configs=parse_config_names(args.configs),
-                              models=_parse_models(args.models),
-                              jobs=args.jobs)
+    try:
+        results = scenario_matrix(scenarios=names, configs=args.configs,
+                                  models=args.models, jobs=args.jobs)
+    except RunFailure as failure:
+        print(f"error: {failure}", file=sys.stderr)
+        return 1
     failures = [r for r in results if not r.passed]
     if args.json:
         print(json.dumps([{

@@ -1,9 +1,10 @@
 """The Spectre-variant attack scenario library (paper Section 9.1, extended).
 
 Every named scenario bundles an attack builder from
-:mod:`repro.security.attacks` with its *declarative expectation row*: for
-each Table 2 configuration, whether the covert-channel probe line must be
-touched.  The rows encode the paper's protection-scope argument:
+:mod:`repro.security.attacks` with its *exposure class*, and the one leak
+rule, :func:`repro.security.attacks.expected_to_leak`, turns the class
+into each Table 2 configuration's expectation: whether the covert-channel
+probe line must be touched.
 
 * ``speculative`` exposure — the secret only ever exists transiently
   (bounds bypass, store bypass, uninitialised heap).  Everything except
@@ -19,100 +20,71 @@ The expectation is model-independent: scenarios are built so the verdict
 holds under both the Spectre and Futuristic attack models (the builders'
 speculation windows are wide enough to cover the Futuristic VP delays).
 
-``scenario_matrix`` runs the full scenario x config x model grid, optionally
-across worker processes, and ``render_matrix`` pretty-prints it.
+``scenario_matrix`` runs the full scenario x config x model grid through
+:func:`repro.harness.parallel.fan_out`, and ``render_matrix``
+pretty-prints it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.core.attack_model import AttackModel
-from repro.harness.configs import CONFIGURATIONS, make_engine
-from repro.pipeline.core import OoOCore, SimResult
+from repro.harness.configs import BOTH_MODELS, CONFIGURATIONS
+from repro.harness.parallel import fan_out
+from repro.harness.runner import simulate
+from repro.pipeline.core import SimResult
 from repro.pipeline.params import MachineParams
 from repro.security import attacks
-from repro.security.attacks import AttackProgram
-
-SPECULATIVE = "speculative"
-NONSPECULATIVE = "nonspeculative"
-
-
-def _expected_row(exposure: str) -> dict[str, bool]:
-    """The per-config leak expectation for an exposure class."""
-    if exposure == SPECULATIVE:
-        return {name: name == "UnsafeBaseline" for name in CONFIGURATIONS}
-    if exposure == NONSPECULATIVE:
-        return {name: name in ("UnsafeBaseline", "STT")
-                for name in CONFIGURATIONS}
-    raise ValueError(exposure)
+from repro.security.attacks import (NONSPECULATIVE, SPECULATIVE,
+                                    AttackProgram, expected_to_leak)
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A named attack scenario with its declarative expectation row."""
+    """A named attack scenario and how it exposes its secret."""
 
     name: str
     variant: str                  # Kocher et al. taxonomy label
     exposure: str                 # SPECULATIVE or NONSPECULATIVE
     summary: str
     build: Callable[..., AttackProgram]   # keyword overrides, e.g. secret=
-    expected: Mapping[str, bool]  # config name -> must the probe line leak?
-
-
-def _scenario(name: str, variant: str, exposure: str, summary: str,
-              build: Callable[..., AttackProgram]) -> Scenario:
-    return Scenario(name, variant, exposure, summary, build,
-                    _expected_row(exposure))
 
 
 SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
-    _scenario(
+    Scenario(
         "spectre-pht", "v1 (PHT)", SPECULATIVE,
         "Bounds-check bypass: trained direction predictor lets a transient "
         "out-of-bounds load read and transmit a secret byte.",
         attacks.spectre_v1),
-    _scenario(
+    Scenario(
         "spectre-btb", "v2 (BTB)", NONSPECULATIVE,
         "Indirect-target injection: an aliased wildcard BTB entry redirects "
         "the victim's call into a gadget that leaks a retired register.",
         attacks.spectre_btb),
-    _scenario(
+    Scenario(
         "spectre-rsb", "v5 (RSB)", NONSPECULATIVE,
         "Return-stack misdirection: a callee overwrites its return address, "
         "so the RAS-predicted return transiently runs the transmit gadget.",
         attacks.spectre_rsb),
-    _scenario(
+    Scenario(
         "spectre-stl", "v4 (STL)", SPECULATIVE,
         "Speculative store bypass: a load issues past an unresolved older "
         "store and reads the stale secret it was about to overwrite.",
         attacks.spectre_stl),
-    _scenario(
+    Scenario(
         "nonspec-secret", "SPT motivation", NONSPECULATIVE,
         "A constant-time victim holds a secret register non-speculatively; "
         "a mis-trained indirect branch transiently transmits it.",
         attacks.nonspec_secret),
-    _scenario(
+    Scenario(
         "uninit-transient", "SpectreOOBState", SPECULATIVE,
         "Uninitialised-memory-is-secret policy: a bounds bypass transiently "
         "reads a never-written heap byte (keyed-hash fill).",
         attacks.uninit_transient),
 )}
-
-
-def expected_to_leak(scenario: str, config: str,
-                     model: Optional[AttackModel] = None) -> bool:
-    """The declarative expectation table (KeyError on unknown names).
-
-    ``model`` is accepted for symmetry with ``run_scenario`` but ignored:
-    the expectation rows are attack-model independent by construction.
-    """
-    if config not in CONFIGURATIONS:
-        raise KeyError(config)
-    return SCENARIOS[scenario].expected[config]
 
 
 def run_attack(attack: AttackProgram, config: str, model: AttackModel,
@@ -126,14 +98,8 @@ def run_attack(attack: AttackProgram, config: str, model: AttackModel,
     params = params or MachineParams()
     if attack.overrides:
         params = dataclasses.replace(params, **attack.overrides)
-    core = OoOCore(attack.program, engine=make_engine(config, model),
-                   params=params)
-    if attack.setup:
-        attack.setup(core)
-    sim = core.run(max_instructions=500_000)
-    if not sim.halted:
-        raise RuntimeError(f"attack {attack.program.name} did not halt "
-                           f"under {config}/{model.name}")
+    sim = simulate(attack.program, config, model, 500_000, params,
+                   setup=attack.setup, require_halt=True)
     return attack.leaked(sim.observer), sim
 
 
@@ -145,12 +111,25 @@ def run_scenario(scenario: str, config: str, model: AttackModel,
 
 
 @dataclass(frozen=True)
+class ScenarioCell:
+    """One (scenario, config, model) cell of the matrix."""
+
+    scenario: str
+    config: str
+    model: str                    # AttackModel name
+
+    def describe(self) -> str:
+        return (f"scenario={self.scenario} config={self.config} "
+                f"model={self.model}")
+
+
+@dataclass(frozen=True)
 class ScenarioResult:
     """Leakage verdict for one (scenario, config, model) cell."""
 
     scenario: str
     config: str
-    model: str                    # AttackModel name (picklable)
+    model: str                    # AttackModel name
     leaked: bool
     expected: bool
 
@@ -159,37 +138,35 @@ class ScenarioResult:
         return self.leaked == self.expected
 
 
-def _run_cell(cell: tuple[str, str, str]) -> ScenarioResult:
-    """Worker for one matrix cell (module-level: picklable)."""
-    scenario, config, model_name = cell
-    model = AttackModel[model_name]
-    leaked, _ = run_scenario(scenario, config, model)
-    return ScenarioResult(scenario, config, model_name, leaked,
-                          expected_to_leak(scenario, config))
+def _run_cell(cell: ScenarioCell) -> ScenarioResult:
+    """Judge one matrix cell (module-level: picklable)."""
+    leaked, _ = run_scenario(cell.scenario, cell.config,
+                             AttackModel[cell.model])
+    return ScenarioResult(
+        cell.scenario, cell.config, cell.model, leaked,
+        expected_to_leak(SCENARIOS[cell.scenario].exposure, cell.config))
 
 
 def scenario_matrix(scenarios: Optional[Sequence[str]] = None,
                     configs: Optional[Sequence[str]] = None,
                     models: Optional[Sequence[AttackModel]] = None,
                     jobs: int = 1) -> list[ScenarioResult]:
-    """Run the scenario x config x model grid, optionally in parallel.
+    """Run the scenario x config x model grid over ``jobs`` processes.
 
     Results are deterministic and ordering-stable regardless of ``jobs``:
     every cell simulation is self-contained, so worker processes return
-    bit-identical verdicts to an in-process run.
+    bit-identical verdicts to an in-process run.  A cell that raises fails
+    the matrix with a ``RunFailure`` naming it.
     """
     names = list(scenarios or SCENARIOS)
     for name in names:
         if name not in SCENARIOS:
             raise KeyError(name)
-    configs = list(configs or CONFIGURATIONS)
-    models = list(models or (AttackModel.SPECTRE, AttackModel.FUTURISTIC))
-    cells = [(name, config, model.name)
-             for name in names for model in models for config in configs]
-    if jobs <= 1:
-        return [_run_cell(cell) for cell in cells]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_run_cell, cells))
+    cells = [ScenarioCell(name, config, model.name)
+             for name in names
+             for model in models or BOTH_MODELS
+             for config in configs or CONFIGURATIONS]
+    return fan_out(_run_cell, cells, jobs)
 
 
 def render_matrix(results: Sequence[ScenarioResult]) -> str:

@@ -145,7 +145,7 @@ def cross_check_plan(plan, *, secrets: Optional[tuple] = None,
                      model: AttackModel = AttackModel.SPECTRE,
                      max_instructions: int = FUZZ_BUDGET,
                      **bounds) -> CrossCheckRecord:
-    """Run both oracles on one plan and classify their agreement.
+    """Run both oracles on one plan and judge whether they agree.
 
     The concrete side diffs the plan's deterministic secret pair under
     ``UnsafeBaseline`` (protection-free, so every real leak is visible;

@@ -12,6 +12,9 @@ concrete security tests treat as secret:
 * ``spectre-pht`` — the out-of-bounds byte behind ``victim_array``;
 * ``nonspec-secret`` — the final (secret) entry of the ``values`` table.
 
+The two gadget layouts read ``AttackProgram.secret_address``, which each
+attack builder records where it allocates the secret byte.
+
 Fuzz plans get the same treatment via :func:`plan_target`: the plan is
 rendered once (the instruction stream and data addresses are
 secret-independent by generator invariant) and the whole 64-byte secret
@@ -86,20 +89,13 @@ def _djbsort(scale: int):
     return program, SecretLayout(((base, djbsort.N * 8),))
 
 
-def _spectre_pht(scale: int):
-    attack = attacks.spectre_v1()
-    base = attack.program.data_symbols["victim_array"]
-    # The array's in-bounds prefix is public training data; only the byte
-    # one past the end (what the transient OOB access reaches) is secret.
-    in_bounds = 16                  # spectre_v1's default bound
-    return attack.program, SecretLayout(((base + in_bounds, 1),))
-
-
-def _nonspec_secret(scale: int):
-    attack = attacks.nonspec_secret()
-    base = attack.program.data_symbols["values"]
-    trainings = 4                   # nonspec_secret's default
-    return attack.program, SecretLayout(((base + trainings, 1),))
+def _attack_target(build: Callable) -> Callable:
+    """A target builder for an attack gadget: its one secret byte, where
+    the builder allocated it, is the secret (gadgets do not scale)."""
+    def target(scale: int):
+        attack = build()
+        return attack.program, SecretLayout(((attack.secret_address, 1),))
+    return target
 
 
 TARGETS: dict = {
@@ -114,11 +110,11 @@ TARGETS: dict = {
         _djbsort),
     "spectre-pht": VerifyTarget(
         "spectre-pht", "bounds-check-bypass gadget (must leak)", "leak",
-        _spectre_pht),
+        _attack_target(attacks.spectre_v1)),
     "nonspec-secret": VerifyTarget(
         "nonspec-secret",
         "mis-trained indirect call over a non-speculative secret "
-        "(must leak)", "leak", _nonspec_secret),
+        "(must leak)", "leak", _attack_target(attacks.nonspec_secret)),
 }
 
 

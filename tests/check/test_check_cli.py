@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
+
 import pytest
 
 from repro.check.cli import (SMOKE_CONFIGS, SMOKE_WORKLOADS, check_counts,
-                             _parse_workloads, main)
-from repro.harness.configs import CONFIGURATIONS
+                             main)
+from repro.harness.configs import CONFIGURATIONS, parse_workloads
 from repro.obs.metrics import Metrics
 from repro.workloads.registry import WORKLOADS
 
@@ -36,9 +38,11 @@ def test_parse_configs_honours_braces(monkeypatch):
 
 
 def test_parse_workloads_rejects_unknown():
-    assert _parse_workloads("mcf,chacha20") == ["mcf", "chacha20"]
-    with pytest.raises(SystemExit):
-        _parse_workloads("quake3")
+    assert parse_workloads("mcf,chacha20") == ["mcf", "chacha20"]
+    with pytest.raises(argparse.ArgumentTypeError, match="quake3"):
+        parse_workloads("quake3")
+    with pytest.raises(argparse.ArgumentTypeError, match="selected nothing"):
+        parse_workloads(" , ")
 
 
 def test_check_counts_extraction():

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.attack_model import AttackModel
+from repro.harness.configs import BOTH_MODELS  # noqa: F401 (re-exported)
 from repro.isa.interpreter import run_program
 from repro.pipeline.core import OoOCore
 from repro.pipeline.params import MachineParams
 
 
-BOTH_MODELS = [AttackModel.SPECTRE, AttackModel.FUTURISTIC]
 RUNS = ["default", "checked"]
 
 

@@ -1,7 +1,7 @@
 """The golden record: the reference run's outcomes, frozen as digests.
 
 ``golden_record.json`` holds one entry per differential cell: digests of
-every field :func:`repro.fastpath.diff.compare_cell` compares (cycles,
+every field :func:`repro.check.diff.compare_cell` compares (cycles,
 retired count, halt, the retired-PC stream, the architectural registers,
 every metric path less ``check.*``, and the per-channel trace digests),
 or the error string of a wedged run.  The record was generated from the
@@ -26,7 +26,7 @@ def _sha(value) -> str:
 
 
 def digest(outcome: dict) -> dict:
-    """The record entry of one :func:`~repro.fastpath.diff.run_outcome`."""
+    """The record entry of one :func:`~repro.check.diff.run_outcome`."""
     if "error" in outcome:
         return {"error": outcome["error"]}
     return {

@@ -20,7 +20,7 @@ programs are built to hit the batched sweeps where they are weakest:
 
 Each default run is compared with the reference run by the same
 comparator as ``repro backend-diff``
-(:func:`repro.fastpath.diff.compare_cell`), so "match" means cycles,
+(:func:`repro.check.diff.compare_cell`), so "match" means cycles,
 retired-PC stream, architectural registers, every metric path of the
 metrics tree and the attacker-visible trace digests are all identical;
 and with its entry in the golden record (:mod:`tests.fastpath.golden`).
@@ -36,7 +36,7 @@ import pytest
 from repro.core.attack_model import AttackModel
 from repro.core.shadow_l1 import ShadowMode
 from repro.core.spt import ReferenceSPTEngine, SPTEngine
-from repro.fastpath.diff import compare_cell, reference_engine, run_outcome
+from repro.check.diff import compare_cell, reference_engine, run_outcome
 from repro.harness.configs import FULL_SPT, make_engine
 from repro.isa.assembler import assemble
 from repro.isa.builder import ProgramBuilder

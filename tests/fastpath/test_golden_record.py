@@ -23,9 +23,9 @@ from functools import partial
 
 import pytest
 
-from repro.fastpath.diff import (BOTH_MODELS, FULL_BUDGET, SMOKE_BUDGET,
-                                 SMOKE_CONFIGS, SMOKE_WORKLOADS, run_cell)
-from repro.harness.configs import FIGURE7_ORDER
+from repro.check.diff import (FULL_BUDGET, SMOKE_BUDGET, SMOKE_CONFIGS,
+                              SMOKE_WORKLOADS, run_cell)
+from repro.harness.configs import BOTH_MODELS, FIGURE7_ORDER
 from repro.workloads.registry import WORKLOADS
 
 from tests.fastpath import golden, test_batched_core, test_vector_differential

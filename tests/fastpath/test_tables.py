@@ -1,6 +1,6 @@
 """The decode tables must be definitionally tied to the reference rules.
 
-Every flag in :mod:`repro.fastpath.tables` is checked against the
+Every flag in :mod:`repro.pipeline.tables` is checked against the
 predicate it lowers — over *every* opcode in the ISA and, for the
 forward/backward rules, over every realizable taint combination — so a
 new opcode or a rule change cannot silently diverge between the packed
@@ -14,7 +14,7 @@ from repro.core.taint_algebra import (PC_INFERABLE_KINDS, PURE_KINDS,
                                       backward_untaints,
                                       forward_untaints_output,
                                       initial_output_taint)
-from repro.fastpath.tables import (DC_JUMP, DC_LOAD, DC_NONE, DC_RS,
+from repro.pipeline.tables import (DC_JUMP, DC_LOAD, DC_NONE, DC_RS,
                                    DC_STORE, F_BRANCH, F_INV_ALU, F_INV_MONO,
                                    F_JUMP_REG, F_LOAD, F_PC_INFERABLE, F_PURE,
                                    F_TRANSMITTER, KC_CONTROL, KC_HALT,

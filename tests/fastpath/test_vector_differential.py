@@ -15,8 +15,8 @@ from functools import partial
 import pytest
 
 from repro.core.attack_model import AttackModel
-from repro.fastpath.diff import (compare_cell, reference_engine, run_cell,
-                                 run_outcome)
+from repro.check.diff import (compare_cell, reference_engine, run_cell,
+                              run_outcome)
 from repro.harness.configs import FULL_SPT, make_engine
 from repro.pipeline.core import OoOCore, SimulationError
 from repro.pipeline.params import MachineParams

@@ -103,8 +103,8 @@ def test_cli_runs_a_small_campaign(tmp_path, capsys):
 
 
 def test_cli_rejects_bad_arguments(capsys):
-    assert fuzz_main(["--seeds", "0"]) == 2
-    with pytest.raises(SystemExit):
-        fuzz_main(["--configs", "NotAConfig"])
-    with pytest.raises(SystemExit):
-        fuzz_main(["--profile", "nope"])
+    for argv in (["--seeds", "0"], ["--configs", "NotAConfig"],
+                 ["--profile", "nope"]):
+        with pytest.raises(SystemExit) as excinfo:
+            fuzz_main(argv)
+        assert excinfo.value.code == 2, argv

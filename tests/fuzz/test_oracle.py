@@ -1,4 +1,4 @@
-"""Non-interference oracle: planted leaks and the expected-divergence matrix.
+"""Non-interference oracle: planted leaks and the verdicts built from them.
 
 The planted gadgets here are the oracle's ground truth, as the default run
 and as the checked run (stepped mode under the full sanitizer):
@@ -15,20 +15,25 @@ import pytest
 from repro.core.attack_model import AttackModel
 from repro.fuzz.generator import Gadget, generate_plan, render, secret_pair, \
     with_blocks
-from repro.fuzz.oracle import (architectural_dependence, check_pair_direct,
-                               classify, divergence_detail,
-                               expected_to_diverge)
+from repro.fuzz.oracle import (CellVerdict, architectural_dependence,
+                               check_pair_direct, divergence_detail)
 from repro.harness.configs import CONFIGURATIONS
+from repro.security.attacks import (NONSPECULATIVE, SPECULATIVE,
+                                    expected_to_leak)
 
 from tests.conftest import BOTH_MODELS, RUNS, run_params
 
 SPT_CONFIGS = [name for name in CONFIGURATIONS if name.startswith("SPT")]
 
 
-def _planted(exposure: str):
+def _plan(exposure: str):
     gadget = Gadget(exposure=exposure, transmit="line", trainings=3, widen=8,
                     in_bounds=4, secret_index=10, shift=6)
-    plan = with_blocks(generate_plan(0, "quick"), [gadget])
+    return with_blocks(generate_plan(0, "quick"), [gadget])
+
+
+def _planted(exposure: str):
+    plan = _plan(exposure)
     secrets = secret_pair(0)
     programs = tuple(render(plan, s) for s in secrets)
     assert not architectural_dependence(*programs)
@@ -86,23 +91,32 @@ def test_stt_scope_gap_on_nonspeculative_gadget(run_modes):
 
 
 def test_expected_divergence_matrix():
-    for exposure in ("speculative", "nonspeculative"):
-        assert expected_to_diverge(exposure, "UnsafeBaseline")
-    assert expected_to_diverge("nonspeculative", "STT")
-    assert not expected_to_diverge("speculative", "STT")
-    for config in SPT_CONFIGS + ["SecureBaseline"]:
-        for exposure in ("speculative", "nonspeculative"):
-            assert not expected_to_diverge(exposure, config)
+    """The campaign keys the leak rule by the plan's exposure class: a
+    planted non-speculative gadget makes the whole plan non-speculative."""
+    for exposure in (SPECULATIVE, NONSPECULATIVE):
+        assert _plan(exposure).exposure == exposure
+    expected = {config: [expected_to_leak(_plan(exposure).exposure, config)
+                         for exposure in (SPECULATIVE, NONSPECULATIVE)]
+                for config in CONFIGURATIONS}
+    assert expected.pop("UnsafeBaseline") == [True, True]
+    assert expected.pop("STT") == [False, True]
+    assert set(expected) == set(SPT_CONFIGS) | {"SecureBaseline"}
+    for config, row in expected.items():
+        assert row == [False, False], config
 
 
 def test_classify_flags_counterexamples():
-    model = AttackModel.SPECTRE
-    ok = classify("speculative", "SPT{Bwd,ShadowL1}", model, [])
+    """A cell's verdict, as the campaign builds it from the leak rule."""
+    def verdict(config, channels):
+        return CellVerdict(config, AttackModel.SPECTRE, tuple(channels),
+                           expected_to_leak("speculative", config))
+
+    ok = verdict("SPT{Bwd,ShadowL1}", [])
     assert not ok.diverged and not ok.counterexample
-    expected = classify("speculative", "UnsafeBaseline", model, ["load-line"])
+    expected = verdict("UnsafeBaseline", ["load-line"])
     assert expected.diverged and expected.expected
     assert not expected.counterexample
-    bad = classify("speculative", "SPT{Bwd,ShadowL1}", model, ["load-line"])
+    bad = verdict("SPT{Bwd,ShadowL1}", ["load-line"])
     assert bad.diverged and bad.counterexample and not bad.expected
 
 
@@ -113,5 +127,10 @@ def test_divergence_detail_shows_differing_events():
 
 
 def test_oracle_rejects_bad_exposure():
-    with pytest.raises(ValueError):
-        expected_to_diverge("banana", "STT")
+    """A gadget of an unknown exposure class renders to no victim, and the
+    leak rule gives it no expectation."""
+    plan = _plan("banana")
+    with pytest.raises(ValueError, match="exposure"):
+        render(plan, secret_pair(0)[0])
+    with pytest.raises(ValueError, match="exposure"):
+        expected_to_leak("banana", "STT")

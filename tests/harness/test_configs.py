@@ -1,4 +1,6 @@
-"""Unit tests for the Table 2 configuration registry."""
+"""Unit tests for the Table 2 configuration registry and grid parsers."""
+
+from argparse import ArgumentTypeError
 
 import pytest
 
@@ -71,9 +73,29 @@ def test_parse_config_names_handles_brace_commas():
     assert parse_config_names("UnsafeBaseline,SPT{Bwd,ShadowL1},STT") == \
         ["UnsafeBaseline", "SPT{Bwd,ShadowL1}", "STT"]
     assert parse_config_names("all") == list(CONFIGURATIONS)
-    with pytest.raises(SystemExit, match="unknown configuration"):
+    with pytest.raises(ArgumentTypeError, match="unknown configuration"):
         parse_config_names("SPT{Bwd")
-    with pytest.raises(SystemExit, match="unknown configuration"):
+    with pytest.raises(ArgumentTypeError, match="unknown configuration"):
         parse_config_names("NotAConfig")
-    with pytest.raises(SystemExit, match="selected nothing"):
+    with pytest.raises(ArgumentTypeError, match="selected nothing"):
         parse_config_names(",")
+
+
+def test_parse_models_takes_both_or_a_list():
+    from repro.harness.configs import BOTH_MODELS, parse_models
+    assert parse_models("both") == list(BOTH_MODELS)
+    assert BOTH_MODELS == (AttackModel.SPECTRE, AttackModel.FUTURISTIC)
+    assert parse_models("futuristic") == [AttackModel.FUTURISTIC]
+    assert parse_models("spectre, futuristic") == list(BOTH_MODELS)
+    with pytest.raises(ArgumentTypeError, match="unknown attack model"):
+        parse_models("quantum")
+    with pytest.raises(ArgumentTypeError, match="selected nothing"):
+        parse_models(",")
+
+
+@pytest.mark.parametrize("text", ["0", "-5"])
+def test_at_least_one_rejects_sizes_below_one(text):
+    from repro.harness.configs import at_least_one
+    assert at_least_one("3") == 3
+    with pytest.raises(ArgumentTypeError, match="must be at least 1"):
+        at_least_one(text)
