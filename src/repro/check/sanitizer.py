@@ -104,7 +104,7 @@ class Sanitizer:
         # Golden lockstep state: an independent architectural machine.
         seed = core.params.uninit_secret_seed
         self.golden = ArchState() if seed is None else _UninitGolden(seed)
-        self.golden.memory.update(core.program.initial_memory)
+        self.golden.memory.update(core.program.initial_memory.items())
         self.expected_pc: Optional[int] = 0
         self.golden_retired = 0
         self._last_retired_seq = -1

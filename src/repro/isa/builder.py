@@ -25,8 +25,8 @@ from contextlib import contextmanager
 from typing import Iterable, Iterator, Optional, Union
 
 from repro.isa.assembler import parse_register
-from repro.isa.instructions import Instruction, IsaError, Program, store_word
-from repro.isa.opcodes import OPCODES, Kind
+from repro.isa.instructions import Instruction, IsaError, MemoryImage, Program
+from repro.isa.opcodes import OPCODES, WORD_MASK, Kind
 
 Reg = Union[str, int]
 
@@ -46,7 +46,7 @@ class ProgramBuilder:
         self.name = name
         self._instructions: list[tuple[str, int, int, int, object]] = []
         self._labels: dict[str, _Label] = {}
-        self._memory: dict[int, int] = {}
+        self._segments: list[tuple[int, bytes]] = []
         self._data_symbols: dict[str, int] = {}
         self._data_cursor = data_base
         self._auto_label = 0
@@ -55,24 +55,19 @@ class ProgramBuilder:
     def alloc_words(self, name: str, values: Iterable[int],
                     align: int = 8) -> int:
         """Allocate and initialise an array of 8-byte words; returns address."""
-        address = self._align(align)
-        cursor = address
-        for value in values:
-            store_word(self._memory, cursor, value & ((1 << 64) - 1), 8)
-            cursor += 8
-        self._data_cursor = cursor
-        self._data_symbols[name] = address
-        return address
+        data = b"".join((value & WORD_MASK).to_bytes(8, "little")
+                        for value in values)
+        return self._alloc(name, data, align)
 
     def alloc_bytes(self, name: str, values: Iterable[int],
                     align: int = 8) -> int:
         """Allocate and initialise a byte array; returns its address."""
+        return self._alloc(name, bytes(value & 0xFF for value in values), align)
+
+    def _alloc(self, name: str, data: bytes, align: int) -> int:
         address = self._align(align)
-        cursor = address
-        for value in values:
-            self._memory[cursor] = value & 0xFF
-            cursor += 1
-        self._data_cursor = cursor
+        self._segments.append((address, data))
+        self._data_cursor = address + len(data)
         self._data_symbols[name] = address
         return address
 
@@ -210,5 +205,5 @@ class ProgramBuilder:
                 else:
                     raise IsaError(f"unresolved symbol {imm!r}")
             instructions.append(Instruction(op, rd=rd, rs1=rs1, rs2=rs2, imm=imm))
-        return Program(instructions, dict(self._memory), symbols,
+        return Program(instructions, MemoryImage(self._segments), symbols,
                        dict(self._data_symbols), self.name)

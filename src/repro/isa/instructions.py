@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from repro.isa.opcodes import NUM_ARCH_REGS, OPCODES, Kind, OpInfo
+from repro.isa.opcodes import NUM_ARCH_REGS, OPCODES, WORD_MASK, Kind, OpInfo
 
 
 class IsaError(Exception):
@@ -64,14 +66,116 @@ class Instruction:
         return parts[0] + (" " + ", ".join(operands) if operands else "")
 
 
+class MemoryImage(Mapping):
+    """A program's initial data memory: an immutable ``{byte address:
+    byte}`` mapping held as sorted, disjoint ``(base, bytes)`` segments.
+
+    Segments hold a workload's arrays at one byte per byte, where a dict
+    spends an entry on each.  Every byte lies in the machine's address
+    space [0, 2^64); anything else raises :class:`IsaError`.  Adjacent
+    segments are merged, so one mapping has one set of segments.
+    Addresses in no segment (``reserve`` gaps) are absent, as in a dict:
+    they read as zero, or as ``uninit_byte`` under ``uninit_secret_seed``.
+    """
+
+    __slots__ = ("_bases", "_segments")
+
+    def __init__(self, segments: Iterable[tuple[int, bytes]] = ()):
+        runs: list[tuple[int, list[bytes]]] = []
+        end = -1
+        for base, data in sorted(segments, key=lambda segment: segment[0]):
+            if not data:
+                continue
+            if base < 0 or base + len(data) > WORD_MASK + 1:
+                raise IsaError(f"data bytes {base:#x}..{base + len(data) - 1:#x}"
+                               " lie outside the 64-bit address space")
+            if base < end:
+                raise IsaError(f"data segments overlap at {base:#x}")
+            if base == end:
+                runs[-1][1].append(data)
+            else:
+                runs.append((base, [data]))
+            end = base + len(data)
+        self._segments = [(base, b"".join(parts)) for base, parts in runs]
+        self._bases = [base for base, _ in self._segments]
+
+    @classmethod
+    def from_dict(cls, memory: Mapping[int, int]) -> "MemoryImage":
+        """The image of a ``{byte address: byte}`` dict, validated."""
+        runs: list[tuple[int, bytearray]] = []
+        for address in sorted(memory):
+            byte = memory[address]
+            if not 0 <= byte <= 0xFF:
+                raise IsaError(f"memory byte {byte} at {address} out of range")
+            if runs and runs[-1][0] + len(runs[-1][1]) == address:
+                runs[-1][1].append(byte)
+            else:
+                runs.append((address, bytearray((byte,))))
+        return cls(runs)
+
+    def read(self, address: int, size: int) -> Optional[bytes]:
+        """The image bytes at ``address .. address + size - 1``: all of them
+        when one segment holds them, ``b""`` when the image holds none of
+        them, else None (the range meets a segment's edge or wraps at
+        2^64)."""
+        index = bisect_right(self._bases, address) - 1
+        end = address + size
+        if index >= 0:
+            base, data = self._segments[index]
+            if end <= base + len(data):
+                return data[address - base:end - base]
+            if address < base + len(data):
+                return None
+        if end > WORD_MASK + 1 or (index + 1 < len(self._bases)
+                                   and end > self._bases[index + 1]):
+            return None
+        return b""
+
+    def get(self, address: int, default: Optional[int] = None) -> Optional[int]:
+        byte = self.read(address, 1)
+        return byte[0] if byte else default
+
+    def __getitem__(self, address: int) -> int:
+        byte = self.get(address)
+        if byte is None:
+            raise KeyError(address)
+        return byte
+
+    def __len__(self) -> int:
+        return sum(len(data) for _, data in self._segments)
+
+    def __iter__(self) -> Iterator[int]:
+        for base, data in self._segments:
+            yield from range(base, base + len(data))
+
+    def items(self) -> ItemsView:
+        return _ImageItems(self)
+
+    def __repr__(self) -> str:
+        spans = ", ".join(f"{base:#x}+{len(data)}"
+                          for base, data in self._segments)
+        return f"MemoryImage([{spans}])"
+
+
+class _ImageItems(ItemsView):
+    """``(address, byte)`` pairs read segment by segment, not by lookup."""
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        for base, data in self._mapping._segments:
+            yield from zip(range(base, base + len(data)), data)
+
+
 @dataclass
 class Program:
     """A fully assembled program plus its initial data memory image.
 
-    ``instructions`` is indexed by PC.  ``initial_memory`` maps byte address
-    to byte value (0-255); unmentioned bytes read as zero.  ``symbols`` maps
-    label name to instruction index, ``data_symbols`` maps data label to byte
-    address — both are conveniences for tests and attack harnesses.
+    ``instructions`` is indexed by PC.  ``initial_memory`` is a
+    :class:`MemoryImage`: a read-only ``{byte address: byte}`` mapping
+    whose unmentioned bytes read as zero.  A dict passed in (the
+    assembler's, a test's) is converted and validated once, here.
+    ``symbols`` maps label name to instruction index, ``data_symbols``
+    maps data label to byte address — both are conveniences for tests and
+    attack harnesses.
 
     Programs are immutable once assembled: every core built on one reads
     ``initial_memory`` in place, and the registry shares one program
@@ -79,7 +183,7 @@ class Program:
     """
 
     instructions: Sequence[Instruction]
-    initial_memory: dict[int, int] = field(default_factory=dict)
+    initial_memory: MemoryImage = field(default_factory=MemoryImage)
     symbols: dict[str, int] = field(default_factory=dict)
     data_symbols: dict[str, int] = field(default_factory=dict)
     name: str = "program"
@@ -87,11 +191,8 @@ class Program:
     def __post_init__(self) -> None:
         if not self.instructions:
             raise IsaError("program has no instructions")
-        for address, byte in self.initial_memory.items():
-            if address < 0:
-                raise IsaError(f"negative data address {address}")
-            if not 0 <= byte <= 0xFF:
-                raise IsaError(f"memory byte {byte} at {address} out of range")
+        if not isinstance(self.initial_memory, MemoryImage):
+            self.initial_memory = MemoryImage.from_dict(self.initial_memory)
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -111,13 +212,13 @@ class Program:
 
 
 def store_word(memory: dict[int, int], address: int, value: int, size: int = 8) -> None:
-    """Write ``size`` little-endian bytes of ``value`` into a memory image."""
+    """Write ``size`` little-endian bytes of ``value`` into a byte dict."""
     for offset in range(size):
         memory[address + offset] = (value >> (8 * offset)) & 0xFF
 
 
-def load_word(memory: dict[int, int], address: int, size: int = 8) -> int:
-    """Read ``size`` little-endian bytes from a memory image."""
+def load_word(memory: Mapping[int, int], address: int, size: int = 8) -> int:
+    """Read ``size`` little-endian bytes from a byte dict or image."""
     value = 0
     for offset in range(size):
         value |= memory.get(address + offset, 0) << (8 * offset)

@@ -65,7 +65,7 @@ def run_program(program: Program, max_instructions: int = 1_000_000,
                 trace_pcs: bool = False) -> InterpResult:
     """Run ``program`` to HALT (or the instruction budget) and return state."""
     state = ArchState()
-    state.memory.update(program.initial_memory)
+    state.memory.update(program.initial_memory.items())
     pc = 0
     retired = 0
     pcs: Optional[list] = [] if trace_pcs else None

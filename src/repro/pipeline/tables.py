@@ -151,11 +151,10 @@ class ProgramTable:
 def lower_program(program: Program) -> ProgramTable:
     """Lower ``program``, caching the table on the program object.
 
-    Programs are immutable once assembled (the core copies the memory
-    image, never the other way around), and both the core and the packed
-    SPT engine lower the same program — the cache makes
-    that one lowering, and makes repeated runs of one workload program
-    table-free.
+    Programs are immutable once assembled (cores read the memory image in
+    place and never write it), and both the core and the packed SPT engine
+    lower the same program — the cache makes that one lowering, and makes
+    repeated runs of one workload program table-free.
     """
     table = getattr(program, "_decode_table", None)
     if table is None:

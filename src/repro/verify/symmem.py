@@ -24,7 +24,7 @@ Two things matter for precision:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Mapping, Optional
 
 from repro.isa.opcodes import WORD_MASK
 from repro.verify.expr import Expr, SymbolicDomain, Term
@@ -33,11 +33,16 @@ _MISSING = object()
 
 
 class SymMemory:
-    """Sparse little-endian byte memory over symbolic byte terms."""
+    """Sparse little-endian byte memory over symbolic byte terms.
 
-    def __init__(self, initial: Optional[dict] = None):
+    ``initial`` (a program's :class:`~repro.isa.instructions.MemoryImage`
+    or a dict) is copied into a per-byte dict, since any byte may later
+    hold a symbolic term.
+    """
+
+    def __init__(self, initial: Optional[Mapping] = None):
         # {address: int | Expr}; absent addresses read as 0, like ArchState.
-        self._bytes: dict = dict(initial) if initial else {}
+        self._bytes: dict = dict(initial.items()) if initial else {}
         # Stack of journals, one per open speculation frame:
         # each is {address: previous byte or _MISSING}.
         self._journals: list = []

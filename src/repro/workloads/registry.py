@@ -23,10 +23,11 @@ CATEGORY_CT = "data-oblivious"
 
 
 # Built programs, keyed (name, scale).  Builders are deterministic and
-# programs are immutable once assembled (MainMemory copies the image at
-# core construction; nothing writes through to the Program), so repeated
-# runs of one workload can share the build — and, with it, the core's
-# decode-table lowering cached on the program object.
+# programs are immutable once assembled (every core reads the memory image
+# in place and keeps its stores in its own overlay; nothing writes through
+# to the Program), so repeated runs of one workload can share the build —
+# and, with it, the core's decode-table lowering cached on the program
+# object.
 _PROGRAM_CACHE: dict[tuple[str, int], Program] = {}
 
 

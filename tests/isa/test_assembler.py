@@ -74,6 +74,18 @@ def test_data_directives():
     assert program.initial_memory[0x1010] == 255
 
 
+def test_data_past_the_address_space_rejected():
+    # The word's high four bytes would sit at 2^64..2^64+3, where every
+    # access wraps to address 0.
+    with pytest.raises(IsaError, match="address space"):
+        assemble("""
+            .data x 0xfffffffffffffffc
+            .word x 0x1122334455667788
+            ld a0, x(zero)
+            halt
+        """)
+
+
 def test_duplicate_label_rejected():
     with pytest.raises(IsaError, match="duplicate"):
         assemble("a:\nnop\na:\nhalt")

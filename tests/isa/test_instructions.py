@@ -45,6 +45,8 @@ def test_program_validates_memory_image():
         Program(inst, initial_memory={-1: 0})
     with pytest.raises(IsaError):
         Program(inst, initial_memory={0: 256})
+    with pytest.raises(IsaError):        # no load can reach 2^64
+        Program(inst, initial_memory={1 << 64: 0})
 
 
 def test_program_fetch_bounds():

@@ -3,6 +3,8 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.isa.instructions import MemoryImage
+from repro.isa.opcodes import WORD_MASK
 from repro.memory.main_memory import MainMemory, uninit_byte
 from repro.pipeline.core import OoOCore
 from repro.workloads.registry import get as get_workload
@@ -109,3 +111,79 @@ def test_core_never_writes_its_programs_image():
         (second.cycles, second.retired, second.arch_regs,
          second.metrics.flatten())
     assert first.observer.events == second.observer.events
+
+
+# ------------------------------------------------- segment images vs a dict
+# A program image is held as byte segments.  Every read through it must
+# equal the per-byte dict it stands for, with any stores on top, at every
+# segment edge, in every gap and across the 2^64 wrap.
+
+TOP = WORD_MASK + 1
+sizes = [1, 2, 4, 8]
+near = st.one_of(st.integers(0, 260), st.integers(TOP - 40, TOP - 1))
+layouts = st.tuples(
+    st.integers(0, 64),                                   # first base
+    st.lists(st.tuples(st.integers(0, 12),                # gap (0: adjacent)
+                       st.binary(min_size=1, max_size=24)), max_size=5),
+    st.one_of(st.none(), st.binary(min_size=1, max_size=24)),  # ends at 2^64-1
+)
+
+
+def layout_segments(layout) -> list:
+    cursor, runs, top = layout
+    segments = []
+    for gap, data in runs:
+        cursor += gap
+        segments.append((cursor, data))
+        cursor += len(data)
+    if top is not None:
+        segments.append((TOP - len(top), top))
+    return segments
+
+
+def edge_loads(segments) -> list:
+    """Every access of every size that touches a segment edge or the
+    2^64 wrap: inside, straddling two segments, straddling a gap."""
+    edges = {edge for base, data in segments for edge in (base, base + len(data))}
+    edges.add(TOP)
+    return [((edge - back) & WORD_MASK, access)
+            for edge in edges for access in sizes
+            for back in range(access + 1)]
+
+
+@given(layout=layouts,
+       stores=st.lists(st.tuples(near, u64, size), max_size=6),
+       loads=st.lists(st.tuples(near, size), max_size=8),
+       seed=st.one_of(st.none(), u64))
+def test_segment_image_reads_like_a_byte_dict(layout, stores, loads, seed):
+    segments = layout_segments(layout)
+    reference = {base + offset: byte for base, data in segments
+                 for offset, byte in enumerate(data)}
+    image = MemoryImage(segments)
+    assert image == reference and reference == image
+    assert MemoryImage.from_dict(reference) == image
+    assert list(image.items()) == sorted(reference.items())
+
+    memory = MainMemory(image, uninit_seed=seed)
+    written: dict = {}
+    for address, value, access in stores:
+        memory.store(address, value, access)
+        for offset in range(access):
+            written[(address + offset) & WORD_MASK] = (value >> (8 * offset)) & 0xFF
+
+    def expected(address, access):
+        value = 0
+        for offset in range(access):
+            addr = (address + offset) & WORD_MASK
+            byte = written.get(addr, reference.get(addr))
+            if byte is None:
+                byte = 0 if seed is None else uninit_byte(seed, addr)
+            value |= byte << (8 * offset)
+        return value
+
+    for address, access in loads + edge_loads(segments):
+        want = expected(address, access)
+        assert memory.load(address, access) == want, (hex(address), access)
+        assert memory.load(address - TOP, access) == want   # wraps too
+    merged = {**reference, **written}
+    assert memory.snapshot() == {a: b for a, b in merged.items() if b}

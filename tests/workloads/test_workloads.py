@@ -1,7 +1,13 @@
 """Every registered workload must run correctly on every relevant engine."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import repro
 from repro.core.attack_model import AttackModel
 from repro.harness.configs import make_engine
 from repro.workloads.registry import (CATEGORY_CT, CATEGORY_SPEC, WORKLOADS,
@@ -23,6 +29,38 @@ def test_registry_is_complete():
 def test_get_unknown_raises():
     with pytest.raises(KeyError):
         get("nonexistent")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="VmHWM is read from Linux's /proc")
+def test_registry_images_stay_compact():
+    """Building the 20 registry programs in a fresh process raises its
+    peak RSS by under 4 MiB: their 305,256 image bytes are held as byte
+    segments (one dict entry per byte cost about 32 MiB).
+
+    The peak is the process's own VmHWM: ``ru_maxrss`` of a child starts
+    at its parent's RSS when spawned, which would hide the growth under
+    the test runner's size."""
+    code = textwrap.dedent("""
+        from repro.workloads.registry import WORKLOADS
+
+        def peak_kib():
+            with open("/proc/self/status") as status:
+                for line in status:
+                    if line.startswith("VmHWM:"):
+                        return int(line.split()[1])
+
+        before = peak_kib()
+        programs = [workload.program(1) for workload in WORKLOADS.values()]
+        print(len(programs), peak_kib() - before)
+    """)
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    built, grown_kib = map(int, out.stdout.split())
+    assert built == 20
+    assert grown_kib < 4 * 1024, f"registry builds grew peak RSS {grown_kib} KiB"
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
