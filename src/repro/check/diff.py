@@ -22,6 +22,10 @@ The cells run through :func:`repro.harness.parallel.fan_out` with
 ``REPRO_JOBS`` workers, as ``repro check``'s do; the grid flags are the
 ones ``repro check`` takes, and a usage error exits 2.
 
+:func:`pair_diff_cell` compares the same projection between the pair
+runner (:func:`repro.harness.runner.simulate_pair`) and two separate
+runs: the differential of the fuzz oracle's paired runs.
+
 Examples::
 
     python -m repro.cli backend-diff --smoke
@@ -41,8 +45,9 @@ from repro.core.spt import ReferenceSPTEngine, SPTEngine
 from repro.harness.configs import Grid, at_least_one, make_engine
 from repro.harness.parallel import (RunFailure, RunSpec, default_jobs,
                                     fan_out)
+from repro.harness.runner import PAIRED_ERROR, simulate_pair
 from repro.isa.instructions import Program
-from repro.pipeline.core import OoOCore, SimulationError
+from repro.pipeline.core import OoOCore, SimResult, SimulationError
 from repro.pipeline.engine_api import ProtectionEngine
 from repro.pipeline.params import MachineParams
 from repro.security.observer import channel_digests, differing_channels
@@ -93,7 +98,12 @@ def run_outcome(program: Program, engine: ProtectionEngine, budget: int,
     except (SimulationError, InvariantViolation) as exc:
         # A wedge is an outcome too: both runs must wedge identically.
         return core, {"error": f"{type(exc).__name__}: {exc}"}
-    return core, {
+    return core, outcome_of(sim)
+
+
+def outcome_of(sim: SimResult) -> dict:
+    """The comparable projection of one finished run."""
+    return {
         "cycles": sim.cycles,
         "retired": sim.retired,
         "halted": sim.halted,
@@ -116,18 +126,21 @@ def run_cell(workload: str, config: str, model: AttackModel, scale: int,
                        check_level="full" if reference else "off")[1]
 
 
-def compare_cell(ref: dict, run: dict) -> list:
-    """Human-readable mismatch descriptions (empty = bit-identical)."""
+def compare_cell(ref: dict, run: dict,
+                 names: tuple = ("reference", "default")) -> list:
+    """Human-readable mismatch descriptions (empty = bit-identical);
+    ``names`` label the two outcomes."""
+    ref_name, run_name = names
     if "error" in ref or "error" in run:
         if ref.get("error") == run.get("error"):
             return []
-        return [f"outcome: reference={ref.get('error', 'completed')!r} "
-                f"default={run.get('error', 'completed')!r}"]
+        return [f"outcome: {ref_name}={ref.get('error', 'completed')!r} "
+                f"{run_name}={run.get('error', 'completed')!r}"]
     mismatches = []
     for field in ("cycles", "retired", "halted"):
         if ref[field] != run[field]:
             mismatches.append(
-                f"{field}: reference={ref[field]} default={run[field]}")
+                f"{field}: {ref_name}={ref[field]} {run_name}={run[field]}")
     if ref["retired_pcs"] != run["retired_pcs"]:
         index = next((i for i, (a, b) in
                       enumerate(zip(ref["retired_pcs"], run["retired_pcs"]))
@@ -148,6 +161,43 @@ def compare_cell(ref: dict, run: dict) -> list:
     if channels:
         mismatches.append(f"trace channels differ: {', '.join(channels)}")
     return mismatches
+
+
+def _record_pcs(core: OoOCore) -> None:
+    core.retired_pcs = []
+
+
+def pair_diff_cell(program_a: Program, program_b: Program, config: str,
+                   model: AttackModel, budget: int) -> tuple:
+    """The pair runner against two separate runs of one cell:
+    ``(fallback, mismatches)``.
+
+    Each side's projected outcome must equal its separate run's.  A pair
+    whose separate traces differ must have fallen back (a paired run that
+    served it would have hidden a leak), and a fallback because the
+    paired run raised is a fault of the paired core.
+    """
+    separate = [run_outcome(program, make_engine(config, model), budget)[1]
+                for program in (program_a, program_b)]
+    try:
+        run = simulate_pair(program_a, program_b, config, model, budget,
+                            setup=_record_pcs)
+    except SimulationError as exc:
+        raised = {"error": f"{type(exc).__name__}: {exc}"}
+        return "raised", compare_cell(separate[0], raised,
+                                      ("separate", "paired"))
+    mismatches = []
+    if run.fallback == PAIRED_ERROR:
+        mismatches.append(f"the paired run raised:\n{run.error}")
+    for name, sim, want in zip("ab", run.results, separate):
+        mismatches += [f"side {name}: {line}" for line in compare_cell(
+            want, outcome_of(sim), ("separate", "paired"))]
+    if run.fallback is None and "error" not in separate[0] \
+            and differing_channels(separate[0]["digests"],
+                                   separate[1]["digests"]):
+        mismatches.append("the separate runs' traces differ, but one "
+                          "paired run served both")
+    return run.fallback, mismatches
 
 
 def diff_cell(spec: RunSpec) -> list:

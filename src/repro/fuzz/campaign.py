@@ -1,11 +1,13 @@
 """The leakage-fuzzing campaign driver.
 
 A campaign fans ``seeds x configurations x attack-models x 2 secrets``
-simulations through :func:`repro.harness.parallel.run_many` — every run is
-an ordinary harness run (parallelised, cached, deduplicated; the
+runs through :func:`repro.harness.parallel.run_many` — every run is an
+ordinary harness run (parallelised, cached, deduplicated; the
 ``UnsafeBaseline`` runs are even shared between attack models via the
-model-independent cache key) — then folds the per-channel trace digests
-into oracle verdicts, triage counts, and corpus records.
+model-independent cache key, and a cell's two secrets are twins, which
+``run_many`` simulates as one paired run until the secrets steer an
+address or a branch) — then folds the per-channel trace digests into
+oracle verdicts, triage counts, and corpus records.
 
 Campaigns are resumable: seed outcomes land in a JSONL corpus stamped with
 the simulator source fingerprint, and a re-run skips exactly the seeds
@@ -28,7 +30,7 @@ from repro.fuzz.oracle import (FUZZ_BUDGET, CellVerdict,
 from repro.fuzz.report import FuzzReport
 from repro.harness import cache
 from repro.harness.configs import BOTH_MODELS, CONFIGURATIONS
-from repro.harness.parallel import RunSpec, run_many
+from repro.harness.parallel import RunSpec, SimTally, run_many
 from repro.isa.interpreter import InterpreterError
 from repro.security.attacks import expected_to_leak
 from repro.security.observer import differing_channels
@@ -118,7 +120,12 @@ def run_campaign(cfg: CampaignConfig) -> FuzzReport:
                         config, model,
                         max_instructions=cfg.max_instructions,
                         collect_trace=True))
-    results = run_many(specs, jobs=cfg.jobs, use_cache=cfg.use_cache)
+    tally = SimTally()
+    results = run_many(specs, jobs=cfg.jobs, use_cache=cfg.use_cache,
+                       tally=tally)
+    report.simulations = tally.simulations
+    report.paired_runs = tally.paired
+    report.fallbacks = dict(tally.fallbacks)
 
     outcomes: dict = {}     # seed -> list of verdict dicts
     for pair_index, (item, config, model) in enumerate(cells):
@@ -175,7 +182,8 @@ def _counterexample_record(item: _SeedWork, verdict, cfg) -> dict:
         "instructions": len(program_a.instructions),
         "detail": divergence_detail(
             program_a, render(item.plan, item.secrets[1]),
-            verdict.config, verdict.model),
+            verdict.config, verdict.model,
+            max_instructions=cfg.max_instructions),
     }
     if cfg.minimize:
         minimized = minimize_plan(item.plan, item.secrets, verdict.config,

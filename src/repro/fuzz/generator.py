@@ -587,4 +587,5 @@ def workload_from_name(name: str) -> Optional[Workload]:
         return render(generate_plan(seed, profile), secret)
 
     return Workload(name, "fuzz", build,
-                    f"fuzz victim (profile={profile}, seed={seed})")
+                    f"fuzz victim (profile={profile}, seed={seed})",
+                    twin_key=f"fuzz:{profile}:{seed}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.attack_model import AttackModel
-from repro.harness.runner import simulate
+from repro.harness.runner import simulate, simulate_pair
 from repro.isa.instructions import Program
 from repro.isa.interpreter import run_program
 from repro.pipeline.params import MachineParams
@@ -72,21 +72,26 @@ def check_pair_direct(a: Program, b: Program, config: str,
                       max_instructions: int = FUZZ_BUDGET) -> list:
     """Diverging channels between two renderings, simulated in-process.
 
-    The minimiser's (and the tests') fast path — no pool, no cache.
+    The minimiser's (and the tests') fast path — no pool, no cache.  The
+    renderings run through :func:`~repro.harness.runner.simulate_pair`:
+    when one paired run served both, no steering site saw the secrets
+    differ, and the two runs share every attacker-visible event.
     """
-    sim_a = simulate(a, config, model, max_instructions, params,
-                     require_halt=True)
-    sim_b = simulate(b, config, model, max_instructions, params,
-                     require_halt=True)
+    run = simulate_pair(a, b, config, model, max_instructions, params,
+                        require_halt=True)
+    if run.fallback is None:
+        return []
+    sim_a, sim_b = run.results
     return differing_channels(channel_digests(sim_a.observer, sim_a.cycles),
                               channel_digests(sim_b.observer, sim_b.cycles))
 
 
 def divergence_detail(a: Program, b: Program, config: str,
-                      model: AttackModel, limit: int = 5) -> str:
+                      model: AttackModel, limit: int = 5,
+                      max_instructions: int = FUZZ_BUDGET) -> str:
     """Human-readable first differing events (counterexample reports)."""
-    sim_a = simulate(a, config, model, FUZZ_BUDGET, require_halt=True)
-    sim_b = simulate(b, config, model, FUZZ_BUDGET, require_halt=True)
+    sim_a = simulate(a, config, model, max_instructions, require_halt=True)
+    sim_b = simulate(b, config, model, max_instructions, require_halt=True)
     diffs = differing_events(sim_a.observer, sim_b.observer, limit=limit)
     if not diffs and sim_a.cycles != sim_b.cycles:
         return f"event streams equal; total cycles {sim_a.cycles} != {sim_b.cycles}"

@@ -31,6 +31,12 @@ class FuzzReport:
     invalid_seeds: list = field(default_factory=list)   # generator breakage
     counterexamples: list = field(default_factory=list)  # corpus records
     wall_seconds: float = 0.0
+    # Core runs the campaign made (cache hits make none), the secret pairs
+    # one paired run served, and the pairs that ran separately, by the
+    # steering site (or other reason) that split them.
+    simulations: int = 0
+    paired_runs: int = 0
+    fallbacks: dict = field(default_factory=dict)
 
     @property
     def sanity_ok(self) -> bool:
@@ -49,6 +55,17 @@ class FuzzReport:
                 and self.sanity_ok)
 
 
+def render_simulations(report: FuzzReport) -> str:
+    """One line: the simulations behind the report and why pairs split."""
+    pairs = report.paired_runs + sum(report.fallbacks.values())
+    split = ", ".join(f"{site} {count}"
+                      for site, count in sorted(report.fallbacks.items()))
+    return (f"simulations: {report.simulations} for {pairs} secret pairs "
+            f"({report.paired_runs} paired; "
+            f"{sum(report.fallbacks.values())} ran separately"
+            + (f": {split})" if split else ")"))
+
+
 def render_report(report: FuzzReport) -> str:
     """The campaign's terminal summary."""
     lines = [
@@ -57,6 +74,7 @@ def render_report(report: FuzzReport) -> str:
         f"(of {report.seeds_requested} requested), "
         f"{report.cells_checked} oracle cells, "
         f"{report.wall_seconds:.1f}s",
+        render_simulations(report),
         "",
     ]
     rows = []

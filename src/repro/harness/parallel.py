@@ -6,8 +6,11 @@ built), and fails with a :class:`RunFailure` naming the failing cell.
 :func:`run_many` is the substrate of every paper artefact (Figures 7/8/9,
 the CLI sweeps, ``repro check``, fuzz campaigns): it deduplicates a list
 of :class:`RunSpec` values, satisfies what it can from the persistent
-result cache, and fans out only the misses.  The scenario matrix and
-``repro backend-diff`` fan out verdicts, which are not cached.
+result cache, and fans out only the misses.  Two adjacent misses that
+differ only in twin workloads (one fuzz plan, two secrets) fan out as one
+cell, simulated by :func:`~repro.harness.runner.simulate_pair`.  The
+scenario matrix and ``repro backend-diff`` fan out verdicts, which are not
+cached.
 
 Degradation is graceful at every layer: one job runs serially in-process
 (the debuggable path), and a pool that cannot start (no ``fork``/``spawn``
@@ -20,13 +23,16 @@ from __future__ import annotations
 import concurrent.futures
 import os
 import threading
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 from repro.core.attack_model import AttackModel
 from repro.harness import cache
-from repro.harness.runner import RunResult, _env_int, run_one
+from repro.harness.runner import (_env_int, run_one, run_twins,
+                                  simulations_made)
 from repro.pipeline.params import MachineParams
+from repro.workloads.registry import twin_key
 
 
 @dataclass(frozen=True)
@@ -52,6 +58,46 @@ class RunSpec:
                                 self.params, self.collect_trace)
 
 
+@dataclass(frozen=True)
+class TwinSpecs:
+    """Two specs equal but for their twin workloads: one fan-out cell."""
+
+    a: RunSpec
+    b: RunSpec
+
+    def describe(self) -> str:
+        return f"{self.a.describe()} twin={self.b.workload}"
+
+    @classmethod
+    def of(cls, a: RunSpec, b: RunSpec) -> Optional["TwinSpecs"]:
+        """The cell of ``a`` and ``b``, or None when they are no twins."""
+        if a.workload == b.workload or replace(b, workload=a.workload) != a:
+            return None
+        key = twin_key(a.workload)
+        if key is None or key != twin_key(b.workload):
+            return None
+        return cls(a, b)
+
+
+@dataclass
+class SimTally:
+    """What a sweep simulated: core runs made, twin pairs served by one
+    paired run, and twin pairs that ran separately, by reason (a steering
+    site, or see :class:`~repro.harness.runner.PairRun`)."""
+
+    simulations: int = 0
+    paired: int = 0
+    fallbacks: Counter = field(default_factory=Counter)
+
+    def add_pair(self, fallback: Optional[str]) -> None:
+        """Count one twin cell by its ``PairRun.fallback``."""
+        self.simulations += simulations_made(fallback)
+        if fallback is None:
+            self.paired += 1
+        else:
+            self.fallbacks[fallback] += 1
+
+
 class RunFailure(RuntimeError):
     """A cell of a fan-out failed; names it by ``spec.describe()``."""
 
@@ -67,7 +113,12 @@ def default_jobs() -> int:
 
 
 def default_timeout() -> Optional[float]:
-    """Per-run timeout in seconds (``REPRO_RUN_TIMEOUT``; unset = none)."""
+    """Per-cell timeout in seconds (``REPRO_RUN_TIMEOUT``; unset = none).
+
+    The bound applies to one fan-out cell.  A :class:`TwinSpecs` pair is
+    one cell: its paired run, plus both separate runs when it falls back
+    (up to about three victim runs), share one bound.
+    """
     raw = os.environ.get("REPRO_RUN_TIMEOUT")
     if raw is None:
         return None
@@ -82,11 +133,17 @@ def default_timeout() -> Optional[float]:
     return value
 
 
-def _execute_spec(spec: RunSpec) -> RunResult:
-    """Worker entry point (module-level so it pickles)."""
-    return run_one(spec.workload, spec.config, spec.model,
-                   scale=spec.scale, max_instructions=spec.max_instructions,
-                   params=spec.params, collect_trace=spec.collect_trace)
+def _execute_cell(cell):
+    """Worker entry point (module-level so it pickles): a RunSpec's
+    ``RunResult``, or a TwinSpecs' ``(RunResult, RunResult, fallback)``."""
+    if isinstance(cell, TwinSpecs):
+        a, b = cell.a, cell.b
+        return run_twins(a.workload, b.workload, a.config, a.model,
+                         scale=a.scale, max_instructions=a.max_instructions,
+                         params=a.params, collect_trace=a.collect_trace)
+    return run_one(cell.workload, cell.config, cell.model,
+                   scale=cell.scale, max_instructions=cell.max_instructions,
+                   params=cell.params, collect_trace=cell.collect_trace)
 
 
 def _run_one_bounded(fn: Callable, cell, timeout: float):
@@ -197,15 +254,18 @@ def fan_out(fn: Callable, cells: Sequence, jobs: int,
 def run_many(specs: Sequence[RunSpec],
              jobs: Optional[int] = None,
              timeout: Optional[float] = None,
-             use_cache: Optional[bool] = None) -> list:
+             use_cache: Optional[bool] = None,
+             tally: Optional[SimTally] = None) -> list:
     """Run every spec and return ``RunResult``s in spec order.
 
     Specs with equal cache keys (:meth:`RunSpec.key`) are simulated once,
     and a spec whose result is already in the persistent result cache is
-    not simulated at all.  ``use_cache=None`` consults the environment
-    (``REPRO_NO_CACHE``); pass an explicit bool to override.
-    ``jobs=None`` reads ``REPRO_JOBS`` / CPU count; ``jobs=1`` forces the
-    in-process serial path.
+    not simulated at all.  Two misses adjacent in that order that are
+    :class:`TwinSpecs` run as one pair cell.  ``use_cache=None`` consults
+    the environment (``REPRO_NO_CACHE``); pass an explicit bool to
+    override.  ``jobs=None`` reads ``REPRO_JOBS`` / CPU count; ``jobs=1``
+    forces the in-process serial path.  ``tally``, when given, counts the
+    simulations this call made.
     """
     specs = list(specs)
     if not specs:
@@ -228,10 +288,29 @@ def run_many(specs: Sequence[RunSpec],
             misses[key] = spec
         else:
             known[key] = hit
-    if misses:
-        computed = fan_out(_execute_spec, misses.values(), jobs, timeout)
-        for key, result in zip(misses, computed):
-            known[key] = result
-            if use_cache:
-                cache.store(key, result)
+    cells: list = []            # (cache keys, RunSpec or TwinSpecs)
+    for key, spec in misses.items():
+        if cells and isinstance(cells[-1][1], RunSpec):
+            (last_key,), last = cells[-1]
+            twins = TwinSpecs.of(last, spec)
+            if twins is not None:
+                cells[-1] = ((last_key, key), twins)
+                continue
+        cells.append(((key,), spec))
+    if cells:
+        computed = fan_out(_execute_cell, [cell for _, cell in cells], jobs,
+                           timeout)
+        for (cell_keys, cell), out in zip(cells, computed):
+            if isinstance(cell, TwinSpecs):
+                *results, fallback = out
+                if tally is not None:
+                    tally.add_pair(fallback)
+            else:
+                results = (out,)
+                if tally is not None:
+                    tally.simulations += 1
+            for key, result in zip(cell_keys, results):
+                known[key] = result
+                if use_cache:
+                    cache.store(key, result)
     return [known[key] for key in keys]

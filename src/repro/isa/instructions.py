@@ -131,6 +131,10 @@ class MemoryImage(Mapping):
             return None
         return b""
 
+    def segments(self) -> list[tuple[int, bytes]]:
+        """The ``(base, bytes)`` segments, in address order."""
+        return list(self._segments)
+
     def get(self, address: int, default: Optional[int] = None) -> Optional[int]:
         byte = self.read(address, 1)
         return byte[0] if byte else default

@@ -53,6 +53,12 @@ level only hooks retire, squash and finish, so it keeps fast-forward.
 pin the default run against the *reference run* — stepped mode with
 :class:`~repro.core.spt.ReferenceSPTEngine` under the full sanitizer — and
 against a committed golden record of earlier reference runs.
+
+The operations that compute or consume register and memory values
+(``_alu``, ``_address``, ``_truncate``, ``_branch_outcome``,
+``_jump_outcome``, ``_apply_resolution``) are class attributes:
+:class:`~repro.pipeline.relational.PairedCore` overrides them to carry two
+twin programs through one run.
 """
 
 from __future__ import annotations
@@ -499,8 +505,26 @@ class OoOCore:
         self._completion_buckets.setdefault(di.ready_cycle, []).append(di)
 
     # ------------------------------------------------------------------ issue
+    # Value operations.  Class attributes, so the paired core of
+    # repro.pipeline.relational rebinds them by type and this core runs no
+    # per-instruction test for paired values.
+    _alu = staticmethod(alu_result)
+    _address = staticmethod(effective_address)
+
+    def _branch_outcome(self, di: DynInst) -> None:
+        taken = branch_taken(di.inst, di.rs1_value, di.rs2_value)
+        di.actual_taken = taken
+        di.actual_target = di.inst.imm if taken else di.pc + 1
+        di.mispredicted = taken != di.predicted_taken
+
+    def _jump_outcome(self, di: DynInst) -> None:
+        di.actual_taken = True
+        di.actual_target = (di.rs1_value + di.inst.imm) & WORD_MASK
+        di.mispredicted = di.actual_target != di.predicted_target
+
     def _execute(self, di: DynInst) -> None:
-        """Begin execution of an RS entry (operands are ready)."""
+        """Begin execution of a non-ALU RS entry (operands are ready);
+        issue computes the ALU class inline."""
         self._activity += 1
         di.issued = True
         di.issue_cycle = self.cycle
@@ -512,31 +536,23 @@ class OoOCore:
             di.rs1_value = rename.read(di.prs1)
         if not di.is_store and di.info.reads_rs2:
             di.rs2_value = rename.read(di.prs2)
-        if kind in (Kind.ALU, Kind.ALU_IMM, Kind.MOVE, Kind.LOAD_IMM):
-            di.result = alu_result(di.inst, di.rs1_value or 0, di.rs2_value or 0)
-            self._schedule_completion(di, di.info.latency)
-            return
         if kind == Kind.BRANCH:
-            di.actual_taken = branch_taken(di.inst, di.rs1_value, di.rs2_value)
-            di.actual_target = di.inst.imm if di.actual_taken else di.pc + 1
-            di.mispredicted = di.actual_taken != di.predicted_taken
+            self._branch_outcome(di)
             self._schedule_completion(di, 1)
             self.pending_control.append(di)
             return
         if kind == Kind.JUMP_REG:
-            di.actual_taken = True
-            di.actual_target = (di.rs1_value + di.inst.imm) & WORD_MASK
-            di.mispredicted = di.actual_target != di.predicted_target
+            self._jump_outcome(di)
             di.result = (di.pc + 1) & WORD_MASK
             self._schedule_completion(di, 1)
             self.pending_control.append(di)
             return
         if kind == Kind.LOAD:
-            di.address = effective_address(di.inst, di.rs1_value)
+            di.address = self._address(di.inst, di.rs1_value)
             di.addr_ready = True
             return
         if kind == Kind.STORE:
-            di.address = effective_address(di.inst, di.rs1_value)
+            di.address = self._address(di.inst, di.rs1_value)
             di.addr_ready = True
             # The address computation itself is the transmitting event for a
             # store (TLB lookup etc.), visible to the attacker immediately.
@@ -992,6 +1008,7 @@ class OoOCore:
         width = self.params.issue_width
         may_compute_address = self.engine.may_compute_address
         checker = self.checker
+        alu = self._alu
         aluc = self._table.aluc
         value = self.rename.value
         buckets = self._completion_buckets
@@ -1034,7 +1051,7 @@ class OoOCore:
                 keep(entry)
                 continue
             if aluc[di.pc]:
-                # Inlined _execute, ALU arm only (compute and schedule).
+                # The ALU class: compute and schedule inline.
                 self._activity += 1
                 di.issued = True
                 di.issue_cycle = cycle
@@ -1045,8 +1062,9 @@ class OoOCore:
                     di.rs1_value = value[di.prs1]
                 if info.reads_rs2:
                     di.rs2_value = value[di.prs2]
-                di.result = alu_result(di.inst, di.rs1_value or 0,
-                                       di.rs2_value or 0)
+                # An operand the op does not read stays None; its table
+                # entry ignores it.
+                di.result = alu(di.inst, di.rs1_value, di.rs2_value)
                 lat = info.latency
                 rc = cycle + (lat if lat > 1 else 1)
                 di.ready_cycle = rc

@@ -132,8 +132,8 @@ class ProgramTable:
         self.needs_rs = needs_rs
         self.dclass = dclass
         self.rtier = rtier
-        # ALU-class PCs (the first arm of the core's ``_execute``): issue
-        # takes the inlined compute-and-schedule path for these.
+        # ALU-class PCs: issue computes and schedules these inline; the
+        # core's ``_execute`` takes every other RS class.
         self.aluc = [info.kind in (Kind.ALU, Kind.ALU_IMM, Kind.MOVE,
                                    Kind.LOAD_IMM)
                      for info in self.infos]

@@ -33,12 +33,19 @@ _PROGRAM_CACHE: dict[tuple[str, int], Program] = {}
 
 @dataclass(frozen=True)
 class Workload:
-    """One benchmark: a named, scalable program builder."""
+    """One benchmark: a named, scalable program builder.
+
+    Workloads with one ``twin_key`` build *twin* programs: the same
+    instruction stream and image layout, different image bytes (one fuzz
+    plan rendered with different secrets).  ``run_many`` runs two such
+    requests as one paired simulation.
+    """
 
     name: str
     category: str
     build: Callable[..., Program]
     description: str
+    twin_key: Optional[str] = None
 
     def program(self, scale: int = 1) -> Program:
         key = (self.name, scale)
@@ -124,6 +131,14 @@ def _resolve_dynamic(name: str) -> Optional[Workload]:
         return None
     module = __import__(module_name, fromlist=["workload_from_name"])
     return module.workload_from_name(name)
+
+
+def twin_key(name: str) -> Optional[str]:
+    """The ``twin_key`` of workload ``name`` (None for an unknown name)."""
+    try:
+        return get(name).twin_key
+    except KeyError:
+        return None
 
 
 def get(name: str) -> Workload:

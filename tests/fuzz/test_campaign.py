@@ -5,10 +5,12 @@ import json
 import pytest
 
 from repro.core.attack_model import AttackModel
+from repro.fuzz import campaign, oracle
 from repro.fuzz.campaign import CampaignConfig, run_campaign
 from repro.fuzz.cli import main as fuzz_main
 from repro.fuzz.corpus import Corpus
 from repro.fuzz.report import FuzzReport, render_report
+from repro.pipeline.relational import SITES
 
 # Two configurations and one model keep the campaign tests fast while still
 # covering the sanity signal (UnsafeBaseline) and a secure configuration.
@@ -33,6 +35,40 @@ def test_campaign_end_to_end(tmp_path):
     seeds = corpus.records("seed")
     assert {r["seed"] for r in seeds} == {0, 1, 2, 3}
     assert all(len(r["cells"]) == 2 for r in seeds)
+
+
+def test_campaign_reports_the_simulations_it_ran():
+    """One paired run per secret pair, plus two separate runs for each
+    pair that fell back; a warm result cache simulates nothing."""
+    cfg = CampaignConfig(seeds=3, **FAST_SWEEP)
+    report = run_campaign(cfg)
+    fallbacks = sum(report.fallbacks.values())
+    assert report.paired_runs + fallbacks == report.cells_checked == 6
+    assert report.paired_runs and fallbacks
+    assert set(report.fallbacks) <= set(SITES)
+    assert report.simulations == report.paired_runs + 3 * fallbacks
+    assert f"simulations: {report.simulations} for 6 secret pairs" \
+        in render_report(report)
+    warm = run_campaign(cfg)
+    assert (warm.simulations, warm.paired_runs, warm.fallbacks) == (0, 0, {})
+    assert warm.divergences_by_config == report.divergences_by_config
+
+
+def test_counterexample_detail_runs_at_the_campaign_budget(monkeypatch):
+    """A counterexample's victims are re-run for its detail at the
+    campaign's ``max_instructions``, not at the oracle's default budget.
+    Here that default is shrunk below the victims' length, as a
+    ``--max-instructions`` above it does to a victim longer than it."""
+    monkeypatch.setattr(oracle, "FUZZ_BUDGET", 50)
+    # Every UnsafeBaseline divergence counts as a counterexample.
+    monkeypatch.setattr(campaign, "expected_to_leak",
+                        lambda exposure, config: False)
+    report = run_campaign(CampaignConfig(
+        seeds=3, profile="quick", configs=["UnsafeBaseline"],
+        models=[AttackModel.SPECTRE], jobs=1))
+    assert report.counterexamples
+    assert all(record["detail"].strip()
+               for record in report.counterexamples)
 
 
 def test_campaign_resumes_from_corpus(tmp_path):

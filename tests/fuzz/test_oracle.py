@@ -1,7 +1,9 @@
 """Non-interference oracle: planted leaks and the verdicts built from them.
 
 The planted gadgets here are the oracle's ground truth, as the default run
-and as the checked run (stepped mode under the full sanitizer):
+(one paired run of both secrets, plus two separate runs where the secrets
+steer an address or a branch) and as the checked run (two stepped runs
+under the full sanitizer):
 
 * a *speculative* bounds-check-bypass gadget must diverge under
   ``UnsafeBaseline`` and under no protected configuration;
@@ -18,6 +20,7 @@ from repro.fuzz.generator import Gadget, generate_plan, render, secret_pair, \
 from repro.fuzz.oracle import (CellVerdict, architectural_dependence,
                                check_pair_direct, divergence_detail)
 from repro.harness.configs import CONFIGURATIONS
+from repro.pipeline.relational import PairedCore
 from repro.security.attacks import (NONSPECULATIVE, SPECULATIVE,
                                     expected_to_leak)
 
@@ -40,13 +43,33 @@ def _planted(exposure: str):
     return programs
 
 
+@pytest.fixture
+def run_modes(run_modes, monkeypatch) -> list:
+    """The shared fixture's stepped flag per ``OoOCore.run`` call, with
+    each paired core's call marked by a ``"paired"`` entry before it."""
+    real = PairedCore.run
+
+    def spy(core, *args, **kwargs):
+        run_modes.append("paired")
+        return real(core, *args, **kwargs)
+
+    monkeypatch.setattr(PairedCore, "run", spy)
+    return run_modes
+
+
 def _diverging(a, b, config, model, run, run_modes) -> list:
-    """``check_pair_direct`` as the ``run`` run, checking which mode ran."""
+    """``check_pair_direct`` as the ``run`` run, checking which runs ran:
+    the checked run is two stepped runs; the default run is one paired
+    run, followed by two separate runs where it fell back."""
     before = len(run_modes)
     channels = check_pair_direct(a, b, config, model,
                                  params=run_params(run))
-    assert run_modes[before:] == [run == "checked"] * 2, (
-        f"{run} run requested but the other mode ran")
+    made = run_modes[before:]
+    if run == "checked":
+        assert made == [True, True], f"checked run requested, ran {made}"
+    else:
+        assert made in (["paired", False], ["paired", False, False, False]), (
+            f"default run requested, ran {made}")
     return channels
 
 
