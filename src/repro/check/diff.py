@@ -91,8 +91,8 @@ def run_outcome(program: Program, engine: ProtectionEngine, budget: int,
     default run.
     """
     core = OoOCore(program, engine=engine,
-                   params=MachineParams(check_level=check_level),
-                   record_retired_pcs=True)
+                   params=MachineParams(check_level=check_level))
+    core.retired_pcs = []
     try:
         sim = core.run(max_instructions=budget)
     except (SimulationError, InvariantViolation) as exc:

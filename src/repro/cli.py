@@ -43,7 +43,7 @@ from repro.core.baselines import SecureBaseline, UnsafeBaseline
 from repro.core.shadow_l1 import ShadowMode
 from repro.core.spt import SPTEngine
 from repro.core.stt import STTEngine
-from repro.harness.configs import CONFIGURATIONS
+from repro.harness.configs import CONFIGURATIONS, at_least_one
 from repro.harness.parallel import RunSpec, run_many
 from repro.harness.runner import RunResult
 from repro.isa.assembler import assemble
@@ -78,14 +78,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output detailed taint tracking information")
     parser.add_argument("--output-dir", default="m5out",
                         help="directory for stats.txt (default: m5out)")
-    parser.add_argument("--max-instructions", type=int, default=1_000_000)
-    parser.add_argument("--scale", type=int, default=1,
+    parser.add_argument("--max-instructions", type=at_least_one,
+                        default=1_000_000)
+    parser.add_argument("--scale", type=at_least_one, default=1,
                         help="workload scale factor")
-    parser.add_argument("--untaint-broadcast-width", type=int, default=3)
+    parser.add_argument("--untaint-broadcast-width", type=at_least_one,
+                        default=3)
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the persistent result cache "
                              "(also: REPRO_NO_CACHE=1)")
-    parser.add_argument("--jobs", type=int, default=None,
+    parser.add_argument("--jobs", type=at_least_one, default=None,
                         help="worker processes for multi-workload sweeps "
                              "(default: REPRO_JOBS or CPU count)")
     return parser
@@ -109,11 +111,6 @@ def validate_args(args: argparse.Namespace) -> Optional[str]:
                                 or args.enable_shadow_mem
                                 or args.untaint_method):
         return "shadow/untaint options require --enable-spt"
-    if args.max_instructions < 1:
-        return (f"--max-instructions must be at least 1, "
-                f"got {args.max_instructions}")
-    if args.scale < 1:
-        return f"--scale must be at least 1, got {args.scale}"
     writers: dict = {}
     for executable in args.executable:
         name = _stats_filename(executable, len(args.executable) > 1)

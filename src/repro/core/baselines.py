@@ -29,7 +29,6 @@ class SecureBaseline(ProtectionEngine):
 
     name = "SecureBaseline"
     protects_speculative_data = True
-    protects_nonspeculative_secrets = True
 
     def __init__(self, model: AttackModel):
         super().__init__()

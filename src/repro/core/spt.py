@@ -9,7 +9,7 @@ non-speculative execution:
 * **Forward/backward untaint rules** (6.6): applied locally to every window
   entry each cycle; newly untainted registers are broadcast with a limited
   *untaint broadcast width* (7.3), destinations before sources and older
-  entries before younger ones, using per-bit broadcast-pending flags.
+  entries before younger ones, from a queue of registers pending broadcast.
 * **PC-inferable outputs** (6.5): load-immediate results and link registers
   are untainted at rename (the ROB contents are public by Property 1).
 * **Store-to-load forwarding** (6.7): untaint propagates across a forwarding
@@ -60,7 +60,6 @@ class ReferenceSPTEngine(ProtectionEngine):
     """The full SPT protection engine, one window entry at a time."""
 
     protects_speculative_data = True
-    protects_nonspeculative_secrets = True
 
     def __init__(self, model: AttackModel, backward: bool = True,
                  shadow: ShadowMode = ShadowMode.L1, ideal: bool = False):
@@ -145,17 +144,14 @@ class ReferenceSPTEngine(ProtectionEngine):
                 if not di.t_src1:
                     return
                 di.t_src1 = False
-                di.pend_src1 = True
             elif slot == "src2":
                 if not di.t_src2:
                     return
                 di.t_src2 = False
-                di.pend_src2 = True
             else:
                 if not di.t_dst:
                     return
                 di.t_dst = False
-                di.pend_dst = True
         # Taint state moves: the core must not fast-forward this cycle.
         self.core._activity += 1
         if preg >= 0 and self.taint[preg] and preg not in self._pending_set:
@@ -320,7 +316,6 @@ class ReferenceSPTEngine(ProtectionEngine):
             if (st.is_store and not st.squashed and st.seq >= store.seq
                     and st.t_src1):
                 pending += 1
-        load.num_st_untaint_pending = pending
         return pending == 0 and not store.t_src1
 
     # -------------------------------------------------------------- broadcast
@@ -363,13 +358,10 @@ class ReferenceSPTEngine(ProtectionEngine):
         for di in self.core.in_flight():
             if di.prs1 == preg:
                 di.t_src1 = False
-                di.pend_src1 = False
             if di.prs2 == preg:
                 di.t_src2 = False
-                di.pend_src2 = False
             if di.prd == preg:
                 di.t_dst = False
-                di.pend_dst = False
 
     # ------------------------------------------------------------ reporting
     def untaint_pending(self, preg: int) -> bool:
@@ -716,17 +708,14 @@ class SPTEngine(ReferenceSPTEngine):
             if di.prs1 == preg:
                 hit = True
                 di.t_src1 = False
-                di.pend_src1 = False
                 self._t_src1_m &= nbit
             if di.prs2 == preg:
                 hit = True
                 di.t_src2 = False
-                di.pend_src2 = False
                 self._t_src2_m &= nbit
             if di.prd == preg:
                 hit = True
                 di.t_dst = False
-                di.pend_dst = False
                 self._t_dst_m &= nbit
             if not hit:
                 row ^= low

@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.attack_model import AttackModel, vp_obstacle
+from repro.obs.metrics import Metrics
 from repro.pipeline.dyninst import DynInst
 from repro.pipeline.engine_api import ProtectionEngine
 
@@ -28,7 +29,6 @@ class STTEngine(ProtectionEngine):
     """STT: protects speculatively-accessed data over all covert channels."""
 
     protects_speculative_data = True
-    protects_nonspeculative_secrets = False
 
     def __init__(self, model: AttackModel):
         super().__init__()
@@ -79,17 +79,11 @@ class STTEngine(ProtectionEngine):
 
     # ---------------------------------------------------------------- gating
     def may_compute_address(self, di: DynInst) -> bool:
-        if self.s_tainted(di.prs1):
-            self.bump("delayed_transmitter_checks")
-            return False
-        return True
+        return not self.s_tainted(di.prs1)
 
     def may_resolve(self, di: DynInst) -> bool:
-        if self.s_tainted(di.prs1) or (di.inst.info.reads_rs2
-                                       and self.s_tainted(di.prs2)):
-            self.bump("delayed_resolution_checks")
-            return False
-        return True
+        return not (self.s_tainted(di.prs1)
+                    or (di.inst.info.reads_rs2 and self.s_tainted(di.prs2)))
 
     def skip_cache_for_forwarding(self, load: DynInst, store: DynInst) -> bool:
         # Hide the forwarding decision: always perform the cache access
@@ -101,19 +95,21 @@ class STTEngine(ProtectionEngine):
     def tick(self) -> None:
         self.core.advance_vp(self.vp_predicate)
 
-    # ------------------------------------------------- quiescent fast-forward
-    # The gating hooks above bump their delayed-check counters once per
-    # consult, including on quiescent cycles; replay the per-cycle delta
-    # over fast-forwarded stretches so the totals stay bit-identical.
-    def quiet_state(self) -> tuple:
-        counters = self.metrics.scalars
-        return (counters.get("delayed_transmitter_checks", 0),
-                counters.get("delayed_resolution_checks", 0))
+    # ------------------------------------------------------------ reporting
+    def metrics_tree(self) -> Metrics:
+        """Report the core's hold counts as STT's delayed checks.
 
-    def on_quiet_cycles(self, skipped: int, before: tuple) -> None:
-        after = self.quiet_state()
-        for key, b, a in zip(("delayed_transmitter_checks",
-                              "delayed_resolution_checks"), before, after):
-            delta = a - b
-            if delta:
-                self.metrics.add(key, delta * skipped)
+        The core consults each gate at one site and counts every refusal
+        (``protection.*_delayed_cycles``, replayed over fast-forwarded
+        spans), so those counters are STT's refusal counts.  A path is set
+        only once its count is non-zero; after the core is freed the last
+        collection stands.
+        """
+        core = self.core
+        if core is not None:
+            for key, count in (
+                    ("delayed_transmitter_checks", core._transmitters_delayed),
+                    ("delayed_resolution_checks", core._resolutions_delayed)):
+                if count:
+                    self.metrics.set(key, count)
+        return self.metrics

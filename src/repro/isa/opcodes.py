@@ -65,10 +65,6 @@ class OpInfo:
         """Explicit-channel transmitters: loads and stores (paper Section 9.1)."""
         return self.is_mem
 
-    @property
-    def is_control(self) -> bool:
-        return self.kind in (Kind.BRANCH, Kind.JUMP, Kind.JUMP_REG)
-
 
 def _alu(name: str, latency: int = 1, invertible: bool = False) -> OpInfo:
     return OpInfo(name, Kind.ALU, latency=latency, reads_rs1=True,

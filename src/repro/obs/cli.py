@@ -67,12 +67,12 @@ def _build_bench_parser() -> argparse.ArgumentParser:
     record = sub.add_parser("record", help="measure and write a snapshot")
     record.add_argument("-o", "--output", default=None,
                         help="output path (default: BENCH_<date>.json)")
-    record.add_argument("--budget", type=int, default=None,
+    record.add_argument("--budget", type=at_least_one, default=None,
                         help="retired-instruction budget per run "
                              "(default: REPRO_BENCH_BUDGET or 2500)")
-    record.add_argument("--scale", type=int, default=None)
-    record.add_argument("--jobs", type=int, default=None)
-    record.add_argument("--reps", type=int, default=3,
+    record.add_argument("--scale", type=at_least_one, default=None)
+    record.add_argument("--jobs", type=at_least_one, default=None)
+    record.add_argument("--reps", type=at_least_one, default=3,
                         help="throughput-probe repetitions (best wins)")
     record.add_argument("--no-cache", action="store_true",
                         help="bypass the persistent result cache")
@@ -94,9 +94,9 @@ def _build_bench_parser() -> argparse.ArgumentParser:
     profile.add_argument("-o", "--output", default="BENCH_profile.pstats",
                          help="pstats dump path "
                               "(default: BENCH_profile.pstats)")
-    profile.add_argument("--budget", type=int, default=None)
-    profile.add_argument("--scale", type=int, default=None)
-    profile.add_argument("--runs", type=int, default=3,
+    profile.add_argument("--budget", type=at_least_one, default=None)
+    profile.add_argument("--scale", type=at_least_one, default=None)
+    profile.add_argument("--runs", type=at_least_one, default=3,
                          help="profiled repetitions (default: 3)")
     profile.add_argument("--top", type=int, default=25,
                          help="rows per sort order in the text summary")

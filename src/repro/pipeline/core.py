@@ -33,10 +33,12 @@ self-cleaning.
   resume, the fetch buffer's frontend delay, or an MSHR expiry).  Time
   jumps to the cycle before that event, and the skipped cycles are
   accounted in batch: stall buckets repeat the detection cycle's cause
-  (split at the squash-recovery boundary), the per-cycle delayed
-  transmitter/resolution counters replay the detection cycle's delta, and
-  engines replay their own counters via
-  :meth:`~repro.pipeline.engine_api.ProtectionEngine.on_quiet_cycles`.
+  (split at the squash-recovery boundary), and the two hold counters
+  (``protection.transmitters_delayed_cycles`` and
+  ``protection.resolutions_delayed_cycles``) replay the detection cycle's
+  delta.  The core consults each engine gate at one site and counts every
+  refusal there, so these are the only per-cycle counters in the machine
+  and engines keep none.
 * *DynInst recycling.*  Fetch re-stamps pooled :class:`DynInst` carcasses
   (:meth:`DynInst.reinit_recycled`) instead of allocating; squash victims
   are quarantined until their squash cycle has passed and any scheduled
@@ -142,8 +144,7 @@ class OoOCore:
 
     def __init__(self, program: Program,
                  engine: Optional[ProtectionEngine] = None,
-                 params: Optional[MachineParams] = None,
-                 record_retired_pcs: bool = False):
+                 params: Optional[MachineParams] = None):
         self.program = program
         self.params = params or MachineParams()
         self.params.validate()
@@ -161,7 +162,8 @@ class OoOCore:
         self.seq = 0
         self.retired_count = 0
         self.halted = False
-        self.retired_pcs: Optional[list] = [] if record_retired_pcs else None
+        # Set to a list to record every retired pc, in order.
+        self.retired_pcs: Optional[list] = None
 
         # In-flight structures.  ``rob`` is program-ordered; the head pointer
         # avoids O(n) pops and is compacted periodically.
@@ -187,8 +189,10 @@ class OoOCore:
         # instruction can never be squashed).
         self._bp_checkpoints: deque = deque()
         self._vp_scan = 0                  # absolute rob index of VP frontier
-        # Optional sink for squashed instructions (used by the tracer).
+        # Set by the tracer (repro.pipeline.trace): a sink for squashed
+        # instructions, and a hook ``run`` calls after every cycle.
         self.squash_sink: Optional[list] = None
+        self.cycle_hook: Optional[Callable[[], None]] = None
 
         # Event counters as plain attributes (a dict increment per delayed
         # transmitter per cycle dominates the issue loop otherwise); the
@@ -329,15 +333,13 @@ class OoOCore:
                              or (checker is not None and checker.full))
         stepped = self._stepped
         engine = self.engine
-        quiet_state = engine.quiet_state
-        # Engines without per-cycle monotone counters inherit the base
-        # quiet_state, a constant ``()`` — no point calling it every cycle.
-        if stepped or type(engine).quiet_state is ProtectionEngine.quiet_state:
-            quiet_state = None
-        # The full-level sanitizer's end-of-cycle window scans.
-        on_cycle = None
+        # End-of-cycle observers, all in stepped mode: the full-level
+        # sanitizer's window scans, then the tracer's harvest.
+        on_cycle = []
         if checker is not None and checker.full:
-            on_cycle = checker.on_cycle
+            on_cycle.append(checker.on_cycle)
+        if self.cycle_hook is not None:
+            on_cycle.append(self.cycle_hook)
         engine_tick = engine.tick
         writeback = self._writeback_batched
         memory_stage = self._memory_stage
@@ -351,11 +353,8 @@ class OoOCore:
         stall_counts = self.stall_counts
         max_cycles = self.params.max_cycles
         last_progress_cycle = 0
-        quiet_before: tuple = ()
         while not self.halted and self.retired_count < max_instructions:
             activity = self._activity
-            if quiet_state is not None:
-                quiet_before = quiet_state()
             trans_before = self._transmitters_delayed
             res_before = self._resolutions_delayed
             # One cycle: the body of step(), with its phases bound above.
@@ -381,8 +380,9 @@ class OoOCore:
                 last_progress_cycle = self.cycle
             else:
                 stall_counts[attribute_cycle(self)] += 1
-            if on_cycle is not None:
-                on_cycle()
+            if on_cycle:
+                for hook in on_cycle:
+                    hook()
             if self.cycle - last_progress_cycle > 100_000:
                 raise SimulationError(
                     f"{engine.name}/{self.program.name}: no retirement "
@@ -392,8 +392,8 @@ class OoOCore:
                 raise SimulationError(
                     f"{self.program.name}: exceeded max_cycles")
             if not stepped and not self.halted and self._activity == activity:
-                self._quiet_jump(last_progress_cycle, quiet_before,
-                                 trans_before, res_before)
+                self._quiet_jump(last_progress_cycle, trans_before,
+                                 res_before)
                 if self.cycle >= max_cycles:
                     raise SimulationError(
                         f"{self.program.name}: exceeded max_cycles")
@@ -458,8 +458,8 @@ class OoOCore:
             return None
         return min(candidates)
 
-    def _quiet_jump(self, last_progress_cycle: int, quiet_before: tuple,
-                    trans_before: int, res_before: int) -> None:
+    def _quiet_jump(self, last_progress_cycle: int, trans_before: int,
+                    res_before: int) -> None:
         """Jump time to just before the next event, accounting in batch."""
         cycle = self.cycle
         # Never jump past the deadlock detector or the cycle cap: landing
@@ -489,14 +489,13 @@ class OoOCore:
             self.stall_counts[_FETCH_STARVED] += skipped - n_recovery
         else:
             self.stall_counts[int(attribute_cycle(self))] += skipped
-        # Per-cycle monotone counters: replay the detection cycle's delta.
+        # The hold counters: replay the detection cycle's refusals.
         delta = self._transmitters_delayed - trans_before
         if delta:
             self._transmitters_delayed += delta * skipped
         delta = self._resolutions_delayed - res_before
         if delta:
             self._resolutions_delayed += delta * skipped
-        self.engine.on_quiet_cycles(skipped, quiet_before)
         self.cycle = land
 
     # ------------------------------------------------------------- writeback
@@ -605,12 +604,11 @@ class OoOCore:
             if self.engine.skip_cache_for_forwarding(load, forward_store):
                 if self.checker is not None:
                     self.checker.on_forward_skip(load, forward_store)
-                load.load_value = self._truncate(forward_store.rs2_value,
-                                                 load.info.mem_size)
-                load.access_level = "FWD"
+                load.result = self._truncate(forward_store.rs2_value,
+                                             load.info.mem_size)
                 load.mem_issued = True
                 self._activity += 1
-                self._schedule_load_completion(load, 1)
+                self._schedule_completion(load, 1)
                 return
             self.n_loads_forwarded_cache += 1
         if self.checker is not None:
@@ -623,15 +621,13 @@ class OoOCore:
         line = self.hierarchy.l1.line_address(load.address)
         self.observer.load_access(self.cycle, line, access.level)
         if forward_store is not None:
-            load.load_value = self._truncate(forward_store.rs2_value,
-                                             load.info.mem_size)
+            load.result = self._truncate(forward_store.rs2_value,
+                                         load.info.mem_size)
         else:
-            load.load_value = self.memory.load(load.address,
-                                               load.info.mem_size)
-        load.access_level = access.level
+            load.result = self.memory.load(load.address, load.info.mem_size)
         load.mem_issued = True
         self._activity += 1
-        self._schedule_load_completion(load, access.latency)
+        self._schedule_completion(load, access.latency)
 
     def _memory_dependences(self, load: DynInst):
         """Scan older stores in the LSQ.
@@ -718,12 +714,6 @@ class OoOCore:
     @staticmethod
     def _truncate(value: int, size: int) -> int:
         return value & ((1 << (8 * size)) - 1)
-
-    def _schedule_load_completion(self, load: DynInst, latency: int) -> None:
-        load.ready_cycle = self.cycle + max(1, latency)
-        self._completion_buckets.setdefault(load.ready_cycle, []).append(load)
-        # Loads complete through the normal writeback path; hook data arrival.
-        load.result = load.load_value
 
     # ------------------------------------------------------------ resolution
     def _resolve_control(self) -> None:
@@ -1330,7 +1320,6 @@ class OoOCore:
             di.history_snapshot = snapshot
             append((ready, di))
             if target is None:
-                di.prediction_missing = True
                 di.mispredicted = True
                 self.fetch_wait_for = di
                 break

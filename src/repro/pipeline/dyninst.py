@@ -21,8 +21,7 @@ class DynInst:
         # Kind predicates, fixed at construction (attributes, not
         # properties: these are read millions of times in the per-cycle
         # scheduler and engine loops).
-        "is_control", "is_predicted_control", "is_load", "is_store",
-        "is_transmitter",
+        "is_predicted_control", "is_load", "is_store", "is_transmitter",
         # Rename.
         "prs1", "prs2", "prd", "old_prd",
         # Values (filled as operands become ready / result computed).
@@ -38,17 +37,13 @@ class DynInst:
         # Control flow.
         "predicted_taken", "predicted_target", "history_snapshot",
         "actual_taken", "actual_target", "mispredicted", "resolution_applied",
-        "prediction_missing",
         # Memory.
-        "address", "addr_ready", "mem_issued", "mem_complete", "lsq_index",
-        "forwarded_from", "fwding_st", "num_st_untaint_pending", "stl_public",
-        "load_value", "access_level",
+        "address", "addr_ready", "mem_issued", "mem_complete",
+        "forwarded_from", "fwding_st", "stl_public",
         # Visibility point / declassification.
         "reached_vp", "declassified",
-        # STT s-taint (youngest root of taint).
-        "stt_root",
-        # SPT per-slot taint bits + untaint-broadcast-pending flags (7.3).
-        "t_src1", "t_src2", "t_dst", "pend_src1", "pend_src2", "pend_dst",
+        # SPT per-slot taint bits (7.3).
+        "t_src1", "t_src2", "t_dst",
         # Window slot: index of this entry's bit in the packed SPTEngine's
         # bitmasks, -1 outside it.
         "fp_slot",
@@ -80,7 +75,6 @@ class DynInst:
         self.info = info
         kind = info.kind
         self.kind = kind
-        self.is_control = kind in (Kind.BRANCH, Kind.JUMP, Kind.JUMP_REG)
         self.is_predicted_control = kind in (Kind.BRANCH, Kind.JUMP_REG)
         self.is_load = kind == Kind.LOAD
         self.is_store = kind == Kind.STORE
@@ -111,27 +105,18 @@ class DynInst:
         self.actual_target: Optional[int] = None
         self.mispredicted = False
         self.resolution_applied = False
-        self.prediction_missing = False
         self.address: Optional[int] = None
         self.addr_ready = False
         self.mem_issued = False
         self.mem_complete = False
-        self.lsq_index = -1
         self.forwarded_from: Optional["DynInst"] = None
         self.fwding_st = -1
-        self.num_st_untaint_pending = -1
         self.stl_public = False
-        self.load_value: Optional[int] = None
-        self.access_level: Optional[str] = None
         self.reached_vp = False
         self.declassified = False
-        self.stt_root: Optional["DynInst"] = None
         self.t_src1 = False
         self.t_src2 = False
         self.t_dst = False
-        self.pend_src1 = False
-        self.pend_src2 = False
-        self.pend_dst = False
         self.fp_slot = -1
         self.fp_wait = 0
 
@@ -153,11 +138,9 @@ class DynInst:
           before any consumer), control outcomes (``predicted_*``/
           ``history_snapshot`` at fetch, ``actual_*``/``mispredicted`` at
           execute), and SPT slot bits (``t_*`` at rename);
-        * *reader-free in a recycling run*: the lifecycle timestamps, the
-          ``pend_*`` broadcast bookkeeping, ``lsq_index``, ``stt_root``,
-          ``prediction_missing``, ``load_value``/``access_level`` are only
-          read by the tracer and the full-level sanitizer, and either one
-          puts the core in stepped mode, which does not recycle.
+        * *reader-free in a recycling run*: the lifecycle timestamps are
+          only read by the tracer and the full-level sanitizer, and either
+          one puts the core in stepped mode, which does not recycle.
 
         ``tier`` widens the reset set for kinds with cross-life hazards:
         1 (loads/stores) clears the memory-disambiguation and

@@ -8,9 +8,18 @@ The engines in :mod:`repro.core` (STT, SPT, baselines) subclass this.
 
 Each engine owns a :class:`~repro.obs.metrics.Metrics` node; the core grafts
 it into the run's metrics hierarchy under ``engine.`` when the simulation
-finishes.  ``bump`` is the cheap hot-path counter API; subclasses with
-richer state (SPT's untaint machinery) override :meth:`metrics_tree` to
-fold it in at collection time.
+finishes.  Engines keep no per-cycle counters of their own: the core counts
+every gate refusal (``protection.*_delayed_cycles``), and an engine with
+state to report (SPT's untaint machinery, STT's delayed checks) overrides
+:meth:`metrics_tree` to fold it in at collection time.
+
+The core fast-forwards over cycles in which nothing bumped
+``core._activity``.  An engine must therefore bump it in every cycle in
+which its own state moves (SPT's untaint requests and broadcasts), and in
+every cycle in which a gating answer could change without any machine
+state moving (a gate that opens on a cycle count).  A skipped cycle repeats
+the last stepped cycle's gate refusals, which the core replays into its
+hold counters.
 
 The core owns its engine; the engine reaches back to the core only through
 a weak reference (:attr:`ProtectionEngine.core`), so a finished simulation
@@ -43,7 +52,6 @@ class ProtectionEngine:
 
     name = "UnsafeBaseline"
     protects_speculative_data = False
-    protects_nonspeculative_secrets = False
     # The attack model's visibility-point obstacle predicate, or None for
     # engines that never advance the VP frontier (UnsafeBaseline).  Public
     # so external observers — the repro.check sanitizer in particular — can
@@ -62,9 +70,6 @@ class ProtectionEngine:
 
     def attach(self, core: "OoOCore") -> None:
         self._core_ref = weakref.ref(core)
-
-    def bump(self, stat: str, amount: int = 1) -> None:
-        self.metrics.add(stat, amount)
 
     def metrics_tree(self) -> Metrics:
         """The engine's contribution to the run's metrics hierarchy.
@@ -109,7 +114,7 @@ class ProtectionEngine:
         """Instruction renamed: initialise its taint state."""
 
     def on_load_data(self, di: "DynInst") -> None:
-        """Load data arrived (di.load_value / di.address / di.access_level set)."""
+        """Load data arrived (``di.result`` and ``di.address`` set)."""
 
     def on_store_retire(self, di: "DynInst") -> None:
         """Store wrote the L1D at retirement."""
@@ -125,29 +130,3 @@ class ProtectionEngine:
 
     def tick(self) -> None:
         """End-of-cycle hook: VP advance, declassification, untaint rules."""
-
-    # ------------------------------------------------- quiescent fast-forward
-    # The core fast-forwards over cycles in which nothing bumped
-    # ``core._activity``.  An engine must therefore bump it in every cycle
-    # in which its own state moves (SPT's untaint requests and broadcasts),
-    # and in every cycle in which a gating answer could change without any
-    # machine state moving (a gate that opens on a cycle count).
-
-    def quiet_state(self) -> tuple:
-        """Snapshot of per-cycle monotone engine counters.
-
-        Engines whose :meth:`tick`/gating hooks mutate *monotone counters*
-        even on quiescent cycles (STT's per-cycle delayed-check bumps)
-        return them here so the skipped cycles can be accounted for in
-        batch; engines with no such counters return ``()``.
-        """
-        return ()
-
-    def on_quiet_cycles(self, skipped: int, before: tuple) -> None:
-        """``skipped`` quiescent cycles were fast-forwarded.
-
-        ``before`` is the :meth:`quiet_state` snapshot taken immediately
-        before the detection cycle ran; the current state therefore holds
-        one extra cycle's worth of counter deltas, which the engine must
-        replicate ``skipped`` more times.
-        """

@@ -53,7 +53,10 @@ class PipelineTracer:
 
     The squash sink puts the core in stepped mode, which records every
     lifecycle timestamp and never recycles an instruction the tracer has
-    yet to record.
+    yet to record.  The run is the core's own :meth:`OoOCore.run`, with a
+    harvest after every cycle: a traced run halts, stops at the budget and
+    raises (the cycle cap, the deadlock detector) exactly as an untraced
+    one does, and keeps the entries harvested up to a raise.
     """
 
     def __init__(self, core: OoOCore, max_entries: int = 10_000):
@@ -66,15 +69,14 @@ class PipelineTracer:
 
     def run(self, max_instructions: int = 100_000) -> SimResult:
         core = self.core
-        while not core.halted and core.retired_count < max_instructions:
-            core.step()
-            self._harvest()
-            if core.cycle >= core.params.max_cycles:
-                break
-        self._harvest(final=True)
-        if core.checker is not None:
-            core.checker.on_finish(core.halted)
-        return SimResult(core, core.halted)
+        # Hooked for this run only: a standing bound method would make the
+        # core and its tracer a reference cycle.
+        core.cycle_hook = self._harvest
+        try:
+            return core.run(max_instructions)
+        finally:
+            core.cycle_hook = None
+            self._harvest(final=True)
 
     def _harvest(self, final: bool = False) -> None:
         if len(self.entries) >= self.max_entries:

@@ -37,28 +37,24 @@ class Observation:
 class Observer:
     """Accumulates attacker-visible events during one simulation."""
 
-    def __init__(self, record_cycles: bool = True):
-        self.record_cycles = record_cycles
+    def __init__(self):
         self.events: list[Observation] = []
 
-    def _cycle(self, cycle: int) -> int:
-        return cycle if self.record_cycles else 0
-
     def load_access(self, cycle: int, line: int, level: str) -> None:
-        self.events.append(Observation(self._cycle(cycle), "load", line, level))
+        self.events.append(Observation(cycle, "load", line, level))
 
     def store_address(self, cycle: int, line: int) -> None:
-        self.events.append(Observation(self._cycle(cycle), "store-addr", line))
+        self.events.append(Observation(cycle, "store-addr", line))
 
     def store_write(self, cycle: int, line: int, level: str) -> None:
-        self.events.append(Observation(self._cycle(cycle), "store-write", line, level))
+        self.events.append(Observation(cycle, "store-write", line, level))
 
     def predictor_update(self, cycle: int, pc: int, taken: bool) -> None:
-        self.events.append(Observation(
-            self._cycle(cycle), "bp-update", pc, "T" if taken else "N"))
+        self.events.append(Observation(cycle, "bp-update", pc,
+                                       "T" if taken else "N"))
 
     def squash(self, cycle: int, pc: int) -> None:
-        self.events.append(Observation(self._cycle(cycle), "squash", pc))
+        self.events.append(Observation(cycle, "squash", pc))
 
     # ------------------------------------------------------------- analysis
     def lines_touched(self, kind: Optional[str] = None) -> set:

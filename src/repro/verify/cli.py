@@ -24,6 +24,7 @@ import sys
 from typing import Optional
 
 from repro.fuzz.generator import PROFILES, generate_plan, plan_from_json
+from repro.harness.configs import at_least_one
 from repro.verify.report import (checks_to_json, render_check,
                                  render_crosscheck, write_json)
 from repro.verify.targets import TARGETS, check_plan, verify_target
@@ -40,11 +41,13 @@ def _add_bound_args(parser: argparse.ArgumentParser) -> None:
                              "(default 32)")
     bounds.add_argument("--spec-depth", type=int, default=1,
                         help="misprediction nesting depth (default 1)")
-    bounds.add_argument("--max-instructions", type=int, default=400_000,
+    bounds.add_argument("--max-instructions", type=at_least_one,
+                        default=400_000,
                         help="architectural instruction budget")
-    bounds.add_argument("--max-explored", type=int, default=2_000_000,
+    bounds.add_argument("--max-explored", type=at_least_one,
+                        default=2_000_000,
                         help="total transient instruction budget")
-    bounds.add_argument("--max-leaks", type=int, default=8,
+    bounds.add_argument("--max-leaks", type=at_least_one, default=8,
                         help="stop after this many distinct leak sites")
     parser.add_argument("--json", dest="json_path", default=None,
                         help="also write a JSON witness report to this path")
@@ -66,13 +69,13 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument("names", nargs="*", default=[],
                         help=f"target names (default: all of "
                              f"{', '.join(sorted(TARGETS))})")
-    target.add_argument("--scale", type=int, default=1,
+    target.add_argument("--scale", type=at_least_one, default=1,
                         help="workload scale factor (default 1)")
     _add_bound_args(target)
 
     plan = modes.add_parser(
         "plan", help="check generated fuzz plans by seed")
-    plan.add_argument("--seeds", type=int, default=1,
+    plan.add_argument("--seeds", type=at_least_one, default=1,
                       help="number of consecutive seeds (default 1)")
     plan.add_argument("--seed-start", type=int, default=0)
     plan.add_argument("--profile", default="quick",
@@ -89,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     cross = modes.add_parser(
         "crosscheck", help="replay victims through both oracles and fail "
                            "on verdict disagreement")
-    cross.add_argument("--seeds", type=int, default=20,
+    cross.add_argument("--seeds", type=at_least_one, default=20,
                        help="fresh plans to cross-check (default 20; "
                             "ignored with --corpus-dir)")
     cross.add_argument("--seed-start", type=int, default=0)
@@ -98,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     cross.add_argument("--corpus-dir", default=None,
                        help="replay this fuzz corpus instead of fresh "
                             "plans (concrete verdicts from its records)")
-    cross.add_argument("--limit", type=int, default=None,
+    cross.add_argument("--limit", type=at_least_one, default=None,
                        help="cap on corpus records to replay")
     _add_bound_args(cross)
     return parser

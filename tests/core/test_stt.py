@@ -111,4 +111,3 @@ def test_engine_name_and_scope_flags():
     engine = STTEngine(AttackModel.SPECTRE)
     assert engine.name == "STT"
     assert engine.protects_speculative_data
-    assert not engine.protects_nonspeculative_secrets

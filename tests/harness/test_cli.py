@@ -62,9 +62,9 @@ def test_stt_flag():
     (["mcf", "--track-insts"], "--track-insts"),
     (["mcf", "--stt"], "--threat-model"),
     (["mcf", "--enable-shadow-l1"], "--enable-spt"),
-    # Budgets and scales below 1: the harness would read a zero budget as
-    # its default, the direct path would simulate nothing, and a zero
-    # scale builds a workload that never halts.
+    # Budgets and scales below 1 (the parser refuses them): the harness
+    # would read a zero budget as its default, the direct path would
+    # simulate nothing, and a zero scale builds a workload that never halts.
     (["mcf", "--max-instructions", "0"], "--max-instructions"),
     (["mcf", "--max-instructions", "-5"], "--max-instructions"),
     (["mcf", "--enable-spt", "--threat-model", "futuristic",
@@ -73,9 +73,21 @@ def test_stt_flag():
     (["mcf", "--scale", "0"], "--scale"),
     (["mcf", "--scale", "-1"], "--scale"),
 ])
-def test_invalid_combinations_rejected(argv, fragment):
-    error = validate_args(parse(argv))
-    assert error is not None and fragment in error
+def test_invalid_combinations_rejected(argv, fragment, capsys, monkeypatch):
+    # A bad combination fails validate_args and a size below 1 fails the
+    # parser: either way the command exits 2 naming the flag, before
+    # anything simulates.
+    def no_simulation(*_args, **_kwargs):
+        raise AssertionError("simulated despite an invalid command line")
+
+    monkeypatch.setattr(cli, "run_many", no_simulation)
+    monkeypatch.setattr(cli, "_run_direct", no_simulation)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert fragment in capsys.readouterr().err
 
 
 def test_load_program_from_workload_registry():

@@ -1,10 +1,12 @@
-"""The usage-error contract of the four verdict commands.
+"""The usage-error contract of the command line.
 
 ``repro check``, ``repro backend-diff``, ``repro pentest`` and ``repro fuzz``
-parse their grid through :mod:`repro.harness.configs`.  A size below 1 or an
-unknown workload, configuration or attack model must exit 2 with a usage
-message before anything simulates: exit 1 is a failed verdict, and a
-silently corrected value is a verdict about some other grid.
+parse their grid through :mod:`repro.harness.configs`; the artifact CLI,
+``repro bench`` and ``repro verify`` parse their size flags with its
+``at_least_one``.  A size below 1 or an unknown workload, configuration or
+attack model must exit 2 with a usage message before anything runs: exit 1
+is a failed verdict, and a silently corrected value is a verdict about some
+other grid.
 """
 
 import pytest
@@ -33,6 +35,24 @@ CASES = [
     ("fuzz", "--adversarial", "--budget", "0"),
     ("fuzz", "--configs", "Nope"),
     ("fuzz", "--models", "quantum"),
+    ("mcf", "--jobs", "0"),
+    ("mcf", "--untaint-broadcast-width", "0"),
+    ("mcf", "--max-instructions", "0"),
+    ("mcf", "--scale", "0"),
+    ("bench", "record", "--budget", "0"),
+    ("bench", "record", "--scale", "0"),
+    ("bench", "record", "--jobs", "0"),
+    ("bench", "record", "--reps", "0"),
+    ("bench", "profile", "--budget", "0"),
+    ("bench", "profile", "--scale", "0"),
+    ("bench", "profile", "--runs", "0"),
+    ("verify", "target", "chacha20", "--scale", "0"),
+    ("verify", "target", "--max-instructions", "0"),
+    ("verify", "target", "--max-explored", "0"),
+    ("verify", "target", "--max-leaks", "0"),
+    ("verify", "plan", "--seeds", "0"),
+    ("verify", "crosscheck", "--seeds", "0"),
+    ("verify", "crosscheck", "--limit", "0"),
 ]
 
 

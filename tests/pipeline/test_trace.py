@@ -1,12 +1,16 @@
 """Tests for the pipeline tracer."""
 
+import pytest
+
 from repro.check.cli import check_counts
 from repro.core.attack_model import AttackModel
 from repro.core.spt import SPTEngine
 from repro.isa.assembler import assemble
+from repro.pipeline.engine_api import ProtectionEngine
 from repro.pipeline.trace import PipelineTracer, trace_program
-from repro.pipeline.core import OoOCore
+from repro.pipeline.core import OoOCore, SimulationError
 from repro.pipeline.params import MachineParams
+from repro.workloads.registry import get as get_workload
 
 
 SIMPLE = """
@@ -58,6 +62,45 @@ def test_traced_run_ends_the_way_run_does():
     counts = check_counts(tracer.core.build_metrics())
     assert counts["final-state"] == 1
     assert counts == check_counts(run.metrics)
+
+
+def raised(run) -> str:
+    """The message of the SimulationError ``run()`` raises."""
+    with pytest.raises(SimulationError) as exc_info:
+        run()
+    return str(exc_info.value)
+
+
+def test_traced_run_stops_at_the_cycle_cap_as_run_does():
+    program = get_workload("mcf").program(1)
+    plain = OoOCore(program, params=MachineParams(max_cycles=400))
+    tracer = PipelineTracer(OoOCore(program,
+                                    params=MachineParams(max_cycles=400)))
+    message = raised(lambda: plain.run(max_instructions=10_000_000))
+    assert message == "mcf: exceeded max_cycles"
+    assert raised(lambda: tracer.run(max_instructions=10_000_000)) == message
+    assert tracer.core.cycle == plain.cycle == 400
+    assert tracer.entries        # harvested up to the raise
+
+
+class NeverIssue(ProtectionEngine):
+    """Holds every transmitter forever: the run wedges."""
+
+    def may_compute_address(self, di) -> bool:
+        return False
+
+
+def test_traced_run_trips_the_deadlock_detector_as_run_does():
+    program = assemble("""
+        ld a0, 0x4000(zero)
+        halt
+    """)
+    plain = OoOCore(program, engine=NeverIssue())
+    tracer = PipelineTracer(OoOCore(program, engine=NeverIssue()))
+    message = raised(plain.run)
+    assert "no retirement for 100k cycles" in message
+    assert raised(tracer.run) == message
+    assert tracer.core.cycle == plain.cycle
 
 
 def test_squashed_wrong_path_instructions_are_traced():

@@ -42,13 +42,6 @@ def test_cycle_sensitivity():
     assert not traces_equal(a, b)
 
 
-def test_record_cycles_false_hides_timing():
-    a, b = Observer(record_cycles=False), Observer(record_cycles=False)
-    a.load_access(1, 0x40, "L1D")
-    b.load_access(2, 0x40, "L1D")
-    assert traces_equal(a, b)
-
-
 def test_differing_events_finds_first_divergence():
     a, b = Observer(), Observer()
     a.load_access(1, 0x40, "L1D")
