@@ -401,10 +401,8 @@ class Sanitizer:
             f"cycle {core.cycle}: squash younger than #{boundary} "
             f"({len(squashed)} victims)")
 
-    def on_finish(self, halted: bool) -> None:
-        """End of ``run()``: full architectural-state comparison at HALT."""
-        if not halted:
-            return      # budget-cut run: the pipeline is not drained
+    def on_finish(self) -> None:
+        """HALT retired: full architectural-state comparison."""
         core = self.core
         golden_halted = self.expected_pc is None
         ok = golden_halted

@@ -23,6 +23,13 @@ Artifact parameter        Here
 ``--output-dir``          where ``stats.txt`` is written
 ========================  =======================================
 
+Every valid flag set names one configuration: a Table 2 row, or an SPT
+design point outside Table 2 (``--untaint-method fwd --enable-shadow-l1``
+is ``SPT{Fwd,ShadowL1}``).  Registered workloads run through the cached
+parallel harness (:func:`~repro.harness.parallel.run_many`) whatever the
+flags; an ``.asm`` file runs directly
+(:func:`~repro.harness.runner.simulate`).
+
 Examples::
 
     python -m repro.cli mcf --enable-spt --threat-model futuristic \\
@@ -39,18 +46,12 @@ import sys
 from typing import Optional
 
 from repro.core.attack_model import AttackModel
-from repro.core.baselines import SecureBaseline, UnsafeBaseline
-from repro.core.shadow_l1 import ShadowMode
-from repro.core.spt import SPTEngine
-from repro.core.stt import STTEngine
-from repro.harness.configs import CONFIGURATIONS, at_least_one
+from repro.harness.configs import at_least_one
 from repro.harness.parallel import RunSpec, run_many
-from repro.harness.runner import RunResult
+from repro.harness.runner import RunResult, run_result, simulate
 from repro.isa.assembler import assemble
 from repro.isa.instructions import Program
 from repro.obs.metrics import Metrics
-from repro.pipeline.core import OoOCore
-from repro.pipeline.engine_api import ProtectionEngine
 from repro.pipeline.params import MachineParams
 from repro.workloads.registry import WORKLOADS, get as get_workload
 
@@ -111,6 +112,10 @@ def validate_args(args: argparse.Namespace) -> Optional[str]:
                                 or args.enable_shadow_mem
                                 or args.untaint_method):
         return "shadow/untaint options require --enable-spt"
+    if args.untaint_method == "none" and (args.enable_shadow_l1
+                                          or args.enable_shadow_mem):
+        return ("shadow options cannot be used with --untaint-method none "
+                "(SecureBaseline keeps no shadow)")
     writers: dict = {}
     for executable in args.executable:
         name = _stats_filename(executable, len(args.executable) > 1)
@@ -121,36 +126,14 @@ def validate_args(args: argparse.Namespace) -> Optional[str]:
     return None
 
 
-def make_engine_from_args(args: argparse.Namespace) -> ProtectionEngine:
-    if not args.enable_spt and not args.stt:
-        return UnsafeBaseline()
-    model = AttackModel(args.threat_model)
-    if args.stt:
-        return STTEngine(model)
-    if args.untaint_method == "none":
-        return SecureBaseline(model)
-    if args.enable_shadow_mem:
-        shadow = ShadowMode.FULL_MEMORY
-    elif args.enable_shadow_l1:
-        shadow = ShadowMode.L1
-    else:
-        shadow = ShadowMode.NONE
-    return SPTEngine(model,
-                     backward=args.untaint_method in ("bwd", "ideal"),
-                     shadow=shadow,
-                     ideal=args.untaint_method == "ideal")
-
-
-def config_name_from_args(args: argparse.Namespace) -> Optional[str]:
-    """Map the artifact flags onto a Table 2 configuration name.
-
-    Returns None for combinations outside Table 2 (those run directly
-    rather than through the cached ``run_many`` path).
-    """
-    if not args.enable_spt and not args.stt:
-        return "UnsafeBaseline"
+def config_name_from_args(args: argparse.Namespace) -> str:
+    """The configuration a valid flag set selects: a Table 2 name, or an
+    SPT design point outside Table 2 such as ``SPT{Fwd,ShadowL1}``
+    (:func:`repro.harness.configs.make_engine` builds either)."""
     if args.stt:
         return "STT"
+    if not args.enable_spt:
+        return "UnsafeBaseline"
     if args.untaint_method == "none":
         return "SecureBaseline"
     if args.enable_shadow_mem:
@@ -159,10 +142,7 @@ def config_name_from_args(args: argparse.Namespace) -> Optional[str]:
         shadow = "ShadowL1"
     else:
         shadow = "NoShadowL1"
-    untaint = {"fwd": "Fwd", "bwd": "Bwd", "ideal": "Ideal"}[
-        args.untaint_method]
-    name = f"SPT{{{untaint},{shadow}}}"
-    return name if name in CONFIGURATIONS else None
+    return f"SPT{{{args.untaint_method.capitalize()},{shadow}}}"
 
 
 def load_program(executable: str, scale: int) -> Program:
@@ -214,19 +194,6 @@ def _stats_filename(executable: str, multiple: bool) -> str:
     return f"stats_{stem}.txt"
 
 
-def _run_direct(args: argparse.Namespace, executable: str,
-                params: MachineParams) -> RunResult:
-    """The uncached path: .asm files and non-Table-2 flag combinations."""
-    program = load_program(executable, args.scale)
-    engine = make_engine_from_args(args)
-    sim = OoOCore(program, engine=engine, params=params).run(
-        max_instructions=args.max_instructions)
-    model = (AttackModel(args.threat_model) if args.threat_model
-             else AttackModel.FUTURISTIC)
-    return RunResult(program.name, engine.name, model, sim.cycles,
-                     sim.retired, sim.metrics)
-
-
 def main(argv: Optional[list] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -264,22 +231,20 @@ def main(argv: Optional[list] = None) -> int:
         untaint_broadcast_width=args.untaint_broadcast_width)
     model = (AttackModel(args.threat_model) if args.threat_model
              else AttackModel.FUTURISTIC)
-    config_name = config_name_from_args(args)
+    config = config_name_from_args(args)
     use_cache = False if args.no_cache else None
 
-    # Registered workloads under a Table 2 configuration go through the
-    # cached parallel harness as one spec list; everything else (.asm
-    # files, off-table flag combinations) runs directly.
+    # Registered workloads go through the cached parallel harness as one
+    # spec list; .asm files, which no cache key names, run directly.
     sweep: list = []            # (executable, RunSpec)
-    direct: list = []           # executable
+    direct: list = []           # (executable, Program)
     for executable in args.executable:
-        if config_name is not None and executable in WORKLOADS:
+        if executable in WORKLOADS:
             sweep.append((executable, RunSpec(
-                executable, config_name, model, scale=args.scale,
+                executable, config, model, scale=args.scale,
                 max_instructions=args.max_instructions, params=params)))
         else:
-            load_program(executable, args.scale)    # fail fast on bad input
-            direct.append(executable)
+            direct.append((executable, load_program(executable, args.scale)))
 
     outputs: list = []          # (executable, RunResult)
     if sweep:
@@ -287,8 +252,10 @@ def main(argv: Optional[list] = None) -> int:
                            use_cache=use_cache)
         for (executable, _), result in zip(sweep, results):
             outputs.append((executable, result))
-    for executable in direct:
-        outputs.append((executable, _run_direct(args, executable, params)))
+    for executable, program in direct:
+        sim = simulate(program, config, model, args.max_instructions, params)
+        outputs.append((executable, run_result(program.name, config, model,
+                                               sim, collect_trace=False)))
 
     os.makedirs(args.output_dir, exist_ok=True)
     multiple = len(args.executable) > 1

@@ -14,7 +14,7 @@ from repro.core.shadow_l1 import ShadowMode
 from repro.core.spt import SPTEngine
 from repro.core.stt import STTEngine
 from repro.pipeline.engine_api import ProtectionEngine
-from repro.workloads.registry import WORKLOADS
+from repro.workloads.registry import WORKLOADS, get as get_workload
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,22 @@ def _unsafe(model: AttackModel) -> ProtectionEngine:
     return UnsafeBaseline()
 
 
+def _spt(untaint: str, shadow: ShadowMode) -> Callable:
+    return lambda model: SPTEngine(model, backward=untaint != "Fwd",
+                                   shadow=shadow, ideal=untaint == "Ideal")
+
+
+# Every SPT design point: an untaint method (forward only, forward and
+# backward, ideal) and a shadow scope.  Table 2 evaluates five of them;
+# ``make_engine`` builds all nine.
+SPT_ENGINES: dict[str, Callable[[AttackModel], ProtectionEngine]] = {
+    f"SPT{{{untaint},{scope}}}": _spt(untaint, shadow)
+    for untaint in ("Fwd", "Bwd", "Ideal")
+    for scope, shadow in (("NoShadowL1", ShadowMode.NONE),
+                          ("ShadowL1", ShadowMode.L1),
+                          ("ShadowMem", ShadowMode.FULL_MEMORY))
+}
+
 CONFIGURATIONS: dict[str, Configuration] = {
     "UnsafeBaseline": Configuration(
         "UnsafeBaseline", "An unmodified, insecure processor.",
@@ -41,26 +57,26 @@ CONFIGURATIONS: dict[str, Configuration] = {
     "SPT{Fwd,NoShadowL1}": Configuration(
         "SPT{Fwd,NoShadowL1}",
         "Forward untainting only (in RS). No shadow L1.",
-        lambda m: SPTEngine(m, backward=False, shadow=ShadowMode.NONE)),
+        SPT_ENGINES["SPT{Fwd,NoShadowL1}"]),
     "SPT{Bwd,NoShadowL1}": Configuration(
         "SPT{Bwd,NoShadowL1}",
         "Forward and backward untainting (in RS). No shadow L1.",
-        lambda m: SPTEngine(m, backward=True, shadow=ShadowMode.NONE)),
+        SPT_ENGINES["SPT{Bwd,NoShadowL1}"]),
     "SPT{Bwd,ShadowL1}": Configuration(
         "SPT{Bwd,ShadowL1}",
         "Forward and backward untainting (in RS) plus shadow L1 "
         "(L1D taint tracking). The full SPT design.",
-        lambda m: SPTEngine(m, backward=True, shadow=ShadowMode.L1)),
+        SPT_ENGINES["SPT{Bwd,ShadowL1}"]),
     "SPT{Bwd,ShadowMem}": Configuration(
         "SPT{Bwd,ShadowMem}",
         "Forward and backward untainting (in RS) plus all-memory taint "
         "tracking.",
-        lambda m: SPTEngine(m, backward=True, shadow=ShadowMode.FULL_MEMORY)),
+        SPT_ENGINES["SPT{Bwd,ShadowMem}"]),
     "SPT{Ideal,ShadowMem}": Configuration(
         "SPT{Ideal,ShadowMem}",
         "Ideal forward and backward untainting (in RS) plus all-memory "
         "taint tracking.",
-        lambda m: SPTEngine(m, ideal=True, shadow=ShadowMode.FULL_MEMORY)),
+        SPT_ENGINES["SPT{Ideal,ShadowMem}"]),
     "STT": Configuration(
         "STT", "Only protects speculatively-accessed data.",
         STTEngine),
@@ -98,6 +114,23 @@ def at_least_one(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def at_least_zero(text: str) -> int:
+    """An integer of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
+def workload_name(text: str) -> str:
+    """A workload name the registry resolves, dynamic names included."""
+    try:
+        get_workload(text)
+    except KeyError as error:
+        raise argparse.ArgumentTypeError(error.args[0]) from None
+    return text
 
 
 def _known(parts, known, what: str) -> list:
@@ -188,8 +221,11 @@ class Grid:
 
 
 def make_engine(name: str, model: AttackModel) -> ProtectionEngine:
-    """Instantiate the engine for a Table 2 configuration name."""
-    config = CONFIGURATIONS[name]
+    """Instantiate the engine for a configuration name: a Table 2 row, or
+    any SPT design point of :data:`SPT_ENGINES`."""
+    config = CONFIGURATIONS.get(name)
+    if config is None:
+        return SPT_ENGINES[name](model)
     return config.make(model)
 
 

@@ -20,7 +20,8 @@ import sys
 from typing import Optional
 
 from repro.core.attack_model import AttackModel
-from repro.harness.configs import CONFIGURATIONS, at_least_one
+from repro.harness.configs import (CONFIGURATIONS, at_least_one,
+                                   workload_name)
 from repro.harness.runner import run_one
 from repro.obs import bench
 
@@ -29,7 +30,8 @@ def _build_stats_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro stats",
         description="Run one simulation and render its metrics hierarchy.")
-    parser.add_argument("workload", help="registered workload name")
+    parser.add_argument("workload", type=workload_name,
+                        help="registered workload name")
     parser.add_argument("--config", default="UnsafeBaseline",
                         choices=sorted(CONFIGURATIONS),
                         help="Table 2 configuration (default: UnsafeBaseline)")

@@ -78,9 +78,8 @@ _MAX_CHAIN = 16
 def attribute_cycle(core) -> StallCause:
     """Attribute one non-retiring cycle of ``core`` to a stall cause.
 
-    Called by the core at the end of every :meth:`~OoOCore.step` that
-    retired nothing (retiring cycles are counted inline — the common,
-    cheap case).
+    Called by the core at the end of every cycle that retired nothing
+    (retiring cycles are counted inline — the common, cheap case).
     """
     rob = core.rob
     head = core.rob_head

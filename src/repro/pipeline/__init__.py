@@ -8,13 +8,12 @@ from repro.pipeline.core import OoOCore, SimResult, SimulationError
 from repro.pipeline.dyninst import DynInst
 from repro.pipeline.engine_api import ProtectionEngine
 from repro.pipeline.params import MachineParams, table1_text
-from repro.pipeline.rename import OutOfPhysRegs, RenameUnit
+from repro.pipeline.rename import RenameUnit
 from repro.pipeline.trace import PipelineTracer, TraceEntry, trace_program
 
 __all__ = [
     "BranchPredictor", "BranchTargetBuffer", "GsharePredictor",
     "ReturnAddressStack", "OoOCore", "SimResult", "SimulationError",
     "DynInst", "ProtectionEngine", "MachineParams", "table1_text",
-    "OutOfPhysRegs", "RenameUnit", "PipelineTracer", "TraceEntry",
-    "trace_program",
+    "RenameUnit", "PipelineTracer", "TraceEntry", "trace_program",
 ]

@@ -48,13 +48,19 @@ A core runs in *stepped mode* instead when an observer needs every cycle
 or holds instructions across cycles: a ``check_level="full"`` sanitizer, a
 tracer's squash sink, or a core stepped by hand with :meth:`OoOCore.step`.
 Stepped mode turns both layers off and records every lifecycle timestamp
-(``fetch_cycle`` through ``retire_cycle``); it runs the same phase
-methods.  The mode is decided once per core.  The ``commit`` sanitizer
-level only hooks retire, squash and finish, so it keeps fast-forward.
-``repro backend-diff`` and the differential suite in ``tests/fastpath``
-pin the default run against the *reference run* — stepped mode with
+(``fetch_cycle`` through ``retire_cycle``).  The mode is decided once per
+core.  The ``commit`` sanitizer level only hooks retire, squash and
+finish, so it keeps fast-forward.  ``repro backend-diff`` and the
+differential suite in ``tests/fastpath`` pin the default run against the
+*reference run* — stepped mode with
 :class:`~repro.core.spt.ReferenceSPTEngine` under the full sanitizer — and
 against a committed golden record of earlier reference runs.
+
+There is one cycle body, ``OoOCore._cycle``: :meth:`OoOCore.run` loops it
+(and fast-forwards between its calls), and :meth:`OoOCore.step` calls it
+once.  A hand-stepped core therefore raises at ``max_cycles`` and on
+deadlock, and its sanitizer checks the final state when HALT retires,
+exactly as in a run.
 
 The operations that compute or consume register and memory values
 (``_alu``, ``_address``, ``_truncate``, ``_branch_outcome``,
@@ -222,6 +228,8 @@ class OoOCore:
         self.stall_counts: list[int] = [0] * NUM_CAUSES
         self.dispatch_block = -1          # StallCause index or -1, per cycle
         self.last_squash_cycle = -(10 ** 9)
+        # The deadlock detector's reference: the last cycle that retired.
+        self.last_retire_cycle = 0
         self.engine.attach(self)
         # Explicit flushes (attack-harness clflush) must reach the shadow L1
         # like demand evictions do, or it tracks non-resident lines.
@@ -327,107 +335,78 @@ class OoOCore:
         (see the module docstring); the mode is decided once per core, at
         its first ``run`` or :meth:`step`.
         """
-        checker = self.checker
         if self._stepped is None:
             self._stepped = (self.squash_sink is not None
-                             or (checker is not None and checker.full))
+                             or (self.checker is not None
+                                 and self.checker.full))
         stepped = self._stepped
-        engine = self.engine
-        # End-of-cycle observers, all in stepped mode: the full-level
-        # sanitizer's window scans, then the tracer's harvest.
-        on_cycle = []
-        if checker is not None and checker.full:
-            on_cycle.append(checker.on_cycle)
-        if self.cycle_hook is not None:
-            on_cycle.append(self.cycle_hook)
-        engine_tick = engine.tick
-        writeback = self._writeback_batched
-        memory_stage = self._memory_stage
-        finish_loads = self._finish_loads_batched
-        resolve_control = self._resolve_control
-        commit = self._commit
-        issue = self._issue_batched
-        dispatch = self._dispatch_batched
-        fetch = self._fetch_batched
-        rob = self.rob
-        stall_counts = self.stall_counts
-        max_cycles = self.params.max_cycles
-        last_progress_cycle = 0
+        one_cycle = self._cycle
         while not self.halted and self.retired_count < max_instructions:
             activity = self._activity
             trans_before = self._transmitters_delayed
             res_before = self._resolutions_delayed
-            # One cycle: the body of step(), with its phases bound above.
-            self.cycle += 1
-            retired_before = self.retired_count
-            writeback()
-            memory_stage()
-            finish_loads()
-            resolve_control()
-            # An incomplete head can never retire (HALT/NOP complete at
-            # dispatch; a load's ``mem_complete`` implies ``complete``;
-            # predicted control needs ``complete`` too), and retirement is
-            # in order: only a complete head makes commit worth calling.
-            head = self.rob_head
-            if head < len(rob) and rob[head].complete:
-                commit()
-            issue()
-            dispatch()
-            fetch()
-            engine_tick()
-            if self.retired_count != retired_before:
-                stall_counts[_RETIRING] += 1
-                last_progress_cycle = self.cycle
-            else:
-                stall_counts[attribute_cycle(self)] += 1
-            if on_cycle:
-                for hook in on_cycle:
-                    hook()
-            if self.cycle - last_progress_cycle > 100_000:
-                raise SimulationError(
-                    f"{engine.name}/{self.program.name}: no retirement "
-                    f"for 100k cycles at cycle {self.cycle} "
-                    f"(head={self.head_inst()!r})")
-            if self.cycle >= max_cycles:
-                raise SimulationError(
-                    f"{self.program.name}: exceeded max_cycles")
+            one_cycle()
             if not stepped and not self.halted and self._activity == activity:
-                self._quiet_jump(last_progress_cycle, trans_before,
-                                 res_before)
-                if self.cycle >= max_cycles:
-                    raise SimulationError(
-                        f"{self.program.name}: exceeded max_cycles")
-        if checker is not None:
-            checker.on_finish(self.halted)
+                self._quiet_jump(trans_before, res_before)
         return SimResult(self, self.halted)
 
     def step(self) -> None:
-        """Advance the machine by one clock cycle.
-
-        Runs the phases :meth:`run` runs, without fast-forward.  A core
+        """Advance the machine by one clock cycle: :meth:`run`'s cycle,
+        without fast-forward, so it raises at the cycle cap and on
+        deadlock and runs the final-state check once HALT retires.  A core
         stepped by hand before its first ``run`` is in stepped mode.
         """
         if self._stepped is None:
             self._stepped = True
+        self._cycle()
+
+    def _cycle(self) -> None:
+        """One clock cycle, the only cycle body: the phases, the engine
+        tick, the cycle's stall attribution, the end-of-cycle observers (the
+        full-level sanitizer's window scans, then the tracer's harvest), the
+        deadlock detector and the cycle cap, and the sanitizer's final-state
+        check on the cycle HALT retires."""
         self.cycle += 1
         retired_before = self.retired_count
         self._writeback_batched()
         self._memory_stage()
         self._finish_loads_batched()
         self._resolve_control()
-        self._commit()
+        # An incomplete head can never retire (HALT/NOP complete at
+        # dispatch; a load's ``mem_complete`` implies ``complete``;
+        # predicted control needs ``complete`` too), and retirement is in
+        # order: only a complete head makes commit worth calling.
+        head = self.rob_head
+        rob = self.rob
+        if head < len(rob) and rob[head].complete:
+            self._commit()
         self._issue_batched()
         self._dispatch_batched()
         self._fetch_batched()
         self.engine.tick()
+        cycle = self.cycle
         # Attribute the cycle (repro.obs.stall).  Retiring cycles — the
         # common case — are counted inline without the classifier.
         if self.retired_count != retired_before:
             self.stall_counts[_RETIRING] += 1
+            self.last_retire_cycle = cycle
         else:
             self.stall_counts[attribute_cycle(self)] += 1
-        if self.checker is not None:
-            self.checker.on_cycle()
+        checker = self.checker
+        if checker is not None and checker.full:
+            checker.on_cycle()
+        if self.cycle_hook is not None:
+            self.cycle_hook()
+        if cycle - self.last_retire_cycle > 100_000:
+            raise SimulationError(
+                f"{self.engine.name}/{self.program.name}: no retirement "
+                f"for 100k cycles at cycle {cycle} "
+                f"(head={self.head_inst()!r})")
+        if cycle >= self.params.max_cycles:
+            raise SimulationError(f"{self.program.name}: exceeded max_cycles")
+        if (self.halted and checker is not None
+                and self.last_retire_cycle == cycle):
+            checker.on_finish()
 
     # -------------------------------------------------------- fast-forward
     def _next_event_cycle(self) -> Optional[int]:
@@ -458,15 +437,15 @@ class OoOCore:
             return None
         return min(candidates)
 
-    def _quiet_jump(self, last_progress_cycle: int, trans_before: int,
-                    res_before: int) -> None:
+    def _quiet_jump(self, trans_before: int, res_before: int) -> None:
         """Jump time to just before the next event, accounting in batch."""
         cycle = self.cycle
-        # Never jump past the deadlock detector or the cycle cap: landing
-        # exactly on them reproduces the stepped run's raises byte-for-byte.
-        horizon = last_progress_cycle + 100_000
-        if self.params.max_cycles < horizon:
-            horizon = self.params.max_cycles
+        # Land no later than the last cycle before the deadlock detector or
+        # the cycle cap trips: the next cycle trips it at the very cycle a
+        # stepped run does.
+        horizon = self.last_retire_cycle + 100_000
+        if self.params.max_cycles - 1 < horizon:
+            horizon = self.params.max_cycles - 1
         event = self._next_event_cycle()
         if event is None:
             land = horizon
@@ -919,9 +898,9 @@ class OoOCore:
 
 
     # ------------------------------------------------------- batched phases
-    # DynInst recycling, then the phases over the decode tables that
-    # ``run`` and ``step`` call besides the memory stage, resolution and
-    # commit above.
+    # DynInst recycling, then the phases over the decode tables that the
+    # cycle body calls besides the memory stage, resolution and commit
+    # above.
 
     def _repool(self, carcasses) -> None:
         pool = self._pool
@@ -1145,8 +1124,8 @@ class OoOCore:
             buf.popleft()
             self._activity += 1
             di.dispatch_cycle = cycle
-            # Inlined RenameUnit.rename: the free-list check above already
-            # guaranteed a register when one is needed.
+            # Rename: the free-list check above already guaranteed a
+            # register when one is needed.
             inst = di.inst
             info = di.info
             # A pc that does not read/write a register leaves the recycled
@@ -1207,7 +1186,7 @@ class OoOCore:
                 di.actual_target = inst.imm
                 di.resolution_applied = True
                 if prd >= 0:
-                    # write_result on a just-allocated register: no live
+                    # The result of a just-allocated register: no live
                     # waiter can exist for it, so no wakeup scan is needed.
                     value[prd] = result
                     ready[prd] = True

@@ -1,5 +1,7 @@
 """Register renaming: RAT, free list, and the physical register file.
 
+Dispatch (``OoOCore._dispatch_batched``) renames inline, reading and
+writing these structures directly; it stalls while the free list is empty.
 Squash recovery walks the squashed instructions youngest-first and undoes
 each rename (restoring the RAT entry to ``old_prd`` and freeing the allocated
 register), which is equivalent to — and simpler than — per-branch RAT
@@ -12,10 +14,6 @@ from collections import deque
 
 from repro.isa.opcodes import NUM_ARCH_REGS
 from repro.pipeline.dyninst import DynInst
-
-
-class OutOfPhysRegs(Exception):
-    """Raised when rename runs out of physical registers (a sizing bug)."""
 
 
 class RenameUnit:
@@ -32,33 +30,6 @@ class RenameUnit:
         self.free: deque[int] = deque(range(NUM_ARCH_REGS, num_phys_regs))
         self.ready: list[bool] = [True] * num_phys_regs
         self.value: list[int] = [0] * num_phys_regs
-
-    def free_count(self) -> int:
-        return len(self.free)
-
-    def rename(self, di: DynInst) -> None:
-        """Map source operands and allocate a destination register."""
-        inst = di.inst
-        info = inst.info
-        if info.reads_rs1:
-            di.prs1 = self.rat[inst.rs1]
-        if info.reads_rs2:
-            di.prs2 = self.rat[inst.rs2]
-        if info.writes_rd and inst.rd != 0:
-            if not self.free:
-                raise OutOfPhysRegs("free list empty at rename")
-            preg = self.free.popleft()
-            di.old_prd = self.rat[inst.rd]
-            di.prd = preg
-            self.rat[inst.rd] = preg
-            self.ready[preg] = False
-            self.value[preg] = 0
-
-    def write_result(self, di: DynInst, value: int) -> None:
-        """Publish a result to the PRF (bypass is implicit: same cycle)."""
-        if di.prd >= 0:
-            self.value[di.prd] = value
-            self.ready[di.prd] = True
 
     def undo(self, di: DynInst) -> None:
         """Reverse one rename during squash (call youngest-first)."""
@@ -77,9 +48,6 @@ class RenameUnit:
             # phys 0 stays pinned as the architectural zero register.
             if di.old_prd != 0 and di.old_prd not in self.free:
                 self.free.append(di.old_prd)
-
-    def operand_ready(self, preg: int) -> bool:
-        return preg < 0 or self.ready[preg]
 
     def read(self, preg: int) -> int:
         return 0 if preg < 0 else self.value[preg]

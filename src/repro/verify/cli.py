@@ -24,7 +24,7 @@ import sys
 from typing import Optional
 
 from repro.fuzz.generator import PROFILES, generate_plan, plan_from_json
-from repro.harness.configs import at_least_one
+from repro.harness.configs import at_least_one, at_least_zero
 from repro.verify.report import (checks_to_json, render_check,
                                  render_crosscheck, write_json)
 from repro.verify.targets import TARGETS, check_plan, verify_target
@@ -36,10 +36,10 @@ _BOUND_FLAGS = ("spec_window", "spec_depth", "max_instructions",
 def _add_bound_args(parser: argparse.ArgumentParser) -> None:
     bounds = parser.add_argument_group(
         "bounds", "speculation bounds and exploration budgets")
-    bounds.add_argument("--spec-window", type=int, default=32,
+    bounds.add_argument("--spec-window", type=at_least_zero, default=32,
                         help="transient instructions per misprediction "
                              "(default 32)")
-    bounds.add_argument("--spec-depth", type=int, default=1,
+    bounds.add_argument("--spec-depth", type=at_least_zero, default=1,
                         help="misprediction nesting depth (default 1)")
     bounds.add_argument("--max-instructions", type=at_least_one,
                         default=400_000,

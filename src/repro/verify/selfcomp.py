@@ -163,7 +163,13 @@ def check_program(program: Program, memory: SymMemory, *,
     replaced by ``S``-set variables (:func:`repro.verify.targets.
     make_symbolic_memory`).  A ``safe`` verdict is sound for *all* secret
     values, up to the speculation bounds; ``leak`` comes with witnesses.
+    A negative speculation bound raises ``ValueError``: it would explore no
+    transient path and read every program as safe.
     """
+    if spec_window < 0 or spec_depth < 0:
+        raise ValueError(f"speculation bounds must be at least 0, got "
+                         f"spec_window={spec_window} "
+                         f"spec_depth={spec_depth}")
     bounds = {"spec_window": spec_window, "spec_depth": spec_depth,
               "max_instructions": max_instructions,
               "max_explored": max_explored, "max_leaks": max_leaks}

@@ -23,7 +23,7 @@ region becomes symbolic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.isa.instructions import Program
@@ -66,7 +66,6 @@ class VerifyTarget:
     description: str
     expected: str               # "safe" (constant-time) | "leak" (gadget)
     build: Callable             # scale -> (Program, SecretLayout)
-    bounds: dict = field(default_factory=dict)   # default bound overrides
 
 
 def _chacha20(scale: int):
@@ -119,17 +118,16 @@ TARGETS: dict = {
 
 
 def verify_target(name: str, scale: int = 1, **bounds) -> CheckResult:
-    """Check one named target; bounds kwargs override the target defaults."""
+    """Check one named target; bounds kwargs override
+    :func:`~repro.verify.selfcomp.check_program`'s defaults."""
     try:
         target = TARGETS[name]
     except KeyError:
         raise KeyError(f"unknown verify target {name!r}; "
                        f"known: {sorted(TARGETS)}") from None
     program, layout = target.build(scale)
-    merged = dict(target.bounds)
-    merged.update(bounds)
     return check_program(program, make_symbolic_memory(program, layout),
-                         **merged)
+                         **bounds)
 
 
 def plan_target(plan) -> tuple:

@@ -7,10 +7,23 @@ import pytest
 from repro.harness.configs import BOTH_MODELS  # noqa: F401 (re-exported)
 from repro.isa.interpreter import run_program
 from repro.pipeline.core import OoOCore
+from repro.pipeline.engine_api import ProtectionEngine
 from repro.pipeline.params import MachineParams
 
 
 RUNS = ["default", "checked"]
+
+# The phase methods of one cycle, in the order the cycle body calls them.
+PHASES = ("_writeback_batched", "_memory_stage", "_finish_loads_batched",
+          "_resolve_control", "_commit", "_issue_batched",
+          "_dispatch_batched", "_fetch_batched")
+
+
+class NeverIssue(ProtectionEngine):
+    """Holds every transmitter forever: the run wedges."""
+
+    def may_compute_address(self, di) -> bool:
+        return False
 
 
 def run_params(run: str) -> MachineParams:

@@ -44,6 +44,7 @@ from repro.pipeline.core import OoOCore
 from repro.pipeline.params import MachineParams
 from repro.pipeline.trace import trace_program
 
+from tests.conftest import PHASES
 from tests.fastpath.golden import assert_golden
 
 BUDGET = 4000
@@ -327,12 +328,6 @@ def test_sanitizer_off_enables_fast_path():
     assert core._stepped is False
     assert core.checker is None
     assert_golden(golden_key(program, config, model), run)
-
-
-# Every phase method a cycle runs, in both modes.
-PHASES = ("_writeback_batched", "_memory_stage", "_finish_loads_batched",
-          "_resolve_control", "_commit", "_issue_batched",
-          "_dispatch_batched", "_fetch_batched")
 
 
 def test_every_mode_runs_the_same_phases(monkeypatch):

@@ -3,12 +3,16 @@
 import pytest
 
 from repro import cli
-from repro.cli import (build_parser, load_program, main,
-                       make_engine_from_args, validate_args)
+from repro.cli import (build_parser, config_name_from_args, load_program,
+                       main, validate_args)
+from repro.core.attack_model import AttackModel
 from repro.core.baselines import SecureBaseline, UnsafeBaseline
 from repro.core.events import UntaintKind
 from repro.core.spt import SPTEngine
 from repro.core.stt import STTEngine
+from repro.harness.configs import CONFIGURATIONS, make_engine
+from repro.harness.runner import run_result, simulate
+from repro.pipeline.core import OoOCore
 from repro.pipeline.params import MachineParams
 
 
@@ -16,17 +20,23 @@ def parse(argv):
     return build_parser().parse_args(argv)
 
 
+def engine_from(argv):
+    """The engine the harness builds for ``argv``'s configuration."""
+    return make_engine(config_name_from_args(parse(argv)),
+                       AttackModel.FUTURISTIC)
+
+
 def test_insecure_baseline_is_default():
-    args = parse(["mcf"])
-    assert validate_args(args) is None
-    assert isinstance(make_engine_from_args(args), UnsafeBaseline)
+    assert validate_args(parse(["mcf"])) is None
+    assert config_name_from_args(parse(["mcf"])) == "UnsafeBaseline"
+    assert isinstance(engine_from(["mcf"]), UnsafeBaseline)
 
 
 def test_secure_baseline_mapping():
-    args = parse(["mcf", "--enable-spt", "--threat-model", "spectre",
-                  "--untaint-method", "none"])
-    engine = make_engine_from_args(args)
-    assert isinstance(engine, SecureBaseline)
+    argv = ["mcf", "--enable-spt", "--threat-model", "spectre",
+            "--untaint-method", "none"]
+    assert config_name_from_args(parse(argv)) == "SecureBaseline"
+    assert isinstance(engine_from(argv), SecureBaseline)
 
 
 @pytest.mark.parametrize("method,shadow_flag,expected_name", [
@@ -41,15 +51,39 @@ def test_table2_configuration_mapping(method, shadow_flag, expected_name):
             "--untaint-method", method]
     if shadow_flag:
         argv.append(shadow_flag)
-    engine = make_engine_from_args(parse(argv))
+    assert config_name_from_args(parse(argv)) == expected_name
+    engine = engine_from(argv)
     assert isinstance(engine, SPTEngine)
     assert engine.name == expected_name
 
 
+@pytest.mark.parametrize("method,shadow_flag,expected_name", [
+    ("fwd", "--enable-shadow-l1", "SPT{Fwd,ShadowL1}"),
+    ("fwd", "--enable-shadow-mem", "SPT{Fwd,ShadowMem}"),
+    ("ideal", None, "SPT{Ideal,NoShadowL1}"),
+    ("ideal", "--enable-shadow-l1", "SPT{Ideal,ShadowL1}"),
+])
+def test_off_table_configuration_mapping(method, shadow_flag, expected_name):
+    # The SPT design points Table 2 leaves out are valid flag sets too,
+    # and the harness builds the engine each one names.
+    argv = ["mcf", "--enable-spt", "--threat-model", "futuristic",
+            "--untaint-method", method]
+    if shadow_flag:
+        argv.append(shadow_flag)
+    assert validate_args(parse(argv)) is None
+    assert config_name_from_args(parse(argv)) == expected_name
+    assert expected_name not in CONFIGURATIONS
+    engine = engine_from(argv)
+    assert isinstance(engine, SPTEngine)
+    assert engine.name == expected_name
+    assert engine.ideal == (method == "ideal")
+
+
 def test_stt_flag():
-    args = parse(["mcf", "--stt", "--threat-model", "spectre"])
-    assert validate_args(args) is None
-    assert isinstance(make_engine_from_args(args), STTEngine)
+    argv = ["mcf", "--stt", "--threat-model", "spectre"]
+    assert validate_args(parse(argv)) is None
+    assert config_name_from_args(parse(argv)) == "STT"
+    assert isinstance(engine_from(argv), STTEngine)
 
 
 @pytest.mark.parametrize("argv,fragment", [
@@ -72,6 +106,10 @@ def test_stt_flag():
       "--max-instructions", "0"], "--max-instructions"),
     (["mcf", "--scale", "0"], "--scale"),
     (["mcf", "--scale", "-1"], "--scale"),
+    # SecureBaseline keeps no shadow: the flag would be silently dropped.
+    (["mcf", "--enable-spt", "--threat-model", "spectre",
+      "--untaint-method", "none", "--enable-shadow-l1"],
+     "--untaint-method none"),
 ])
 def test_invalid_combinations_rejected(argv, fragment, capsys, monkeypatch):
     # A bad combination fails validate_args and a size below 1 fails the
@@ -81,7 +119,7 @@ def test_invalid_combinations_rejected(argv, fragment, capsys, monkeypatch):
         raise AssertionError("simulated despite an invalid command line")
 
     monkeypatch.setattr(cli, "run_many", no_simulation)
-    monkeypatch.setattr(cli, "_run_direct", no_simulation)
+    monkeypatch.setattr(cli, "simulate", no_simulation)
     try:
         code = main(argv)
     except SystemExit as exc:
@@ -125,7 +163,7 @@ def test_main_rejects_bad_combo(capsys):
     assert code == 2
 
 
-# An SPT flag combination outside Table 2: it takes the direct path.
+# An SPT flag combination outside Table 2.
 OFF_TABLE = ["--enable-spt", "--threat-model", "futuristic",
              "--untaint-method", "fwd", "--enable-shadow-l1"]
 DECLASSIFYING_ASM = """
@@ -151,11 +189,15 @@ def _track_insts_blocks(out: str) -> tuple:
 
 @pytest.mark.parametrize("executable", ["mcf", "asm"])
 def test_track_insts_on_the_direct_path(tmp_path, capsys, executable):
+    """--track-insts renders the untaint breakdown of an off-table cell
+    both for an .asm file, which runs directly, and for a registered
+    workload, which runs through the harness."""
     if executable == "asm":
         path = tmp_path / "declassify.asm"
         path.write_text(DECLASSIFYING_ASM)
         executable = str(path)
-    assert cli.config_name_from_args(parse([executable] + OFF_TABLE)) is None
+    assert config_name_from_args(parse([executable] + OFF_TABLE)) == \
+        "SPT{Fwd,ShadowL1}"
     code = main([executable] + OFF_TABLE +
                 ["--track-insts", "--max-instructions", "1500",
                  "--output-dir", str(tmp_path / "out")])
@@ -172,16 +214,20 @@ def test_track_insts_on_the_direct_path(tmp_path, capsys, executable):
      "bwd", "--enable-shadow-l1"],
     ["--stt", "--threat-model", "spectre"],
     [],
-], ids=["SPT{Bwd,ShadowL1}", "STT", "UnsafeBaseline"])
+    OFF_TABLE,
+], ids=["SPT{Bwd,ShadowL1}", "STT", "UnsafeBaseline", "SPT{Fwd,ShadowL1}"])
 def test_stats_txt_is_the_same_on_both_paths(tmp_path, flags):
-    """A Table-2 cell's stats.txt does not depend on which path ran it,
-    nor on whether the result cache served it."""
+    """A cell's stats.txt does not depend on whether the harness ran it,
+    the result cache served it, or it ran directly as an .asm file does
+    (``runner.simulate``)."""
     argv = ["mcf"] + flags + ["--max-instructions", "1500"]
     args = parse(argv)
-    assert cli.config_name_from_args(args) is not None
-    direct = cli.format_stats(cli._run_direct(
-        args, "mcf", MachineParams(
-            untaint_broadcast_width=args.untaint_broadcast_width)))
+    config = config_name_from_args(args)
+    model = AttackModel(args.threat_model or "futuristic")
+    sim = simulate(load_program("mcf", 1), config, model, 1500,
+                   MachineParams())
+    direct = cli.format_stats(run_result("mcf", config, model, sim,
+                                         collect_trace=False))
     for run in ("cold", "warm"):
         out = tmp_path / run
         assert main(argv + ["--output-dir", str(out)]) == 0
@@ -206,9 +252,26 @@ def test_colliding_stats_files_are_rejected(tmp_path, capsys, monkeypatch,
         raise AssertionError("simulated despite colliding stats files")
 
     monkeypatch.setattr(cli, "run_many", no_simulation)
-    monkeypatch.setattr(cli, "_run_direct", no_simulation)
+    monkeypatch.setattr(cli, "simulate", no_simulation)
     assert main(executables + ["--output-dir", "out"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert all(path in err for path in executables)
     assert not (tmp_path / "out").exists()
+
+
+def test_off_table_flags_use_the_result_cache(tmp_path, monkeypatch):
+    """A registered workload runs through the harness whatever its flags,
+    so a warm cache serves an off-table cell without simulating it."""
+    argv = (["mcf"] + OFF_TABLE + ["--max-instructions", "1500",
+                                   "--jobs", "1"])
+    assert config_name_from_args(parse(argv)) not in CONFIGURATIONS
+    assert main(argv + ["--output-dir", str(tmp_path / "cold")]) == 0
+
+    def no_simulation(*_args, **_kwargs):
+        raise AssertionError("simulated a cell the cache holds")
+
+    monkeypatch.setattr(OoOCore, "run", no_simulation)
+    assert main(argv + ["--output-dir", str(tmp_path / "warm")]) == 0
+    assert (tmp_path / "warm" / "stats.txt").read_text() == \
+        (tmp_path / "cold" / "stats.txt").read_text()

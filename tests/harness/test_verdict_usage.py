@@ -3,7 +3,9 @@
 ``repro check``, ``repro backend-diff``, ``repro pentest`` and ``repro fuzz``
 parse their grid through :mod:`repro.harness.configs`; the artifact CLI,
 ``repro bench`` and ``repro verify`` parse their size flags with its
-``at_least_one``.  A size below 1 or an unknown workload, configuration or
+``at_least_one`` (``verify``'s speculation bounds with ``at_least_zero``),
+and ``repro stats`` its workload with ``workload_name``.  A size below 1, a
+negative speculation bound, or an unknown workload, configuration or
 attack model must exit 2 with a usage message before anything runs: exit 1
 is a failed verdict, and a silently corrected value is a verdict about some
 other grid.
@@ -53,7 +55,13 @@ CASES = [
     ("verify", "plan", "--seeds", "0"),
     ("verify", "crosscheck", "--seeds", "0"),
     ("verify", "crosscheck", "--limit", "0"),
+    ("verify", "target", "--spec-window", "-1"),
+    ("verify", "target", "--spec-depth", "-1"),
+    ("stats", "nope"),
 ]
+
+# A positional argument is named by its destination, not by a flag.
+POSITIONAL = {("stats", "nope"): "workload"}
 
 
 @pytest.fixture
@@ -71,4 +79,4 @@ def test_usage_error_exits_2_before_simulating(argv, no_simulation, capsys):
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage:")
-    assert f"error: argument {argv[-2]}:" in err
+    assert f"error: argument {POSITIONAL.get(argv, argv[-2])}:" in err

@@ -3,9 +3,13 @@
 These classes are allocated (DynInst, AccessResult) or indexed (RenameUnit)
 millions of times per simulation; a dropped ``__slots__`` silently
 reintroduces a per-instance ``__dict__`` and costs both memory and speed.
+The ``ast`` guards below also keep the core to one cycle body and the
+rename unit to methods the package calls.
 """
 
 import ast
+import inspect
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,6 +20,8 @@ from repro.isa.opcodes import OPCODES, Kind
 from repro.memory.hierarchy import AccessResult
 from repro.pipeline.dyninst import DynInst
 from repro.pipeline.rename import RenameUnit
+
+from tests.conftest import PHASES
 
 
 def make_dyninst() -> DynInst:
@@ -56,28 +62,60 @@ def test_precomputed_predicates_match_kind_for_every_opcode(name):
                                                      Kind.JUMP_REG))
 
 
-def attribute_loads(root: Path, skip: Path) -> set:
-    """Every attribute name read (``x.name`` in a load context) in the
-    Python sources under ``root``, except the file ``skip``."""
-    names = set()
+PACKAGE = Path(repro.__file__).parent
+
+
+def attributes(root: Path, skip: Path = None):
+    """Every ``x.name`` node in the Python sources under ``root``, except
+    in the file ``skip``."""
     for path in root.rglob("*.py"):
         if path == skip:
             continue
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if (isinstance(node, ast.Attribute)
-                    and isinstance(node.ctx, ast.Load)):
-                names.add(node.attr)
-    return names
+            if isinstance(node, ast.Attribute):
+                yield node
+
+
+def attribute_loads(root: Path, skip: Path) -> set:
+    """Every attribute name read (``x.name`` in a load context) in the
+    Python sources under ``root``, except the file ``skip``."""
+    return {node.attr for node in attributes(root, skip)
+            if isinstance(node.ctx, ast.Load)}
 
 
 def test_every_dyninst_slot_is_read_outside_dyninst():
     # Every fetch fills in each slot (DynInst.reinit), so a slot nothing
     # reads is pure hot-path cost.  A field must have a reader in the
     # package before it joins the record.
-    root = Path(repro.__file__).parent
-    read = attribute_loads(root, root / "pipeline" / "dyninst.py")
+    read = attribute_loads(PACKAGE, PACKAGE / "pipeline" / "dyninst.py")
     unread = [name for name in DynInst.__slots__ if name not in read]
     assert unread == [], f"DynInst slots nothing reads: {unread}"
+
+
+def test_each_phase_is_referenced_once():
+    # One reference each, from the one cycle body that ``run`` loops and
+    # ``step`` calls: a second reference is a second cycle body, which can
+    # drift from the first (skip its guards, its observers, its checks).
+    refs = Counter(node.attr for node in attributes(PACKAGE))
+    assert {name: refs[name] for name in PHASES} == \
+        {name: 1 for name in PHASES}
+
+
+def test_every_rename_method_has_a_caller():
+    # The core holds its unit as ``rename`` and every caller reaches a
+    # method through it (``core.rename.x``, or a local ``rename``): a
+    # method nothing reaches that way only tests call, so it checks code
+    # no run takes.
+    called = set()
+    for node in attributes(PACKAGE, PACKAGE / "pipeline" / "rename.py"):
+        owner = node.value
+        if ((isinstance(owner, ast.Attribute) and owner.attr == "rename")
+                or (isinstance(owner, ast.Name) and owner.id == "rename")):
+            called.add(node.attr)
+    methods = [name for name, value in vars(RenameUnit).items()
+               if inspect.isfunction(value) and not name.startswith("__")]
+    uncalled = [name for name in methods if name not in called]
+    assert uncalled == [], f"RenameUnit methods nothing calls: {uncalled}"
 
 
 def test_renameunit_rejects_arbitrary_attributes():

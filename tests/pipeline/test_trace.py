@@ -6,11 +6,12 @@ from repro.check.cli import check_counts
 from repro.core.attack_model import AttackModel
 from repro.core.spt import SPTEngine
 from repro.isa.assembler import assemble
-from repro.pipeline.engine_api import ProtectionEngine
 from repro.pipeline.trace import PipelineTracer, trace_program
 from repro.pipeline.core import OoOCore, SimulationError
 from repro.pipeline.params import MachineParams
 from repro.workloads.registry import get as get_workload
+
+from tests.conftest import NeverIssue
 
 
 SIMPLE = """
@@ -81,13 +82,6 @@ def test_traced_run_stops_at_the_cycle_cap_as_run_does():
     assert raised(lambda: tracer.run(max_instructions=10_000_000)) == message
     assert tracer.core.cycle == plain.cycle == 400
     assert tracer.entries        # harvested up to the raise
-
-
-class NeverIssue(ProtectionEngine):
-    """Holds every transmitter forever: the run wedges."""
-
-    def may_compute_address(self, di) -> bool:
-        return False
 
 
 def test_traced_run_trips_the_deadlock_detector_as_run_does():

@@ -55,6 +55,14 @@ def test_spectre_gadget_is_safe_without_speculation():
     assert result.verdict == "safe" and result.complete
 
 
+@pytest.mark.parametrize("bound", ["spec_window", "spec_depth"])
+def test_negative_speculation_bound_is_rejected(bound):
+    # A negative bound explores no transient path, so the gadget would
+    # read as safe.
+    with pytest.raises(ValueError, match=bound):
+        verify_target("spectre-pht", **{bound: -1})
+
+
 @pytest.mark.parametrize("name", KERNELS + GADGETS)
 def test_reflexive_self_composition_is_safe(name):
     """With the secret concretised (both runs identical) nothing may
