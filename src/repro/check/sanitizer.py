@@ -106,7 +106,6 @@ class Sanitizer:
         self.golden = ArchState() if seed is None else _UninitGolden(seed)
         self.golden.memory.update(core.program.initial_memory.items())
         self.expected_pc: Optional[int] = 0
-        self.golden_retired = 0
         self._last_retired_seq = -1
 
         # Context for violation reports.
@@ -351,7 +350,6 @@ class Sanitizer:
                    if di.forwarded_from is not None else ""), di)
 
         next_pc = step(golden, inst, di.pc)
-        self.golden_retired += 1
         if inst.dest_reg() is not None:
             want = golden.read_reg(inst.rd)
             got = None if di.result is None else di.result & WORD_MASK

@@ -53,7 +53,7 @@ from repro.isa.assembler import assemble
 from repro.isa.instructions import Program
 from repro.obs.metrics import Metrics
 from repro.pipeline.params import MachineParams
-from repro.workloads.registry import WORKLOADS, get as get_workload
+from repro.workloads.registry import WORKLOADS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -145,15 +145,13 @@ def config_name_from_args(args: argparse.Namespace) -> str:
     return f"SPT{{{args.untaint_method.capitalize()},{shadow}}}"
 
 
-def load_program(executable: str, scale: int) -> Program:
-    if executable in WORKLOADS:
-        return get_workload(executable).program(scale)
-    if os.path.exists(executable):
-        with open(executable) as handle:
-            return assemble(handle.read(),
-                            name=os.path.basename(executable))
+def load_program(path: str) -> Program:
+    """Assemble the ``.asm`` file at ``path``."""
+    if os.path.exists(path):
+        with open(path) as handle:
+            return assemble(handle.read(), name=os.path.basename(path))
     raise SystemExit(
-        f"error: {executable!r} is neither a registered workload "
+        f"error: {path!r} is neither a registered workload "
         f"({', '.join(sorted(WORKLOADS))}) nor an existing .asm file")
 
 
@@ -236,30 +234,23 @@ def main(argv: Optional[list] = None) -> int:
 
     # Registered workloads go through the cached parallel harness as one
     # spec list; .asm files, which no cache key names, run directly.
-    sweep: list = []            # (executable, RunSpec)
-    direct: list = []           # (executable, Program)
-    for executable in args.executable:
-        if executable in WORKLOADS:
-            sweep.append((executable, RunSpec(
-                executable, config, model, scale=args.scale,
-                max_instructions=args.max_instructions, params=params)))
-        else:
-            direct.append((executable, load_program(executable, args.scale)))
-
-    outputs: list = []          # (executable, RunResult)
-    if sweep:
-        results = run_many([spec for _, spec in sweep], jobs=args.jobs,
-                           use_cache=use_cache)
-        for (executable, _), result in zip(sweep, results):
-            outputs.append((executable, result))
-    for executable, program in direct:
+    # ``validate_args`` has rejected repeated executables.
+    sweep = [name for name in args.executable if name in WORKLOADS]
+    programs = {path: load_program(path) for path in args.executable
+                if path not in WORKLOADS}
+    results = dict(zip(sweep, run_many(
+        [RunSpec(name, config, model, scale=args.scale,
+                 max_instructions=args.max_instructions, params=params)
+         for name in sweep], jobs=args.jobs, use_cache=use_cache)))
+    for path, program in programs.items():
         sim = simulate(program, config, model, args.max_instructions, params)
-        outputs.append((executable, run_result(program.name, config, model,
-                                               sim, collect_trace=False)))
+        results[path] = run_result(program.name, config, model, sim,
+                                   collect_trace=False)
 
     os.makedirs(args.output_dir, exist_ok=True)
     multiple = len(args.executable) > 1
-    for executable, result in outputs:
+    for executable in args.executable:
+        result = results[executable]
         stats_path = os.path.join(args.output_dir,
                                   _stats_filename(executable, multiple))
         with open(stats_path, "w") as handle:

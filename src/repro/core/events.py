@@ -11,13 +11,14 @@ class UntaintKind(enum.Enum):
 
     The kinds are exclusive, matching the breakdown of Figure 8: each
     register-untaint event is attributed to exactly one mechanism.
+    PC-inferable outputs (Section 6.5) start untainted at rename, so no
+    event counts them.
     """
 
     VP_TRANSMITTER = "vp-transmitter"   # operand declassified at transmitter VP
     VP_BRANCH = "vp-branch"             # operand declassified at branch VP
     FORWARD = "forward"                 # Section 6.6 forward rule
     BACKWARD = "backward"               # Section 6.6 backward rule
-    LOAD_IMMEDIATE = "load-immediate"   # Section 6.5 (PC-inferable outputs)
     SHADOW_L1 = "shadow-l1"             # load read untainted L1D bytes (6.8)
     SHADOW_MEM = "shadow-mem"           # same, full-memory shadow variant
     STL_FORWARD = "stl-forward"         # store-to-load forwarding fwd rule (6.7)

@@ -76,7 +76,7 @@ class ShadowTaint:
             size -= span
 
     def invalidate_line(self, line_address: int) -> None:
-        """L1D eviction/invalidation: data becomes tainted again (L1 mode)."""
+        """L1D eviction: data becomes tainted again (L1 mode)."""
         if self.mode == ShadowMode.L1:
             self._lines.pop(line_address, None)
 

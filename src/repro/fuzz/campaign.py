@@ -144,8 +144,6 @@ def run_campaign(cfg: CampaignConfig) -> FuzzReport:
                     report.divergences_by_channel.get(channel, 0) + 1
             if config == "UnsafeBaseline":
                 report.unsafe_divergences += 1
-            if verdict.expected:
-                report.expected_divergences += 1
         outcomes.setdefault(item.seed, []).append({
             "config": config, "model": model.value,
             "channels": list(channels), "expected": verdict.expected})

@@ -33,7 +33,8 @@ from repro.fuzz.generator import PROFILES
 from repro.fuzz.oracle import FUZZ_BUDGET
 from repro.fuzz.report import render_report
 from repro.harness.configs import (MODELS_HELP, at_least_one,
-                                   parse_config_names, parse_models)
+                                   at_least_zero, parse_config_names,
+                                   parse_models)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     adv.add_argument("--budget", type=at_least_one, default=150,
                      help="simulation budget per search (adversarial mode; "
                           "default 150)")
-    adv.add_argument("--patience", type=int, default=6,
+    adv.add_argument("--patience", type=at_least_zero, default=6,
                      help="non-improving candidates before a random restart "
                           "(default 6)")
     adv.add_argument("--compare-uniform", action="store_true",

@@ -566,9 +566,9 @@ def workload_name(profile: str, seed: int, secret: int) -> str:
 def workload_from_name(name: str) -> Optional[Workload]:
     """Resolve ``fuzz:<profile>:<seed>:<secret-hex>`` to a Workload.
 
-    This is the hook :mod:`repro.workloads.registry` calls for the
-    ``fuzz:`` dynamic family; it lets worker processes (and the result
-    cache) rebuild any fuzz victim from its name alone.
+    :func:`repro.workloads.registry.get` calls it for every ``fuzz:``
+    name; it lets worker processes (and the result cache) rebuild any fuzz
+    victim from its name alone.
     """
     parts = name.split(":")
     if len(parts) != 4 or parts[0] != "fuzz":

@@ -26,7 +26,6 @@ class FuzzReport:
     cells_checked: int = 0
     divergences_by_config: dict = field(default_factory=dict)
     divergences_by_channel: dict = field(default_factory=dict)
-    expected_divergences: int = 0   # UnsafeBaseline / STT-nonspec cells
     unsafe_divergences: int = 0     # the oracle sanity signal
     invalid_seeds: list = field(default_factory=list)   # generator breakage
     counterexamples: list = field(default_factory=list)  # corpus records

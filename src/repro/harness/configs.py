@@ -5,6 +5,7 @@ and sizes."""
 from __future__ import annotations
 
 import argparse
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -121,6 +122,15 @@ def at_least_zero(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
+def finite_at_least_zero(text: str) -> float:
+    """A finite number of at least 0 (NaN would pass every comparison)."""
+    value = float(text)
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of at least 0, got {text}")
     return value
 
 

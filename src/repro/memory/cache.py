@@ -35,7 +35,6 @@ class CacheParams:
 class CacheStats:
     hits: int = 0
     misses: int = 0
-    evictions: int = 0
 
 
 class Cache:
@@ -88,19 +87,5 @@ class Cache:
         evicted = None
         if len(ways) >= self.params.ways:
             evicted = ways.pop(0)
-            self.stats.evictions += 1
         ways.append(line)
         return False, evicted
-
-    def invalidate(self, address: int) -> bool:
-        """Drop the line holding ``address``; returns whether it was present."""
-        line = self.line_address(address)
-        ways = self._sets[self._set_index(line)]
-        if ways is not None and line in ways:
-            ways.remove(line)
-            return True
-        return False
-
-    def resident_lines(self) -> list[int]:
-        """Every resident line, in set-index order and LRU-first in a set."""
-        return [line for ways in self._sets if ways for line in ways]

@@ -50,12 +50,6 @@ class MemoryHierarchy:
         self.l2 = Cache(self.params.l2_params)
         self.l3 = Cache(self.params.l3_params)
         self._mshr_busy_until: list[int] = []
-        # Notified with the line address of every L1 line dropped by an
-        # explicit flush (clflush-style harness helpers below).  Demand
-        # evictions flow through AccessResult.l1_evicted_line instead; the
-        # core wires this to the engine so the shadow L1 never tracks a
-        # non-resident line (the shadow-residency invariant).
-        self.on_l1_invalidate = None
 
     def access(self, address: int, now: int, is_write: bool = False) -> AccessResult:
         """Perform a timed access at cycle ``now``.
@@ -90,20 +84,3 @@ class MemoryHierarchy:
     def l1_resident(self, address: int) -> bool:
         """Tag-check the L1D without touching replacement state."""
         return self.l1.probe(address)
-
-    def flush_l1_line(self, address: int) -> bool:
-        """Invalidate one L1 line (used by attack harnesses, clflush-style)."""
-        flushed = self.l1.invalidate(address)
-        if flushed and self.on_l1_invalidate is not None:
-            self.on_l1_invalidate(self.l1.line_address(address))
-        return flushed
-
-    def flush_all(self) -> None:
-        """Invalidate every level (attack harness helper)."""
-        for line in self.l1.resident_lines():
-            self.l1.invalidate(line)
-            if self.on_l1_invalidate is not None:
-                self.on_l1_invalidate(line)
-        for cache in (self.l2, self.l3):
-            for line in cache.resident_lines():
-                cache.invalidate(line)

@@ -21,7 +21,7 @@ from typing import Optional
 
 from repro.core.attack_model import AttackModel
 from repro.harness.configs import (CONFIGURATIONS, at_least_one,
-                                   workload_name)
+                                   finite_at_least_zero, workload_name)
 from repro.harness.runner import run_one
 from repro.obs import bench
 
@@ -83,12 +83,15 @@ def _build_bench_parser() -> argparse.ArgumentParser:
         "compare", help="diff two snapshots; non-zero exit on regression")
     compare.add_argument("baseline", help="baseline BENCH_*.json")
     compare.add_argument("current", help="current BENCH_*.json")
-    compare.add_argument("--throughput-tolerance", type=float, default=0.30,
+    compare.add_argument("--throughput-tolerance", type=finite_at_least_zero,
+                         default=0.30,
                          help="allowed fractional throughput loss "
                               "(default: 0.30)")
-    compare.add_argument("--overhead-tolerance", type=float, default=1e-6,
+    compare.add_argument("--overhead-tolerance", type=finite_at_least_zero,
+                         default=1e-6,
                          help="allowed absolute drift per headline overhead")
-    compare.add_argument("--stall-tolerance", type=float, default=1e-6,
+    compare.add_argument("--stall-tolerance", type=finite_at_least_zero,
+                         default=1e-6,
                          help="allowed absolute drift per stall fraction")
 
     profile = sub.add_parser(

@@ -9,8 +9,8 @@ reproduction:
   ("tainted data must not affect predictor state", Section 2.2.1) is
   faithfully testable — delayed resolution delays the update.
 
-Attack harnesses use :meth:`train_direction` / :meth:`train_btb` to mis-train
-the predictor the way Spectre attackers do.
+Attack harnesses use :meth:`BranchPredictor.train_btb` to plant an
+indirect-branch target the way Spectre-BTB attackers do.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ class GsharePredictor:
     """Global-history XOR PC indexed 2-bit counter table."""
 
     def __init__(self, history_bits: int = 12):
-        self.history_bits = history_bits
         self._table = [1] * (1 << history_bits)   # weakly not-taken
         self._mask = (1 << history_bits) - 1
         self.history = 0
@@ -119,8 +118,6 @@ class BranchPredictor:
         self.direction = GsharePredictor(history_bits)
         self.btb = BranchTargetBuffer(btb_entries)
         self.ras = ReturnAddressStack(ras_entries)
-        self.lookups = 0
-        self.updates = 0
 
     def predict(self, pc: int, inst: Instruction) -> tuple[bool, Optional[int], int]:
         """Predict one control instruction at fetch.
@@ -130,7 +127,6 @@ class BranchPredictor:
         in which case fetch falls through and waits for resolution.
         """
         kind = inst.info.kind
-        self.lookups += 1
         if kind == Kind.BRANCH:
             taken, snapshot = self.direction.predict(pc)
             return taken, inst.imm if taken else pc + 1, snapshot
@@ -164,7 +160,6 @@ class BranchPredictor:
     def resolve(self, pc: int, inst: Instruction, taken: bool, target: int,
                 history_snapshot: int, mispredicted: bool) -> None:
         """Apply the resolution-time update (delayed by STT/SPT rules)."""
-        self.updates += 1
         kind = inst.info.kind
         if kind == Kind.BRANCH:
             self.direction.update(pc, history_snapshot, taken)
@@ -173,13 +168,7 @@ class BranchPredictor:
         elif kind == Kind.JUMP_REG:
             self.btb.update(pc, target)
 
-    # ----------------------------------------------------- attack interfaces
-    def train_direction(self, pc: int, taken: bool, repeats: int = 4) -> None:
-        """Mis-train the direction predictor for a given PC (Spectre-style)."""
-        for _ in range(repeats):
-            snapshot = self.direction.history
-            self.direction.update(pc, snapshot, taken)
-
+    # ------------------------------------------------------ attack interface
     def train_btb(self, pc: int, target: int, alias_ok: bool = False) -> None:
         """Plant an indirect-branch target (SmotherSpectre-style).
 

@@ -231,9 +231,6 @@ class OoOCore:
         # The deadlock detector's reference: the last cycle that retired.
         self.last_retire_cycle = 0
         self.engine.attach(self)
-        # Explicit flushes (attack-harness clflush) must reach the shadow L1
-        # like demand evictions do, or it tracks non-resident lines.
-        self.hierarchy.on_l1_invalidate = self.engine.on_l1_evict
 
         # Lockstep invariant sanitizer (repro.check).  ``None`` when
         # checking is off: every hook site below guards on ``is not None``,

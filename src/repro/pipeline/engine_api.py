@@ -120,7 +120,7 @@ class ProtectionEngine:
         """Store wrote the L1D at retirement."""
 
     def on_l1_evict(self, line: int) -> None:
-        """The L1D evicted or invalidated ``line``."""
+        """The L1D evicted ``line`` to make room for a fill."""
 
     def on_squash(self, squashed: list) -> None:
         """Instructions removed from the window (youngest first)."""

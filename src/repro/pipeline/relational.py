@@ -262,7 +262,6 @@ class PairedCore(OoOCore):
             raise ValueError(f"{program.name} and {twin.name} are not "
                              f"twins")
         super().__init__(program, engine, params)
-        self.twin = twin
         self.memory = PairedMemory(program.initial_memory,
                                    twin.initial_memory,
                                    self.params.uninit_secret_seed)

@@ -19,12 +19,11 @@ from repro.pipeline.dyninst import DynInst
 class RenameUnit:
     """RAT + free list + physical register file (values and ready bits)."""
 
-    __slots__ = ("num_phys_regs", "rat", "free", "ready", "value")
+    __slots__ = ("rat", "free", "ready", "value")
 
     def __init__(self, num_phys_regs: int):
         if num_phys_regs <= NUM_ARCH_REGS:
             raise ValueError("need more physical than architectural registers")
-        self.num_phys_regs = num_phys_regs
         # Identity mapping at reset: arch i -> phys i.
         self.rat: list[int] = list(range(NUM_ARCH_REGS))
         self.free: deque[int] = deque(range(NUM_ARCH_REGS, num_phys_regs))

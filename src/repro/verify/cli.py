@@ -13,17 +13,22 @@ Exit status 0 means: every named target matched its documented expectation
 (constant-time kernels ``safe``, attack gadgets ``leak`` with a confirmed
 witness), or the cross-check found zero oracle disagreements.  ``plan`` /
 ``plan-file`` modes are informational and fail only on ``unknown``
-(bounds too small to decide).
+(bounds too small to decide).  A usage error exits 2 before anything is
+checked: a bound out of range, a plan file that is missing or holds no
+plan, or a ``--corpus-dir`` that is missing or holds no replayable seed
+record.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
-from repro.fuzz.generator import PROFILES, generate_plan, plan_from_json
+from repro.fuzz.generator import (PROFILES, FuzzPlan, generate_plan,
+                                  plan_from_json)
 from repro.harness.configs import at_least_one, at_least_zero
 from repro.verify.report import (checks_to_json, render_check,
                                  render_crosscheck, write_json)
@@ -51,6 +56,30 @@ def _add_bound_args(parser: argparse.ArgumentParser) -> None:
                         help="stop after this many distinct leak sites")
     parser.add_argument("--json", dest="json_path", default=None,
                         help="also write a JSON witness report to this path")
+
+
+def _plan_file(path: str) -> FuzzPlan:
+    """The plan in the JSON file at ``path``: a bare plan
+    (``plan_to_json`` format) or a corpus counterexample record."""
+    try:
+        with open(path) as handle:
+            data = json.load(handle)
+    except (OSError, ValueError) as error:
+        raise argparse.ArgumentTypeError(
+            f"cannot read {path!r}: {error}") from None
+    blob = data.get("plan", data) if isinstance(data, dict) else data
+    try:
+        return plan_from_json(blob)
+    except (KeyError, TypeError, ValueError) as error:
+        raise argparse.ArgumentTypeError(
+            f"{path!r} holds no plan: {error!r}") from None
+
+
+def _directory(path: str) -> str:
+    """An existing directory: a corpus to replay is never created."""
+    if not os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"no such directory: {path!r}")
+    return path
 
 
 def _bounds(args: argparse.Namespace) -> dict:
@@ -85,8 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
     plan_file = modes.add_parser(
         "plan-file", help="check a plan-IR JSON file (e.g. a recorded "
                           "counterexample's plan)")
-    plan_file.add_argument("path", help="path to plan JSON "
-                                        "(plan_to_json format)")
+    plan_file.add_argument("plan", metavar="path", type=_plan_file,
+                           help="path to plan JSON (plan_to_json format, "
+                                "or a corpus counterexample record)")
     _add_bound_args(plan_file)
 
     cross = modes.add_parser(
@@ -98,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     cross.add_argument("--seed-start", type=int, default=0)
     cross.add_argument("--profile", default="quick",
                        choices=sorted(PROFILES))
-    cross.add_argument("--corpus-dir", default=None,
+    cross.add_argument("--corpus-dir", type=_directory, default=None,
                        help="replay this fuzz corpus instead of fresh "
                             "plans (concrete verdicts from its records)")
     cross.add_argument("--limit", type=at_least_one, default=None,
@@ -152,11 +182,7 @@ def _run_plans(args: argparse.Namespace) -> int:
 
 
 def _run_plan_file(args: argparse.Namespace) -> int:
-    with open(args.path) as handle:
-        data = json.load(handle)
-    # Accept either a bare plan or a corpus counterexample record.
-    plan_blob = data.get("plan", data) if isinstance(data, dict) else data
-    result = check_plan(plan_from_json(plan_blob), **_bounds(args))
+    result = check_plan(args.plan, **_bounds(args))
     print(render_check(result))
     if args.json_path:
         write_json(checks_to_json([result]), args.json_path)
@@ -170,6 +196,10 @@ def _run_crosscheck(args: argparse.Namespace) -> int:
         from repro.fuzz.corpus import Corpus
         report = cross_check_corpus(Corpus(args.corpus_dir),
                                     limit=args.limit, **_bounds(args))
+        if not report.records:
+            print(f"error: {args.corpus_dir} holds no replayable seed "
+                  "record", file=sys.stderr)
+            return 2
     else:
         report = cross_check_seeds(args.seeds, args.profile,
                                    seed_start=args.seed_start,

@@ -114,25 +114,6 @@ def ct_workloads() -> list:
     return [w for w in WORKLOADS.values() if w.category == CATEGORY_CT]
 
 
-# Dynamic workload families: names of the form ``<prefix>:<spec>`` resolve
-# through a lazily-imported factory, so infinite families (every fuzzing
-# seed is a workload) ride the same runner/cache/parallel machinery as the
-# registered benchmarks without registering each member — and worker
-# processes can rebuild them from the name alone.
-DYNAMIC_FAMILIES: dict[str, str] = {
-    "fuzz": "repro.fuzz.generator",
-}
-
-
-def _resolve_dynamic(name: str) -> Optional[Workload]:
-    prefix = name.split(":", 1)[0]
-    module_name = DYNAMIC_FAMILIES.get(prefix)
-    if module_name is None:
-        return None
-    module = __import__(module_name, fromlist=["workload_from_name"])
-    return module.workload_from_name(name)
-
-
 def twin_key(name: str) -> Optional[str]:
     """The ``twin_key`` of workload ``name`` (None for an unknown name)."""
     try:
@@ -142,11 +123,16 @@ def twin_key(name: str) -> Optional[str]:
 
 
 def get(name: str) -> Workload:
-    if name not in WORKLOADS:
-        if ":" in name:
-            workload = _resolve_dynamic(name)
-            if workload is not None:
-                return workload
+    workload = WORKLOADS.get(name)
+    if workload is None and name.startswith("fuzz:"):
+        # A fuzz victim is a workload named
+        # ``fuzz:<profile>:<seed>:<secret-hex>``, built from that name
+        # rather than registered, so worker processes and the result cache
+        # rebuild it from the name alone.  Imported here because the
+        # generator imports this module.
+        from repro.fuzz.generator import workload_from_name
+        workload = workload_from_name(name)
+    if workload is None:
         raise KeyError(f"unknown workload {name!r}; "
                        f"known: {sorted(WORKLOADS)}")
-    return WORKLOADS[name]
+    return workload

@@ -1,15 +1,10 @@
 """Regression tests pinning invariant edge cases the sanitizer surfaced.
 
-The first tests pin the two real bugs the checker found in the tree:
-
-* Explicit L1 flushes (the clflush-style attack-harness helpers) bypassed
-  ``on_l1_evict``, so the shadow L1 kept stale untainted bytes for lines
-  no longer resident — a silent violation of the paper's Section 6.8 rule
-  that eviction re-taints.
-* A store whose retire-time cache access stalled on exhausted MSHRs (no
-  L1 fill happens) still wrote its data taint into the shadow, creating a
-  shadow image of a line that was never installed.  Found by the full
-  sanitizer grid on perlbench under SPT{Bwd,ShadowL1}/spectre.
+The first test pins a real bug the checker found in the tree: a store
+whose retire-time cache access stalled on exhausted MSHRs (no L1 fill
+happens) still wrote its data taint into the shadow, creating a shadow
+image of a line that was never installed.  Found by the full sanitizer
+grid on perlbench under SPT{Bwd,ShadowL1}/spectre.
 
 The remaining tests pin the trickiest clean-path edges at
 ``check_level=full``: store-to-load forwarding on a squashed wrong path,
@@ -34,53 +29,6 @@ def full_params() -> MachineParams:
 def spt_shadow_engine() -> SPTEngine:
     return SPTEngine(AttackModel.FUTURISTIC, backward=True,
                      shadow=ShadowMode.L1)
-
-
-def test_flush_l1_line_invalidates_shadow():
-    """An explicit flush must drop the shadow line like a demand eviction.
-
-    Before the fix, ``MemoryHierarchy.flush_l1_line`` invalidated the L1
-    tag without telling the engine, and the very next full-level cycle
-    scan raised ``shadow-residency``.
-    """
-    engine = spt_shadow_engine()
-    program = assemble("""
-        li s2, 0x4000
-        li a0, 5
-        sd a0, 0(s2)
-        halt
-    """)
-    core = OoOCore(program, engine=engine, params=full_params())
-    # Step until the store has retired and created its shadow line.
-    for _ in range(200):
-        core.step()
-        if 0x4000 in engine.shadow.lines():
-            break
-    assert 0x4000 in engine.shadow.lines(), "store never shadowed its line"
-
-    assert core.hierarchy.flush_l1_line(0x4000)
-    assert 0x4000 not in engine.shadow.lines(), \
-        "flush left a stale shadow line behind"
-    # The sanitizer agrees: draining the pipeline raises nothing.
-    while not core.halted:
-        core.step()
-
-
-def test_flush_all_invalidates_shadow():
-    engine = spt_shadow_engine()
-    program = assemble("""
-        li s2, 0x4000
-        li a0, 5
-        sd a0, 0(s2)
-        sd a0, 64(s2)
-        halt
-    """)
-    core = OoOCore(program, engine=engine, params=full_params())
-    while not core.halted:
-        core.step()
-    assert engine.shadow.lines(), "stores never shadowed their lines"
-    core.hierarchy.flush_all()
-    assert engine.shadow.lines() == []
 
 
 def test_mshr_stalled_store_retire_keeps_shadow_resident():

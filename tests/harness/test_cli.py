@@ -14,6 +14,7 @@ from repro.harness.configs import CONFIGURATIONS, make_engine
 from repro.harness.runner import run_result, simulate
 from repro.pipeline.core import OoOCore
 from repro.pipeline.params import MachineParams
+from repro.workloads.registry import get as get_workload
 
 
 def parse(argv):
@@ -128,21 +129,16 @@ def test_invalid_combinations_rejected(argv, fragment, capsys, monkeypatch):
     assert fragment in capsys.readouterr().err
 
 
-def test_load_program_from_workload_registry():
-    program = load_program("djbsort", scale=1)
-    assert program.name == "djbsort"
-
-
 def test_load_program_from_asm_file(tmp_path):
     path = tmp_path / "prog.asm"
     path.write_text("li a0, 1\nhalt\n")
-    program = load_program(str(path), scale=1)
+    program = load_program(str(path))
     assert len(program) == 2
 
 
 def test_load_program_unknown_exits():
     with pytest.raises(SystemExit):
-        load_program("no-such-thing", scale=1)
+        load_program("no-such-thing")
 
 
 def test_main_end_to_end(tmp_path, capsys):
@@ -224,7 +220,7 @@ def test_stats_txt_is_the_same_on_both_paths(tmp_path, flags):
     args = parse(argv)
     config = config_name_from_args(args)
     model = AttackModel(args.threat_model or "futuristic")
-    sim = simulate(load_program("mcf", 1), config, model, 1500,
+    sim = simulate(get_workload("mcf").program(1), config, model, 1500,
                    MachineParams())
     direct = cli.format_stats(run_result("mcf", config, model, sim,
                                          collect_trace=False))
@@ -235,6 +231,21 @@ def test_stats_txt_is_the_same_on_both_paths(tmp_path, flags):
     header = direct.splitlines()[1:5]
     assert [line.split()[0] for line in header] == [
         "numCycles", "committedInsts", "ipc", "configName"]
+
+
+def test_outputs_follow_argument_order(tmp_path, capsys):
+    """An .asm file runs directly and a registered workload through the
+    harness, yet each executable's lines print, and its stats file is
+    written, in the order the arguments name them."""
+    path = tmp_path / "prog.asm"
+    path.write_text("li a0, 1\nhalt\n")
+    out = tmp_path / "out"
+    assert main([str(path), "mcf", "--max-instructions", "500",
+                 "--output-dir", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "prog.asm", "stats written to " + str(out / "stats_prog.txt"),
+        "mcf", "stats written to " + str(out / "stats_mcf.txt")]
 
 
 @pytest.mark.parametrize("executables", [

@@ -3,11 +3,14 @@
 ``repro check``, ``repro backend-diff``, ``repro pentest`` and ``repro fuzz``
 parse their grid through :mod:`repro.harness.configs`; the artifact CLI,
 ``repro bench`` and ``repro verify`` parse their size flags with its
-``at_least_one`` (``verify``'s speculation bounds with ``at_least_zero``),
-and ``repro stats`` its workload with ``workload_name``.  A size below 1, a
-negative speculation bound, or an unknown workload, configuration or
-attack model must exit 2 with a usage message before anything runs: exit 1
-is a failed verdict, and a silently corrected value is a verdict about some
+``at_least_one`` (``verify``'s speculation bounds and ``fuzz --patience``
+with ``at_least_zero``, ``bench compare``'s tolerances with
+``finite_at_least_zero``), and ``repro stats`` its workload with
+``workload_name``.  A size below 1, a negative bound or tolerance, a NaN
+tolerance, a ``verify`` plan file or corpus directory that is not there,
+or an unknown workload, configuration or attack model must exit 2 with a
+usage message before anything runs, and leave no file behind: exit 1 is
+a failed verdict, and a silently corrected value is a verdict about some
 other grid.
 """
 
@@ -35,6 +38,7 @@ CASES = [
     ("fuzz", "--jobs", "0"),
     ("fuzz", "--max-instructions", "-5"),
     ("fuzz", "--adversarial", "--budget", "0"),
+    ("fuzz", "--adversarial", "--patience", "-1"),
     ("fuzz", "--configs", "Nope"),
     ("fuzz", "--models", "quantum"),
     ("mcf", "--jobs", "0"),
@@ -48,6 +52,11 @@ CASES = [
     ("bench", "profile", "--budget", "0"),
     ("bench", "profile", "--scale", "0"),
     ("bench", "profile", "--runs", "0"),
+    ("bench", "compare", "a.json", "b.json", "--overhead-tolerance", "nan"),
+    ("bench", "compare", "a.json", "b.json", "--stall-tolerance", "nan"),
+    ("bench", "compare", "a.json", "b.json", "--throughput-tolerance",
+     "-0.5"),
+    ("bench", "compare", "a.json", "b.json", "--overhead-tolerance", "-0.5"),
     ("verify", "target", "chacha20", "--scale", "0"),
     ("verify", "target", "--max-instructions", "0"),
     ("verify", "target", "--max-explored", "0"),
@@ -55,13 +64,16 @@ CASES = [
     ("verify", "plan", "--seeds", "0"),
     ("verify", "crosscheck", "--seeds", "0"),
     ("verify", "crosscheck", "--limit", "0"),
+    ("verify", "crosscheck", "--corpus-dir", "no-such-corpus"),
+    ("verify", "plan-file", "no-such-plan.json"),
     ("verify", "target", "--spec-window", "-1"),
     ("verify", "target", "--spec-depth", "-1"),
     ("stats", "nope"),
 ]
 
-# A positional argument is named by its destination, not by a flag.
-POSITIONAL = {("stats", "nope"): "workload"}
+# A positional argument is named by its metavar or destination, not a flag.
+POSITIONAL = {("stats", "nope"): "workload",
+              ("verify", "plan-file", "no-such-plan.json"): "path"}
 
 
 @pytest.fixture
@@ -73,10 +85,13 @@ def no_simulation(monkeypatch):
 
 
 @pytest.mark.parametrize("argv", CASES, ids=" ".join)
-def test_usage_error_exits_2_before_simulating(argv, no_simulation, capsys):
+def test_usage_error_exits_2_before_simulating(argv, no_simulation, capsys,
+                                               tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as excinfo:
         main(list(argv))
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage:")
     assert f"error: argument {POSITIONAL.get(argv, argv[-2])}:" in err
+    assert list(tmp_path.iterdir()) == []

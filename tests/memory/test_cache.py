@@ -46,15 +46,6 @@ def test_set_indexing_avoids_cross_set_eviction():
         assert evicted is None        # each maps to its own set
 
 
-def test_invalidate():
-    cache = small_cache()
-    cache.access(0x200)
-    assert cache.probe(0x200)
-    assert cache.invalidate(0x200)
-    assert not cache.probe(0x200)
-    assert not cache.invalidate(0x200)
-
-
 def test_probe_does_not_disturb_lru():
     cache = small_cache(ways=2, sets=1)
     cache.access(0x000)
@@ -64,29 +55,13 @@ def test_probe_does_not_disturb_lru():
     assert evicted == 0x000
 
 
-def test_resident_lines():
-    cache = small_cache()
-    cache.access(0x100)
-    cache.access(0x480)
-    assert sorted(cache.resident_lines()) == [0x100, 0x480]
-
-
 def test_bad_geometry_rejected():
     with pytest.raises(ValueError):
         CacheParams("bad", size_bytes=64, line_bytes=64, ways=2,
                     latency=1).num_sets
 
 
-def test_probe_and_invalidate_on_a_never_filled_set_allocate_nothing():
+def test_probe_on_a_never_filled_set_allocates_nothing():
     cache = small_cache()
     assert not cache.probe(0x100)
-    assert not cache.invalidate(0x100)
     assert cache._sets == [None] * 4
-
-
-def test_resident_lines_in_set_index_order():
-    cache = small_cache(ways=2, sets=4)
-    for line in (0x0C0, 0x040, 0x140, 0x000, 0x100):
-        cache.access(line)
-    cache.access(0x000)                       # set 0: 0x100 is now LRU
-    assert cache.resident_lines() == [0x100, 0x000, 0x040, 0x140, 0x0C0]

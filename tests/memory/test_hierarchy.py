@@ -60,38 +60,9 @@ def test_l1_hits_do_not_consume_mshrs():
     assert hit.level == "L1D" and not hit.stalled
 
 
-def test_flush_l1_line_forces_l2_hit():
-    h = MemoryHierarchy()
-    h.access(0x3000, now=0)
-    assert h.l1_resident(0x3000)
-    assert h.flush_l1_line(0x3000)
-    assert not h.l1_resident(0x3000)
-    assert h.access(0x3000, now=500).level == "L2"
-
-
-def test_flush_all():
-    h = MemoryHierarchy()
-    h.access(0x5000, now=0)
-    h.flush_all()
-    assert h.access(0x5000, now=500).level == "DRAM"
-
-
 def test_inclusive_fill_on_miss():
     h = MemoryHierarchy()
     h.access(0x7000, now=0)
     assert h.l1.probe(0x7000)
     assert h.l2.probe(0x7000)
     assert h.l3.probe(0x7000)
-
-
-def test_flush_all_reports_l1_lines_in_set_index_order():
-    h = MemoryHierarchy()
-    flushed = []
-    h.on_l1_invalidate = flushed.append
-    # 64-byte lines, 64 L1 sets: set 2, then set 0, then set 1 again.
-    for address in (0x0080, 0x0000, 0x1040, 0x0040, 0x1000):
-        h.access(address, now=0)
-    h.flush_all()
-    assert flushed == [0x0000, 0x1000, 0x1040, 0x0040, 0x0080]
-    assert h.l1.resident_lines() == h.l2.resident_lines() == []
-    assert h.l3.resident_lines() == []

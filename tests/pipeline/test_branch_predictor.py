@@ -121,27 +121,6 @@ def test_composite_jalr_uses_btb():
     assert target == 77
 
 
-def test_train_direction_attack_interface():
-    predictor = BranchPredictor()
-    predictor.train_direction(42, taken=True, repeats=4)
-    branch = Instruction("BEQ", rs1=1, rs2=2, imm=9)
-    taken, _, _ = predictor.predict(42, branch)
-    assert taken
-
-
-def test_train_direction_repeats_saturate():
-    predictor = BranchPredictor()
-    branch = Instruction("BEQ", rs1=1, rs2=2, imm=9)
-    # One training nudges the weakly-not-taken counter to weakly-taken;
-    # the prediction must already flip, and more repeats keep it stable.
-    predictor.train_direction(42, taken=True, repeats=1)
-    taken, _, _ = predictor.predict(42, branch)
-    assert taken
-    predictor.train_direction(42, taken=False, repeats=4)
-    taken, _, _ = predictor.predict(42, branch)
-    assert not taken
-
-
 def test_train_btb_attack_interface():
     predictor = BranchPredictor()
     predictor.train_btb(13, 0xBEEF & 0xFFFF)

@@ -18,7 +18,7 @@ import pytest
 from repro.check.invariants import CHECK_LEVELS
 from repro.core.attack_model import AttackModel
 from repro.core.shadow_l1 import ShadowMode
-from repro.core.spt import ReferenceSPTEngine, SPTEngine
+from repro.core.spt import ReferenceSPTEngine
 from repro.harness.configs import CONFIGURATIONS, make_engine
 from repro.isa.assembler import assemble
 from repro.pipeline.core import OoOCore
@@ -100,29 +100,4 @@ def test_traced_core_is_freed_with_its_tracer(no_collector):
     assert tracer.entries
     refs = weakref.ref(tracer.core), weakref.ref(engine)
     del tracer, engine
-    assert [ref() for ref in refs] == [None, None]
-
-
-def test_l1_flush_reaches_the_engine_and_the_core_is_still_freed(no_collector):
-    """``hierarchy.on_l1_invalidate`` is the engine's bound method: the
-    flush must reach the shadow L1 while the core lives, and the hook
-    must not keep anything alive afterwards."""
-    engine = SPTEngine(AttackModel.FUTURISTIC, backward=True,
-                       shadow=ShadowMode.L1)
-    core = OoOCore(assemble("""
-        li s2, 0x4000
-        li a0, 5
-        sd a0, 0(s2)
-        sd a0, 64(s2)
-        halt
-    """), engine=engine, params=MachineParams(check_level="full"))
-    while not core.halted:
-        core.step()
-    assert {0x4000, 0x4040} <= set(engine.shadow.lines())
-    assert core.hierarchy.flush_l1_line(0x4000)
-    assert 0x4000 not in engine.shadow.lines()
-    core.hierarchy.flush_all()
-    assert engine.shadow.lines() == []
-    refs = weakref.ref(core), weakref.ref(engine)
-    del core, engine
     assert [ref() for ref in refs] == [None, None]

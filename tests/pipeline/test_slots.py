@@ -3,11 +3,13 @@
 These classes are allocated (DynInst, AccessResult) or indexed (RenameUnit)
 millions of times per simulation; a dropped ``__slots__`` silently
 reintroduces a per-instance ``__dict__`` and costs both memory and speed.
-The ``ast`` guards below also keep the core to one cycle body and the
-rename unit to methods the package calls.
+The ``ast`` guards below also keep the core to one cycle body, the
+rename unit, the memory hierarchy and the branch predictor to methods the
+package calls, and the package to attributes something reads.
 """
 
 import ast
+import functools
 import inspect
 from collections import Counter
 from pathlib import Path
@@ -17,7 +19,9 @@ import pytest
 import repro
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import OPCODES, Kind
-from repro.memory.hierarchy import AccessResult
+from repro.memory.cache import Cache
+from repro.memory.hierarchy import AccessResult, MemoryHierarchy
+from repro.pipeline.branch_predictor import BranchPredictor
 from repro.pipeline.dyninst import DynInst
 from repro.pipeline.rename import RenameUnit
 
@@ -65,18 +69,30 @@ def test_precomputed_predicates_match_kind_for_every_opcode(name):
 PACKAGE = Path(repro.__file__).parent
 
 
+@functools.cache
+def sources(root: Path) -> tuple:
+    """``(path, module AST)`` for every Python source under ``root``,
+    parsed once for all the guards below."""
+    return tuple((path, ast.parse(path.read_text(), str(path)))
+                 for path in root.rglob("*.py"))
+
+
+def nodes(root: Path, skip: Path = None):
+    """Every AST node of the Python sources under ``root``, except in the
+    file ``skip``."""
+    for path, tree in sources(root):
+        if path != skip:
+            yield from ast.walk(tree)
+
+
 def attributes(root: Path, skip: Path = None):
     """Every ``x.name`` node in the Python sources under ``root``, except
     in the file ``skip``."""
-    for path in root.rglob("*.py"):
-        if path == skip:
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Attribute):
-                yield node
+    return (node for node in nodes(root, skip)
+            if isinstance(node, ast.Attribute))
 
 
-def attribute_loads(root: Path, skip: Path) -> set:
+def attribute_loads(root: Path, skip: Path = None) -> set:
     """Every attribute name read (``x.name`` in a load context) in the
     Python sources under ``root``, except the file ``skip``."""
     return {node.attr for node in attributes(root, skip)
@@ -116,6 +132,38 @@ def test_every_rename_method_has_a_caller():
                if inspect.isfunction(value) and not name.startswith("__")]
     uncalled = [name for name in methods if name not in called]
     assert uncalled == [], f"RenameUnit methods nothing calls: {uncalled}"
+
+
+def test_every_stored_attribute_is_read():
+    # A field or counter the package writes and nothing reads shows up in
+    # no metric, report or check, yet every write costs (some sit on
+    # per-branch or per-eviction paths).  ``x.name += 1`` is a write
+    # only; ``getattr(x, "name")`` is a read.
+    read = attribute_loads(PACKAGE) | {
+        node.args[1].value for node in nodes(PACKAGE)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "getattr" and len(node.args) > 1
+        and isinstance(node.args[1], ast.Constant)}
+    stored = {node.attr for node in attributes(PACKAGE)
+              if isinstance(node.ctx, ast.Store)}
+    unread = sorted(stored - read)
+    assert unread == [], f"attributes nothing reads: {unread}"
+
+
+def test_every_memory_and_predictor_method_has_a_caller():
+    # A method nothing in the package references outside its own module
+    # is an operation no run performs, and a test of it checks code no
+    # run takes.
+    uncalled = []
+    for cls in (MemoryHierarchy, Cache, BranchPredictor):
+        referenced = attribute_loads(PACKAGE, Path(inspect.getfile(cls)))
+        uncalled += [f"{cls.__name__}.{name}"
+                     for name, value in vars(cls).items()
+                     if inspect.isfunction(value)
+                     and not name.startswith("_")
+                     and name not in referenced]
+    assert uncalled == [], \
+        f"methods nothing outside their module calls: {uncalled}"
 
 
 def test_renameunit_rejects_arbitrary_attributes():

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main as repro_main
 from repro.verify.cli import main as verify_main
 
@@ -50,6 +52,18 @@ def test_plan_file_mode_accepts_counterexample_record(tmp_path, capsys):
     assert "fuzz-quick-3" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text", ["{not json", "{}"],
+                         ids=["malformed-json", "no-plan"])
+def test_plan_file_that_holds_no_plan_is_a_usage_error(tmp_path, capsys,
+                                                       text):
+    path = tmp_path / "plan.json"
+    path.write_text(text)
+    with pytest.raises(SystemExit) as excinfo:
+        verify_main(["plan-file", str(path)])
+    assert excinfo.value.code == 2
+    assert "error: argument path:" in capsys.readouterr().err
+
+
 def test_crosscheck_mode_seeds(tmp_path, capsys):
     report = tmp_path / "cross.json"
     assert verify_main(["crosscheck", "--seeds", "3",
@@ -63,6 +77,21 @@ def test_crosscheck_mode_corpus(capsys):
     assert verify_main(["crosscheck", "--corpus-dir", "tests/verify/data",
                         "--limit", "3"]) == 0
     assert "3 plans" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("records", [[], [{"type": "seed", "seed": 1,
+                                             "profile": "quick",
+                                             "valid": False}]],
+                         ids=["empty", "no-valid-seed"])
+def test_crosscheck_corpus_with_nothing_to_replay_is_an_error(tmp_path,
+                                                              capsys,
+                                                              records):
+    (tmp_path / "corpus.jsonl").write_text(
+        "".join(json.dumps(record) + "\n" for record in records))
+    assert verify_main(["crosscheck", "--corpus-dir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "zero oracle disagreements" not in captured.out
 
 
 def test_top_level_dispatch(capsys):
