@@ -34,14 +34,6 @@ class Figure8Data:
     workloads: list = field(default_factory=list)
     models: list = field(default_factory=list)
 
-    def breakdown(self, model: AttackModel, workload: str) -> dict:
-        """Fractions per kind (empty dict if no untaint events occurred)."""
-        counts = self.counts[(model, workload)]
-        total = sum(counts.values())
-        if not total:
-            return {}
-        return {kind: counts.get(kind, 0) / total for kind in counts}
-
 
 def collect(workloads: Optional[Sequence[str]] = None,
             models: Optional[Sequence[AttackModel]] = None,

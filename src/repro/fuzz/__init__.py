@@ -18,9 +18,10 @@ property, in the style of SpecFuzz/AMuLeT:
   a minimal reproducing gadget.
 * :mod:`repro.fuzz.adversarial` — a guided hill-climbing search over plans
   (``fuzz --adversarial``), judged by the same oracle and rule.
-* :mod:`repro.fuzz.corpus` / :mod:`repro.fuzz.campaign` — the resumable
-  campaign driver with a persistent JSONL corpus, fanned out through
-  ``repro.harness.parallel.run_many``.
+* :mod:`repro.fuzz.corpus` / :mod:`repro.fuzz.campaign` — the campaign
+  driver, fanned out through ``repro.harness.parallel.run_many``, whose
+  result cache serves a re-run without simulating; a persistent JSONL
+  corpus records what ran.
 * ``python -m repro.cli fuzz`` — the command-line front end.
 """
 

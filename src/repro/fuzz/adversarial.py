@@ -31,8 +31,11 @@ replaces it with a guided search:
    instead of on verdicts.
 
 The search is deterministic for a given (profile, config, model, seed) and
-budgeted in *simulations* (oracle runs cost 2, instrument runs 1), making
-``hill_climb`` and :func:`uniform_search` directly comparable.
+budgeted in *simulations*, the core runs it made: an instrument run is 1,
+an oracle verdict 1 when one paired run served both secrets and 3 when the
+secrets steered it apart (the paired run, then both separate runs).  Both
+searches count the same way, so ``hill_climb`` and :func:`uniform_search`
+are directly comparable.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from repro.fuzz.generator import (PROFILES, SECRET_BYTES, FuzzPlan,
                                   with_blocks)
 from repro.fuzz.oracle import (FUZZ_BUDGET, architectural_dependence,
                                check_pair_direct)
+from repro.harness.parallel import SimTally
 from repro.harness.runner import simulate
 from repro.security.attacks import expected_to_leak
 
@@ -170,31 +174,37 @@ class SearchOutcome:
                 and not expected_to_leak(self.plan.exposure, self.config))
 
 
-class _Budget:
-    def __init__(self, sims: int):
-        self.limit = sims
-        self.sims = 0
-        self.evals = 0
+# Core runs of an oracle verdict at worst: a paired run the secrets
+# steered apart, then both separate runs.
+_VERDICT_MAX_SIMS = 3
 
-    def take(self, n: int) -> bool:
-        if self.sims + n > self.limit:
-            return False
-        self.sims += n
-        return True
+
+@dataclass
+class _Budget(SimTally):
+    """The core runs a search made, under its ceiling ``limit``."""
+
+    limit: int = 0
+    evals: int = 0
+
+    def room(self, sims: int) -> bool:
+        return self.simulations + sims <= self.limit
 
 
 def _leak_channels(plan: FuzzPlan, config: str, model: AttackModel,
-                   max_instructions: int) -> Optional[tuple]:
-    """The oracle verdict for one plan: diverging channels, or None when
-    the candidate is invalid (broken invariant / non-halting)."""
+                   max_instructions: int, budget: _Budget) -> Optional[tuple]:
+    """The oracle verdict for one plan, its core runs charged to
+    ``budget``: diverging channels, or None when the candidate is invalid
+    (broken invariant / non-halting)."""
     a, b = secret_pair(plan.seed)
     prog_a, prog_b = render(plan, a), render(plan, b)
     if architectural_dependence(prog_a, prog_b, max_instructions):
         return None
     try:
         return tuple(check_pair_direct(prog_a, prog_b, config, model,
-                                       max_instructions=max_instructions))
+                                       max_instructions=max_instructions,
+                                       tally=budget))
     except RuntimeError:
+        budget.simulations += _VERDICT_MAX_SIMS
         return None
 
 
@@ -217,14 +227,14 @@ def hill_climb(profile: str = "hard", config: str = "UnsafeBaseline",
 
     Per candidate: 1 instrument simulation (the score); candidates whose
     score improves on the incumbent — plus every restart — additionally
-    pay 2 oracle simulations for the leak check.  All runs count against
-    ``budget``.  Restarts from a fresh random plan after ``patience``
-    non-improving candidates.
+    pay for an oracle verdict (1 to 3 simulations, and one starts only
+    with room for 3).  All runs count against ``budget``.  Restarts from a
+    fresh random plan after ``patience`` non-improving candidates.
     """
     cfg = PROFILES[profile]
     rng = random.Random(
         f"adversarial:{profile}:{config}:{model.value}:{seed}")
-    budget_ = _Budget(budget)
+    budget_ = _Budget(limit=budget)
     fresh_seed = seed * 1_000_000
     best_score = float("-inf")
 
@@ -237,7 +247,7 @@ def hill_climb(profile: str = "hard", config: str = "UnsafeBaseline",
     def done(found: bool, plan: Optional[FuzzPlan],
              channels: tuple) -> SearchOutcome:
         return SearchOutcome("hill-climb", profile, config, model.name,
-                             found, plan, channels, budget_.sims,
+                             found, plan, channels, budget_.simulations,
                              budget_.evals, best_score)
 
     current: Optional[FuzzPlan] = None
@@ -247,8 +257,9 @@ def hill_climb(profile: str = "hard", config: str = "UnsafeBaseline",
         restart = current is None or stale >= patience
         candidate = fresh_plan() if restart \
             else mutate(current, rng, cfg)
-        if not budget_.take(1):
+        if not budget_.room(1):
             return done(False, None, ())
+        budget_.simulations += 1
         budget_.evals += 1
         score = _instrument_score(candidate, model, max_instructions)
         if score is None:               # invalid candidate: never climb onto it
@@ -259,9 +270,10 @@ def hill_climb(profile: str = "hard", config: str = "UnsafeBaseline",
             stale += 1
             continue
         # Promising: pay for the oracle verdict before climbing onto it.
-        if not budget_.take(2):
+        if not budget_.room(_VERDICT_MAX_SIMS):
             return done(False, None, ())
-        channels = _leak_channels(candidate, config, model, max_instructions)
+        channels = _leak_channels(candidate, config, model, max_instructions,
+                                  budget_)
         if channels is None:
             stale += 1
             continue
@@ -276,23 +288,24 @@ def uniform_search(profile: str = "hard", config: str = "UnsafeBaseline",
                    max_instructions: int = FUZZ_BUDGET) -> SearchOutcome:
     """The baseline the hill climber replaces: fresh seeds, same oracle.
 
-    Each seed costs 2 oracle simulations; no instrument runs, so uniform
+    Each seed costs one oracle verdict and no instrument run, so uniform
     search actually evaluates *more* candidates per budget — it just
     cannot steer toward the leak boundary.
     """
-    budget_ = _Budget(budget)
+    budget_ = _Budget(limit=budget)
     seed = seed_start
-    while budget_.take(2):
+    while budget_.room(_VERDICT_MAX_SIMS):
         budget_.evals += 1
         plan = generate_plan(seed, profile)
         seed += 1
-        channels = _leak_channels(plan, config, model, max_instructions)
+        channels = _leak_channels(plan, config, model, max_instructions,
+                                  budget_)
         if channels:
             return SearchOutcome("uniform", profile, config, model.name,
-                                 True, plan, channels, budget_.sims,
+                                 True, plan, channels, budget_.simulations,
                                  budget_.evals, float("-inf"))
     return SearchOutcome("uniform", profile, config, model.name,
-                         False, None, (), budget_.sims, budget_.evals,
+                         False, None, (), budget_.simulations, budget_.evals,
                          float("-inf"))
 
 

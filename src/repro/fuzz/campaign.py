@@ -9,9 +9,10 @@ model-independent cache key, and a cell's two secrets are twins, which
 address or a branch) — then folds the per-channel trace digests into
 oracle verdicts, triage counts, and corpus records.
 
-Campaigns are resumable: seed outcomes land in a JSONL corpus stamped with
-the simulator source fingerprint, and a re-run skips exactly the seeds
-whose recorded results still describe the current code.
+Every campaign judges every seed it is asked for.  Work is reused only
+through the result cache, whose key holds everything a verdict depends on:
+a re-run under unchanged code, configurations, models and budget simulates
+nothing and reports the same verdicts.  The corpus records what ran.
 """
 
 from __future__ import annotations
@@ -86,16 +87,12 @@ def run_campaign(cfg: CampaignConfig) -> FuzzReport:
     start = time.perf_counter()
     fingerprint = cache.source_fingerprint()
     corpus = Corpus(cfg.corpus_dir)
-    tried = corpus.tried_seeds(cfg.profile, fingerprint)
-    requested = list(range(cfg.seed_start, cfg.seed_start + cfg.seeds))
-    fresh = [s for s in requested if s not in tried]
-
     report = FuzzReport(
-        profile=cfg.profile, seeds_requested=len(requested),
-        seeds_run=len(fresh), seeds_resumed=len(requested) - len(fresh),
+        profile=cfg.profile, seeds_requested=cfg.seeds,
         configs=list(cfg.configs), models=[m.value for m in cfg.models])
 
-    work = [_prepare_seed(seed, cfg) for seed in fresh]
+    work = [_prepare_seed(seed, cfg)
+            for seed in range(cfg.seed_start, cfg.seed_start + cfg.seeds)]
     for item in work:
         if not item.valid:
             report.invalid_seeds.append(item.seed)

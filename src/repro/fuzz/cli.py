@@ -62,8 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="delta-debug every counterexample down to a "
                              "minimal gadget before recording it")
     parser.add_argument("--corpus-dir", default=None,
-                        help="persistent corpus directory (campaigns resume "
-                             "from it; default: in-memory only)")
+                        help="persistent corpus directory recording every "
+                             "seed's verdicts and counterexamples (default: "
+                             "in-memory only)")
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the persistent result cache")
     parser.add_argument("--max-instructions", type=at_least_one,
@@ -106,7 +107,8 @@ def _run_adversarial(args) -> int:
         print(render_outcome(base))
         if outcome.found and not base.found:
             print(f"advantage: hill-climb leaked in {outcome.sims} sims; "
-                  f"uniform exhausted its {base.sims}-sim budget.")
+                  f"uniform found none in {base.sims} sims of its "
+                  f"{args.budget}-sim budget.")
         elif outcome.found and base.found:
             print(f"advantage: hill-climb {outcome.sims} sims vs uniform "
                   f"{base.sims} sims.")

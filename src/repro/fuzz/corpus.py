@@ -4,13 +4,16 @@ One append-only ``corpus.jsonl`` per corpus directory; every line is a
 self-describing JSON record:
 
 * ``{"type": "seed", ...}`` — one fuzzed seed: its exposure class, the
-  secret pair, and the per-cell verdicts.  Records carry the simulator
-  source fingerprint, so campaigns resume across runs — a seed is only
-  skipped when its recorded result still describes the current code.
+  secret pair, and the per-cell verdicts, stamped with the simulator
+  source fingerprint they were judged under.
 * ``{"type": "counterexample", ...}`` — an unexpected secure-config
   divergence, with the full plan JSON (and the minimised plan when the
   campaign ran with minimisation) so it can be reproduced from the corpus
   alone.
+
+The corpus is a record of what ran, not an index of what to skip.  A
+record equal to one the corpus already holds is not written again, so
+re-running a campaign under the same code leaves the file as it was.
 
 JSONL keeps the corpus mergeable and greppable; a crashed campaign leaves
 at worst one truncated trailing line, which the loader skips.
@@ -32,6 +35,7 @@ class Corpus:
         if directory is not None:
             os.makedirs(directory, exist_ok=True)
             self._records = self._read()
+        self._lines = {_line(record) for record in self._records}
 
     @property
     def path(self) -> Optional[str]:
@@ -56,26 +60,22 @@ class Corpus:
         return records
 
     def append(self, record: dict) -> None:
+        """Add ``record`` unless the corpus already holds an equal one."""
+        line = _line(record)
+        if line in self._lines:
+            return
+        self._lines.add(line)
         self._records.append(record)
         if self.path is None:
             return
         with open(self.path, "a") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+            handle.write(line + "\n")
 
     # -------------------------------------------------------------- queries
     def records(self, kind: Optional[str] = None) -> list:
         if kind is None:
             return list(self._records)
         return [r for r in self._records if r.get("type") == kind]
-
-    def tried_seeds(self, profile: str, fingerprint: str) -> set:
-        """Seeds already fuzzed for this profile under the current code."""
-        return {r["seed"] for r in self.records("seed")
-                if r.get("profile") == profile
-                and r.get("fingerprint") == fingerprint}
-
-    def counterexamples(self) -> list:
-        return self.records("counterexample")
 
     def replayable(self) -> list:
         """(record, plan) pairs for every valid seed record, oldest first.
@@ -94,3 +94,8 @@ class Corpus:
             pairs.append((record,
                           generate_plan(record["seed"], record["profile"])))
         return pairs
+
+
+def _line(record: dict) -> str:
+    """A record's corpus line: equal records have equal lines."""
+    return json.dumps(record, sort_keys=True)

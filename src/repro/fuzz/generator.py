@@ -51,22 +51,21 @@ Register discipline (the invariant's mechanical form):
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Union
 
 from repro.isa.builder import ProgramBuilder
 from repro.isa.instructions import Program
-from repro.security.attacks import EXPOSURES, NONSPECULATIVE, SPECULATIVE
-from repro.workloads.random_programs import _ALU_RI, _ALU_RR
+from repro.security.attacks import (EXPOSURES, NONSPECULATIVE,
+                                    PROBE_LINE_BYTES, SPECULATIVE, slow_copy,
+                                    warm_words)
+from repro.workloads.random_programs import (_ALU_RI, _ALU_RR,
+                                             _CHECKSUM_OFFSET, _HEAP_WORDS,
+                                             _MEM_MASK)
 from repro.workloads.registry import Workload
 
 FUZZ_BASE = 0x100000            # data segment base for fuzz victims
-_HEAP_MASK = 0x7F8              # filler addresses: 256 words, 8-byte aligned
-# Filler reaches [0, mask + 16 + 8); one extra word holds the checksum.
-_CHECKSUM_OFFSET = _HEAP_MASK + 24
-_HEAP_WORDS = _CHECKSUM_OFFSET // 8 + 1
 SECRET_BYTES = 64               # size of the secret region
-PROBE_LINE_BYTES = 64
 PROBE_LINES = 256
 
 TRANSMITS = ("line", "branch", "loop")
@@ -74,6 +73,12 @@ TRANSMITS = ("line", "branch", "loop")
 # Filler operates on these registers only; gadget/secret registers are
 # disjoint (see the module docstring for the full register plan).
 _FILLER_REGS = ("s4", "s5", "s10", "s11", "a6", "a7")
+
+# Filler shape, the same in every profile: the share of memory
+# instructions, and of loop and branch blocks among the non-gadget slots.
+_MEM_PROBABILITY = 0.3
+_LOOP_PROBABILITY = 0.2
+_BRANCH_PROBABILITY = 0.25
 
 
 # --------------------------------------------------------------------- plan
@@ -146,9 +151,6 @@ class FuzzProfile:
 
     blocks: int = 8
     max_gadgets: int = 2
-    mem_probability: float = 0.3
-    loop_probability: float = 0.2
-    branch_probability: float = 0.25
     max_loop_count: int = 5
     trainings: tuple = (2, 3, 4)
     widen: tuple = (8, 12, 18, 24)
@@ -166,12 +168,12 @@ PROFILES: dict[str, FuzzProfile] = {
     "deep": FuzzProfile(blocks=14, max_gadgets=3, max_loop_count=8,
                         trainings=(2, 3, 4, 6), widen=(8, 16, 24, 32)),
     # Hardened victims for the adversarial campaign: bounds-bypass gadgets
-    # whose speculation windows are too narrow to leak as generated.  The
-    # leak boundary sits at widen=3 (widen<=2 never leaked across 263
-    # sampled plans), so the sampled envelope is leak-free by construction:
-    # uniform search cannot draw its way to a leak, while the hill climber
-    # can *widen* a window via mutations beyond the envelope, guided by
-    # the taint-reach score.
+    # whose speculation windows are almost all too narrow to leak as
+    # generated.  Set to widen=3, 143 of the first 200 plans leak; at
+    # widen=2, 1 does (uniform search drew 2 leaks in 3,818 plans over the
+    # 10 demo seeds).  So uniform search seldom draws its way to a leak,
+    # while the hill climber can *widen* a window via mutations beyond the
+    # envelope, guided by the taint-reach score.
     "hard": FuzzProfile(blocks=5, max_gadgets=1,
                         trainings=(0, 1, 2),
                         widen=(0, 0, 1, 1, 2, 2),
@@ -211,17 +213,17 @@ def generate_plan(seed: int, profile: str = "default") -> FuzzPlan:
             blocks.append(_gen_gadget(rng, cfg))
             continue
         roll = rng.random()
-        if roll < cfg.loop_probability:
+        if roll < _LOOP_PROBABILITY:
             blocks.append(Loop(rng.randint(1, cfg.max_loop_count),
-                               _gen_instrs(rng, cfg, rng.randint(1, 3))))
-        elif roll < cfg.loop_probability + cfg.branch_probability:
+                               _gen_instrs(rng, rng.randint(1, 3))))
+        elif roll < _LOOP_PROBABILITY + _BRANCH_PROBABILITY:
             blocks.append(Branch(
                 rng.choice(["BEQ", "BNE", "BLT", "BGE", "BLTU", "BGEU"]),
                 rng.choice(_FILLER_REGS), rng.choice(_FILLER_REGS),
-                _gen_instrs(rng, cfg, rng.randint(1, 3)),
-                _gen_instrs(rng, cfg, rng.randint(1, 3))))
+                _gen_instrs(rng, rng.randint(1, 3)),
+                _gen_instrs(rng, rng.randint(1, 3))))
         else:
-            blocks.append(Filler(_gen_instrs(rng, cfg, rng.randint(2, 6))))
+            blocks.append(Filler(_gen_instrs(rng, rng.randint(2, 6))))
     return FuzzPlan(seed, profile, tuple(blocks))
 
 
@@ -236,10 +238,10 @@ def _gen_gadget(rng: random.Random, cfg: FuzzProfile) -> Gadget:
         shift=6)
 
 
-def _gen_instrs(rng: random.Random, cfg: FuzzProfile, n: int) -> tuple:
+def _gen_instrs(rng: random.Random, n: int) -> tuple:
     instrs = []
     for _ in range(n):
-        if rng.random() < cfg.mem_probability:
+        if rng.random() < _MEM_PROBABILITY:
             op = rng.choice(["LD", "SD", "LW", "SW", "LB", "SB"])
             instrs.append(("MEM", op, rng.choice(_FILLER_REGS),
                            rng.choice(_FILLER_REGS),
@@ -320,7 +322,7 @@ def _render_instrs(b: ProgramBuilder, instrs: tuple) -> None:
             b.emit(op, rd=rd, rs1=rs1, imm=imm)
         elif kind == "MEM":
             _, op, reg, src, offset = instr
-            b.andi("t5", src, _HEAP_MASK)
+            b.andi("t5", src, _MEM_MASK)
             b.add("t5", "t5", "s0")
             if op.startswith("L"):
                 b.emit(op, rd=reg, rs1="t5", imm=offset)
@@ -328,14 +330,6 @@ def _render_instrs(b: ProgramBuilder, instrs: tuple) -> None:
                 b.emit(op, rs1="t5", rs2=reg, imm=offset)
         else:
             raise ValueError(f"unknown filler instruction {instr!r}")
-
-
-def _widen(b: ProgramBuilder, dst: str, src: str, mults: int) -> None:
-    """dst = src via a multiply chain (delays whatever consumes dst)."""
-    b.mov(dst, src)
-    b.li("t3", 1)
-    for _ in range(mults):
-        b.mul(dst, dst, "t3")
 
 
 def _render_transmit(b: ProgramBuilder, value_reg: str, shift: int) -> None:
@@ -402,11 +396,9 @@ def _render_bounds_bypass(b: ProgramBuilder, gadget: Gadget, index: int,
     """
     victim = b.alloc_bytes(f"g{index}_victim",
                            [v % 16 for v in range(gadget.in_bounds)])
-    indices: list = []
-    for _ in range(gadget.trainings):
-        indices.extend(range(gadget.in_bounds))
     # The out-of-bounds index lands exactly on the chosen secret byte.
-    indices.append(secret_base + gadget.secret_index - victim)
+    indices = ([*range(gadget.in_bounds)] * gadget.trainings
+               + [secret_base + gadget.secret_index - victim])
     index_base = b.alloc_words(f"g{index}_idx", indices)
 
     b.li("t0", victim)
@@ -418,14 +410,11 @@ def _render_bounds_bypass(b: ProgramBuilder, gadget: Gadget, index: int,
     b.lb("zero", "s2", gadget.secret_index)
     # Warm the attacker-controlled index array so the per-pass index load
     # hits while the widened bound resolves late.
-    b.mov("a0", "s3")
-    with b.loop(count=(len(indices) * 8 + 63) // 64 + 1, counter="t4"):
-        b.ld("zero", "a0", 0)
-        b.addi("a0", "a0", 64)
+    warm_words(b, "s3", len(indices), cursor="a0", counter="t4")
     with b.loop(count=len(indices), counter="s9"):
         b.ld("a0", "s3", 0)
         b.addi("s3", "s3", 8)
-        _widen(b, "t2", "t1", gadget.widen)   # slow bound
+        slow_copy(b, "t2", "t1", gadget.widen)   # slow bound
         skip = b.forward_label()
         # Unsigned: the out-of-bounds index wraps to a huge value, so the
         # check always catches it architecturally.
@@ -485,7 +474,7 @@ def _render_mistrain_call(b: ProgramBuilder, gadget: Gadget,
         b.place(is_last)
         b.li("t1", legit)
         b.place(picked)
-        _widen(b, "t2", "t1", gadget.widen)
+        slow_copy(b, "t2", "t1", gadget.widen)
         b.jalr("ra", "t2", 0)         # the polymorphic call site
         b.addi("s3", "s3", 1)
     b.jal(0, after)
@@ -502,29 +491,25 @@ def _render_mistrain_call(b: ProgramBuilder, gadget: Gadget,
 
 
 # --------------------------------------------------------- plan (de)serialise
+# Block classes by their JSON ``type``, the lower-cased class name; each
+# field is a JSON key of its own name, except the branch arms, which are
+# stored as "then"/"else".
+_BLOCK_TYPES = {cls.__name__.lower(): cls
+                for cls in (Filler, Loop, Branch, Gadget)}
+_JSON_KEYS = {"then_instrs": "then", "else_instrs": "else"}
+
+
 def plan_to_json(plan: FuzzPlan) -> dict:
     """A JSON-safe encoding of ``plan`` (corpus storage / reproduction)."""
     blocks = []
     for block in plan.blocks:
-        if isinstance(block, Gadget):
-            blocks.append({"type": "gadget", "exposure": block.exposure,
-                           "transmit": block.transmit,
-                           "trainings": block.trainings,
-                           "widen": block.widen,
-                           "in_bounds": block.in_bounds,
-                           "secret_index": block.secret_index,
-                           "shift": block.shift})
-        elif isinstance(block, Loop):
-            blocks.append({"type": "loop", "count": block.count,
-                           "instrs": [list(i) for i in block.instrs]})
-        elif isinstance(block, Branch):
-            blocks.append({"type": "branch", "op": block.op,
-                           "rs1": block.rs1, "rs2": block.rs2,
-                           "then": [list(i) for i in block.then_instrs],
-                           "else": [list(i) for i in block.else_instrs]})
-        else:
-            blocks.append({"type": "filler",
-                           "instrs": [list(i) for i in block.instrs]})
+        blob = {"type": type(block).__name__.lower()}
+        for f in fields(block):
+            value = getattr(block, f.name)
+            blob[_JSON_KEYS.get(f.name, f.name)] = (
+                [list(i) for i in value] if isinstance(value, tuple)
+                else value)
+        blocks.append(blob)
     return {"seed": plan.seed, "profile": plan.profile, "blocks": blocks}
 
 
@@ -532,23 +517,15 @@ def plan_from_json(data: dict) -> FuzzPlan:
     """Rebuild a plan from :func:`plan_to_json` output."""
     blocks: list = []
     for blob in data["blocks"]:
-        kind = blob["type"]
-        if kind == "gadget":
-            blocks.append(Gadget(blob["exposure"], blob["transmit"],
-                                 blob["trainings"], blob["widen"],
-                                 blob["in_bounds"], blob["secret_index"],
-                                 blob["shift"]))
-        elif kind == "loop":
-            blocks.append(Loop(blob["count"],
-                               tuple(tuple(i) for i in blob["instrs"])))
-        elif kind == "branch":
-            blocks.append(Branch(blob["op"], blob["rs1"], blob["rs2"],
-                                 tuple(tuple(i) for i in blob["then"]),
-                                 tuple(tuple(i) for i in blob["else"])))
-        elif kind == "filler":
-            blocks.append(Filler(tuple(tuple(i) for i in blob["instrs"])))
-        else:
-            raise ValueError(f"unknown block type {kind!r}")
+        cls = _BLOCK_TYPES.get(blob["type"])
+        if cls is None:
+            raise ValueError(f"unknown block type {blob['type']!r}")
+        values = {}
+        for f in fields(cls):
+            value = blob[_JSON_KEYS.get(f.name, f.name)]
+            values[f.name] = (tuple(tuple(i) for i in value)
+                              if isinstance(value, list) else value)
+        blocks.append(cls(**values))
     return FuzzPlan(data["seed"], data["profile"], tuple(blocks))
 
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.attack_model import AttackModel
+from repro.harness.parallel import SimTally
 from repro.harness.runner import simulate, simulate_pair
 from repro.isa.instructions import Program
 from repro.isa.interpreter import run_program
@@ -69,16 +70,20 @@ def architectural_dependence(a: Program, b: Program,
 def check_pair_direct(a: Program, b: Program, config: str,
                       model: AttackModel,
                       params: Optional[MachineParams] = None,
-                      max_instructions: int = FUZZ_BUDGET) -> list:
+                      max_instructions: int = FUZZ_BUDGET,
+                      tally: Optional[SimTally] = None) -> list:
     """Diverging channels between two renderings, simulated in-process.
 
     The minimiser's (and the tests') fast path — no pool, no cache.  The
     renderings run through :func:`~repro.harness.runner.simulate_pair`:
     when one paired run served both, no steering site saw the secrets
-    differ, and the two runs share every attacker-visible event.
+    differ, and the two runs share every attacker-visible event.  The
+    core runs it made are added to ``tally`` when one is given.
     """
     run = simulate_pair(a, b, config, model, max_instructions, params,
                         require_halt=True)
+    if tally is not None:
+        tally.add_pair(run.fallback)
     if run.fallback is None:
         return []
     sim_a, sim_b = run.results

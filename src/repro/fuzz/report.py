@@ -19,8 +19,6 @@ class FuzzReport:
 
     profile: str
     seeds_requested: int
-    seeds_run: int
-    seeds_resumed: int              # skipped: already in the corpus
     configs: list
     models: list
     cells_checked: int = 0
@@ -41,10 +39,9 @@ class FuzzReport:
     def sanity_ok(self) -> bool:
         """A campaign where UnsafeBaseline never leaks cannot be trusted.
 
-        Only meaningful when UnsafeBaseline was part of the sweep and at
-        least one seed actually ran.
+        Only meaningful when UnsafeBaseline was part of the sweep.
         """
-        if "UnsafeBaseline" not in self.configs or self.seeds_run == 0:
+        if "UnsafeBaseline" not in self.configs:
             return True
         return self.unsafe_divergences > 0
 
@@ -69,8 +66,7 @@ def render_report(report: FuzzReport) -> str:
     """The campaign's terminal summary."""
     lines = [
         f"fuzz campaign: profile={report.profile} "
-        f"seeds={report.seeds_run} run / {report.seeds_resumed} resumed "
-        f"(of {report.seeds_requested} requested), "
+        f"seeds={report.seeds_requested}, "
         f"{report.cells_checked} oracle cells, "
         f"{report.wall_seconds:.1f}s",
         render_simulations(report),

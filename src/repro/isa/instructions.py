@@ -204,26 +204,8 @@ class Program:
     def __iter__(self) -> Iterator[Instruction]:
         return iter(self.instructions)
 
-    def fetch(self, pc: int) -> Optional[Instruction]:
-        """Instruction at ``pc`` or None when the PC falls off the program.
-
-        Wrong-path fetch can run past the end of the program; the pipeline
-        treats a None fetch as an implicit halt bubble.
-        """
-        if 0 <= pc < len(self.instructions):
-            return self.instructions[pc]
-        return None
-
 
 def store_word(memory: dict[int, int], address: int, value: int, size: int = 8) -> None:
     """Write ``size`` little-endian bytes of ``value`` into a byte dict."""
     for offset in range(size):
         memory[address + offset] = (value >> (8 * offset)) & 0xFF
-
-
-def load_word(memory: Mapping[int, int], address: int, size: int = 8) -> int:
-    """Read ``size`` little-endian bytes from a byte dict or image."""
-    value = 0
-    for offset in range(size):
-        value |= memory.get(address + offset, 0) << (8 * offset)
-    return value

@@ -98,16 +98,30 @@ class AttackProgram:
         return self.leaked_line() in observer.lines_touched()
 
 
-def _slow_copy(b: ProgramBuilder, dst: str, src: str, mults: int = 30) -> None:
+def slow_copy(b: ProgramBuilder, dst: str, src: str, mults: int = 30) -> None:
     """dst = src via a long multiply chain (delays whatever consumes dst).
 
     This widens the speculation window exactly the way real attacks do by
-    evicting the bound/target from the cache.
+    evicting the bound/target from the cache.  Clobbers ``t3``.
     """
     b.mov(dst, src)
     b.li("t3", 1)
     for _ in range(mults):
         b.mul(dst, dst, "t3")
+
+
+def warm_words(b: ProgramBuilder, base: str, words: int, cursor: str,
+               counter: str) -> None:
+    """Load every cache line of the ``words``-long array at ``base``.
+
+    The attacker controls its index array and touches it freely (values
+    discarded into x0), so a bounds-bypass pass's index load is an L1 hit
+    and the delayed bounds check resolves well after the gadget runs.
+    """
+    b.mov(cursor, base)
+    with b.loop(count=(words * 8 + 63) // 64 + 1, counter=counter):
+        b.ld("zero", cursor, 0)
+        b.addi(cursor, cursor, 64)
 
 
 def _transmit(b: ProgramBuilder, value_reg: str, probe_reg: str = "s3",
@@ -117,6 +131,31 @@ def _transmit(b: ProgramBuilder, value_reg: str, probe_reg: str = "s3",
     b.add("a2", "a2", probe_reg)
     b.lb("a3", "a2", 0)
     b.add(sink_reg, sink_reg, "a3")
+
+
+def _bounds_bypass(b: ProgramBuilder, passes: int, widen: int,
+                   sink_reg: str, displace: int = 0) -> None:
+    """Warm the index array at ``s5``, then run a bounds-bypass pass per
+    index.
+
+    Each pass loads an index, checks it against the bound in ``s4``
+    (delayed by a ``widen``-long multiply chain), reads that byte of the
+    array at ``s2`` and transmits it, plus ``displace``, through the probe
+    array at ``s3`` into ``sink_reg``.
+    """
+    warm_words(b, "s5", passes, cursor="t0", counter="t1")
+    with b.loop(count=passes, counter="s7"):
+        b.ld("a0", "s5", 0)
+        b.addi("s5", "s5", 8)
+        slow_copy(b, "t2", "s4", widen)    # slow bound (widens the window)
+        skip = b.forward_label()
+        b.bge("a0", "t2", skip)      # the bounds check
+        b.add("t0", "s2", "a0")
+        b.lb("a1", "t0", 0)          # the (possibly out-of-bounds) access
+        if displace:
+            b.addi("a1", "a1", displace)
+        _transmit(b, "a1", sink_reg=sink_reg)
+        b.place(skip)
 
 
 def spectre_v1(secret: int = 0xA7, in_bounds: int = 16,
@@ -134,10 +173,8 @@ def spectre_v1(secret: int = 0xA7, in_bounds: int = 16,
     array = b.alloc_bytes("victim_array",
                           [v % 8 for v in range(in_bounds)] + [secret])
     probe = b.reserve("probe", 256 * PROBE_LINE_BYTES, align=PROBE_LINE_BYTES)
-    indices = []
-    for _ in range(trainings):
-        indices.extend(range(in_bounds))
-    indices.append(in_bounds)        # the out-of-bounds attack access
+    # The out-of-bounds attack access follows the training passes.
+    indices = [*range(in_bounds)] * trainings + [in_bounds]
     index_base = b.alloc_words("indices", indices)
 
     b.li("s2", array)
@@ -145,26 +182,7 @@ def spectre_v1(secret: int = 0xA7, in_bounds: int = 16,
     b.li("s4", in_bounds)            # the bound
     b.li("s5", index_base)
     b.li("s6", 0)                    # sink
-    # Warm the index array (the attacker controls it and touches it freely),
-    # so the attack iteration's index load is an L1 hit and the bounds check
-    # — delayed by the multiply chain — resolves well after the gadget runs.
-    b.mov("t0", "s5")
-    with b.loop(count=(len(indices) * 8 + 63) // 64 + 1, counter="t1"):
-        b.ld("zero", "t0", 0)
-        b.addi("t0", "t0", 64)
-    with b.loop(count=len(indices), counter="s7"):
-        b.ld("a0", "s5", 0)
-        b.addi("s5", "s5", 8)
-        _slow_copy(b, "t2", "s4", widen)   # slow bound (widens the window)
-        skip = b.forward_label()
-        b.bge("a0", "t2", skip)      # the bounds check
-        b.add("t0", "s2", "a0")
-        b.lb("a1", "t0", 0)          # the (possibly out-of-bounds) access
-        b.slli("a2", "a1", 6)        # select a probe line by the value
-        b.add("a2", "a2", "s3")
-        b.lb("a3", "a2", 0)          # the transmitter
-        b.add("s6", "s6", "a3")
-        b.place(skip)
+    _bounds_bypass(b, len(indices), widen, sink_reg="s6")
     b.halt()
     return AttackProgram(b.build(), probe, secret, array + in_bounds)
 
@@ -219,7 +237,7 @@ def nonspec_secret(secret: int = 0x5C, trainings: int = 4) -> AttackProgram:
         b.place(is_last)
         b.li("t1", "legit")
         b.place(pick_done)
-        _slow_copy(b, "t2", "t1")
+        slow_copy(b, "t2", "t1")
         b.jalr("ra", "t2", 0)         # the polymorphic call site
         b.addi("s5", "s5", 1)
     b.jal(0, done)
@@ -268,7 +286,7 @@ def spectre_btb(secret: int = 0x6D, widen: int = 64) -> AttackProgram:
     b.xori("s8", "s6", 0x3C)          # constant-time computation over it
     b.add("s8", "s8", "s8")
     b.li("t1", "legit")
-    _slow_copy(b, "t2", "t1", widen)  # delay the call's resolution
+    slow_copy(b, "t2", "t1", widen)   # delay the call's resolution
     b.label("callsite")
     b.jalr("ra", "t2", 0)             # the victim's only indirect call
     b.jal(0, done)
@@ -338,7 +356,7 @@ def spectre_rsb(secret: int = 0x3B, widen: int = 64) -> AttackProgram:
 
     b.place(f)
     b.li("ra", "skip")                # overwrite the return address...
-    _slow_copy(b, "ra", "ra", widen)  # ...and delay its availability
+    slow_copy(b, "ra", "ra", widen)   # ...and delay its availability
     b.jalr(0, "ra", 0)                # return: RAS says outer_ret (gadget)
 
     b.place(done)
@@ -370,7 +388,7 @@ def spectre_stl(secret: int = 0x51, widen: int = 24) -> AttackProgram:
     b.li("t0", slot)
     b.lb("zero", "t0", 0)             # warm the slot line (public address)
     b.li("t5", public)
-    _slow_copy(b, "t1", "t0", widen)  # the store address arrives late
+    slow_copy(b, "t1", "t0", widen)   # the store address arrives late
     b.sb("t5", "t1", 0)               # store public over the stale secret
     b.lb("a1", "t0", 0)               # the bypassing load (address ready now)
     _transmit(b, "a1")
@@ -408,10 +426,8 @@ def uninit_transient(seed: int = 0x5EED, in_bounds: int = 8,
     if leaked == 0:
         raise ValueError(f"seed {seed:#x} hashes to byte 0 at the heap "
                          f"address; pick another seed")
-    indices = []
-    for _ in range(trainings):
-        indices.extend(range(in_bounds))
-    indices.append(heap - array)      # the out-of-bounds attack access
+    # The out-of-bounds attack access follows the training passes.
+    indices = [*range(in_bounds)] * trainings + [heap - array]
     index_base = b.alloc_words("indices", indices)
 
     b.li("s2", array)
@@ -421,21 +437,9 @@ def uninit_transient(seed: int = 0x5EED, in_bounds: int = 8,
     b.li("s9", 0)
     b.li("t0", heap)                  # the freed allocation: touch its line
     b.lb("zero", "t0", 0)             # (value discarded; address is public)
-    b.mov("t0", "s5")                 # warm the index array
-    with b.loop(count=(len(indices) * 8 + 63) // 64 + 1, counter="t1"):
-        b.ld("zero", "t0", 0)
-        b.addi("t0", "t0", 64)
-    with b.loop(count=len(indices), counter="s7"):
-        b.ld("a0", "s5", 0)
-        b.addi("s5", "s5", 8)
-        _slow_copy(b, "t2", "s4", widen)   # slow bound (widens the window)
-        skip = b.forward_label()
-        b.bge("a0", "t2", skip)
-        b.add("t0", "s2", "a0")
-        b.lb("a1", "t0", 0)           # in training: 0; transient: uninit byte
-        b.addi("a1", "a1", 1)         # displace so line 0 values can't alias
-        _transmit(b, "a1")
-        b.place(skip)
+    # In training the access reads 0; transiently, the uninit byte.  The +1
+    # displacement keeps training values off the leaked line.
+    _bounds_bypass(b, len(indices), widen, sink_reg="s9", displace=1)
     b.halt()
     return AttackProgram(b.build(), probe, leaked + 1, heap,
                          overrides={"uninit_secret_seed": seed})

@@ -1,6 +1,8 @@
-"""Campaign driver, corpus persistence/resume, report, and the fuzz CLI."""
+"""Campaign driver, corpus persistence, warm re-runs, report, and the
+fuzz CLI."""
 
 import json
+import os
 
 import pytest
 
@@ -10,6 +12,7 @@ from repro.fuzz.campaign import CampaignConfig, run_campaign
 from repro.fuzz.cli import main as fuzz_main
 from repro.fuzz.corpus import Corpus
 from repro.fuzz.report import FuzzReport, render_report
+from repro.harness.configs import BOTH_MODELS, CONFIGURATIONS
 from repro.pipeline.relational import SITES
 
 # Two configurations and one model keep the campaign tests fast while still
@@ -23,7 +26,7 @@ def test_campaign_end_to_end(tmp_path):
     cfg = CampaignConfig(seeds=4, corpus_dir=str(tmp_path / "corpus"),
                          **FAST_SWEEP)
     report = run_campaign(cfg)
-    assert report.seeds_run == 4 and report.seeds_resumed == 0
+    assert report.seeds_requested == 4
     assert report.cells_checked == 4 * 2    # seeds x configs x 1 model
     assert not report.invalid_seeds
     assert not report.counterexamples
@@ -71,20 +74,44 @@ def test_counterexample_detail_runs_at_the_campaign_budget(monkeypatch):
                for record in report.counterexamples)
 
 
-def test_campaign_resumes_from_corpus(tmp_path):
+def _corpus_lines(corpus_dir) -> list:
+    with open(f"{corpus_dir}/corpus.jsonl") as handle:
+        return handle.readlines()
+
+
+def test_warm_rerun_reports_the_same_table_and_appends_nothing(tmp_path):
+    """The result cache is the only reuse: a same-code re-run judges every
+    seed again, simulates nothing, and records nothing new."""
     corpus_dir = str(tmp_path / "corpus")
-    first = run_campaign(CampaignConfig(seeds=3, corpus_dir=corpus_dir,
-                                        **FAST_SWEEP))
-    assert first.seeds_run == 3
-    # Same campaign again: everything resumes, nothing re-runs.
-    second = run_campaign(CampaignConfig(seeds=3, corpus_dir=corpus_dir,
-                                         **FAST_SWEEP))
-    assert second.seeds_run == 0 and second.seeds_resumed == 3
-    assert second.ok
-    # Extending the seed range only runs the new seeds.
-    third = run_campaign(CampaignConfig(seeds=4, corpus_dir=corpus_dir,
-                                        **FAST_SWEEP))
-    assert third.seeds_run == 1 and third.seeds_resumed == 3
+    cfg = CampaignConfig(seeds=3, corpus_dir=corpus_dir, use_cache=True,
+                         **FAST_SWEEP)
+    cold = run_campaign(cfg)
+    lines = _corpus_lines(corpus_dir)
+    warm = run_campaign(cfg)
+    assert cold.simulations and warm.simulations == 0
+    assert warm.cells_checked == cold.cells_checked == 3 * 2
+    cold_text, warm_text = render_report(cold), render_report(warm)
+    assert "simulations: 0 for 0 secret pairs" in warm_text
+    # Everything after the header and simulations lines is the same.
+    assert warm_text.splitlines()[2:] == cold_text.splitlines()[2:]
+    assert _corpus_lines(corpus_dir) == lines
+
+
+def test_wider_campaign_judges_every_cell_a_narrower_one_recorded(
+        tmp_path):
+    """A corpus written by a one-config, one-model campaign must not let a
+    campaign over every configuration and model skip its seeds."""
+    corpus_dir = str(tmp_path / "corpus")
+    narrow = run_campaign(CampaignConfig(
+        seeds=2, profile="quick", configs=["STT"],
+        models=[AttackModel.SPECTRE], jobs=1, corpus_dir=corpus_dir,
+        use_cache=True))
+    assert narrow.cells_checked == 2
+    wide = run_campaign(CampaignConfig(
+        seeds=2, profile="quick", jobs=1, corpus_dir=corpus_dir,
+        use_cache=True))
+    assert wide.cells_checked == 2 * len(CONFIGURATIONS) * len(BOTH_MODELS)
+    assert wide.unsafe_divergences and wide.ok
 
 
 def test_campaign_without_unsafe_baseline_skips_sanity_gate():
@@ -105,21 +132,26 @@ def test_corpus_skips_truncated_trailing_line(tmp_path):
         handle.write('{"type": "seed", "seed": 2, "prof')   # crash artifact
     reloaded = Corpus(directory)
     assert [r["seed"] for r in reloaded.records("seed")] == [1]
-    assert reloaded.tried_seeds("quick", "f") == {1}
-    assert reloaded.tried_seeds("quick", "other-fingerprint") == set()
+    # A record equal to one the corpus holds is not written again.
+    size = os.path.getsize(corpus.path)
+    reloaded.append({"type": "seed", "seed": 1, "profile": "quick",
+                     "fingerprint": "f", "cells": []})
+    assert [r["seed"] for r in reloaded.records("seed")] == [1]
+    assert os.path.getsize(corpus.path) == size
 
 
 def test_in_memory_corpus_has_no_path():
     corpus = Corpus(None)
     corpus.append({"type": "counterexample", "seed": 9})
     assert corpus.path is None
-    assert corpus.counterexamples() == [{"type": "counterexample", "seed": 9}]
+    assert corpus.records("counterexample") == [
+        {"type": "counterexample", "seed": 9}]
 
 
 def test_report_sanity_failure_is_visible():
-    report = FuzzReport(profile="quick", seeds_requested=2, seeds_run=2,
-                        seeds_resumed=0, configs=["UnsafeBaseline"],
-                        models=["spectre"], cells_checked=2)
+    report = FuzzReport(profile="quick", seeds_requested=2,
+                        configs=["UnsafeBaseline"], models=["spectre"],
+                        cells_checked=2)
     assert not report.sanity_ok and not report.ok
     assert "SANITY" in render_report(report)
 

@@ -9,7 +9,8 @@ import sys
 import pytest
 
 import repro
-from repro.fuzz.generator import (PROFILES, SECRET_BYTES, generate_plan,
+from repro.fuzz.generator import (PROFILES, SECRET_BYTES, Branch, Filler,
+                                  FuzzPlan, Gadget, Loop, generate_plan,
                                   plan_from_json, plan_to_json, render,
                                   secret_pair, secret_region, workload_name)
 from repro.fuzz.oracle import architectural_dependence
@@ -89,6 +90,36 @@ def test_plan_json_round_trip():
     secret = secret_pair(5)[0]
     assert (_program_digest(render(rebuilt, secret))
             == _program_digest(render(plan, secret)))
+
+
+def test_plan_json_format_is_pinned():
+    """The on-disk plan format: corpora store it and ``verify plan-file``
+    reads it, so its keys, their order and the branch arms' "then"/"else"
+    names must not drift."""
+    alu = ("ALU", "ADD", "s4", "s5", "a6")
+    mem = ("MEM", "LD", "s10", "s11", 8)
+    plan = FuzzPlan(3, "quick", (
+        Filler((alu,)),
+        Loop(2, (mem,)),
+        Branch("BLT", "a6", "a7", (alu,), (mem, alu)),
+        Gadget("speculative", "line", 2, 8, 4, 17, 6)))
+    expected = (
+        '{"seed": 3, "profile": "quick", "blocks": ['
+        '{"type": "filler", "instrs": [["ALU", "ADD", "s4", "s5", "a6"]]}, '
+        '{"type": "loop", "count": 2, '
+        '"instrs": [["MEM", "LD", "s10", "s11", 8]]}, '
+        '{"type": "branch", "op": "BLT", "rs1": "a6", "rs2": "a7", '
+        '"then": [["ALU", "ADD", "s4", "s5", "a6"]], '
+        '"else": [["MEM", "LD", "s10", "s11", 8], '
+        '["ALU", "ADD", "s4", "s5", "a6"]]}, '
+        '{"type": "gadget", "exposure": "speculative", "transmit": "line", '
+        '"trainings": 2, "widen": 8, "in_bounds": 4, "secret_index": 17, '
+        '"shift": 6}]}')
+    assert json.dumps(plan_to_json(plan)) == expected
+    assert plan_from_json(json.loads(expected)) == plan
+    with pytest.raises(ValueError, match="unknown block type"):
+        plan_from_json({"seed": 3, "profile": "quick",
+                        "blocks": [{"type": "nope"}]})
 
 
 def test_registry_resolves_fuzz_workloads():

@@ -69,8 +69,8 @@ def test_data_directives():
     """)
     assert program.data_symbols["buf"] == 0x1000
     assert program.instructions[0].imm == 0x1000
-    from repro.isa.instructions import load_word
-    assert load_word(program.initial_memory, 0x1000) == 0xDEADBEEF
+    assert program.initial_memory.read(0x1000, 8) == \
+        (0xDEADBEEF).to_bytes(8, "little")
     assert program.initial_memory[0x1010] == 255
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.isa.builder import ProgramBuilder
-from repro.isa.instructions import IsaError, load_word
+from repro.isa.instructions import IsaError
 from repro.isa.interpreter import run_program
 
 
@@ -13,8 +13,8 @@ def test_alloc_words_initialises_memory():
     b.halt()
     program = b.build()
     assert address == 0x2000
-    assert load_word(program.initial_memory, 0x2000) == 1
-    assert load_word(program.initial_memory, 0x2010) == 3
+    assert program.initial_memory.read(0x2000, 8) == (1).to_bytes(8, "little")
+    assert program.initial_memory.read(0x2010, 8) == (3).to_bytes(8, "little")
     assert program.data_symbols["data"] == 0x2000
 
 

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.isa.instructions import (Instruction, IsaError, Program, load_word,
-                                    store_word)
+from repro.isa.instructions import (Instruction, IsaError, MemoryImage,
+                                    Program, store_word)
 
 
 def test_instruction_validates_opcode_and_registers():
@@ -49,20 +49,13 @@ def test_program_validates_memory_image():
         Program(inst, initial_memory={1 << 64: 0})
 
 
-def test_program_fetch_bounds():
-    program = Program([Instruction("NOP"), Instruction("HALT")])
-    assert program.fetch(0).op == "NOP"
-    assert program.fetch(1).op == "HALT"
-    assert program.fetch(2) is None
-    assert program.fetch(-1) is None
-
-
 def test_store_load_word_helpers():
     memory: dict = {}
     store_word(memory, 0x10, 0x0102030405060708, 8)
     assert memory[0x10] == 0x08 and memory[0x17] == 0x01
-    assert load_word(memory, 0x10, 8) == 0x0102030405060708
-    assert load_word(memory, 0x10, 2) == 0x0708
+    image = MemoryImage.from_dict(memory)
+    assert image.read(0x10, 8) == (0x0102030405060708).to_bytes(8, "little")
+    assert image.read(0x10, 2) == (0x0708).to_bytes(2, "little")
 
 
 def test_program_iteration_and_len():
