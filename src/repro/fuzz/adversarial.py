@@ -49,8 +49,8 @@ from repro.fuzz.generator import (PROFILES, SECRET_BYTES, FuzzPlan,
                                   FuzzProfile, Gadget, _gen_gadget,
                                   generate_plan, render, secret_pair,
                                   with_blocks)
-from repro.fuzz.oracle import (FUZZ_BUDGET, architectural_dependence,
-                               check_pair_direct)
+from repro.fuzz.oracle import (FUZZ_BUDGET, PAIR_MAX_SIMULATIONS,
+                               architectural_dependence, check_pair_direct)
 from repro.harness.parallel import SimTally
 from repro.harness.runner import simulate
 from repro.security.attacks import expected_to_leak
@@ -174,11 +174,6 @@ class SearchOutcome:
                 and not expected_to_leak(self.plan.exposure, self.config))
 
 
-# Core runs of an oracle verdict at worst: a paired run the secrets
-# steered apart, then both separate runs.
-_VERDICT_MAX_SIMS = 3
-
-
 @dataclass
 class _Budget(SimTally):
     """The core runs a search made, under its ceiling ``limit``."""
@@ -204,7 +199,6 @@ def _leak_channels(plan: FuzzPlan, config: str, model: AttackModel,
                                        max_instructions=max_instructions,
                                        tally=budget))
     except RuntimeError:
-        budget.simulations += _VERDICT_MAX_SIMS
         return None
 
 
@@ -270,7 +264,7 @@ def hill_climb(profile: str = "hard", config: str = "UnsafeBaseline",
             stale += 1
             continue
         # Promising: pay for the oracle verdict before climbing onto it.
-        if not budget_.room(_VERDICT_MAX_SIMS):
+        if not budget_.room(PAIR_MAX_SIMULATIONS):
             return done(False, None, ())
         channels = _leak_channels(candidate, config, model, max_instructions,
                                   budget_)
@@ -294,7 +288,7 @@ def uniform_search(profile: str = "hard", config: str = "UnsafeBaseline",
     """
     budget_ = _Budget(limit=budget)
     seed = seed_start
-    while budget_.room(_VERDICT_MAX_SIMS):
+    while budget_.room(PAIR_MAX_SIMULATIONS):
         budget_.evals += 1
         plan = generate_plan(seed, profile)
         seed += 1

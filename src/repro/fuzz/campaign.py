@@ -120,9 +120,6 @@ def run_campaign(cfg: CampaignConfig) -> FuzzReport:
     tally = SimTally()
     results = run_many(specs, jobs=cfg.jobs, use_cache=cfg.use_cache,
                        tally=tally)
-    report.simulations = tally.simulations
-    report.paired_runs = tally.paired
-    report.fallbacks = dict(tally.fallbacks)
 
     outcomes: dict = {}     # seed -> list of verdict dicts
     for pair_index, (item, config, model) in enumerate(cells):
@@ -145,9 +142,12 @@ def run_campaign(cfg: CampaignConfig) -> FuzzReport:
             "config": config, "model": model.value,
             "channels": list(channels), "expected": verdict.expected})
         if verdict.counterexample:
-            record = _counterexample_record(item, verdict, cfg)
+            record = _counterexample_record(item, verdict, cfg, tally)
             report.counterexamples.append(record)
             corpus.append(record)
+    report.simulations = tally.simulations
+    report.paired_runs = tally.paired
+    report.fallbacks = dict(tally.fallbacks)
 
     for item in runnable:
         corpus.append({
@@ -164,8 +164,10 @@ def run_campaign(cfg: CampaignConfig) -> FuzzReport:
     return report
 
 
-def _counterexample_record(item: _SeedWork, verdict, cfg) -> dict:
-    """Confirm, explain, and (optionally) minimise one counterexample."""
+def _counterexample_record(item: _SeedWork, verdict, cfg,
+                           tally: SimTally) -> dict:
+    """Explain and (optionally) minimise one counterexample; its core
+    runs, which the result cache does not hold, are added to ``tally``."""
     program_a = render(item.plan, item.secrets[0])
     record = {
         "type": "counterexample", "seed": item.seed,
@@ -178,12 +180,13 @@ def _counterexample_record(item: _SeedWork, verdict, cfg) -> dict:
         "detail": divergence_detail(
             program_a, render(item.plan, item.secrets[1]),
             verdict.config, verdict.model,
-            max_instructions=cfg.max_instructions),
+            max_instructions=cfg.max_instructions, tally=tally),
     }
     if cfg.minimize:
         minimized = minimize_plan(item.plan, item.secrets, verdict.config,
                                   verdict.model,
-                                  max_instructions=cfg.max_instructions)
+                                  max_instructions=cfg.max_instructions,
+                                  tally=tally)
         record["minimized_plan"] = plan_to_json(minimized.plan)
         record["minimized_instructions"] = minimized.instructions_after
         record["minimize_checks"] = minimized.checks

@@ -16,7 +16,8 @@ record equal to one the corpus already holds is not written again, so
 re-running a campaign under the same code leaves the file as it was.
 
 JSONL keeps the corpus mergeable and greppable; a crashed campaign leaves
-at worst one truncated trailing line, which the loader skips.
+at worst one truncated trailing line, which the loader skips and the next
+append ends before writing its own.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ class Corpus:
     def __init__(self, directory: Optional[str]):
         self.directory = directory
         self._records: list = []
+        self._unterminated = False     # the file ends without a newline
         if directory is not None:
             os.makedirs(directory, exist_ok=True)
             self._records = self._read()
@@ -48,6 +50,7 @@ class Corpus:
         try:
             with open(self.path) as handle:
                 for line in handle:
+                    self._unterminated = not line.endswith("\n")
                     line = line.strip()
                     if not line:
                         continue
@@ -69,6 +72,9 @@ class Corpus:
         if self.path is None:
             return
         with open(self.path, "a") as handle:
+            if self._unterminated:
+                handle.write("\n")
+                self._unterminated = False
             handle.write(line + "\n")
 
     # -------------------------------------------------------------- queries

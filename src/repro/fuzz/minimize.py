@@ -28,6 +28,7 @@ from repro.core.attack_model import AttackModel
 from repro.fuzz.generator import (Branch, Filler, FuzzPlan, Gadget, Loop,
                                   render, with_blocks)
 from repro.fuzz.oracle import FUZZ_BUDGET, check_pair_direct
+from repro.harness.parallel import SimTally
 from repro.pipeline.params import MachineParams
 
 # Lowering ladders for gadget parameters (tried left to right).
@@ -61,12 +62,15 @@ def minimize_plan(plan: FuzzPlan, secrets: tuple, config: str,
                   model: AttackModel,
                   params: Optional[MachineParams] = None,
                   max_checks: int = 300,
-                  max_instructions: int = FUZZ_BUDGET) -> MinimizeResult:
+                  max_instructions: int = FUZZ_BUDGET,
+                  tally: Optional[SimTally] = None) -> MinimizeResult:
     """Shrink ``plan`` while its (config, model) divergence persists.
 
     ``secrets`` is the pair of secret values that exhibited the leak.
     Raises ``ValueError`` if the input plan does not diverge at all (the
-    caller should only minimise confirmed counterexamples/leaks).
+    caller should only minimise confirmed counterexamples/leaks).  The
+    core runs of every oracle check are added to ``tally`` when one is
+    given.
     """
     budget = _Budget(max_checks)
 
@@ -75,7 +79,7 @@ def minimize_plan(plan: FuzzPlan, secrets: tuple, config: str,
         try:
             channels = check_pair_direct(
                 render(candidate, secrets[0]), render(candidate, secrets[1]),
-                config, model, params, max_instructions)
+                config, model, params, max_instructions, tally)
         except RuntimeError:
             return False        # a candidate that no longer halts is bad
         return bool(channels)

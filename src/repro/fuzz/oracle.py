@@ -34,6 +34,10 @@ from repro.security.observer import (channel_digests, differing_channels,
 # a run that hits this without halting is itself a finding.
 FUZZ_BUDGET = 200_000
 
+# Core runs of one pair verdict at worst: a paired run the secrets steered
+# apart, then both separate runs.
+PAIR_MAX_SIMULATIONS = 3
+
 
 @dataclass(frozen=True)
 class CellVerdict:
@@ -78,10 +82,16 @@ def check_pair_direct(a: Program, b: Program, config: str,
     renderings run through :func:`~repro.harness.runner.simulate_pair`:
     when one paired run served both, no steering site saw the secrets
     differ, and the two runs share every attacker-visible event.  The
-    core runs it made are added to ``tally`` when one is given.
+    core runs it made are added to ``tally`` when one is given; a pair
+    that raises is charged :data:`PAIR_MAX_SIMULATIONS`.
     """
-    run = simulate_pair(a, b, config, model, max_instructions, params,
-                        require_halt=True)
+    try:
+        run = simulate_pair(a, b, config, model, max_instructions, params,
+                            require_halt=True)
+    except RuntimeError:
+        if tally is not None:
+            tally.simulations += PAIR_MAX_SIMULATIONS
+        raise
     if tally is not None:
         tally.add_pair(run.fallback)
     if run.fallback is None:
@@ -93,10 +103,14 @@ def check_pair_direct(a: Program, b: Program, config: str,
 
 def divergence_detail(a: Program, b: Program, config: str,
                       model: AttackModel, limit: int = 5,
-                      max_instructions: int = FUZZ_BUDGET) -> str:
-    """Human-readable first differing events (counterexample reports)."""
+                      max_instructions: int = FUZZ_BUDGET,
+                      tally: Optional[SimTally] = None) -> str:
+    """Human-readable first differing events (counterexample reports),
+    from two separate runs, added to ``tally`` when one is given."""
     sim_a = simulate(a, config, model, max_instructions, require_halt=True)
     sim_b = simulate(b, config, model, max_instructions, require_halt=True)
+    if tally is not None:
+        tally.simulations += 2
     diffs = differing_events(sim_a.observer, sim_b.observer, limit=limit)
     if not diffs and sim_a.cycles != sim_b.cycles:
         return f"event streams equal; total cycles {sim_a.cycles} != {sim_b.cycles}"

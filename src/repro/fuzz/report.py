@@ -28,9 +28,10 @@ class FuzzReport:
     invalid_seeds: list = field(default_factory=list)   # generator breakage
     counterexamples: list = field(default_factory=list)  # corpus records
     wall_seconds: float = 0.0
-    # Core runs the campaign made (cache hits make none), the secret pairs
-    # one paired run served, and the pairs that ran separately, by the
-    # steering site (or other reason) that split them.
+    # Core runs the campaign made (cache hits make none; a counterexample's
+    # detail and minimiser runs count too), the secret pairs one paired
+    # run served, and the pairs that ran separately, by the steering site
+    # (or other reason) that split them.
     simulations: int = 0
     paired_runs: int = 0
     fallbacks: dict = field(default_factory=dict)

@@ -148,13 +148,24 @@ def result_from_blob(blob: dict) -> Optional[RunResult]:
 
 
 def load(key: str) -> Optional[RunResult]:
-    """Return the cached result for ``key``, or None on a miss."""
+    """Return the cached result for ``key``, or None on a miss.
+
+    A hit refreshes the entry's mtime, which :func:`gc` evicts by; best
+    effort, so a read-only cache directory still serves hits.
+    """
+    path = _path_for(key)
     try:
-        with open(_path_for(key)) as handle:
+        with open(path) as handle:
             blob = json.load(handle)
     except (OSError, ValueError):
         return None
-    return result_from_blob(blob)
+    result = result_from_blob(blob)
+    if result is not None:
+        try:
+            os.utime(path)
+        except OSError:
+            pass
+    return result
 
 
 def store(key: str, result: RunResult) -> None:
@@ -234,7 +245,8 @@ def gc(max_bytes: Optional[int] = None, tmp_max_age: float = 3600.0,
     writers (``store`` writes to a tempfile and renames); any older than
     ``tmp_max_age`` seconds is garbage by construction.  When the entry
     set exceeds ``max_bytes``, oldest-``mtime`` entries are deleted until
-    it fits — mtime-LRU, since ``load`` never touches entries.
+    it fits — mtime-LRU, since ``store`` sets an entry's mtime and a
+    ``load`` hit refreshes it.
     ``repro cache gc`` is the command-line entry point.
     """
     if now is None:

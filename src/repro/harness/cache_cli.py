@@ -47,8 +47,8 @@ def _build_parser() -> argparse.ArgumentParser:
     gc = sub.add_parser(
         "gc", help="sweep stale tmp files and evict mtime-LRU entries")
     gc.add_argument("--max-bytes", type=parse_bytes, default=None,
-                    help="evict oldest entries until the cache fits "
-                         "(accepts K/M/G suffixes)")
+                    help="evict least recently used entries until the "
+                         "cache fits (accepts K/M/G suffixes)")
     gc.add_argument("--tmp-age", type=float, default=3600.0,
                     help="age in seconds beyond which *.tmp files left by "
                          "killed writers are removed (default 3600)")

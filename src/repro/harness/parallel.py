@@ -3,6 +3,9 @@
 :func:`fan_out` maps a picklable function over cells, in order, serially
 or across a ``ProcessPoolExecutor`` (imported only when a pool is first
 built), and fails with a :class:`RunFailure` naming the failing cell.
+A cell ends when its simulation does: at its instruction budget, at
+``MachineParams.max_cycles`` or at the core's no-retirement detector,
+the last two raising an error the failure carries.
 :func:`run_many` is the substrate of every paper artefact (Figures 7/8/9,
 the CLI sweeps, ``repro check``, fuzz campaigns): it deduplicates a list
 of :class:`RunSpec` values, satisfies what it can from the persistent
@@ -22,7 +25,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import os
-import threading
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
@@ -112,27 +114,6 @@ def default_jobs() -> int:
     return _env_int("REPRO_JOBS", os.cpu_count() or 1)
 
 
-def default_timeout() -> Optional[float]:
-    """Per-cell timeout in seconds (``REPRO_RUN_TIMEOUT``; unset = none).
-
-    The bound applies to one fan-out cell.  A :class:`TwinSpecs` pair is
-    one cell: its paired run, plus both separate runs when it falls back
-    (up to about three victim runs), share one bound.
-    """
-    raw = os.environ.get("REPRO_RUN_TIMEOUT")
-    if raw is None:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_RUN_TIMEOUT must be a number of seconds, got {raw!r}")
-    if value <= 0:
-        raise ValueError(
-            f"REPRO_RUN_TIMEOUT must be positive, got {value}")
-    return value
-
-
 def _execute_cell(cell):
     """Worker entry point (module-level so it pickles): a RunSpec's
     ``RunResult``, or a TwinSpecs' ``(RunResult, RunResult, fallback)``."""
@@ -146,44 +127,9 @@ def _execute_cell(cell):
                    params=cell.params, collect_trace=cell.collect_trace)
 
 
-def _run_one_bounded(fn: Callable, cell, timeout: float):
-    """Run ``fn(cell)`` in a daemon thread with a wall-clock bound.
-
-    The serial path has no worker process to abandon, so the bound is
-    best-effort: on timeout the simulation thread keeps running in the
-    background (daemonised, so it cannot block interpreter exit) but the
-    sweep fails promptly with :class:`RunFailure` instead of stalling for
-    as long as the hang lasts.
-    """
-    box: dict = {}
-
-    def target() -> None:
-        try:
-            box["result"] = fn(cell)
-        except BaseException as exc:     # noqa: BLE001 — reraised below
-            box["error"] = exc
-
-    thread = threading.Thread(target=target, daemon=True,
-                              name="repro-serial-run")
-    thread.start()
-    thread.join(timeout)
-    if thread.is_alive():
-        raise RunFailure(cell, f"exceeded the {timeout}s run timeout "
-                               f"(serial path: run abandoned in a "
-                               f"daemon thread)")
-    if "error" in box:
-        exc = box["error"]
-        raise RunFailure(cell, f"{type(exc).__name__}: {exc}") from exc
-    return box["result"]
-
-
-def _run_serial(fn: Callable, cells: Sequence,
-                timeout: Optional[float] = None) -> list:
+def _run_serial(fn: Callable, cells: Sequence) -> list:
     results = []
     for cell in cells:
-        if timeout is not None:
-            results.append(_run_one_bounded(fn, cell, timeout))
-            continue
         try:
             results.append(fn(cell))
         except Exception as exc:
@@ -191,16 +137,8 @@ def _run_serial(fn: Callable, cells: Sequence,
     return results
 
 
-def _run_pool(fn: Callable, cells: Sequence, jobs: int,
-              timeout: Optional[float]) -> Optional[list]:
-    """Fan ``cells`` across a process pool; None if the pool cannot start.
-
-    The per-run ``timeout`` is enforced as a bound on each future's result,
-    collected in submission order: while earlier runs are being awaited the
-    later ones execute concurrently, so a run that exceeds its bound is
-    caught within ``timeout`` seconds of becoming the collection head
-    (approximate when more runs are queued than workers, exact otherwise).
-    """
+def _run_pool(fn: Callable, cells: Sequence, jobs: int) -> Optional[list]:
+    """Fan ``cells`` across a process pool; None if the pool cannot start."""
     try:
         pool = concurrent.futures.ProcessPoolExecutor(max_workers=jobs)
     except (OSError, ValueError, NotImplementedError, ImportError):
@@ -213,47 +151,37 @@ def _run_pool(fn: Callable, cells: Sequence, jobs: int,
             return None        # pool died before accepting work
         for cell, future in zip(cells, futures):
             try:
-                results.append(future.result(timeout=timeout))
+                results.append(future.result())
             except concurrent.futures.process.BrokenProcessPool:
                 return None    # workers died (OOM, signal): retry serially
-            except concurrent.futures.TimeoutError:
-                raise RunFailure(cell,
-                                 f"exceeded the {timeout}s run timeout")
             except Exception as exc:
                 raise RunFailure(
                     cell, f"{type(exc).__name__}: {exc}") from exc
     finally:
         # On success every future is done, so a waiting shutdown is free.
-        # On any other exit a worker may be wedged mid-simulation (that is
-        # how a timeout gets here); joining it — the executor's default
-        # exit behaviour — would stall the sweep for as long as the hang
-        # lasts, defeating the deadline.  Drop the queue and abandon the
-        # pool without waiting instead.
+        # After a failing cell the sweep's outcome is decided: cancel the
+        # cells not yet started and return without waiting for the ones
+        # the workers hold.
         done = len(results) == len(cells)
         pool.shutdown(wait=done, cancel_futures=not done)
     return results
 
 
-def fan_out(fn: Callable, cells: Sequence, jobs: int,
-            timeout: Optional[float] = None) -> list:
+def fan_out(fn: Callable, cells: Sequence, jobs: int) -> list:
     """``[fn(cell) for cell in cells]``: across ``jobs`` worker processes
     when there is more than one of each (``fn`` and the cells must
-    pickle), else serially in-process.  ``timeout`` bounds each cell in
-    seconds (``None`` reads ``REPRO_RUN_TIMEOUT``)."""
+    pickle), else serially in-process."""
     cells = list(cells)
-    if timeout is None:
-        timeout = default_timeout()
     results = None
     if jobs > 1 and len(cells) > 1:
-        results = _run_pool(fn, cells, jobs, timeout)
+        results = _run_pool(fn, cells, jobs)
     if results is None:
-        results = _run_serial(fn, cells, timeout)
+        results = _run_serial(fn, cells)
     return results
 
 
 def run_many(specs: Sequence[RunSpec],
              jobs: Optional[int] = None,
-             timeout: Optional[float] = None,
              use_cache: Optional[bool] = None,
              tally: Optional[SimTally] = None) -> list:
     """Run every spec and return ``RunResult``s in spec order.
@@ -298,8 +226,7 @@ def run_many(specs: Sequence[RunSpec],
                 continue
         cells.append(((key,), spec))
     if cells:
-        computed = fan_out(_execute_cell, [cell for _, cell in cells], jobs,
-                           timeout)
+        computed = fan_out(_execute_cell, [cell for _, cell in cells], jobs)
         for (cell_keys, cell), out in zip(cells, computed):
             if isinstance(cell, TwinSpecs):
                 *results, fallback = out

@@ -43,8 +43,3 @@ def _fmt(cell: object) -> str:
     if isinstance(cell, float):
         return f"{cell:.2f}"
     return str(cell)
-
-
-def format_bar(fraction: float, width: int = 30) -> str:
-    filled = int(round(max(0.0, min(1.0, fraction)) * width))
-    return "#" * filled + "." * (width - filled)

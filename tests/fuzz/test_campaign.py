@@ -74,6 +74,25 @@ def test_counterexample_detail_runs_at_the_campaign_budget(monkeypatch):
                for record in report.counterexamples)
 
 
+@pytest.mark.parametrize("minimize", [False, True])
+def test_counterexample_runs_count_as_simulations(monkeypatch, run_modes,
+                                                  minimize):
+    """The report's simulations are every core run the campaign made: a
+    counterexample's detail runs and minimiser checks, which the result
+    cache does not hold, included, cold and warm."""
+    monkeypatch.setattr(campaign, "expected_to_leak",
+                        lambda exposure, config: False)
+    cfg = CampaignConfig(seeds=3, profile="quick",
+                         configs=["UnsafeBaseline"],
+                         models=[AttackModel.SPECTRE], jobs=1,
+                         use_cache=True, minimize=minimize)
+    for _ in ("cold", "warm"):
+        run_modes.clear()
+        report = run_campaign(cfg)
+        assert report.counterexamples
+        assert report.simulations == len(run_modes)
+
+
 def _corpus_lines(corpus_dir) -> list:
     with open(f"{corpus_dir}/corpus.jsonl") as handle:
         return handle.readlines()
@@ -138,6 +157,12 @@ def test_corpus_skips_truncated_trailing_line(tmp_path):
                      "fingerprint": "f", "cells": []})
     assert [r["seed"] for r in reloaded.records("seed")] == [1]
     assert os.path.getsize(corpus.path) == size
+    # A new record starts a line of its own, not the end of the partial one.
+    reloaded.append({"type": "seed", "seed": 3, "profile": "quick",
+                     "fingerprint": "f", "cells": []})
+    reloaded.append({"type": "seed", "seed": 4, "profile": "quick",
+                     "fingerprint": "f", "cells": []})
+    assert [r["seed"] for r in Corpus(directory).records("seed")] == [1, 3, 4]
 
 
 def test_in_memory_corpus_has_no_path():

@@ -227,6 +227,30 @@ def test_gc_evicts_oldest_entries_until_under_budget():
     assert swept["remaining_bytes"] == 200
 
 
+def test_hit_refreshes_entry_so_gc_evicts_least_recently_used():
+    """An entry a sweep keeps hitting outlives one written after it."""
+    first = RunSpec("mcf", "UnsafeBaseline", max_instructions=BUDGET)
+    second = RunSpec("xz", "UnsafeBaseline", max_instructions=BUDGET)
+    run_many([first, second], jobs=1, use_cache=True)
+    paths = [os.path.join(cache.cache_dir(), f"{spec.key()}.json")
+             for spec in (first, second)]
+    for mtime, path in zip((1000.0, 2000.0), paths):
+        os.utime(path, (mtime, mtime))
+    run_many([first], jobs=1, use_cache=True)       # a hit
+    cache.gc(max_bytes=max(os.path.getsize(path) for path in paths))
+    assert [os.path.exists(path) for path in paths] == [True, False]
+
+
+def test_hit_in_read_only_cache_is_served(monkeypatch):
+    run_many([SPEC], jobs=1, use_cache=True)
+
+    def refuse(*_args, **_kwargs):
+        raise PermissionError("read-only file system")
+
+    monkeypatch.setattr(os, "utime", refuse)
+    assert cache.load(SPEC.key()) is not None
+
+
 def test_gc_on_missing_dir_is_a_noop(monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", "/nonexistent/cache/dir")
     swept = cache.gc(max_bytes=0)

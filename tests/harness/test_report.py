@@ -2,7 +2,7 @@
 
 import math
 
-from repro.harness.report import format_bar, format_table, geomean, mean
+from repro.harness.report import format_table, geomean, mean
 
 
 def test_geomean_basic():
@@ -30,10 +30,3 @@ def test_format_table_alignment():
     # All data lines have the same width.
     widths = {len(line) for line in lines[2:]}
     assert len(widths) <= 2
-
-
-def test_format_bar():
-    assert format_bar(0.0, width=10) == "." * 10
-    assert format_bar(1.0, width=10) == "#" * 10
-    assert format_bar(0.5, width=10).count("#") == 5
-    assert format_bar(2.0, width=4) == "####"     # clamps
