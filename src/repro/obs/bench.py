@@ -20,6 +20,12 @@ performance regression in one schema-versioned JSON file:
 ``compare`` diffs two snapshots under configurable tolerances and returns
 non-zero on regression; the CI ``perf-regression`` job gates on it against
 ``benchmarks/baselines/BENCH_baseline.json``.
+
+A snapshot may also carry an ``end_to_end`` section: the medians of the
+repo benchmark's end-to-end metrics (``perfbench/run.py --trace 0``, one
+stdout log per run, read by ``record --perfbench``), with the vCPU count
+and Python version of the host.  ``show`` renders it and ``compare``
+prints its deltas; host wall times do not gate.
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ from __future__ import annotations
 import datetime
 import json
 import os
+import platform
+import statistics
 import time
 from typing import Optional
 
@@ -161,6 +169,87 @@ def record_snapshot(budget: Optional[int] = None,
     }
 
 
+def read_perfbench_log(path: str) -> dict:
+    """One ``perfbench/run.py`` run from its standard output: the workload
+    and seed from the first line, the result object from the last.
+
+    Raises ``ValueError`` for a log that is not an untraced run's output
+    (a traced run's metrics are per layer, not end to end).
+    """
+    with open(path) as handle:
+        lines = [line for line in handle.read().splitlines() if line.strip()]
+    if not lines:
+        raise ValueError(f"{path}: empty perfbench log")
+    header = dict(field.split("=", 1) for field in lines[0].split()
+                  if "=" in field)
+    if "workload" not in header:
+        raise ValueError(f"{path}: the first line names no workload: "
+                         f"{lines[0]!r}")
+    if header.get("trace", "0") != "0":
+        raise ValueError(f"{path}: a traced run (trace={header['trace']}) "
+                         f"has no end-to-end metrics")
+    try:
+        result = json.loads(lines[-1])
+    except json.JSONDecodeError:
+        result = None
+    if not isinstance(result, dict) or \
+            not isinstance(result.get("metrics"), dict):
+        raise ValueError(f"{path}: the last line is not a perfbench result "
+                         f"object: {lines[-1][:80]!r}")
+    return {"workload": header["workload"],
+            "seed": int(header.get("seed", 0)), "result": result}
+
+
+def end_to_end_section(paths: list) -> dict:
+    """The ``end_to_end`` snapshot section from perfbench logs: per
+    workload, each metric's median over its runs, the runs' seeds and op
+    counts, and the host this runs on (record on the host that ran them).
+    """
+    runs: dict = {}
+    for path in paths:
+        run = read_perfbench_log(path)
+        runs.setdefault(run["workload"], []).append(run)
+    workloads = {}
+    for workload, group in sorted(runs.items()):
+        results = [run["result"] for run in group]
+        names = results[0]["metrics"]
+        if any(set(result["metrics"]) != set(names) for result in results):
+            raise ValueError(f"{workload}: the logs report different "
+                             f"metrics")
+        workloads[workload] = {
+            "runs": len(group),
+            "seeds": sorted({run["seed"] for run in group}),
+            "attempted": sum(result["attempted"] for result in results),
+            "failed": sum(result["failed"] for result in results),
+            "metrics": {name: {"value": statistics.median(
+                                   result["metrics"][name]["value"]
+                                   for result in results),
+                               "unit": names[name]["unit"]}
+                        for name in names},
+        }
+    return {"host": {"vcpus": os.cpu_count(),
+                     "python": platform.python_version()},
+            "workloads": workloads}
+
+
+def end_to_end_deltas(baseline: dict, current: dict) -> list:
+    """One line per end-to-end median both snapshots hold: old, new and
+    the relative change.  Reported, never gated: these are host times."""
+    old = baseline.get("end_to_end", {}).get("workloads", {})
+    new = current.get("end_to_end", {}).get("workloads", {})
+    lines = []
+    for workload in sorted(set(old) & set(new)):
+        for name, now in new[workload]["metrics"].items():
+            was = old[workload]["metrics"].get(name)
+            if was is None:
+                continue
+            change = (f"{now['value'] / was['value'] - 1:+.1%}"
+                      if was["value"] else "n/a")
+            lines.append(f"{workload} {name}: {was['value']:.4g} -> "
+                         f"{now['value']:.4g} {now['unit']} ({change})")
+    return lines
+
+
 def write_snapshot(snapshot: dict, path: str) -> str:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -267,4 +356,17 @@ def render_snapshot(snapshot: dict) -> str:
                                   key=lambda item: -item[1]):
         if fraction > 0:
             lines.append(f"    {cause:28s} {fraction:7.2%}")
+    section = snapshot.get("end_to_end")
+    if section:
+        host = section["host"]
+        lines.append(f"  end to end (perfbench medians, {host['vcpus']} "
+                     f"vCPUs, Python {host['python']}):")
+        for workload, entry in sorted(section["workloads"].items()):
+            values = ", ".join(f"{name} {metric['value']:.4g} "
+                               f"{metric['unit']}"
+                               for name, metric in entry["metrics"].items())
+            seeds = ",".join(str(seed) for seed in entry["seeds"])
+            lines.append(f"    {workload:18s} {values} ({entry['runs']} "
+                         f"runs, seeds {seeds}, {entry['failed']} of "
+                         f"{entry['attempted']} ops failed)")
     return "\n".join(lines)

@@ -7,7 +7,8 @@ artifact interface (``python -m repro.cli <workload> ...``) writes the same
 lines into its ``stats.txt``, with the artifact's four header lines in
 place of ``sim.*``.
 
-``bench record`` writes a schema-versioned performance snapshot;
+``bench record`` writes a schema-versioned performance snapshot (with
+``--perfbench LOG...``, also the repo benchmark's end-to-end medians);
 ``bench compare`` diffs two snapshots and exits non-zero on regression
 (see :mod:`repro.obs.bench`).
 """
@@ -78,6 +79,11 @@ def _build_bench_parser() -> argparse.ArgumentParser:
                         help="throughput-probe repetitions (best wins)")
     record.add_argument("--no-cache", action="store_true",
                         help="bypass the persistent result cache")
+    record.add_argument("--perfbench", nargs="+", default=None,
+                        metavar="LOG",
+                        help="stdout logs of perfbench/run.py --trace 0 "
+                             "runs; their medians become the snapshot's "
+                             "end_to_end section")
 
     compare = sub.add_parser(
         "compare", help="diff two snapshots; non-zero exit on regression")
@@ -114,9 +120,18 @@ def _build_bench_parser() -> argparse.ArgumentParser:
 def bench_main(argv: Optional[list] = None) -> int:
     args = _build_bench_parser().parse_args(argv)
     if args.command == "record":
+        end_to_end = None
+        if args.perfbench:
+            try:
+                end_to_end = bench.end_to_end_section(args.perfbench)
+            except (OSError, ValueError) as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
         snapshot = bench.record_snapshot(
             budget=args.budget, scale=args.scale, jobs=args.jobs,
             use_cache=False if args.no_cache else None, reps=args.reps)
+        if end_to_end is not None:
+            snapshot["end_to_end"] = end_to_end
         path = bench.write_snapshot(
             snapshot, args.output or bench.default_snapshot_name())
         print(bench.render_snapshot(snapshot))
@@ -134,6 +149,11 @@ def bench_main(argv: Optional[list] = None) -> int:
             throughput_tolerance=args.throughput_tolerance,
             overhead_tolerance=args.overhead_tolerance,
             stall_tolerance=args.stall_tolerance)
+        deltas = bench.end_to_end_deltas(baseline, current)
+        if deltas:
+            print("end-to-end medians (reported, not gated):")
+            for delta in deltas:
+                print(f"  {delta}")
         if failures:
             print(f"{len(failures)} regression(s) against {args.baseline}:")
             for failure in failures:

@@ -8,7 +8,7 @@ fuzz oracle samples pairs.  See DESIGN.md §7 for the soundness argument.
 Layers:
 
 * :mod:`repro.verify.expr` — the symbolic term language + simplifier;
-* :mod:`repro.verify.symmem` — byte-granular symbolic memory;
+* :mod:`repro.verify.symmem` — word-granular symbolic memory, byte-exact;
 * :mod:`repro.verify.explorer` — always-mispredict bounded symbolic
   execution over the shared semantics tables;
 * :mod:`repro.verify.selfcomp` — the self-composition check + witnesses;

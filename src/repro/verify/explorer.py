@@ -60,6 +60,35 @@ OBS_JUMP_TARGET = "jump-target"
 # the possible cells into an ITE chain, up to this many candidate addresses.
 _MUX_LIMIT = 256
 
+# Decoded instruction classes: the first field of a program row.
+(_K_ALU, _K_LOAD, _K_STORE, _K_BRANCH, _K_JUMP, _K_JUMP_REG, _K_NOP,
+ _K_HALT) = range(8)
+_CLASS = {Kind.ALU: _K_ALU, Kind.ALU_IMM: _K_ALU, Kind.MOVE: _K_ALU,
+          Kind.LOAD_IMM: _K_ALU, Kind.LOAD: _K_LOAD, Kind.STORE: _K_STORE,
+          Kind.BRANCH: _K_BRANCH, Kind.JUMP: _K_JUMP,
+          Kind.JUMP_REG: _K_JUMP_REG, Kind.NOP: _K_NOP, Kind.HALT: _K_HALT}
+# Writes to x0 land in this extra register, so x0 always reads 0.
+_SINK = NUM_ARCH_REGS
+
+
+def _decode(program: Program) -> list:
+    """One row per static instruction, indexed by PC: ``(class, semantics
+    function, rd, rs1, rs2, imm, access size)``.
+
+    The function is the ALU or branch table entry (None for other
+    classes); ``rd`` is :data:`_SINK` for instructions that write x0 or
+    nothing.
+    """
+    rows = []
+    for inst in program.instructions:
+        info = inst.info
+        cls = _CLASS[info.kind]
+        fn = _ALU[inst.op] if cls == _K_ALU else \
+            _BRANCH[inst.op] if cls == _K_BRANCH else None
+        rows.append((cls, fn, inst.rd or _SINK, inst.rs1, inst.rs2,
+                     inst.imm, info.mem_size))
+    return rows
+
 
 class _Abort(Exception):
     """Internal: stop all exploration (leak quota or budget reached)."""
@@ -126,7 +155,8 @@ class SpeculativeExplorer:
         self.max_explored = max_explored
         self.max_leaks = max_leaks
 
-        self.regs: list = [0] * NUM_ARCH_REGS
+        self.rows = _decode(program)
+        self.regs: list = [0] * (NUM_ARCH_REGS + 1)
         self.stats = ExplorationStats()
         self.leaks: list = []
         self._leak_sites: set = set()        # (pc, kind) dedup
@@ -136,20 +166,21 @@ class SpeculativeExplorer:
 
     # --------------------------------------------------------------- driver
     def run(self) -> ExplorerResult:
-        instructions = self.program.instructions
-        length = len(instructions)
+        rows = self.rows
+        length = len(rows)
+        stats = self.stats
         pc = 0
         try:
-            while self.stats.retired < self.max_instructions:
+            while stats.retired < self.max_instructions:
                 if not 0 <= pc < length:
                     self._incomplete_reason = f"PC {pc} left the program"
                     break
-                inst = instructions[pc]
-                self.stats.retired += 1
-                if inst.info.kind == Kind.HALT:
+                row = rows[pc]
+                stats.retired += 1
+                if row[0] == _K_HALT:
                     self._halted = True
                     break
-                pc = self._step(inst, pc, depth=0)
+                pc = self._step(row, pc, 0)
             else:
                 self._incomplete_reason = (
                     f"architectural budget ({self.max_instructions}) "
@@ -172,40 +203,41 @@ class SpeculativeExplorer:
                 or self.stats.explored >= self.max_explored)
 
     # ----------------------------------------------------------------- step
-    def _step(self, inst, pc: int, depth: int) -> int:
-        """Execute one instruction at ``depth``; returns the next PC.
+    def _step(self, row: tuple, pc: int, depth: int) -> int:
+        """Execute one decoded instruction at ``depth``; returns the next PC.
 
         Raises ``_Abort`` to stop everything, ``_EndWindow`` never — a
         transient path that must end mid-window signals it by returning a
         PC outside the program, which the window loop treats as done.
         """
-        kind = inst.info.kind
+        cls, fn, rd, rs1, rs2, imm, size = row
         regs = self.regs
-        d = SymbolicDomain
 
-        if kind in (Kind.ALU, Kind.ALU_IMM, Kind.MOVE, Kind.LOAD_IMM):
-            fn = _ALU[inst.op]
-            self._write_reg(inst.rd,
-                            fn(self._read_reg(inst.rs1),
-                               self._read_reg(inst.rs2), inst.imm))
+        if cls == _K_ALU:
+            regs[rd] = fn(regs[rs1], regs[rs2], imm)
             return pc + 1
 
-        if kind == Kind.LOAD:
-            address = _EA(self._read_reg(inst.rs1), inst.imm)
-            value = self._access(address, inst, pc, depth, store=False)
-            self._write_reg(inst.rd, value)
+        if cls == _K_LOAD:
+            address = _EA(regs[rs1], imm)
+            if isinstance(address, Expr):
+                regs[rd] = self._symbolic_access(address, size, pc, depth,
+                                                 store=False)
+            else:
+                regs[rd] = self.memory.load(address, size)
             return pc + 1
 
-        if kind == Kind.STORE:
-            address = _EA(self._read_reg(inst.rs1), inst.imm)
-            self._access(address, inst, pc, depth, store=True,
-                         data=self._read_reg(inst.rs2))
+        if cls == _K_STORE:
+            address = _EA(regs[rs1], imm)
+            if isinstance(address, Expr):
+                self._symbolic_access(address, size, pc, depth, store=True,
+                                      data=regs[rs2])
+            else:
+                self.memory.store(address, regs[rs2], size)
             return pc + 1
 
-        if kind == Kind.BRANCH:
+        if cls == _K_BRANCH:
             self.stats.branches += 1
-            taken = _BRANCH[inst.op](self._read_reg(inst.rs1),
-                                     self._read_reg(inst.rs2))
+            taken = fn(regs[rs1], regs[rs2])
             if isinstance(taken, Expr):
                 # The branch outcome itself depends on the secret: the PC
                 # sequence (and every predictor update) diverges.
@@ -213,16 +245,17 @@ class SpeculativeExplorer:
                 taken = bool(evaluate(taken, {}))
             elif depth < self.spec_depth:
                 # Always-mispredict: explore the wrong direction.
-                wrong = pc + 1 if taken else inst.imm
+                wrong = pc + 1 if taken else imm
                 self._window(wrong, depth + 1)
-            return inst.imm if taken else pc + 1
+            return imm if taken else pc + 1
 
-        if kind == Kind.JUMP:
-            self._write_reg(inst.rd, pc + 1)
-            return inst.imm
+        if cls == _K_JUMP:
+            regs[rd] = pc + 1
+            return imm
 
-        if kind == Kind.JUMP_REG:
-            target = d.add(self._read_reg(inst.rs1), d.const(inst.imm))
+        if cls == _K_JUMP_REG:
+            d = SymbolicDomain
+            target = d.add(regs[rs1], d.const(imm))
             if isinstance(target, Expr):
                 self._leak(OBS_JUMP_TARGET, pc, target, depth)
                 target = evaluate(target, {}) & WORD_MASK
@@ -234,12 +267,12 @@ class SpeculativeExplorer:
                     self._window(alternate, depth + 1)
             if depth == 0:
                 self._jump_targets.setdefault(pc, set()).add(target)
-            self._write_reg(inst.rd, pc + 1)
+            regs[rd] = pc + 1
             return target
 
-        if kind == Kind.NOP:
+        if cls == _K_NOP:
             return pc + 1
-        raise RuntimeError(f"unhandled kind {kind}")      # pragma: no cover
+        raise RuntimeError(f"unhandled class {cls}")      # pragma: no cover
 
     # ---------------------------------------------------------- speculation
     def _window(self, pc: int, depth: int) -> None:
@@ -248,35 +281,45 @@ class SpeculativeExplorer:
             self._incomplete_reason = (
                 f"transient budget ({self.max_explored}) exhausted")
             raise _Abort
-        self.stats.windows += 1
-        instructions = self.program.instructions
-        length = len(instructions)
-        saved_regs = list(self.regs)
+        stats = self.stats
+        stats.windows += 1
+        rows = self.rows
+        length = len(rows)
+        saved_regs = self.regs[:]
         leaks_before = len(self.leaks)
         self.memory.begin_speculation()
         try:
             for _ in range(self.spec_window):
                 if not 0 <= pc < length:
                     break                    # transient fetch fault: squash
-                inst = instructions[pc]
-                if inst.info.kind == Kind.HALT:
+                row = rows[pc]
+                if row[0] == _K_HALT:
                     break
-                self.stats.explored += 1
-                if self.stats.explored >= self.max_explored:
+                stats.explored += 1
+                if stats.explored >= self.max_explored:
                     self._incomplete_reason = (
                         f"transient budget ({self.max_explored}) exhausted")
                     raise _Abort
-                pc = self._step(inst, pc, depth)
+                pc = self._step(row, pc, depth)
                 if len(self.leaks) > leaks_before:
                     break    # this path already diverged; the window is done
         finally:
             self.memory.rollback()
-            self.regs = saved_regs
+            self.regs[:] = saved_regs     # in place: callers hold the list
 
     # --------------------------------------------------------------- memory
-    def _access(self, address: Term, inst, pc: int, depth: int, *,
-                store: bool, data: Term = 0) -> Term:
-        """Observe + perform one memory access; returns the loaded value."""
+    def _symbolic_access(self, address: Expr, size: int, pc: int,
+                         depth: int, *, store: bool, data: Term = 0) -> Term:
+        """Observe + perform one access through a symbolic address;
+        returns the loaded value.  (A concrete address observes nothing
+        secret: the step reads or writes memory directly.)
+
+        The access muxes the candidate cells.  That is sound for narrow
+        address intervals (a secret-indexed access inside one cache line);
+        wide intervals fall back to a zero-secret concretisation, which is
+        only reached after the address already produced a leak observation
+        — precision after the verdict, not soundness, is what degrades.
+        """
         d = SymbolicDomain
         line = d.srl(address, LINE_SHIFT)
         if isinstance(line, Expr):
@@ -284,25 +327,6 @@ class SpeculativeExplorer:
             # transmit.  Observe, then continue down a concretisation.
             self._leak(OBS_STORE_LINE if store else OBS_LOAD_LINE,
                        pc, line, depth)
-        if isinstance(address, Expr):
-            return self._mux_access(address, inst, store, data)
-        if store:
-            self.memory.store(address, data, inst.info.mem_size)
-            return 0
-        return self.memory.load(address, inst.info.mem_size)
-
-    def _mux_access(self, address: Expr, inst, store: bool,
-                    data: Term) -> Term:
-        """Access through a symbolic address by muxing candidate cells.
-
-        Sound for narrow address intervals (a secret-indexed access inside
-        one cache line); wide intervals fall back to a zero-secret
-        concretisation, which is only reached after the address already
-        produced a leak observation — precision after the verdict, not
-        soundness, is what degrades.
-        """
-        d = SymbolicDomain
-        size = inst.info.mem_size
         width = address.hi - address.lo + 1
         if width > _MUX_LIMIT:
             concrete = evaluate(address, {}) & WORD_MASK
@@ -321,14 +345,6 @@ class SpeculativeExplorer:
             value = d.ite(d.eq(address, cell),
                           self.memory.load(cell, size), value)
         return value
-
-    # ------------------------------------------------------------ registers
-    def _read_reg(self, index: int) -> Term:
-        return 0 if index == 0 else self.regs[index]
-
-    def _write_reg(self, index: int, value: Term) -> None:
-        if index != 0:
-            self.regs[index] = value
 
     # ----------------------------------------------------------------- leak
     def _leak(self, kind: str, pc: int, term: Expr, depth: int) -> None:

@@ -58,8 +58,7 @@ class Expr:
         self.args = args
         self.lo = lo
         self.hi = hi
-        self._hash = hash((op,) + tuple(
-            a._hash if isinstance(a, Expr) else a for a in args))
+        self._hash = hash((op, args))
 
     def __hash__(self) -> int:
         return self._hash
@@ -88,10 +87,6 @@ def bounds(term: Term) -> tuple:
     if isinstance(term, int):
         return term, term
     return term.lo, term.hi
-
-
-def _hull(op: str, args: tuple, lo: int, hi: int) -> Expr:
-    return Expr(op, args, lo, hi)
 
 
 class SymbolicDomain:
@@ -123,8 +118,8 @@ class SymbolicDomain:
             return b
         (alo, ahi), (blo, bhi) = bounds(a), bounds(b)
         if ahi + bhi <= WORD_MASK:
-            return _hull("ADD", (a, b), alo + blo, ahi + bhi)
-        return _hull("ADD", (a, b), 0, WORD_MASK)
+            return Expr("ADD", (a, b), alo + blo, ahi + bhi)
+        return Expr("ADD", (a, b), 0, WORD_MASK)
 
     @staticmethod
     def sub(a: Term, b: Term) -> Term:
@@ -136,8 +131,8 @@ class SymbolicDomain:
             return 0
         (alo, ahi), (blo, bhi) = bounds(a), bounds(b)
         if alo >= bhi:
-            return _hull("SUB", (a, b), alo - bhi, ahi - blo)
-        return _hull("SUB", (a, b), 0, WORD_MASK)
+            return Expr("SUB", (a, b), alo - bhi, ahi - blo)
+        return Expr("SUB", (a, b), 0, WORD_MASK)
 
     @staticmethod
     def and_(a: Term, b: Term) -> Term:
@@ -154,7 +149,7 @@ class SymbolicDomain:
                     return value          # masking a value that already fits
         _, ahi = bounds(a)
         _, bhi = bounds(b)
-        return _hull("AND", (a, b), 0, min(ahi, bhi))
+        return Expr("AND", (a, b), 0, min(ahi, bhi))
 
     @staticmethod
     def or_(a: Term, b: Term) -> Term:
@@ -168,7 +163,7 @@ class SymbolicDomain:
             return a
         (alo, ahi), (blo, bhi) = bounds(a), bounds(b)
         hi = min(WORD_MASK, (1 << max(ahi.bit_length(), bhi.bit_length())) - 1)
-        return _hull("OR", (a, b), max(alo, blo), hi)
+        return Expr("OR", (a, b), max(alo, blo), hi)
 
     @staticmethod
     def xor(a: Term, b: Term) -> Term:
@@ -182,13 +177,13 @@ class SymbolicDomain:
             return 0
         (_, ahi), (_, bhi) = bounds(a), bounds(b)
         hi = min(WORD_MASK, (1 << max(ahi.bit_length(), bhi.bit_length())) - 1)
-        return _hull("XOR", (a, b), 0, hi)
+        return Expr("XOR", (a, b), 0, hi)
 
     @staticmethod
     def not_(a: Term) -> Term:
         if isinstance(a, int):
             return _C.not_(a)
-        return _hull("NOT", (a,), WORD_MASK - a.hi, WORD_MASK - a.lo)
+        return Expr("NOT", (a,), WORD_MASK - a.hi, WORD_MASK - a.lo)
 
     @staticmethod
     def mul(a: Term, b: Term) -> Term:
@@ -202,8 +197,8 @@ class SymbolicDomain:
             return b
         (alo, ahi), (blo, bhi) = bounds(a), bounds(b)
         if ahi * bhi <= WORD_MASK:
-            return _hull("MUL", (a, b), alo * blo, ahi * bhi)
-        return _hull("MUL", (a, b), 0, WORD_MASK)
+            return Expr("MUL", (a, b), alo * blo, ahi * bhi)
+        return Expr("MUL", (a, b), 0, WORD_MASK)
 
     @staticmethod
     def div(a: Term, b: Term) -> Term:
@@ -212,7 +207,7 @@ class SymbolicDomain:
         blo, bhi = bounds(b)
         if blo == bhi == 0:
             return WORD_MASK
-        node = _hull("DIV", (a, b), 0, WORD_MASK)
+        node = Expr("DIV", (a, b), 0, WORD_MASK)
         if blo == 0:          # divisor could be zero: fold the special case in
             return SymbolicDomain.ite(SymbolicDomain.eq(b, 0),
                                       WORD_MASK, node)
@@ -225,7 +220,7 @@ class SymbolicDomain:
         blo, bhi = bounds(b)
         if blo == bhi == 0:
             return a
-        node = _hull("REM", (a, b), 0, WORD_MASK)
+        node = Expr("REM", (a, b), 0, WORD_MASK)
         if blo == 0:
             return SymbolicDomain.ite(SymbolicDomain.eq(b, 0), a, node)
         return node
@@ -243,9 +238,9 @@ class SymbolicDomain:
                 return 0
             alo, ahi = bounds(a)
             if ahi << shift <= WORD_MASK:
-                return _hull("SLL", (a, shift), alo << shift, ahi << shift)
-            return _hull("SLL", (a, shift), 0, WORD_MASK)
-        return _hull("SLL", (a, b), 0, WORD_MASK)
+                return Expr("SLL", (a, shift), alo << shift, ahi << shift)
+            return Expr("SLL", (a, shift), 0, WORD_MASK)
+        return Expr("SLL", (a, b), 0, WORD_MASK)
 
     @staticmethod
     def srl(a: Term, b: Term) -> Term:
@@ -260,9 +255,9 @@ class SymbolicDomain:
                 # The secret cannot move the result (e.g. every reachable
                 # address lands in one cache line).
                 return alo >> shift
-            return _hull("SRL", (a, shift), alo >> shift, ahi >> shift)
+            return Expr("SRL", (a, shift), alo >> shift, ahi >> shift)
         _, ahi = bounds(a)
-        return _hull("SRL", (a, b), 0, ahi)
+        return Expr("SRL", (a, b), 0, ahi)
 
     @staticmethod
     def sra(a: Term, b: Term) -> Term:
@@ -271,7 +266,7 @@ class SymbolicDomain:
         alo, ahi = bounds(a)
         if ahi < 1 << 63 and isinstance(b, int):
             return SymbolicDomain.srl(a, b)     # non-negative: same as SRL
-        return _hull("SRA", (a, b) if isinstance(b, Expr) else (a, b & 63),
+        return Expr("SRA", (a, b) if isinstance(b, Expr) else (a, b & 63),
                      0, WORD_MASK)
 
     @staticmethod
@@ -283,7 +278,7 @@ class SymbolicDomain:
             return a
         if a.hi << shift <= WORD_MASK:          # no wrap: same as SLL
             return SymbolicDomain.sll(a, shift)
-        return _hull("ROTL", (a, shift), 0, WORD_MASK)
+        return Expr("ROTL", (a, shift), 0, WORD_MASK)
 
     @staticmethod
     def rotr(a: Term, shift: int) -> Term:
@@ -295,7 +290,7 @@ class SymbolicDomain:
         if a.hi >> shift == a.lo >> shift and a.lo & ((1 << shift) - 1) == 0 \
                 and a.hi & ((1 << shift) - 1) == 0 and a.lo == a.hi:
             return _C.rotr(a.lo, shift)
-        return _hull("ROTR", (a, shift), 0, WORD_MASK)
+        return Expr("ROTR", (a, shift), 0, WORD_MASK)
 
     # ----------------------------------------------------- comparisons
     @staticmethod
@@ -321,7 +316,7 @@ class SymbolicDomain:
             decided = SymbolicDomain._unsigned_decide(a, b)
             if decided is not None:
                 return int(decided)
-        return _hull("SLT", (a, b), 0, 1)
+        return Expr("SLT", (a, b), 0, 1)
 
     @staticmethod
     def sltu(a: Term, b: Term) -> Term:
@@ -330,7 +325,7 @@ class SymbolicDomain:
         decided = SymbolicDomain._unsigned_decide(a, b)
         if decided is not None:
             return int(decided)
-        return _hull("SLTU", (a, b), 0, 1)
+        return Expr("SLTU", (a, b), 0, 1)
 
     # Branch predicates: bool when decided, 0/1-valued Expr otherwise.
     @staticmethod
@@ -342,14 +337,14 @@ class SymbolicDomain:
         (alo, ahi), (blo, bhi) = bounds(a), bounds(b)
         if ahi < blo or bhi < alo:
             return False
-        return _hull("EQ", (a, b), 0, 1)
+        return Expr("EQ", (a, b), 0, 1)
 
     @staticmethod
     def ne(a: Term, b: Term) -> Union[bool, Expr]:
         decided = SymbolicDomain.eq(a, b)
         if isinstance(decided, bool):
             return not decided
-        return _hull("NE", (a, b), 0, 1)
+        return Expr("NE", (a, b), 0, 1)
 
     @staticmethod
     def lt(a: Term, b: Term) -> Union[bool, Expr]:
@@ -359,14 +354,14 @@ class SymbolicDomain:
             decided = SymbolicDomain._unsigned_decide(a, b)
             if decided is not None:
                 return decided
-        return _hull("LT", (a, b), 0, 1)
+        return Expr("LT", (a, b), 0, 1)
 
     @staticmethod
     def ge(a: Term, b: Term) -> Union[bool, Expr]:
         decided = SymbolicDomain.lt(a, b)
         if isinstance(decided, bool):
             return not decided
-        return _hull("GE", (a, b), 0, 1)
+        return Expr("GE", (a, b), 0, 1)
 
     @staticmethod
     def ltu(a: Term, b: Term) -> Union[bool, Expr]:
@@ -375,14 +370,14 @@ class SymbolicDomain:
         decided = SymbolicDomain._unsigned_decide(a, b)
         if decided is not None:
             return decided
-        return _hull("LTU", (a, b), 0, 1)
+        return Expr("LTU", (a, b), 0, 1)
 
     @staticmethod
     def geu(a: Term, b: Term) -> Union[bool, Expr]:
         decided = SymbolicDomain.ltu(a, b)
         if isinstance(decided, bool):
             return not decided
-        return _hull("GEU", (a, b), 0, 1)
+        return Expr("GEU", (a, b), 0, 1)
 
     # ------------------------------------------------- structure helpers
     @staticmethod
@@ -394,7 +389,7 @@ class SymbolicDomain:
         if then == other if isinstance(then, Expr) else then == other:
             return then
         (tlo, thi), (olo, ohi) = bounds(then), bounds(other)
-        return _hull("ITE", (cond, then, other), min(tlo, olo),
+        return Expr("ITE", (cond, then, other), min(tlo, olo),
                      max(thi, ohi))
 
     @staticmethod
@@ -406,7 +401,7 @@ class SymbolicDomain:
             return 0
         if index == 0 and value.hi <= _BYTE:
             return value
-        return _hull("EXTRACT", (value, index), 0, _BYTE)
+        return Expr("EXTRACT", (value, index), 0, _BYTE)
 
 
 # ----------------------------------------------------------------- analysis

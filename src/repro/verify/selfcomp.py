@@ -161,8 +161,10 @@ def check_program(program: Program, memory: SymMemory, *,
 
     ``memory`` must hold the program's initial memory with secret bytes
     replaced by ``S``-set variables (:func:`repro.verify.targets.
-    make_symbolic_memory`).  A ``safe`` verdict is sound for *all* secret
-    values, up to the speculation bounds; ``leak`` comes with witnesses.
+    make_symbolic_memory`).  The exploration runs on a copy, so ``memory``
+    is left as it was and one prepared memory can be checked at several
+    bounds.  A ``safe`` verdict is sound for *all* secret values, up to the
+    speculation bounds; ``leak`` comes with witnesses.
     A negative speculation bound raises ``ValueError``: it would explore no
     transient path and read every program as safe.
     """
@@ -174,9 +176,9 @@ def check_program(program: Program, memory: SymMemory, *,
               "max_instructions": max_instructions,
               "max_explored": max_explored, "max_leaks": max_leaks}
     explorer = SpeculativeExplorer(
-        program, memory, spec_window=spec_window, spec_depth=spec_depth,
-        max_instructions=max_instructions, max_explored=max_explored,
-        max_leaks=max_leaks)
+        program, memory.copy(), spec_window=spec_window,
+        spec_depth=spec_depth, max_instructions=max_instructions,
+        max_explored=max_explored, max_leaks=max_leaks)
     result: ExplorerResult = explorer.run()
     witnesses = tuple(_witness(obs) for obs in result.leaks)
     return CheckResult(program.name, result.verdict, witnesses,

@@ -51,11 +51,11 @@ class SecretLayout:
 
 def make_symbolic_memory(program: Program, layout: SecretLayout,
                          set_id: str = SET_ID) -> SymMemory:
-    """The program's initial memory with secret bytes as free variables."""
-    memory = SymMemory(program.initial_memory)
-    for index, address in layout.addressed_bytes():
-        memory.store(address, var(set_id, index), 1)
-    return memory
+    """The program's initial memory, read in place, with secret bytes as
+    free variables: costs O(secret bytes), whatever the image's size."""
+    return SymMemory(program.initial_memory,
+                     {address: var(set_id, index)
+                      for index, address in layout.addressed_bytes()})
 
 
 @dataclass(frozen=True)

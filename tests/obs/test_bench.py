@@ -2,6 +2,7 @@
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,9 @@ from repro.obs.stall import STALL_CAUSES
 
 BUDGET = 120
 WORKLOADS = ["mcf", "djbsort"]
+DATA = Path(__file__).with_name("data")
+LOGS = [str(DATA / "perfbench-verify-targets.log"),
+        str(DATA / "perfbench-fig7-grid.log")]
 
 
 @pytest.fixture(scope="module")
@@ -113,13 +117,90 @@ def test_bench_cli_profile_writes_pstats(tmp_path, monkeypatch, capsys):
     assert stats.total_calls > 0
 
 
-def test_bench_cli_record(tmp_path, monkeypatch):
+def test_bench_cli_record(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("REPRO_BENCH_BUDGET", str(BUDGET))
     out = str(tmp_path / "BENCH_cli.json")
     assert bench_main(["record", "-o", out, "--reps", "1",
-                       "--jobs", "1"]) == 0
+                       "--jobs", "1", "--perfbench", *LOGS]) == 0
     recorded = bench.load_snapshot(out)
     assert recorded["budget"] == BUDGET
+    section = recorded["end_to_end"]
+    assert sorted(section["workloads"]) == ["fig7-grid", "verify-targets"]
+    assert "end to end (perfbench medians" in capsys.readouterr().out
+
+
+def test_read_perfbench_log():
+    run = bench.read_perfbench_log(LOGS[0])
+    assert run["workload"] == "verify-targets" and run["seed"] == 1
+    assert run["result"]["metrics"]["wall_s"] == {"value": 2.0, "unit": "s"}
+    assert run["result"]["attempted"] == 315
+
+
+@pytest.mark.parametrize("text,reason", [
+    ("", "empty"),
+    ("verify-targets seed=1: 3 pass(es)\n{}\n", "names no workload"),
+    ("workload=verify-targets seed=1 seconds=20.0 trace=1\n"
+     '{"correct": true, "metrics": {}}\n', "traced run"),
+    ("workload=verify-targets seed=1 seconds=20.0 trace=0\n"
+     "error: every pass failed\n", "not a perfbench result"),
+])
+def test_read_perfbench_log_rejects_what_is_not_a_result(tmp_path, text,
+                                                          reason):
+    path = tmp_path / "run.log"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=reason):
+        bench.read_perfbench_log(str(path))
+
+
+def test_end_to_end_section_takes_each_metric_median(tmp_path):
+    lines = (DATA / "perfbench-verify-targets.log").read_text().splitlines()
+    paths = []
+    for seed, wall in ((1, 2.0), (1, 4.0), (2, 3.5)):
+        result = json.loads(lines[-1])
+        result["metrics"]["wall_s"]["value"] = wall
+        path = tmp_path / f"run-{wall}.log"
+        path.write_text(f"workload=verify-targets seed={seed} seconds=20.0 "
+                        f"trace=0\n{json.dumps(result)}\n")
+        paths.append(str(path))
+    section = bench.end_to_end_section(paths + [LOGS[1]])
+    assert section["host"]["vcpus"] >= 1 and section["host"]["python"]
+    entry = section["workloads"]["verify-targets"]
+    assert entry["runs"] == 3 and entry["seeds"] == [1, 2]
+    assert entry["attempted"] == 945 and entry["failed"] == 0
+    assert entry["metrics"]["wall_s"] == {"value": 3.5, "unit": "s"}
+    assert entry["metrics"]["peak_rss_mb"] == {"value": 49.5, "unit": "MiB"}
+    assert section["workloads"]["fig7-grid"]["runs"] == 1
+
+
+def test_compare_reports_end_to_end_deltas_without_gating(snapshot,
+                                                          tmp_path, capsys):
+    before = dict(snapshot, end_to_end=bench.end_to_end_section(LOGS))
+    after = copy.deepcopy(before)
+    after["end_to_end"]["workloads"]["verify-targets"]["metrics"][
+        "wall_s"]["value"] = 4.0                # twice as slow
+    assert bench.compare_snapshots(before, after) == []
+    assert "verify-targets wall_s: 2 -> 4 s (+100.0%)" in \
+        bench.end_to_end_deltas(before, after)
+    assert bench.end_to_end_deltas(snapshot, after) == []
+    old = bench.write_snapshot(before, str(tmp_path / "before.json"))
+    new = bench.write_snapshot(after, str(tmp_path / "after.json"))
+    capsys.readouterr()
+    assert bench_main(["compare", old, new]) == 0
+    assert "(+100.0%)" in capsys.readouterr().out
+    assert bench_main(["show", new]) == 0
+    shown = capsys.readouterr().out
+    assert "verify-targets" in shown and "wall_s 4 s" in shown
+
+
+def test_bench_cli_record_refuses_a_bad_log_before_measuring(tmp_path,
+                                                             capsys):
+    bad = tmp_path / "bad.log"
+    bad.write_text("not a perfbench log\n")
+    out = tmp_path / "BENCH_bad.json"
+    assert bench_main(["record", "-o", str(out), "--perfbench",
+                       str(bad)]) == 2
+    assert "names no workload" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_stats_cli_json(capsys):

@@ -9,7 +9,7 @@ back while keeping their observations.
 from repro.isa.builder import ProgramBuilder
 from repro.verify.explorer import (OBS_BRANCH, OBS_LOAD_LINE,
                                    OBS_STORE_LINE, SpeculativeExplorer)
-from repro.verify.selfcomp import check_program, reflexive_check
+from repro.verify.selfcomp import SET_ID, check_program, reflexive_check
 from repro.verify.targets import SecretLayout, make_symbolic_memory
 
 
@@ -278,3 +278,24 @@ def test_reflexive_check_never_leaks():
     result = reflexive_check(program,
                              make_symbolic_memory(program, layout))
     assert result.verdict == "safe" and result.complete
+
+
+def test_check_program_leaves_its_memory_as_it_was():
+    """The check explores a copy: the prepared memory keeps its secret
+    bytes, so it can be checked again (here at other bounds) from the
+    same initial state."""
+    b, secret, probe = _scaffold()
+    b.li("a0", secret)
+    b.lb("a1", "a0", 0)
+    b.li("a2", probe)
+    b.sd("a1", "a2", 0)                     # overwrite the probe word
+    b.sb("zero", "a0", 0)                   # and the secret byte
+    b.halt()
+    program = b.build()
+    memory = make_symbolic_memory(program, SecretLayout(((secret, 1),)))
+    before = memory.concretise({(SET_ID, 0): 7})
+    first = check_program(program, memory)
+    assert memory.concretise({(SET_ID, 0): 7}) == before
+    assert memory.load(probe, 8) == 0
+    again = check_program(program, memory)
+    assert again.to_json() == first.to_json()
