@@ -18,6 +18,12 @@ per-channel digests of the attacker-visible trace.  A wedged simulation
 must wedge identically in both runs (same exception, same message, same
 cycle).
 
+It also checks grouped runs: for every workload and attack model, the
+grid's configurations that advance the visibility point run through the
+group runner (:func:`repro.harness.runner.simulate_group`, what
+``run_many`` does with them), and :func:`group_diff_cell` demands that
+each one's outcome equal its separate default run's.
+
 The cells run through :func:`repro.harness.parallel.fan_out` with
 ``REPRO_JOBS`` workers, as ``repro check``'s do; the grid flags are the
 ones ``repro check`` takes, and a usage error exits 2.
@@ -42,10 +48,12 @@ from typing import Optional
 from repro.check.violation import InvariantViolation
 from repro.core.attack_model import AttackModel
 from repro.core.spt import ReferenceSPTEngine, SPTEngine
-from repro.harness.configs import Grid, at_least_one, make_engine
-from repro.harness.parallel import (RunFailure, RunSpec, default_jobs,
-                                    fan_out)
-from repro.harness.runner import PAIRED_ERROR, simulate_pair
+from repro.harness.configs import (GROUPABLE_CONFIGS, Grid, at_least_one,
+                                   make_engine)
+from repro.harness.parallel import (GroupSpecs, RunFailure, RunSpec,
+                                    default_jobs, fan_out)
+from repro.harness.runner import (PAIRED_ERROR, simulate_group,
+                                  simulate_pair)
 from repro.isa.instructions import Program
 from repro.pipeline.core import OoOCore, SimResult, SimulationError
 from repro.pipeline.engine_api import ProtectionEngine
@@ -200,12 +208,48 @@ def pair_diff_cell(program_a: Program, program_b: Program, config: str,
     return run.fallback, mismatches
 
 
-def diff_cell(spec: RunSpec) -> list:
-    """One cell's :func:`compare_cell` of its reference and default runs
-    (module-level: the fan-out pickles it)."""
-    cell = (spec.workload, spec.config, spec.model, spec.scale,
-            spec.max_instructions)
-    return compare_cell(run_cell(*cell, reference=True), run_cell(*cell))
+def group_diff_cell(program: Program, configs, model: AttackModel,
+                    budget: int) -> tuple:
+    """The group runner against separate default runs of ``configs``:
+    ``(departures, mismatches)``.
+
+    Every configuration's projected outcome must equal its separate
+    run's.  ``departures`` names each member that left a group, with the
+    query and the cycle, and a group run that raised (its members then
+    ran separately).
+    """
+    separate = [run_outcome(program, make_engine(config, model), budget)[1]
+                for config in configs]
+    run = simulate_group(program, configs, model, budget, setup=_record_pcs)
+    departures = [f"{config} left at cycle {cycle} on {query}"
+                  for config, query, cycle in run.departures]
+    if run.error:
+        departures.append("a group run raised: "
+                          + run.error.strip().splitlines()[-1])
+    mismatches = []
+    for config, result, want in zip(configs, run.results, separate):
+        got = ({"error": f"{type(result).__name__}: {result}"}
+               if isinstance(result, Exception) else outcome_of(result))
+        mismatches += [f"{config}: {line}" for line in compare_cell(
+            want, got, ("separate", "grouped"))]
+    return departures, mismatches
+
+
+def diff_cell(cell) -> list:
+    """One cell's mismatches (module-level: the fan-out pickles it): a
+    RunSpec's :func:`compare_cell` of its reference and default runs, or a
+    GroupSpecs' :func:`group_diff_cell` mismatches, each followed by the
+    departures."""
+    if isinstance(cell, GroupSpecs):
+        first = cell.specs[0]
+        departures, mismatches = group_diff_cell(
+            get_workload(first.workload).program(first.scale),
+            [spec.config for spec in cell.specs], first.model,
+            first.max_instructions)
+        return mismatches + departures if mismatches else []
+    spec = (cell.workload, cell.config, cell.model, cell.scale,
+            cell.max_instructions)
+    return compare_cell(run_cell(*spec, reference=True), run_cell(*spec))
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -213,22 +257,31 @@ def main(argv: Optional[list] = None) -> int:
     workloads, configs, models, budget = GRID.select(args)
     cells = [RunSpec(w, c, m, scale=args.scale, max_instructions=budget)
              for w in workloads for c in configs for m in models]
+    grouped = [c for c in configs if c in GROUPABLE_CONFIGS]
+    groups = [GroupSpecs(tuple(RunSpec(w, c, m, scale=args.scale,
+                                       max_instructions=budget)
+                               for c in grouped))
+              for w in workloads for m in models] if len(grouped) > 1 else []
     try:
-        outcomes = fan_out(diff_cell, cells, default_jobs())
+        outcomes = fan_out(diff_cell, cells + groups, default_jobs())
     except RunFailure as failure:
         print(f"error: {failure}", file=sys.stderr)
         return 1
     failures = 0
-    for spec, mismatches in zip(cells, outcomes):
+    for cell, mismatches in zip(cells + groups, outcomes):
         if mismatches:
             failures += 1
-            print(f"MISMATCH {spec.workload}/{spec.config}/"
-                  f"{spec.model.value}:", file=sys.stderr)
+            spec = cell.specs[0] if isinstance(cell, GroupSpecs) else cell
+            what = "grouped" if isinstance(cell, GroupSpecs) else spec.config
+            print(f"MISMATCH {spec.workload}/{what}/{spec.model.value}:",
+                  file=sys.stderr)
             for line in mismatches:
                 print(f"  {line}", file=sys.stderr)
     verdict = "bit-identical" if not failures else f"{failures} DIVERGENT"
-    print(f"backend-diff: {len(cells)} cells x default and reference runs "
-          f"(budget {budget}, scale {args.scale}): {verdict}")
+    print(f"backend-diff: {len(cells)} cells x default and reference runs"
+          + (f", {len(groups)} groups of {len(grouped)} x grouped and "
+             "separate runs" if groups else "")
+          + f" (budget {budget}, scale {args.scale}): {verdict}")
     return 1 if failures else 0
 
 

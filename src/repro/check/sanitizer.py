@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.check.invariants import CHECK_LEVELS
 from repro.check.violation import InvariantViolation
 from repro.core.baselines import SecureBaseline
-from repro.core.spt import ReferenceSPTEngine
+from repro.core.spt import SPTBase
 from repro.core.stt import STTEngine
 from repro.core.shadow_l1 import ShadowMode
 from repro.core.taint_algebra import initial_output_taint
@@ -112,7 +112,7 @@ class Sanitizer:
         self.window: deque = deque(maxlen=TRACE_WINDOW)
 
         engine = core.engine
-        self._spt = engine if isinstance(engine, ReferenceSPTEngine) else None
+        self._spt = engine if isinstance(engine, SPTBase) else None
         self._stt = engine if isinstance(engine, STTEngine) else None
         self._secure = isinstance(engine, SecureBaseline)
         self._vp_predicate = getattr(engine, "vp_predicate", None)
@@ -151,6 +151,15 @@ class Sanitizer:
             self._fail(invariant, message, di)
         self._pass(invariant)
 
+    def _bits(self, di: "DynInst") -> tuple:
+        """The SPT engine's ``(t_src1, t_src2, t_dst, declassified)`` bits
+        of an in-flight entry, read through the engine (the packed engine
+        keeps them off the ``DynInst``); all False for other engines,
+        which declassify nothing."""
+        if self._spt is None:
+            return False, False, False, False
+        return self._spt.entry_bits(di)
+
     def metrics_tree(self) -> Metrics:
         """Per-invariant evaluation counts (grafted under ``check``)."""
         m = Metrics("check")
@@ -169,7 +178,7 @@ class Sanitizer:
         if di.reached_vp:
             return True
         if self._spt is not None:
-            return not di.t_src1
+            return not self._bits(di)[0]
         if self._stt is not None:
             return not self._stt_tainted(di.prs1)
         if self._secure:
@@ -180,7 +189,8 @@ class Sanitizer:
         if di.reached_vp:
             return True
         if self._spt is not None:
-            return not di.t_src1 and not (di.info.reads_rs2 and di.t_src2)
+            t_src1, t_src2 = self._bits(di)[:2]
+            return not t_src1 and not (di.info.reads_rs2 and t_src2)
         if self._stt is not None:
             return not (self._stt_tainted(di.prs1)
                         or (di.info.reads_rs2
@@ -228,13 +238,14 @@ class Sanitizer:
         want_src1 = di.prs1 >= 0 and taint[di.prs1]
         want_src2 = di.prs2 >= 0 and taint[di.prs2]
         want_dst = initial_output_taint(di.inst, want_src1, want_src2)
+        t_src1, t_src2, t_dst, _ = self._bits(di)
         self._check(
             "taint-init",
-            di.t_src1 == want_src1 and di.t_src2 == want_src2
-            and di.t_dst == want_dst
+            t_src1 == want_src1 and t_src2 == want_src2
+            and t_dst == want_dst
             and (di.prd < 0 or taint[di.prd] == want_dst),
             f"rename taint mismatch: entry bits "
-            f"(src1={di.t_src1}, src2={di.t_src2}, dst={di.t_dst}) vs "
+            f"(src1={t_src1}, src2={t_src2}, dst={t_dst}) vs "
             f"algebra (src1={want_src1}, src2={want_src2}, dst={want_dst})",
             di)
 
@@ -245,7 +256,7 @@ class Sanitizer:
         self._check(
             "gated-transmitter", self._transmit_legal(di),
             "transmitter computed its address while gated "
-            f"(reached_vp={di.reached_vp}, t_src1={di.t_src1})", di)
+            f"(reached_vp={di.reached_vp}, t_src1={self._bits(di)[0]})", di)
 
     def on_cache_access(self, load: "DynInst") -> None:
         """A load is about to access the cache hierarchy."""
@@ -254,7 +265,8 @@ class Sanitizer:
         self._check(
             "gated-transmitter", self._transmit_legal(load),
             "load touched the cache hierarchy while gated "
-            f"(reached_vp={load.reached_vp}, t_src1={load.t_src1})", load)
+            f"(reached_vp={load.reached_vp}, "
+            f"t_src1={self._bits(load)[0]})", load)
 
     def on_forward_skip(self, load: "DynInst", store: "DynInst") -> None:
         """A forwarded load is skipping its cache access."""
@@ -262,8 +274,9 @@ class Sanitizer:
             return
         if self._spt is not None:
             ok = self._stl_public_recompute(load, store)
-            detail = (f"STLPublic does not hold (load.t_src1={load.t_src1}, "
-                      f"store.t_src1={store.t_src1})")
+            detail = (f"STLPublic does not hold "
+                      f"(load.t_src1={self._bits(load)[0]}, "
+                      f"store.t_src1={self._bits(store)[0]})")
         elif self._stt is not None:
             ok = load.reached_vp and store.reached_vp
             detail = (f"ends not both at VP (load={load.reached_vp}, "
@@ -283,13 +296,13 @@ class Sanitizer:
     def _stl_public_recompute(self, load: "DynInst",
                               store: "DynInst") -> bool:
         """Re-derive STLPublic(S, L) from the LSQ (paper Section 6.7)."""
-        if load.t_src1 or store.t_src1:
+        if self._bits(load)[0] or self._bits(store)[0]:
             return False
         for st in self.core.lsq:
             if st.seq >= load.seq:
                 break
             if (st.is_store and not st.squashed and st.seq >= store.seq
-                    and st.t_src1):
+                    and self._bits(st)[0]):
                 return False
         return True
 
@@ -300,8 +313,8 @@ class Sanitizer:
         self._check(
             "gated-resolution", self._resolve_legal(di),
             "control resolution applied while the predicate is protected "
-            f"(reached_vp={di.reached_vp}, t_src1={di.t_src1}, "
-            f"t_src2={di.t_src2})", di)
+            f"(reached_vp={di.reached_vp}, t_src1={self._bits(di)[0]}, "
+            f"t_src2={self._bits(di)[1]})", di)
 
     # ----------------------------------------------------------- commit hooks
     def on_retire(self, di: "DynInst") -> None:
@@ -478,7 +491,7 @@ class Sanitizer:
                     "vp-frontier",
                     f"reached_vp={di.reached_vp} but the frontier "
                     f"recomputation says {expected}", di)
-            if di.declassified and not di.reached_vp:
+            if not di.reached_vp and self._bits(di)[3]:
                 self._fail(
                     "vp-declassify",
                     "declassified while still transient (pre-VP)", di)
@@ -494,15 +507,16 @@ class Sanitizer:
                     "the zero register's physical register became tainted")
 
         for di in core.in_flight():
-            if (di.t_src1 and di.prs1 >= 0 and not taint[di.prs1]) \
-                    or (di.t_src2 and di.prs2 >= 0 and not taint[di.prs2]) \
-                    or (di.t_dst and di.prd >= 0 and not taint[di.prd]):
+            t_src1, t_src2, t_dst, _ = engine.entry_bits(di)
+            if (t_src1 and di.prs1 >= 0 and not taint[di.prs1]) \
+                    or (t_src2 and di.prs2 >= 0 and not taint[di.prs2]) \
+                    or (t_dst and di.prd >= 0 and not taint[di.prd]):
                 self._fail(
                     "taint-entry-bits",
                     "entry taint bit set over an untainted physical "
-                    f"register (src1={di.t_src1}/{di.prs1}, "
-                    f"src2={di.t_src2}/{di.prs2}, "
-                    f"dst={di.t_dst}/{di.prd})", di)
+                    f"register (src1={t_src1}/{di.prs1}, "
+                    f"src2={t_src2}/{di.prs2}, "
+                    f"dst={t_dst}/{di.prd})", di)
         self._pass("taint-entry-bits")
 
         prev = self._prev_taint

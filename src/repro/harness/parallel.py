@@ -11,9 +11,15 @@ the CLI sweeps, ``repro check``, fuzz campaigns): it deduplicates a list
 of :class:`RunSpec` values, satisfies what it can from the persistent
 result cache, and fans out only the misses.  Two adjacent misses that
 differ only in twin workloads (one fuzz plan, two secrets) fan out as one
-cell, simulated by :func:`~repro.harness.runner.simulate_pair`.  The
-scenario matrix and ``repro backend-diff`` fan out verdicts, which are not
-cached.
+cell, simulated by :func:`~repro.harness.runner.simulate_pair`.  Adjacent
+other misses that differ only in a configuration that advances the
+visibility point (any but UnsafeBaseline), with no sanitizer attached,
+fan out as one group cell, simulated by
+:func:`~repro.harness.runner.simulate_group` as one core run per class of
+agreeing engines; the Figure 7 grid's 280 protected runs take 110 at
+budget 500.
+The scenario matrix and ``repro backend-diff`` fan out verdicts, which
+are not cached.
 
 Degradation is graceful at every layer: one job runs serially in-process
 (the debuggable path), and a pool that cannot start (no ``fork``/``spawn``
@@ -31,7 +37,8 @@ from typing import Callable, Optional, Sequence
 
 from repro.core.attack_model import AttackModel
 from repro.harness import cache
-from repro.harness.runner import (_env_int, run_one, run_twins,
+from repro.harness.configs import GROUPABLE_CONFIGS
+from repro.harness.runner import (_env_int, run_group, run_one, run_twins,
                                   simulations_made)
 from repro.pipeline.params import MachineParams
 from repro.workloads.registry import twin_key
@@ -81,6 +88,34 @@ class TwinSpecs:
         return cls(a, b)
 
 
+@dataclass(frozen=True)
+class GroupSpecs:
+    """Specs equal but for their grouped configurations: one fan-out cell."""
+
+    specs: tuple
+
+    def describe(self) -> str:
+        others = " ".join(spec.config for spec in self.specs[1:])
+        return f"{self.specs[0].describe()} grouped with {others}"
+
+    @staticmethod
+    def groupable(spec: RunSpec) -> bool:
+        return (spec.config in GROUPABLE_CONFIGS
+                and (spec.params is None
+                     or spec.params.check_level == "off"))
+
+    @classmethod
+    def of(cls, last, spec: RunSpec) -> Optional["GroupSpecs"]:
+        """The cell of ``last`` (a spec or a group) with ``spec`` added,
+        or None when ``spec`` does not join it."""
+        specs = last.specs if isinstance(last, GroupSpecs) else (last,)
+        first = specs[0]
+        if not (cls.groupable(spec) and cls.groupable(first)) \
+                or replace(spec, config=first.config) != first:
+            return None
+        return cls(specs + (spec,))
+
+
 @dataclass
 class SimTally:
     """What a sweep simulated: core runs made, twin pairs served by one
@@ -116,12 +151,20 @@ def default_jobs() -> int:
 
 def _execute_cell(cell):
     """Worker entry point (module-level so it pickles): a RunSpec's
-    ``RunResult``, or a TwinSpecs' ``(RunResult, RunResult, fallback)``."""
+    ``RunResult``, a TwinSpecs' ``(RunResult, RunResult, fallback)``, or a
+    GroupSpecs' ``run_group`` outcome."""
     if isinstance(cell, TwinSpecs):
         a, b = cell.a, cell.b
         return run_twins(a.workload, b.workload, a.config, a.model,
                          scale=a.scale, max_instructions=a.max_instructions,
                          params=a.params, collect_trace=a.collect_trace)
+    if isinstance(cell, GroupSpecs):
+        first = cell.specs[0]
+        return run_group(first.workload, [spec.config for spec in cell.specs],
+                         first.model, scale=first.scale,
+                         max_instructions=first.max_instructions,
+                         params=first.params,
+                         collect_trace=first.collect_trace)
     return run_one(cell.workload, cell.config, cell.model,
                    scale=cell.scale, max_instructions=cell.max_instructions,
                    params=cell.params, collect_trace=cell.collect_trace)
@@ -189,7 +232,10 @@ def run_many(specs: Sequence[RunSpec],
     Specs with equal cache keys (:meth:`RunSpec.key`) are simulated once,
     and a spec whose result is already in the persistent result cache is
     not simulated at all.  Two misses adjacent in that order that are
-    :class:`TwinSpecs` run as one pair cell.  ``use_cache=None`` consults
+    :class:`TwinSpecs` run as one pair cell, and a run of adjacent misses
+    that make a :class:`GroupSpecs` as one group cell; a configuration
+    whose own run raises fails the call with a :class:`RunFailure` naming
+    its spec, as a cell of its own would.  ``use_cache=None`` consults
     the environment (``REPRO_NO_CACHE``); pass an explicit bool to
     override.  ``jobs=None`` reads ``REPRO_JOBS`` / CPU count; ``jobs=1``
     forces the in-process serial path.  ``tally``, when given, counts the
@@ -216,22 +262,39 @@ def run_many(specs: Sequence[RunSpec],
             misses[key] = spec
         else:
             known[key] = hit
-    cells: list = []            # (cache keys, RunSpec or TwinSpecs)
+    cells: list = []    # (cache keys, RunSpec, TwinSpecs or GroupSpecs)
     for key, spec in misses.items():
-        if cells and isinstance(cells[-1][1], RunSpec):
-            (last_key,), last = cells[-1]
-            twins = TwinSpecs.of(last, spec)
-            if twins is not None:
-                cells[-1] = ((last_key, key), twins)
-                continue
+        if cells:
+            last_keys, last = cells[-1]
+            if isinstance(last, RunSpec):
+                twins = TwinSpecs.of(last, spec)
+                if twins is not None:
+                    cells[-1] = (last_keys + (key,), twins)
+                    continue
+            if not isinstance(last, TwinSpecs):
+                group = GroupSpecs.of(last, spec)
+                if group is not None:
+                    cells[-1] = (last_keys + (key,), group)
+                    continue
         cells.append(((key,), spec))
     if cells:
         computed = fan_out(_execute_cell, [cell for _, cell in cells], jobs)
+        for (_, cell), out in zip(cells, computed):
+            if isinstance(cell, GroupSpecs):
+                for spec, result in zip(cell.specs, out[0]):
+                    if isinstance(result, Exception):
+                        raise RunFailure(
+                            spec, f"{type(result).__name__}: {result}"
+                        ) from result
         for (cell_keys, cell), out in zip(cells, computed):
             if isinstance(cell, TwinSpecs):
                 *results, fallback = out
                 if tally is not None:
                     tally.add_pair(fallback)
+            elif isinstance(cell, GroupSpecs):
+                results, runs = out
+                if tally is not None:
+                    tally.simulations += runs
             else:
                 results = (out,)
                 if tally is not None:

@@ -1,7 +1,9 @@
 """Experiment runner: :func:`simulate` builds and runs a core for a Table 2
 configuration; :func:`run_one` does it for a registered workload.
 :func:`simulate_pair` runs two twin programs, such as one fuzz plan
-rendered with two secrets, as one paired run where it can."""
+rendered with two secrets, as one paired run where it can, and
+:func:`simulate_group` runs one program under several configurations as
+one core run per class of agreeing engines."""
 
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ from repro.harness.configs import make_engine
 from repro.isa.instructions import Program
 from repro.obs.metrics import Metrics
 from repro.pipeline.core import OoOCore, SimResult
+from repro.pipeline.group import EngineGroup
 from repro.pipeline.params import MachineParams
 from repro.security.observer import channel_digests
 from repro.workloads.registry import get as get_workload
@@ -171,6 +174,89 @@ def simulate_pair(program_a: Program, program_b: Program, config: str,
                    error)
 
 
+@dataclass
+class GroupRun:
+    """What one :func:`simulate_group` made.
+
+    ``results`` follows the ``configs`` order: each configuration's
+    ``SimResult``, or the exception its own :func:`simulate` raises.
+    ``runs`` counts core runs; ``departures`` lists ``(config, query,
+    cycle)`` for each member that left a group, and ``error`` is the
+    traceback of a group run that raised (its members then ran
+    separately).
+    """
+
+    results: list
+    runs: int = 0
+    departures: list = field(default_factory=list)
+    error: str = ""
+
+
+def simulate_group(program: Program, configs, model: AttackModel,
+                   max_instructions: int,
+                   params: Optional[MachineParams] = None,
+                   setup: Optional[Callable[[OoOCore], None]] = None,
+                   require_halt: bool = False) -> GroupRun:
+    """:func:`simulate` ``program`` under each of ``configs`` (distinct
+    configurations that advance the visibility point); each result equals
+    its own run's.
+
+    The configurations run as one core with an
+    :class:`~repro.pipeline.group.EngineGroup`; the members that left it
+    run again as the next group, in ``configs`` order, until every
+    configuration has its result.  A group run that raises falls back to
+    a separate :func:`simulate` per member, each keeping its own result or
+    exception.
+    """
+    configs = list(configs)
+    done: dict = {}
+    run = GroupRun([])
+    pending = configs
+    while pending:
+        engines = [make_engine(config, model) for config in pending]
+        # The last configuration left runs alone: its run is its own.
+        group = EngineGroup(engines) if len(engines) > 1 else None
+        core = OoOCore(program, engine=group or engines[0], params=params)
+        if setup is not None:
+            setup(core)
+        run.runs += 1
+        try:
+            sim = core.run(max_instructions=max_instructions)
+        except Exception as exc:    # noqa: BLE001 — the separate runs decide
+            if group is None:
+                done[pending[0]] = exc
+                break
+            run.error = traceback.format_exc()
+            for config in pending:
+                run.runs += 1
+                try:
+                    done[config] = simulate(program, config, model,
+                                            max_instructions, params, setup,
+                                            require_halt)
+                except Exception as exc:    # noqa: BLE001 — its outcome
+                    done[config] = exc
+            break
+        config_of = {id(engine): config
+                     for config, engine in zip(pending, engines)}
+        for engine in (group.members if group else engines):
+            config = config_of[id(engine)]
+            result = (sim if engine is engines[0]
+                      else SimResult(core, sim.halted, engine))
+            if require_halt:
+                try:
+                    _require_halt(result, program, config, model,
+                                  max_instructions)
+                except RuntimeError as exc:
+                    result = exc
+            done[config] = result
+        if group is not None:
+            run.departures += [(config_of[id(engine)], query, cycle)
+                               for engine, query, cycle in group.departures]
+        pending = [config for config in pending if config not in done]
+    run.results = [done[config] for config in configs]
+    return run
+
+
 def run_one(workload: str, config: str,
             model: AttackModel = AttackModel.FUTURISTIC,
             scale: int = 1, max_instructions: Optional[int] = None,
@@ -210,6 +296,23 @@ def run_twins(workload_a: str, workload_b: str, config: str,
         result_b = run_result(workload_b, config, model, sim_b,
                               collect_trace)
     return result_a, result_b, run.fallback
+
+
+def run_group(workload: str, configs, model: AttackModel, scale: int = 1,
+              max_instructions: Optional[int] = None,
+              params: Optional[MachineParams] = None,
+              collect_trace: bool = False) -> tuple:
+    """:func:`run_one` for several configurations through
+    :func:`simulate_group`: ``(outcomes, core runs)``, with one
+    ``RunResult``, or the exception its own run raises, per
+    configuration."""
+    run = simulate_group(get_workload(workload).program(scale), configs,
+                         model, max_instructions or 10_000_000, params,
+                         require_halt=collect_trace)
+    outcomes = [sim if isinstance(sim, Exception)
+                else run_result(workload, config, model, sim, collect_trace)
+                for config, sim in zip(configs, run.results)]
+    return outcomes, run.runs
 
 
 def run_result(workload: str, config: str, model: AttackModel,

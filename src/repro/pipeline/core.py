@@ -116,8 +116,9 @@ class SimResult:
     ``metrics.group("frontend").get("fetched")``.
     """
 
-    def __init__(self, core: "OoOCore", halted: bool):
-        self.metrics = core.build_metrics()
+    def __init__(self, core: "OoOCore", halted: bool,
+                 engine: Optional[ProtectionEngine] = None):
+        self.metrics = core.build_metrics(engine)
         self.cycles = core.cycle
         self.retired = core.retired_count
         self.halted = halted
@@ -175,6 +176,10 @@ class OoOCore:
         # avoids O(n) pops and is compacted periodically.
         self.rob: list[DynInst] = []
         self.rob_head = 0
+        # Window slots (``DynInst.fp_slot``): dispatch hands them out
+        # circularly over ``rob_entries`` in program order, a squash
+        # retracts the tail, and retirement frees the head's.
+        self._slot_tail = 0
         self.lsq: list[DynInst] = []
         self.pending_control: list[DynInst] = []
         self._completion_buckets: dict[int, list[DynInst]] = {}
@@ -273,8 +278,10 @@ class OoOCore:
         self._fin_loads: list[DynInst] = []
 
     # ------------------------------------------------------------- metrics
-    def build_metrics(self) -> Metrics:
-        """Assemble the hierarchical metrics tree for this run.
+    def build_metrics(self,
+                      engine: Optional[ProtectionEngine] = None) -> Metrics:
+        """Assemble the hierarchical metrics tree for this run, with
+        ``engine``'s metrics (default: the core's engine) under ``engine``.
 
         Idempotent (derived values are ``set``, never accumulated): the
         tracer and :class:`SimResult` may both collect it.
@@ -308,7 +315,7 @@ class OoOCore:
         for cause in STALL_CAUSES:
             stalls.set(cause.key, self.stall_counts[cause])
         stalls.set("total", sum(self.stall_counts))
-        m.groups["engine"] = self.engine.metrics_tree()
+        m.groups["engine"] = (engine or self.engine).metrics_tree()
         if self.checker is not None:
             m.groups["check"] = self.checker.metrics_tree()
         return m
@@ -760,6 +767,9 @@ class OoOCore:
             squashed.append(victim)
         self.n_squashed_insts += len(squashed)
         if squashed:
+            # Youngest first: the window's slot tail retracts to the
+            # oldest victim's slot.
+            self._slot_tail = squashed[-1].fp_slot
             # Every squash filters its victims out of each structure at
             # once, so the ``squashed`` flag marks exactly these victims.
             if self.lsq:
@@ -1097,6 +1107,7 @@ class OoOCore:
         rs_wait = self._rs_wait
         heap = self._rs_ready
         lsq = self.lsq
+        slot = self._slot_tail
         dispatched = 0
         while buf and dispatched < width and buf[0][0] <= cycle:
             di = buf[0][1]
@@ -1140,6 +1151,8 @@ class OoOCore:
                 rat[inst.rd] = prd
                 ready[prd] = False
                 value[prd] = 0
+            di.fp_slot = slot
+            slot = slot + 1 if slot + 1 < rob_entries else 0
             on_rename(di)
             if checker is not None:
                 checker.on_rename(di)
@@ -1189,6 +1202,7 @@ class OoOCore:
                     ready[prd] = True
                 di.complete = True
             dispatched += 1
+        self._slot_tail = slot
 
     def _fetch_batched(self) -> None:
         cycle = self.cycle
@@ -1256,13 +1270,11 @@ class OoOCore:
                         di.resolution_delayed = False
                         di.reached_vp = False
                         if rtier[pc]:
-                            di.declassified = False
                             di.addr_ready = False
                             di.mem_issued = False
                             di.mem_complete = False
                             di.forwarded_from = None
                             di.fwding_st = -1
-                            di.stl_public = False
                     else:
                         di = new(cls)
                         di.reinit(seq, pc, insts[pc], infos[pc])

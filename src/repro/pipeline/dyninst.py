@@ -11,9 +11,10 @@ from repro.isa.opcodes import Kind
 class DynInst:
     """One dynamic instruction travelling through the pipeline.
 
-    Carries rename state, scheduling state, control/memory state, and the
-    per-slot taint bits used by SPT's reservation-station untaint logic
-    (paper Section 7.2-7.3).
+    Carries rename state, scheduling state, control/memory state, the
+    window slot the core assigns at dispatch, and the per-entry bits of
+    :class:`~repro.core.spt.ReferenceSPTEngine` (the packed ``SPTEngine``
+    keeps its own, indexed by the window slot).
     """
 
     __slots__ = (
@@ -39,13 +40,14 @@ class DynInst:
         "actual_taken", "actual_target", "mispredicted", "resolution_applied",
         # Memory.
         "address", "addr_ready", "mem_issued", "mem_complete",
-        "forwarded_from", "fwding_st", "stl_public",
-        # Visibility point / declassification.
-        "reached_vp", "declassified",
-        # SPT per-slot taint bits (7.3).
-        "t_src1", "t_src2", "t_dst",
-        # Window slot: index of this entry's bit in the packed SPTEngine's
-        # bitmasks, -1 outside it.
+        "forwarded_from", "fwding_st",
+        # Visibility point.
+        "reached_vp",
+        # ReferenceSPTEngine's per-entry bits (Section 7.3), reset at rename.
+        "t_src1", "t_src2", "t_dst", "declassified", "stl_public",
+        # Window slot: assigned by the core at each dispatch, circularly
+        # over the ROB's entries in program order (the index of this
+        # entry's bit in the packed SPTEngine's bitmasks).
         "fp_slot",
         # Wakeup state: number of source operands this entry still waits on
         # before it becomes an issue candidate (the core's event-driven
@@ -137,20 +139,21 @@ class DynInst:
           (captured in ``_execute``/``_memory_stage``/load completion
           before any consumer), control outcomes (``predicted_*``/
           ``history_snapshot`` at fetch, ``actual_*``/``mispredicted`` at
-          execute), and SPT slot bits (``t_*`` at rename);
+          execute), the window slot (``fp_slot`` at dispatch) and the
+          reference SPT engine's bits (``t_*``, ``declassified``,
+          ``stl_public`` at rename);
         * *reader-free in a recycling run*: the lifecycle timestamps are
           only read by the tracer and the full-level sanitizer, and either
           one puts the core in stepped mode, which does not recycle.
 
         ``tier`` widens the reset set for kinds with cross-life hazards:
         1 (loads/stores) clears the memory-disambiguation and
-        store-to-load-forwarding state read *before* the address resolves,
-        plus ``declassified`` (transmitters leak operands at the VP);
+        store-to-load-forwarding state read *before* the address resolves;
         2 (branches/indirect jumps) clears ``resolution_applied`` (read by
-        the visibility-point predicate before execute re-sets it) and
-        ``declassified``.  The fetch loop inlines these stores for
-        straight-line runs — this method is the specification it mirrors
-        (and the path control-flow fetches take).
+        the visibility-point predicate before execute re-sets it).  The
+        fetch loop inlines these stores for straight-line runs — this
+        method is the specification it mirrors (and the path control-flow
+        fetches take).
         """
         self.seq = seq
         self.issued = False
@@ -161,17 +164,14 @@ class DynInst:
         self.engine_delayed = False
         self.resolution_delayed = False
         self.reached_vp = False
-        if tier:
-            self.declassified = False
-            if tier == 1:
-                self.addr_ready = False
-                self.mem_issued = False
-                self.mem_complete = False
-                self.forwarded_from = None
-                self.fwding_st = -1
-                self.stl_public = False
-            else:
-                self.resolution_applied = False
+        if tier == 1:
+            self.addr_ready = False
+            self.mem_issued = False
+            self.mem_complete = False
+            self.forwarded_from = None
+            self.fwding_st = -1
+        elif tier:
+            self.resolution_applied = False
 
     def __repr__(self) -> str:
         flags = "".join((

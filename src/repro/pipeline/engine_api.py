@@ -24,6 +24,12 @@ hold counters.
 The core owns its engine; the engine reaches back to the core only through
 a weak reference (:attr:`ProtectionEngine.core`), so a finished simulation
 holds no reference cycle and is freed as soon as its last user drops it.
+
+An engine writes no core or ``DynInst`` state besides the activity counter
+and the VP frontier (through :meth:`OoOCore.advance_vp`), except
+:class:`~repro.core.spt.ReferenceSPTEngine`, which keeps its per-entry bits
+on the ``DynInst``.  That is what lets several engines share one core
+(:mod:`repro.pipeline.group`).
 """
 
 from __future__ import annotations
@@ -129,4 +135,11 @@ class ProtectionEngine:
         """Instruction retired (left the window)."""
 
     def tick(self) -> None:
-        """End-of-cycle hook: VP advance, declassification, untaint rules."""
+        """End-of-cycle hook: VP advance, then :meth:`step` over the
+        instructions that newly reached the VP."""
+
+    def step(self, newly_vp: list) -> None:
+        """The end-of-cycle rules after the VP advanced (declassification,
+        untaint rules).  Split from :meth:`tick` so that engines sharing a
+        core (:class:`~repro.pipeline.group.EngineGroup`) advance the VP
+        once per cycle and each run their rules."""

@@ -72,7 +72,8 @@ def test_mutation_drop_taint_on_rename(monkeypatch):
 
     def buggy(self, di):
         original(self, di)
-        di.t_src1 = False           # drops the Section 6.3 entry taint
+        # Drops the Section 6.3 entry taint from the engine's own bit.
+        self._t_src1_m &= ~(1 << di.fp_slot)
 
     monkeypatch.setattr(SPTEngine, "on_rename", buggy)
     expect_violation("taint-init", random_program(7), engine=spt_engine())

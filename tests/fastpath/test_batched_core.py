@@ -289,12 +289,14 @@ def test_recycled_window_drains_clean():
     core, run = run_outcome(program, engine, BUDGET)
     assert_golden(golden_key(program, FULL_SPT, AttackModel.FUTURISTIC), run)
     for mask in (engine._t_src1_m, engine._t_src2_m, engine._t_dst_m,
+                 engine._declassified_m, engine._stl_public_m,
                  engine._pure_m, engine._inv_mono_m, engine._inv_alu_m):
         assert mask == 0
     assert all(di is None for di in engine._slot_di)
-    for carcasses in core._pool.values():
-        for di in carcasses:
-            assert di.fp_slot == -1
+    assert engine._retired_data == {}
+    # The core's slot tail and the engine's head meet in the empty window,
+    # so no pooled carcass (retired or squashed) still holds a slot.
+    assert core._slot_tail == engine._head
     # Cooldown victims not yet re-pooled are still squashed carcasses.
     for di in core._cool:
         assert di.squashed
