@@ -28,9 +28,13 @@ The cells run through :func:`repro.harness.parallel.fan_out` with
 ``REPRO_JOBS`` workers, as ``repro check``'s do; the grid flags are the
 ones ``repro check`` takes, and a usage error exits 2.
 
-:func:`pair_diff_cell` compares the same projection between the pair
-runner (:func:`repro.harness.runner.simulate_pair`) and two separate
-runs: the differential of the fuzz oracle's paired runs.
+:func:`twin_group_diff_cell` compares the same projection between the
+twin-group runner (:func:`repro.harness.runner.simulate_group` with a
+twin program, what ``run_many`` does with a fuzz seed's protected cells
+under one model) and separate runs of both programs under every
+configuration, and :func:`pair_diff_cell` is its one-configuration case
+(:func:`repro.harness.runner.simulate_pair`): the differentials of the
+fuzz oracle's paired runs.
 
 Examples::
 
@@ -52,8 +56,7 @@ from repro.harness.configs import (GROUPABLE_CONFIGS, Grid, at_least_one,
                                    make_engine)
 from repro.harness.parallel import (GroupSpecs, RunFailure, RunSpec,
                                     default_jobs, fan_out)
-from repro.harness.runner import (PAIRED_ERROR, simulate_group,
-                                  simulate_pair)
+from repro.harness.runner import PAIRED_ERROR, simulate_group
 from repro.isa.instructions import Program
 from repro.pipeline.core import OoOCore, SimResult, SimulationError
 from repro.pipeline.engine_api import ProtectionEngine
@@ -178,34 +181,68 @@ def _record_pcs(core: OoOCore) -> None:
 def pair_diff_cell(program_a: Program, program_b: Program, config: str,
                    model: AttackModel, budget: int) -> tuple:
     """The pair runner against two separate runs of one cell:
-    ``(fallback, mismatches)``.
+    ``(fallback, mismatches)``, :func:`twin_group_diff_cell`'s
+    one-configuration case."""
+    fallbacks, _, mismatches = twin_group_diff_cell(
+        program_a, program_b, [config], model, budget)
+    prefix = f"{config}: "
+    return fallbacks[0], [line[len(prefix):] for line in mismatches]
 
-    Each side's projected outcome must equal its separate run's.  A pair
-    whose separate traces differ must have fallen back (a paired run that
-    served it would have hidden a leak), and a fallback because the
-    paired run raised is a fault of the paired core.
+
+def twin_group_diff_cell(program_a: Program, program_b: Program, configs,
+                         model: AttackModel, budget: int) -> tuple:
+    """The twin-group runner (:func:`repro.harness.runner.simulate_group`
+    with a twin) against separate runs of both programs under ``configs``:
+    ``(fallbacks, departures, mismatches)``.
+
+    Each side's projected outcome must equal its separate run's, for every
+    configuration.  A configuration whose separate traces differ must have
+    fallen back (a paired run that served it would have hidden a leak), and
+    a fallback because a paired run raised is a fault of the paired core.
+    ``departures`` names each member that left a group, with the query and
+    the cycle, and a group run that raised.
     """
-    separate = [run_outcome(program, make_engine(config, model), budget)[1]
-                for program in (program_a, program_b)]
-    try:
-        run = simulate_pair(program_a, program_b, config, model, budget,
-                            setup=_record_pcs)
-    except SimulationError as exc:
-        raised = {"error": f"{type(exc).__name__}: {exc}"}
-        return "raised", compare_cell(separate[0], raised,
-                                      ("separate", "paired"))
+    separate = {config: [run_outcome(program, make_engine(config, model),
+                                     budget)[1]
+                         for program in (program_a, program_b)]
+                for config in configs}
+    run = simulate_group(program_a, configs, model, budget,
+                         setup=_record_pcs, twin=program_b)
+    departures = _departures(run)
     mismatches = []
-    if run.fallback == PAIRED_ERROR:
-        mismatches.append(f"the paired run raised:\n{run.error}")
-    for name, sim, want in zip("ab", run.results, separate):
-        mismatches += [f"side {name}: {line}" for line in compare_cell(
-            want, outcome_of(sim), ("separate", "paired"))]
-    if run.fallback is None and "error" not in separate[0] \
-            and differing_channels(separate[0]["digests"],
-                                   separate[1]["digests"]):
-        mismatches.append("the separate runs' traces differ, but one "
-                          "paired run served both")
-    return run.fallback, mismatches
+    for config, result, fallback in zip(configs, run.results, run.fallbacks):
+        want = separate[config]
+        lines = []
+        if isinstance(result, Exception):
+            # The first side whose own run raised gives the outcome.
+            raised = {"error": f"{type(result).__name__}: {result}"}
+            failing = next((side for side in want if "error" in side),
+                           want[0])
+            lines += compare_cell(failing, raised, ("separate", "paired"))
+        else:
+            if fallback == PAIRED_ERROR:
+                lines.append(f"the paired run raised:\n{run.error}")
+            for name, sim, side in zip("ab", result, want):
+                lines += [f"side {name}: {line}" for line in compare_cell(
+                    side, outcome_of(sim), ("separate", "paired"))]
+            if fallback is None and not any("error" in side
+                                            for side in want) \
+                    and differing_channels(want[0]["digests"],
+                                           want[1]["digests"]):
+                lines.append("the separate runs' traces differ, but one "
+                             "paired run served both")
+        mismatches += [f"{config}: {line}" for line in lines]
+    return run.fallbacks, departures, mismatches
+
+
+def _departures(run) -> list:
+    """A group run's departures and raise, as report lines."""
+    departures = [f"{config} left at cycle {cycle} on {query}"
+                  for config, query, cycle in run.departures]
+    if run.error:
+        departures.append("a group or paired run raised: "
+                          + run.error.strip().splitlines()[-1])
+    return departures
 
 
 def group_diff_cell(program: Program, configs, model: AttackModel,
@@ -221,11 +258,7 @@ def group_diff_cell(program: Program, configs, model: AttackModel,
     separate = [run_outcome(program, make_engine(config, model), budget)[1]
                 for config in configs]
     run = simulate_group(program, configs, model, budget, setup=_record_pcs)
-    departures = [f"{config} left at cycle {cycle} on {query}"
-                  for config, query, cycle in run.departures]
-    if run.error:
-        departures.append("a group run raised: "
-                          + run.error.strip().splitlines()[-1])
+    departures = _departures(run)
     mismatches = []
     for config, result, want in zip(configs, run.results, separate):
         got = ({"error": f"{type(result).__name__}: {result}"}

@@ -1,13 +1,16 @@
 """The leakage-fuzzing campaign driver.
 
-A campaign fans ``seeds x configurations x attack-models x 2 secrets``
+A campaign fans ``seeds x attack-models x configurations x 2 secrets``
 runs through :func:`repro.harness.parallel.run_many` — every run is an
 ordinary harness run (parallelised, cached, deduplicated; the
 ``UnsafeBaseline`` runs are even shared between attack models via the
-model-independent cache key, and a cell's two secrets are twins, which
+model-independent cache key).  A cell's two secrets are twins, which
 ``run_many`` simulates as one paired run until the secrets steer an
-address or a branch) — then folds the per-channel trace digests into
-oracle verdicts, triage counts, and corpus records.
+address or a branch, and one seed's protected cells under one model are
+adjacent, so they run as one twin group: one paired core per class of
+agreeing engines.  The campaign then folds the per-channel trace digests,
+in (seed, configuration, model) order, into oracle verdicts, triage
+counts, and corpus records.
 
 Every campaign judges every seed it is asked for.  Work is reused only
 through the result cache, whose key holds everything a verdict depends on:
@@ -105,26 +108,29 @@ def run_campaign(cfg: CampaignConfig) -> FuzzReport:
 
     # The whole campaign as one deduplicated, cached, parallel sweep.
     runnable = [item for item in work if item.valid]
-    specs = []
-    cells = []      # (work item, config, model) per spec *pair*
-    for item in runnable:
-        for config in cfg.configs:
-            for model in cfg.models:
-                cells.append((item, config, model))
-                for secret in item.secrets:
-                    specs.append(RunSpec(
-                        workload_name(cfg.profile, item.seed, secret),
-                        config, model,
-                        max_instructions=cfg.max_instructions,
-                        collect_trace=True))
+    cells = [(item, config, model)      # verdict order: seed, config, model
+             for item in runnable for config in cfg.configs
+             for model in cfg.models]
+    # The specs run in (seed, model, config, secret) order, so that one
+    # seed's twin cells under one model are adjacent and run as a group.
+    per_seed = len(cfg.configs) * len(cfg.models)
+    order = sorted(range(len(cells)),
+                   key=lambda index: (index // per_seed,
+                                      index % len(cfg.models)))
+    specs = [RunSpec(workload_name(cfg.profile, item.seed, secret), config,
+                     model, max_instructions=cfg.max_instructions,
+                     collect_trace=True)
+             for item, config, model in (cells[index] for index in order)
+             for secret in item.secrets]
     tally = SimTally()
     results = run_many(specs, jobs=cfg.jobs, use_cache=cfg.use_cache,
                        tally=tally)
+    pairs = {index: results[2 * rank:2 * rank + 2]
+             for rank, index in enumerate(order)}
 
     outcomes: dict = {}     # seed -> list of verdict dicts
     for pair_index, (item, config, model) in enumerate(cells):
-        result_a = results[2 * pair_index]
-        result_b = results[2 * pair_index + 1]
+        result_a, result_b = pairs[pair_index]
         channels = differing_channels(result_a.trace_digests,
                                       result_b.trace_digests)
         verdict = CellVerdict(config, model, tuple(channels),

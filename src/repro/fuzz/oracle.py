@@ -93,7 +93,7 @@ def check_pair_direct(a: Program, b: Program, config: str,
             tally.simulations += PAIR_MAX_SIMULATIONS
         raise
     if tally is not None:
-        tally.add_pair(run.fallback)
+        tally.add(run.runs, [run.fallback])
     if run.fallback is None:
         return []
     sim_a, sim_b = run.results

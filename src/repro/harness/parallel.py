@@ -10,16 +10,17 @@ the last two raising an error the failure carries.
 the CLI sweeps, ``repro check``, fuzz campaigns): it deduplicates a list
 of :class:`RunSpec` values, satisfies what it can from the persistent
 result cache, and fans out only the misses.  Two adjacent misses that
-differ only in twin workloads (one fuzz plan, two secrets) fan out as one
-cell, simulated by :func:`~repro.harness.runner.simulate_pair`.  Adjacent
-other misses that differ only in a configuration that advances the
-visibility point (any but UnsafeBaseline), with no sanitizer attached,
-fan out as one group cell, simulated by
-:func:`~repro.harness.runner.simulate_group` as one core run per class of
-agreeing engines; the Figure 7 grid's 280 protected runs take 110 at
-budget 500.
+differ only in twin workloads (one fuzz plan, two secrets) make one pair
+cell.  Adjacent misses, or adjacent pair cells, that differ only in a
+configuration that advances the visibility point (any but
+UnsafeBaseline), with no sanitizer attached, fan out as one group cell.
+Both kinds run through :func:`~repro.harness.runner.run_group`, as one
+core run per class of agreeing engines, a paired core for pair cells: the
+Figure 7 grid's 280 protected runs take 110 at budget 500, and a quick
+fuzz seed's 14 protected pair cells take about 7.
 The scenario matrix and ``repro backend-diff`` fan out verdicts, which
-are not cached.
+are not cached; the matrix runs each (scenario, model) row's protected
+configurations as one group too.
 
 Degradation is graceful at every layer: one job runs serially in-process
 (the debuggable path), and a pool that cannot start (no ``fork``/``spawn``
@@ -38,8 +39,7 @@ from typing import Callable, Optional, Sequence
 from repro.core.attack_model import AttackModel
 from repro.harness import cache
 from repro.harness.configs import GROUPABLE_CONFIGS
-from repro.harness.runner import (_env_int, run_group, run_one, run_twins,
-                                  simulations_made)
+from repro.harness.runner import _env_int, run_group, run_one
 from repro.pipeline.params import MachineParams
 from repro.workloads.registry import twin_key
 
@@ -66,6 +66,9 @@ class RunSpec:
                                 self.scale, self.max_instructions,
                                 self.params, self.collect_trace)
 
+    def with_config(self, config: str) -> "RunSpec":
+        return replace(self, config=config)
+
 
 @dataclass(frozen=True)
 class TwinSpecs:
@@ -74,8 +77,20 @@ class TwinSpecs:
     a: RunSpec
     b: RunSpec
 
+    @property
+    def config(self) -> str:
+        return self.a.config
+
+    @property
+    def params(self) -> Optional[MachineParams]:
+        return self.a.params
+
     def describe(self) -> str:
         return f"{self.a.describe()} twin={self.b.workload}"
+
+    def with_config(self, config: str) -> "TwinSpecs":
+        return TwinSpecs(self.a.with_config(config),
+                         self.b.with_config(config))
 
     @classmethod
     def of(cls, a: RunSpec, b: RunSpec) -> Optional["TwinSpecs"]:
@@ -90,7 +105,8 @@ class TwinSpecs:
 
 @dataclass(frozen=True)
 class GroupSpecs:
-    """Specs equal but for their grouped configurations: one fan-out cell."""
+    """Specs, or twin cells, equal but for their grouped configurations:
+    one fan-out cell."""
 
     specs: tuple
 
@@ -99,19 +115,20 @@ class GroupSpecs:
         return f"{self.specs[0].describe()} grouped with {others}"
 
     @staticmethod
-    def groupable(spec: RunSpec) -> bool:
+    def groupable(spec) -> bool:
         return (spec.config in GROUPABLE_CONFIGS
                 and (spec.params is None
                      or spec.params.check_level == "off"))
 
     @classmethod
-    def of(cls, last, spec: RunSpec) -> Optional["GroupSpecs"]:
-        """The cell of ``last`` (a spec or a group) with ``spec`` added,
-        or None when ``spec`` does not join it."""
+    def of(cls, last, spec) -> Optional["GroupSpecs"]:
+        """The cell of ``last`` (a spec, a twin cell or a group of either)
+        with ``spec`` (one of the same kind) added, or None when ``spec``
+        does not join it."""
         specs = last.specs if isinstance(last, GroupSpecs) else (last,)
         first = specs[0]
         if not (cls.groupable(spec) and cls.groupable(first)) \
-                or replace(spec, config=first.config) != first:
+                or spec.with_config(first.config) != first:
             return None
         return cls(specs + (spec,))
 
@@ -120,19 +137,21 @@ class GroupSpecs:
 class SimTally:
     """What a sweep simulated: core runs made, twin pairs served by one
     paired run, and twin pairs that ran separately, by reason (a steering
-    site, or see :class:`~repro.harness.runner.PairRun`)."""
+    site, or see :class:`~repro.harness.runner.GroupRun`)."""
 
     simulations: int = 0
     paired: int = 0
     fallbacks: Counter = field(default_factory=Counter)
 
-    def add_pair(self, fallback: Optional[str]) -> None:
-        """Count one twin cell by its ``PairRun.fallback``."""
-        self.simulations += simulations_made(fallback)
-        if fallback is None:
-            self.paired += 1
-        else:
-            self.fallbacks[fallback] += 1
+    def add(self, runs: int, fallbacks) -> None:
+        """Count ``runs`` core runs, and one twin pair per entry of
+        ``fallbacks`` by its ``GroupRun.fallbacks`` entry."""
+        self.simulations += runs
+        for fallback in fallbacks:
+            if fallback is None:
+                self.paired += 1
+            else:
+                self.fallbacks[fallback] += 1
 
 
 class RunFailure(RuntimeError):
@@ -149,25 +168,28 @@ def default_jobs() -> int:
     return _env_int("REPRO_JOBS", os.cpu_count() or 1)
 
 
+def _members(cell) -> tuple:
+    """The specs or twin cells a fan-out cell runs, in order."""
+    return cell.specs if isinstance(cell, GroupSpecs) else (cell,)
+
+
 def _execute_cell(cell):
     """Worker entry point (module-level so it pickles): a RunSpec's
-    ``RunResult``, a TwinSpecs' ``(RunResult, RunResult, fallback)``, or a
-    GroupSpecs' ``run_group`` outcome."""
-    if isinstance(cell, TwinSpecs):
-        a, b = cell.a, cell.b
-        return run_twins(a.workload, b.workload, a.config, a.model,
-                         scale=a.scale, max_instructions=a.max_instructions,
-                         params=a.params, collect_trace=a.collect_trace)
-    if isinstance(cell, GroupSpecs):
-        first = cell.specs[0]
-        return run_group(first.workload, [spec.config for spec in cell.specs],
-                         first.model, scale=first.scale,
-                         max_instructions=first.max_instructions,
-                         params=first.params,
-                         collect_trace=first.collect_trace)
-    return run_one(cell.workload, cell.config, cell.model,
-                   scale=cell.scale, max_instructions=cell.max_instructions,
-                   params=cell.params, collect_trace=cell.collect_trace)
+    ``RunResult``, or a TwinSpecs' or GroupSpecs' ``run_group`` outcome."""
+    if isinstance(cell, RunSpec):
+        return run_one(cell.workload, cell.config, cell.model,
+                       scale=cell.scale,
+                       max_instructions=cell.max_instructions,
+                       params=cell.params, collect_trace=cell.collect_trace)
+    members = _members(cell)
+    first = members[0]
+    twin = first.b.workload if isinstance(first, TwinSpecs) else None
+    spec = first.a if twin else first
+    return run_group(spec.workload, [member.config for member in members],
+                     spec.model, scale=spec.scale,
+                     max_instructions=spec.max_instructions,
+                     params=spec.params, collect_trace=spec.collect_trace,
+                     twin=twin)
 
 
 def _run_serial(fn: Callable, cells: Sequence) -> list:
@@ -232,10 +254,11 @@ def run_many(specs: Sequence[RunSpec],
     Specs with equal cache keys (:meth:`RunSpec.key`) are simulated once,
     and a spec whose result is already in the persistent result cache is
     not simulated at all.  Two misses adjacent in that order that are
-    :class:`TwinSpecs` run as one pair cell, and a run of adjacent misses
-    that make a :class:`GroupSpecs` as one group cell; a configuration
-    whose own run raises fails the call with a :class:`RunFailure` naming
-    its spec, as a cell of its own would.  ``use_cache=None`` consults
+    :class:`TwinSpecs` make one pair cell, and a run of adjacent misses,
+    or of adjacent pair cells, that make a :class:`GroupSpecs` one group
+    cell; a configuration whose own run raises fails the call with a
+    :class:`RunFailure` naming its spec (or pair cell), as a cell of its
+    own would.  ``use_cache=None`` consults
     the environment (``REPRO_NO_CACHE``); pass an explicit bool to
     override.  ``jobs=None`` reads ``REPRO_JOBS`` / CPU count; ``jobs=1``
     forces the in-process serial path.  ``tally``, when given, counts the
@@ -264,41 +287,39 @@ def run_many(specs: Sequence[RunSpec],
             known[key] = hit
     cells: list = []    # (cache keys, RunSpec, TwinSpecs or GroupSpecs)
     for key, spec in misses.items():
+        cell_keys, cell = (key,), spec
+        if cells and isinstance(cells[-1][1], RunSpec):
+            twins = TwinSpecs.of(cells[-1][1], spec)
+            if twins is not None:
+                cell_keys, cell = cells.pop()[0] + cell_keys, twins
         if cells:
-            last_keys, last = cells[-1]
-            if isinstance(last, RunSpec):
-                twins = TwinSpecs.of(last, spec)
-                if twins is not None:
-                    cells[-1] = (last_keys + (key,), twins)
-                    continue
-            if not isinstance(last, TwinSpecs):
-                group = GroupSpecs.of(last, spec)
-                if group is not None:
-                    cells[-1] = (last_keys + (key,), group)
-                    continue
-        cells.append(((key,), spec))
+            group = GroupSpecs.of(cells[-1][1], cell)
+            if group is not None:
+                cell_keys, cell = cells.pop()[0] + cell_keys, group
+        cells.append((cell_keys, cell))
     if cells:
         computed = fan_out(_execute_cell, [cell for _, cell in cells], jobs)
-        for (_, cell), out in zip(cells, computed):
-            if isinstance(cell, GroupSpecs):
-                for spec, result in zip(cell.specs, out[0]):
-                    if isinstance(result, Exception):
-                        raise RunFailure(
-                            spec, f"{type(result).__name__}: {result}"
-                        ) from result
-        for (cell_keys, cell), out in zip(cells, computed):
-            if isinstance(cell, TwinSpecs):
-                *results, fallback = out
-                if tally is not None:
-                    tally.add_pair(fallback)
-            elif isinstance(cell, GroupSpecs):
-                results, runs = out
-                if tally is not None:
-                    tally.simulations += runs
-            else:
-                results = (out,)
-                if tally is not None:
-                    tally.simulations += 1
+        # A RunSpec's outcome is its result; a cell run_group ran has one
+        # per member, with its core runs.
+        outcomes = [([out], 1) if isinstance(cell, RunSpec) else out
+                    for (_, cell), out in zip(cells, computed)]
+        for (_, cell), (outs, _) in zip(cells, outcomes):
+            for member, out in zip(_members(cell), outs):
+                if isinstance(out, Exception):
+                    raise RunFailure(
+                        member, f"{type(out).__name__}: {out}") from out
+        for (cell_keys, _), (outs, runs) in zip(cells, outcomes):
+            results = []
+            fallbacks = []
+            for out in outs:
+                if isinstance(out, tuple):
+                    *pair, fallback = out
+                    results += pair
+                    fallbacks.append(fallback)
+                else:
+                    results.append(out)
+            if tally is not None:
+                tally.add(runs, fallbacks)
             for key, result in zip(cell_keys, results):
                 known[key] = result
                 if use_cache:

@@ -1,9 +1,9 @@
 """Experiment runner: :func:`simulate` builds and runs a core for a Table 2
 configuration; :func:`run_one` does it for a registered workload.
-:func:`simulate_pair` runs two twin programs, such as one fuzz plan
-rendered with two secrets, as one paired run where it can, and
 :func:`simulate_group` runs one program under several configurations as
-one core run per class of agreeing engines."""
+one core run per class of agreeing engines, and with a twin program (one
+fuzz plan rendered with two secrets) as one paired run per class where it
+can; :func:`simulate_pair` is its one-configuration twin case."""
 
 from __future__ import annotations
 
@@ -97,7 +97,7 @@ def _require_halt(sim: SimResult, program: Program, config: str,
             f"within {max_instructions} instructions")
 
 
-# Why a pair ran as two separate simulations without a paired attempt.
+# Why a twin pair ran as two separate simulations without a paired attempt.
 NOT_TWINS = "not-twins"
 SANITIZER = "sanitizer"
 # The paired run raised something other than a Divergence.
@@ -106,26 +106,14 @@ PAIRED_ERROR = "error"
 
 @dataclass
 class PairRun:
-    """Both results of one :func:`simulate_pair` and how they were made.
-
-    ``fallback`` is None when one paired run served both programs.  Else
-    it says why they ran separately: a steering site of
-    :mod:`repro.pipeline.relational` (the paired run diverged there),
-    :data:`NOT_TWINS`, :data:`SANITIZER` or :data:`PAIRED_ERROR`, with
-    the exception the paired run raised in ``error``.
-    """
+    """Both results of one :func:`simulate_pair` and how they were made:
+    ``fallback`` and ``error`` as :class:`GroupRun` gives them for its one
+    configuration, and ``runs`` core runs."""
 
     results: tuple          # (SimResult, SimResult)
     fallback: Optional[str] = None
     error: str = ""
-
-
-def simulations_made(fallback: Optional[str]) -> int:
-    """Core runs behind a :class:`PairRun` with ``fallback``: the paired
-    run, plus the two separate runs after it diverged or raised."""
-    if fallback is None:
-        return 1
-    return 2 if fallback in (NOT_TWINS, SANITIZER) else 3
+    runs: int = 1
 
 
 def simulate_pair(program_a: Program, program_b: Program, config: str,
@@ -133,45 +121,15 @@ def simulate_pair(program_a: Program, program_b: Program, config: str,
                   params: Optional[MachineParams] = None,
                   setup: Optional[Callable[[OoOCore], None]] = None,
                   require_halt: bool = False) -> PairRun:
-    """:func:`simulate` both programs; each result equals its own run's.
-
-    Twin programs run as one :class:`~repro.pipeline.relational.
-    PairedCore`.  The two programs run separately, exactly as
-    :func:`simulate` runs them, when they are not twins, when a sanitizer
-    is attached (``params.check_level``), when the paired run reaches a
-    steering site with differing values, and when it raises.
-    """
-    # Imported here: the processes that never pair (figure sweeps, the
-    # scenario matrix) skip loading the relational core.
-    from repro.pipeline.relational import Divergence, PairedCore, twins
-
-    fallback = None
-    error = ""
-    if (params or MachineParams()).check_level != "off":
-        fallback = SANITIZER
-    elif not twins(program_a, program_b):
-        fallback = NOT_TWINS
-    else:
-        core = PairedCore(program_a, program_b,
-                          engine=make_engine(config, model), params=params)
-        if setup is not None:
-            setup(core)
-        try:
-            sim = core.run(max_instructions=max_instructions)
-        except Divergence as divergence:
-            fallback = divergence.site
-        except Exception:       # noqa: BLE001 — the separate runs decide
-            fallback = PAIRED_ERROR
-            error = traceback.format_exc()
-        else:
-            if require_halt:
-                _require_halt(sim, program_a, config, model,
-                              max_instructions)
-            return PairRun((sim, core.twin_result))
-    return PairRun(tuple(simulate(program, config, model, max_instructions,
-                                  params, setup, require_halt)
-                         for program in (program_a, program_b)), fallback,
-                   error)
+    """:func:`simulate` both programs, each result equal to its own run's:
+    :func:`simulate_group`'s one-configuration twin case.  Raises what the
+    separate runs raise."""
+    run = simulate_group(program_a, [config], model, max_instructions,
+                         params, setup, require_halt, twin=program_b)
+    result, = run.results
+    if isinstance(result, Exception):
+        raise result
+    return PairRun(result, run.fallbacks[0], run.error, run.runs)
 
 
 @dataclass
@@ -179,14 +137,19 @@ class GroupRun:
     """What one :func:`simulate_group` made.
 
     ``results`` follows the ``configs`` order: each configuration's
-    ``SimResult``, or the exception its own :func:`simulate` raises.
-    ``runs`` counts core runs; ``departures`` lists ``(config, query,
-    cycle)`` for each member that left a group, and ``error`` is the
-    traceback of a group run that raised (its members then ran
-    separately).
+    ``SimResult`` (with a twin program, its pair of them), or the exception
+    its own run raises.  With a twin, ``fallbacks`` follows that order too:
+    None where one paired run served both programs, else why they ran
+    separately: a steering site of :mod:`repro.pipeline.relational` (a
+    paired run diverged there), :data:`NOT_TWINS`, :data:`SANITIZER` or
+    :data:`PAIRED_ERROR`.  ``runs`` counts core runs; ``departures`` lists
+    ``(config, query, cycle)`` for each member that left a group, and
+    ``error`` is the traceback of the first group or paired run that
+    raised.
     """
 
     results: list
+    fallbacks: list = field(default_factory=list)
     runs: int = 0
     departures: list = field(default_factory=list)
     error: str = ""
@@ -196,64 +159,117 @@ def simulate_group(program: Program, configs, model: AttackModel,
                    max_instructions: int,
                    params: Optional[MachineParams] = None,
                    setup: Optional[Callable[[OoOCore], None]] = None,
-                   require_halt: bool = False) -> GroupRun:
-    """:func:`simulate` ``program`` under each of ``configs`` (distinct
-    configurations that advance the visibility point); each result equals
+                   require_halt: bool = False,
+                   twin: Optional[Program] = None) -> GroupRun:
+    """:func:`simulate` ``program``, and its ``twin`` when one is given,
+    under each of ``configs`` (configurations that advance the visibility
+    point, with no sanitizer when there are several); each result equals
     its own run's.
 
     The configurations run as one core with an
-    :class:`~repro.pipeline.group.EngineGroup`; the members that left it
-    run again as the next group, in ``configs`` order, until every
-    configuration has its result.  A group run that raises falls back to
-    a separate :func:`simulate` per member, each keeping its own result or
-    exception.
+    :class:`~repro.pipeline.group.EngineGroup` (a
+    :class:`~repro.pipeline.relational.PairedCore` with a twin); the
+    members that left it run again as the next group, in ``configs``
+    order, until every configuration has its result.  A paired run that
+    reaches a steering site with differing values diverges there for every
+    member still in it, so those members run each side separately, as a
+    group per side.  Twins also run separately under a sanitizer and when
+    they are not twins.  A group run that raises falls back to each
+    member's own run, which keeps its own result or exception; a lone
+    paired run that raises, to its separate runs.
     """
     configs = list(configs)
-    done: dict = {}
+    checked = (params or MachineParams()).check_level != "off"
+    if checked and len(configs) > 1:
+        raise ValueError("grouped configurations run without the sanitizer")
     run = GroupRun([])
-    pending = configs
+    done: dict = {}
+    fallback: dict = {}
+
+    def separately(members: list, reason: str) -> None:
+        """Run each side of ``members`` as a group of its own."""
+        sides = [simulate_group(side, members, model, max_instructions,
+                                params, setup, require_halt)
+                 for side in (program, twin)]
+        for side_run in sides:
+            run.runs += side_run.runs
+            run.departures += side_run.departures
+            run.error = run.error or side_run.error
+        for config, a, b in zip(members, *(s.results for s in sides)):
+            done[config] = (a if isinstance(a, Exception)
+                            else b if isinstance(b, Exception) else (a, b))
+            fallback[config] = reason
+
+    paired = twin is not None
+    if paired:
+        # Imported here: the processes that never pair (figure sweeps, the
+        # scenario matrix) skip loading the relational core.
+        from repro.pipeline.relational import Divergence, PairedCore, twins
+        if checked:
+            separately(configs, SANITIZER)
+        elif not twins(program, twin):
+            separately(configs, NOT_TWINS)
+    pending = [config for config in configs if config not in done]
     while pending:
         engines = [make_engine(config, model) for config in pending]
         # The last configuration left runs alone: its run is its own.
         group = EngineGroup(engines) if len(engines) > 1 else None
-        core = OoOCore(program, engine=group or engines[0], params=params)
+        core = (PairedCore(program, twin, group or engines[0], params)
+                if paired else OoOCore(program, group or engines[0], params))
         if setup is not None:
             setup(core)
         run.runs += 1
+        config_of = {id(engine): config
+                     for config, engine in zip(pending, engines)}
         try:
             sim = core.run(max_instructions=max_instructions)
         except Exception as exc:    # noqa: BLE001 — the separate runs decide
-            if group is None:
+            if paired and isinstance(exc, Divergence):
+                # Each member still in the group would have reached this
+                # site in its own paired run: its sides run separately.
+                separately([config_of[id(engine)] for engine
+                            in (group.members if group else engines)],
+                           exc.site)
+            elif group is not None:
+                run.error = run.error or traceback.format_exc()
+                for config in pending:
+                    own = simulate_group(program, [config], model,
+                                         max_instructions, params, setup,
+                                         require_halt, twin)
+                    run.runs += own.runs
+                    done[config] = own.results[0]
+                    if paired:
+                        fallback[config] = own.fallbacks[0]
+            elif paired:
+                run.error = run.error or traceback.format_exc()
+                separately(pending, PAIRED_ERROR)
+            else:
                 done[pending[0]] = exc
-                break
-            run.error = traceback.format_exc()
-            for config in pending:
-                run.runs += 1
-                try:
-                    done[config] = simulate(program, config, model,
-                                            max_instructions, params, setup,
-                                            require_halt)
-                except Exception as exc:    # noqa: BLE001 — its outcome
-                    done[config] = exc
-            break
-        config_of = {id(engine): config
-                     for config, engine in zip(pending, engines)}
-        for engine in (group.members if group else engines):
-            config = config_of[id(engine)]
-            result = (sim if engine is engines[0]
-                      else SimResult(core, sim.halted, engine))
-            if require_halt:
-                try:
-                    _require_halt(result, program, config, model,
-                                  max_instructions)
-                except RuntimeError as exc:
-                    result = exc
-            done[config] = result
+        else:
+            for engine in (group.members if group else engines):
+                config = config_of[id(engine)]
+                if engine is engines[0]:
+                    result = (sim, core.twin_result) if paired else sim
+                else:
+                    result = SimResult(core, sim.halted, engine)
+                    if paired:
+                        result = core.sides(result, engine)
+                if paired:
+                    fallback[config] = None
+                if require_halt:
+                    try:
+                        _require_halt(sim, program, config, model,
+                                      max_instructions)
+                    except RuntimeError as exc:
+                        result = exc
+                done[config] = result
         if group is not None:
             run.departures += [(config_of[id(engine)], query, cycle)
                                for engine, query, cycle in group.departures]
         pending = [config for config in pending if config not in done]
     run.results = [done[config] for config in configs]
+    if paired:
+        run.fallbacks = [fallback[config] for config in configs]
     return run
 
 
@@ -274,44 +290,40 @@ def run_one(workload: str, config: str,
     return run_result(workload, config, model, sim, collect_trace)
 
 
-def run_twins(workload_a: str, workload_b: str, config: str,
-              model: AttackModel = AttackModel.FUTURISTIC, scale: int = 1,
-              max_instructions: Optional[int] = None,
-              params: Optional[MachineParams] = None,
-              collect_trace: bool = False) -> tuple:
-    """:func:`run_one` for two workloads through :func:`simulate_pair`:
-    ``(RunResult, RunResult, PairRun.fallback)``."""
-    run = simulate_pair(get_workload(workload_a).program(scale),
-                        get_workload(workload_b).program(scale), config,
-                        model, max_instructions or 10_000_000, params,
-                        require_halt=collect_trace)
-    sim_a, sim_b = run.results
-    result_a = run_result(workload_a, config, model, sim_a, collect_trace)
-    if run.fallback is None:
-        # One paired run: both sides saw the same events and cycle count.
-        result_b = RunResult(workload_b, config, model, sim_b.cycles,
-                             sim_b.retired, sim_b.metrics,
-                             dict(result_a.trace_digests))
-    else:
-        result_b = run_result(workload_b, config, model, sim_b,
-                              collect_trace)
-    return result_a, result_b, run.fallback
-
-
 def run_group(workload: str, configs, model: AttackModel, scale: int = 1,
               max_instructions: Optional[int] = None,
               params: Optional[MachineParams] = None,
-              collect_trace: bool = False) -> tuple:
+              collect_trace: bool = False,
+              twin: Optional[str] = None) -> tuple:
     """:func:`run_one` for several configurations through
-    :func:`simulate_group`: ``(outcomes, core runs)``, with one
-    ``RunResult``, or the exception its own run raises, per
-    configuration."""
+    :func:`simulate_group`, with the ``twin`` workload beside each when one
+    is given: ``(outcomes, core runs)``, with one outcome per
+    configuration: its ``RunResult`` (with a twin, ``(RunResult,
+    RunResult, fallback)``), or the exception its own run raises.  Results
+    of one core run share its observer, whose trace is hashed once."""
     run = simulate_group(get_workload(workload).program(scale), configs,
                          model, max_instructions or 10_000_000, params,
-                         require_halt=collect_trace)
-    outcomes = [sim if isinstance(sim, Exception)
-                else run_result(workload, config, model, sim, collect_trace)
-                for config, sim in zip(configs, run.results)]
+                         require_halt=collect_trace,
+                         twin=twin and get_workload(twin).program(scale))
+    digests: dict = {}
+
+    def result(name: str, config: str, sim: SimResult) -> RunResult:
+        key = id(sim.observer)
+        if collect_trace and key not in digests:
+            digests[key] = channel_digests(sim.observer, sim.cycles)
+        return RunResult(name, config, model, sim.cycles, sim.retired,
+                         sim.metrics, dict(digests.get(key, {})))
+
+    outcomes = []
+    for config, sim, fallback in zip(configs, run.results,
+                                     run.fallbacks or [None] * len(configs)):
+        if isinstance(sim, Exception):
+            outcomes.append(sim)
+        elif twin is None:
+            outcomes.append(result(workload, config, sim))
+        else:
+            outcomes.append((result(workload, config, sim[0]),
+                             result(twin, config, sim[1]), fallback))
     return outcomes, run.runs
 
 

@@ -60,9 +60,17 @@ STALL_CONFIG = FULL_SPT
 STALL_MODEL = AttackModel.FUTURISTIC
 
 
-def default_snapshot_name(today: Optional[datetime.date] = None) -> str:
-    day = today or datetime.date.today()
-    return f"BENCH_{day.strftime('%Y%m%d')}.json"
+def default_snapshot_name(today: Optional[datetime.date] = None,
+                          directory: str = ".") -> str:
+    """The first of ``BENCH_<date>.json``, ``BENCH_<date>b.json``, ...,
+    ``BENCH_<date>z.json`` that names no file in ``directory``, so that a
+    second recording on one day keeps the first."""
+    stem = f"BENCH_{(today or datetime.date.today()).strftime('%Y%m%d')}"
+    for suffix in ("", *"bcdefghijklmnopqrstuvwxyz"):
+        name = f"{stem}{suffix}.json"
+        if not os.path.exists(os.path.join(directory, name)):
+            return name
+    raise FileExistsError(f"{directory}: every {stem}[b-z].json exists")
 
 
 def _throughput_probe(budget: int, scale: int, reps: int) -> dict:

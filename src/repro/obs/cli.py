@@ -69,7 +69,8 @@ def _build_bench_parser() -> argparse.ArgumentParser:
 
     record = sub.add_parser("record", help="measure and write a snapshot")
     record.add_argument("-o", "--output", default=None,
-                        help="output path (default: BENCH_<date>.json)")
+                        help="output path (default: the first free name "
+                             "of BENCH_<date>.json, BENCH_<date>b.json, ...)")
     record.add_argument("--budget", type=at_least_one, default=None,
                         help="retired-instruction budget per run "
                              "(default: REPRO_BENCH_BUDGET or 2500)")

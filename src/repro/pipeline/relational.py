@@ -311,18 +311,24 @@ class PairedCore(OoOCore):
 
     # ------------------------------------------------------------------ run
     def run(self, max_instructions: int = 1_000_000) -> SimResult:
-        sim = super().run(max_instructions)
-        self.twin_result = self._side_result(sim, 1)
-        return self._side_result(sim, 0)
+        sim, self.twin_result = self.sides(super().run(max_instructions))
+        return sim
 
-    def _side_result(self, sim: SimResult, index: int) -> SimResult:
-        """``sim`` as side ``index``'s separate run returns it.  Both sides
-        share the observer: their attacker-visible events are the same."""
+    def sides(self, sim: SimResult,
+              engine: Optional[ProtectionEngine] = None) -> tuple:
+        """``sim``, a result of this core with ``engine``'s metrics (default:
+        the core's engine), as each side's separate run returns it.  Both
+        sides share the observer: their attacker-visible events are the
+        same."""
+        return tuple(self._side_result(sim, index, engine) for index in (0, 1))
+
+    def _side_result(self, sim: SimResult, index: int,
+                     engine: Optional[ProtectionEngine]) -> SimResult:
         out = copy.copy(sim)
         out.arch_regs = [side(value, index) for value in sim.arch_regs]
         out.memory = self.memory.side(index)
         if index:
-            out.metrics = self.build_metrics()
+            out.metrics = self.build_metrics(engine)
             if sim.retired_pcs is not None:
                 out.retired_pcs = list(sim.retired_pcs)
         return out

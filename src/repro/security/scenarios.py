@@ -21,8 +21,10 @@ holds under both the Spectre and Futuristic attack models (the builders'
 speculation windows are wide enough to cover the Futuristic VP delays).
 
 ``scenario_matrix`` runs the full scenario x config x model grid through
-:func:`repro.harness.parallel.fan_out`, and ``render_matrix``
-pretty-prints it.
+:func:`repro.harness.parallel.fan_out`, one cell per (scenario, model):
+UnsafeBaseline's run, and one group run over the configurations that
+advance the visibility point (:func:`run_attack_group`, one core per
+class of agreeing engines).  ``render_matrix`` pretty-prints it.
 """
 
 from __future__ import annotations
@@ -32,9 +34,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from repro.core.attack_model import AttackModel
-from repro.harness.configs import BOTH_MODELS, CONFIGURATIONS
-from repro.harness.parallel import fan_out
-from repro.harness.runner import simulate
+from repro.harness.configs import (BOTH_MODELS, CONFIGURATIONS,
+                                   GROUPABLE_CONFIGS)
+from repro.harness.parallel import RunFailure, fan_out
+from repro.harness.runner import simulate, simulate_group
 from repro.pipeline.core import SimResult
 from repro.pipeline.params import MachineParams
 from repro.security import attacks
@@ -87,6 +90,11 @@ SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
 )}
 
 
+# Retired-instruction budget of an attack run: a victim that does not halt
+# within it fails its cell.
+ATTACK_BUDGET = 500_000
+
+
 def run_attack(attack: AttackProgram, config: str, model: AttackModel,
                params: Optional[MachineParams] = None,
                ) -> tuple[bool, SimResult]:
@@ -95,12 +103,32 @@ def run_attack(attack: AttackProgram, config: str, model: AttackModel,
     Honours the attack's ``overrides`` (MachineParams fields it depends on)
     and its ``setup`` hook (out-of-band attacker preparation).
     """
+    sim = simulate(attack.program, config, model, ATTACK_BUDGET,
+                   _attack_params(attack, params), setup=attack.setup,
+                   require_halt=True)
+    return attack.leaked(sim.observer), sim
+
+
+def run_attack_group(attack: AttackProgram, configs, model: AttackModel,
+                     params: Optional[MachineParams] = None) -> list:
+    """:func:`run_attack` under each of ``configs`` (configurations that
+    advance the visibility point) through
+    :func:`~repro.harness.runner.simulate_group`: one core run per class of
+    agreeing engines.  Returns each configuration's ``leaked``, or the
+    exception its own run raises."""
+    run = simulate_group(attack.program, configs, model, ATTACK_BUDGET,
+                         _attack_params(attack, params), setup=attack.setup,
+                         require_halt=True)
+    return [sim if isinstance(sim, Exception)
+            else attack.leaked(sim.observer) for sim in run.results]
+
+
+def _attack_params(attack: AttackProgram,
+                   params: Optional[MachineParams]) -> MachineParams:
     params = params or MachineParams()
     if attack.overrides:
         params = dataclasses.replace(params, **attack.overrides)
-    sim = simulate(attack.program, config, model, 500_000, params,
-                   setup=attack.setup, require_halt=True)
-    return attack.leaked(sim.observer), sim
+    return params
 
 
 def run_scenario(scenario: str, config: str, model: AttackModel,
@@ -124,6 +152,20 @@ class ScenarioCell:
 
 
 @dataclass(frozen=True)
+class ScenarioRow:
+    """The cells of one (scenario, model) under ``configs``: one fan-out
+    cell."""
+
+    scenario: str
+    model: str                    # AttackModel name
+    configs: tuple
+
+    def describe(self) -> str:
+        return (f"scenario={self.scenario} model={self.model} "
+                f"configs={','.join(self.configs)}")
+
+
+@dataclass(frozen=True)
 class ScenarioResult:
     """Leakage verdict for one (scenario, config, model) cell."""
 
@@ -138,13 +180,29 @@ class ScenarioResult:
         return self.leaked == self.expected
 
 
-def _run_cell(cell: ScenarioCell) -> ScenarioResult:
-    """Judge one matrix cell (module-level: picklable)."""
-    leaked, _ = run_scenario(cell.scenario, cell.config,
-                             AttackModel[cell.model])
-    return ScenarioResult(
-        cell.scenario, cell.config, cell.model, leaked,
-        expected_to_leak(SCENARIOS[cell.scenario].exposure, cell.config))
+def _run_row(row: ScenarioRow) -> list:
+    """Judge one matrix row (module-level: picklable): each configuration's
+    ``ScenarioResult``, or the exception its own run raises.  The
+    configurations that advance the visibility point run as one group."""
+    scenario = SCENARIOS[row.scenario]
+    attack = scenario.build()
+    model = AttackModel[row.model]
+    grouped = [config for config in row.configs
+               if config in GROUPABLE_CONFIGS]
+    outcomes = dict(zip(grouped, run_attack_group(attack, grouped, model)))
+    results = []
+    for config in row.configs:
+        if config not in outcomes:
+            try:
+                outcomes[config] = run_attack(attack, config, model)[0]
+            except Exception as exc:    # noqa: BLE001 — the cell's outcome
+                outcomes[config] = exc
+        leaked = outcomes[config]
+        results.append(leaked if isinstance(leaked, Exception)
+                       else ScenarioResult(
+                           row.scenario, config, row.model, leaked,
+                           expected_to_leak(scenario.exposure, config)))
+    return results
 
 
 def scenario_matrix(scenarios: Optional[Sequence[str]] = None,
@@ -162,11 +220,17 @@ def scenario_matrix(scenarios: Optional[Sequence[str]] = None,
     for name in names:
         if name not in SCENARIOS:
             raise KeyError(name)
-    cells = [ScenarioCell(name, config, model.name)
-             for name in names
-             for model in models or BOTH_MODELS
-             for config in configs or CONFIGURATIONS]
-    return fan_out(_run_cell, cells, jobs)
+    rows = [ScenarioRow(name, model.name, tuple(configs or CONFIGURATIONS))
+            for name in names for model in models or BOTH_MODELS]
+    results = []
+    for row, outcomes in zip(rows, fan_out(_run_row, rows, jobs)):
+        for config, outcome in zip(row.configs, outcomes):
+            if isinstance(outcome, Exception):
+                raise RunFailure(
+                    ScenarioCell(row.scenario, config, row.model),
+                    f"{type(outcome).__name__}: {outcome}") from outcome
+        results += outcomes
+    return results
 
 
 def render_matrix(results: Sequence[ScenarioResult]) -> str:

@@ -11,8 +11,11 @@ from repro.fuzz import campaign, oracle
 from repro.fuzz.campaign import CampaignConfig, run_campaign
 from repro.fuzz.cli import main as fuzz_main
 from repro.fuzz.corpus import Corpus
+from repro.fuzz.generator import secret_pair, workload_name
 from repro.fuzz.report import FuzzReport, render_report
-from repro.harness.configs import BOTH_MODELS, CONFIGURATIONS
+from repro.harness import parallel
+from repro.harness.configs import BOTH_MODELS, CONFIGURATIONS, SECURE_CONFIGS
+from repro.harness.parallel import GroupSpecs, RunSpec, TwinSpecs
 from repro.pipeline.relational import SITES
 
 # Two configurations and one model keep the campaign tests fast while still
@@ -75,22 +78,66 @@ def test_counterexample_detail_runs_at_the_campaign_budget(monkeypatch):
 
 
 @pytest.mark.parametrize("minimize", [False, True])
-def test_counterexample_runs_count_as_simulations(monkeypatch, run_modes,
-                                                  minimize):
+def test_counterexample_runs_count_as_simulations(monkeypatch, tmp_path,
+                                                  run_modes, minimize):
     """The report's simulations are every core run the campaign made: a
     counterexample's detail runs and minimiser checks, which the result
-    cache does not hold, included, cold and warm."""
+    cache does not hold, included, cold and warm; and over every
+    configuration and both models, its twin groups' runs too."""
     monkeypatch.setattr(campaign, "expected_to_leak",
                         lambda exposure, config: False)
-    cfg = CampaignConfig(seeds=3, profile="quick",
-                         configs=["UnsafeBaseline"],
-                         models=[AttackModel.SPECTRE], jobs=1,
-                         use_cache=True, minimize=minimize)
-    for _ in ("cold", "warm"):
-        run_modes.clear()
-        report = run_campaign(cfg)
-        assert report.counterexamples
-        assert report.simulations == len(run_modes)
+    for configs, models in ((["UnsafeBaseline"], [AttackModel.SPECTRE]),
+                            (list(CONFIGURATIONS), list(BOTH_MODELS))):
+        # Each sweep starts from a cache of its own: its first run is cold.
+        monkeypatch.setenv("REPRO_CACHE_DIR",
+                           str(tmp_path / f"cache-{len(configs)}"))
+        cfg = CampaignConfig(seeds=3, profile="quick", configs=configs,
+                             models=models, jobs=1, use_cache=True,
+                             minimize=minimize)
+        for _ in ("cold", "warm"):
+            run_modes.clear()
+            report = run_campaign(cfg)
+            assert report.counterexamples
+            assert report.simulations == len(run_modes)
+
+
+def test_campaign_runs_one_twin_group_per_seed_and_model(monkeypatch,
+                                                        run_modes):
+    """``run_many`` makes one twin cell (UnsafeBaseline, whose result the
+    models share) and one twin-group cell of the protected configurations
+    per (seed, model) from the campaign's specs.  On quick seeds 40-79 the
+    pair counts stay those of one cell per pair: 560 served by one paired
+    run, 29 that fell back at a load address and 11 at a branch; and the
+    report's simulations are the core runs made."""
+    cells = []
+    real = parallel.fan_out
+
+    def spy(fn, batch, jobs):
+        cells.extend(batch)
+        return real(fn, batch, jobs)
+
+    monkeypatch.setattr(parallel, "fan_out", spy)
+    report = run_campaign(CampaignConfig(seeds=40, seed_start=40,
+                                         profile="quick", jobs=1,
+                                         use_cache=False))
+
+    def twin(seed, config, model):
+        return TwinSpecs(*(RunSpec(workload_name("quick", seed, secret),
+                                   config, model,
+                                   max_instructions=oracle.FUZZ_BUDGET,
+                                   collect_trace=True)
+                           for secret in secret_pair(seed)))
+
+    expected = []
+    for seed in range(40, 80):
+        expected.append(twin(seed, "UnsafeBaseline", BOTH_MODELS[0]))
+        expected += [GroupSpecs(tuple(twin(seed, config, model)
+                                      for config in SECURE_CONFIGS))
+                     for model in BOTH_MODELS]
+    assert cells == expected
+    assert report.paired_runs == 560
+    assert report.fallbacks == {"load-address": 29, "branch": 11}
+    assert report.simulations == len(run_modes) == 400
 
 
 def _corpus_lines(corpus_dir) -> list:

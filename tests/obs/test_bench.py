@@ -1,6 +1,7 @@
 """Tests for performance snapshots (``repro.obs.bench``) and the CLI."""
 
 import copy
+import datetime
 import json
 from pathlib import Path
 
@@ -127,6 +128,32 @@ def test_bench_cli_record(tmp_path, monkeypatch, capsys):
     section = recorded["end_to_end"]
     assert sorted(section["workloads"]) == ["fig7-grid", "verify-targets"]
     assert "end to end (perfbench medians" in capsys.readouterr().out
+
+
+def test_default_snapshot_name_is_the_first_free_one(tmp_path):
+    day = datetime.date(2026, 10, 19)
+    for name in ("BENCH_20261019.json", "BENCH_20261019b.json",
+                 "BENCH_20261019c.json"):
+        assert bench.default_snapshot_name(day, str(tmp_path)) == name
+        (tmp_path / name).write_text("{}")
+
+
+def test_bench_cli_record_never_overwrites_a_default_name(
+        tmp_path, monkeypatch, capsys, snapshot):
+    """Without ``-o``, ``record`` writes the first free dated name and
+    leaves an existing snapshot as it is; ``-o`` writes where it is told."""
+    monkeypatch.setattr(bench, "record_snapshot",
+                        lambda **_kwargs: copy.deepcopy(snapshot))
+    monkeypatch.chdir(tmp_path)
+    first = tmp_path / bench.default_snapshot_name()
+    first.write_text("earlier snapshot")
+    assert bench_main(["record"]) == 0
+    assert first.read_text() == "earlier snapshot"
+    second = first.with_name(first.stem + "b.json")
+    assert bench.load_snapshot(str(second))["budget"] == BUDGET
+    assert f"snapshot written to {second.name}" in capsys.readouterr().out
+    assert bench_main(["record", "-o", str(first)]) == 0
+    assert bench.load_snapshot(str(first))["budget"] == BUDGET
 
 
 def test_read_perfbench_log():

@@ -18,11 +18,12 @@ from repro.core.stt import STTEngine
 from repro.experiments import figure7
 from repro.harness.configs import BOTH_MODELS, FIGURE7_ORDER, make_engine
 from repro.harness.parallel import (GroupSpecs, RunFailure, RunSpec,
-                                    SimTally, run_many)
+                                    SimTally, TwinSpecs, run_many)
 from repro.harness.runner import run_one, simulate, simulate_group
 from repro.pipeline.core import OoOCore, SimulationError
 from repro.pipeline.group import EngineGroup
 from repro.pipeline.params import MachineParams
+from repro.workloads.registry import WORKLOADS
 from repro.workloads.registry import get as get_workload
 
 BUDGET = 500
@@ -130,6 +131,15 @@ def test_run_many_groups_the_protected_configurations():
             (want.cycles, want.metrics.flatten()), spec.describe()
 
 
+def test_figure7_grid_makes_130_core_runs(run_modes):
+    """The budget-500 Figure 7 grid: 20 UnsafeBaseline runs and 110 runs
+    for the 280 protected simulations, one per class of agreeing
+    engines."""
+    figure7.collect(list(WORKLOADS), scale=1, budget=BUDGET, jobs=1,
+                    use_cache=False)
+    assert len(run_modes) == 130
+
+
 def test_group_cells_are_decided_from_the_specs():
     secure = RunSpec("mcf", "SecureBaseline", SPECTRE, max_instructions=9)
     stt = RunSpec("mcf", "STT", SPECTRE, max_instructions=9)
@@ -145,6 +155,22 @@ def test_group_cells_are_decided_from_the_specs():
                   RunSpec("mcf", "STT", SPECTRE, max_instructions=9,
                           params=MachineParams(check_level="commit"))):
         assert GroupSpecs.of(secure, other) is None
+
+
+def test_twin_cells_group_like_specs():
+    def twin(config, model=SPECTRE):
+        return TwinSpecs(*(RunSpec(f"fuzz:quick:0:{secret}", config, model,
+                                   max_instructions=9)
+                           for secret in ("1f", "2e")))
+
+    group = GroupSpecs.of(GroupSpecs.of(twin("SecureBaseline"), twin("STT")),
+                          twin(FWD))
+    assert group.specs == (twin("SecureBaseline"), twin("STT"), twin(FWD))
+    assert group.describe().endswith("grouped with STT " + FWD)
+    for other in (twin("UnsafeBaseline"), twin("STT", FUTURISTIC),
+                  twin("STT").a):
+        assert GroupSpecs.of(twin("SecureBaseline"), other) is None
+    assert GroupSpecs.of(twin("STT").a, twin("SecureBaseline")) is None
 
 
 def test_group_tick_never_calls_a_member_tick(monkeypatch):

@@ -125,6 +125,15 @@ def test_matrix_deterministic_across_worker_processes():
     assert all(r.passed for r in solo)
 
 
+def test_matrix_runs_one_group_per_scenario_and_model(run_modes):
+    """Each (scenario, model) row is one UnsafeBaseline run plus one group
+    run over the protected configurations, and members that leave it run
+    again: 96 cells in 48 core runs."""
+    results = scenarios.scenario_matrix(jobs=1)
+    assert len(results) == 96 and all(r.passed for r in results)
+    assert len(run_modes) == 48
+
+
 def test_matrix_rejects_unknown_scenario():
     with pytest.raises(KeyError):
         scenarios.scenario_matrix(scenarios=["not-a-scenario"])
@@ -133,11 +142,12 @@ def test_matrix_rejects_unknown_scenario():
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_failing_cell_names_itself(jobs):
     """A cell that raises, in-process or in a worker, fails the matrix with
-    a RunFailure naming the cell, not a bare exception from somewhere."""
+    a RunFailure naming the cell, not a bare exception from somewhere (the
+    first failing cell: the Spectre row runs first)."""
     with pytest.raises(RunFailure) as excinfo:
         scenarios.scenario_matrix(["spectre-pht"],
                                   configs=["UnsafeBaseline", "NotAConfig"],
-                                  models=[AttackModel.SPECTRE], jobs=jobs)
+                                  models=BOTH_MODELS, jobs=jobs)
     message = str(excinfo.value)
     assert "scenario=spectre-pht config=NotAConfig model=SPECTRE" in message
     assert "KeyError" in message
