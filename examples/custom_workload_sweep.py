@@ -5,15 +5,24 @@ memory, then probe it with a second relation.  It mixes program-written data
 (public under SPT, thanks to the shadow L1) with cold input data (tainted),
 so every protection mechanism is visible in the sweep.
 
+The sweep runs through the group runner, ``simulate_group``: under each
+attack model, UnsafeBaseline gets a core of its own and the protected
+configurations share one core per class of engines that agree on every
+gating query, each result equal to its own run's.
+
 Run with::
 
     python examples/custom_workload_sweep.py
 """
 
 from repro.core.attack_model import AttackModel
-from repro.harness.configs import FIGURE7_ORDER, make_engine
+from repro.harness.configs import FIGURE7_ORDER
+from repro.harness.runner import simulate_group
 from repro.isa import ProgramBuilder
-from repro.pipeline import OoOCore
+
+MODELS = (AttackModel.FUTURISTIC, AttackModel.SPECTRE)
+CONFIGS = ["UnsafeBaseline", *FIGURE7_ORDER]
+BUDGET = 1_000_000      # retired instructions; the kernel halts long before
 
 
 def build_hash_join(rows: int = 32):
@@ -55,15 +64,20 @@ def build_hash_join(rows: int = 32):
 
 def main() -> None:
     program = build_hash_join()
-    unsafe = OoOCore(program).run()
+    sims = {}
+    for model in MODELS:
+        run = simulate_group(program, CONFIGS, model, BUDGET)
+        sims.update(((config, model), sim)
+                    for config, sim in zip(CONFIGS, run.results))
+    unsafe = sims["UnsafeBaseline", MODELS[0]]
     print(f"hash-join: {unsafe.retired} instructions, "
           f"{unsafe.cycles} cycles on UnsafeBaseline "
           f"(checksum {unsafe.word(0x300)})\n")
     print(f"{'configuration':<24}{'futuristic':>12}{'spectre':>12}")
     for config in FIGURE7_ORDER:
         cells = []
-        for model in (AttackModel.FUTURISTIC, AttackModel.SPECTRE):
-            sim = OoOCore(program, engine=make_engine(config, model)).run()
+        for model in MODELS:
+            sim = sims[config, model]
             assert sim.word(0x300) == unsafe.word(0x300)
             cells.append(f"{sim.cycles / unsafe.cycles:.2f}x")
         print(f"{config:<24}{cells[0]:>12}{cells[1]:>12}")

@@ -19,22 +19,22 @@ must wedge identically in both runs (same exception, same message, same
 cycle).
 
 It also checks grouped runs: for every workload and attack model, the
-grid's configurations that advance the visibility point run through the
-group runner (:func:`repro.harness.runner.simulate_group`, what
-``run_many`` does with them), and :func:`group_diff_cell` demands that
+grid's configurations run through the group runner
+(:func:`repro.harness.runner.simulate_group`, what ``run_many`` does with
+a cell's configurations: UnsafeBaseline, first in the list, on a core of
+its own and the rest as groups), and :func:`group_diff_cell` demands that
 each one's outcome equal its separate default run's.
 
 The cells run through :func:`repro.harness.parallel.fan_out` with
 ``REPRO_JOBS`` workers, as ``repro check``'s do; the grid flags are the
 ones ``repro check`` takes, and a usage error exits 2.
 
-:func:`twin_group_diff_cell` compares the same projection between the
-twin-group runner (:func:`repro.harness.runner.simulate_group` with a
-twin program, what ``run_many`` does with a fuzz seed's protected cells
-under one model) and separate runs of both programs under every
-configuration, and :func:`pair_diff_cell` is its one-configuration case
-(:func:`repro.harness.runner.simulate_pair`): the differentials of the
-fuzz oracle's paired runs.
+With a twin program, :func:`group_diff_cell` compares the same projection
+between the twin-group runner (what ``run_many`` does with a fuzz seed's
+cells under one model) and separate runs of both programs under every
+configuration, and :func:`pair_diff_cell` is its one-configuration twin
+case (:func:`repro.harness.runner.simulate_pair`): the differentials of
+the fuzz oracle's paired runs.
 
 Examples::
 
@@ -52,8 +52,7 @@ from typing import Optional
 from repro.check.violation import InvariantViolation
 from repro.core.attack_model import AttackModel
 from repro.core.spt import ReferenceSPTEngine, SPTEngine
-from repro.harness.configs import (GROUPABLE_CONFIGS, Grid, at_least_one,
-                                   make_engine)
+from repro.harness.configs import Grid, at_least_one, make_engine
 from repro.harness.parallel import (GroupSpecs, RunFailure, RunSpec,
                                     default_jobs, fan_out)
 from repro.harness.runner import PAIRED_ERROR, simulate_group
@@ -181,36 +180,39 @@ def _record_pcs(core: OoOCore) -> None:
 def pair_diff_cell(program_a: Program, program_b: Program, config: str,
                    model: AttackModel, budget: int) -> tuple:
     """The pair runner against two separate runs of one cell:
-    ``(fallback, mismatches)``, :func:`twin_group_diff_cell`'s
-    one-configuration case."""
-    fallbacks, _, mismatches = twin_group_diff_cell(
-        program_a, program_b, [config], model, budget)
+    ``(fallback, mismatches)``, :func:`group_diff_cell`'s
+    one-configuration twin case."""
+    fallbacks, _, mismatches = group_diff_cell(program_a, [config], model,
+                                               budget, twin=program_b)
     prefix = f"{config}: "
     return fallbacks[0], [line[len(prefix):] for line in mismatches]
 
 
-def twin_group_diff_cell(program_a: Program, program_b: Program, configs,
-                         model: AttackModel, budget: int) -> tuple:
-    """The twin-group runner (:func:`repro.harness.runner.simulate_group`
-    with a twin) against separate runs of both programs under ``configs``:
-    ``(fallbacks, departures, mismatches)``.
+def group_diff_cell(program: Program, configs, model: AttackModel,
+                    budget: int, twin: Optional[Program] = None) -> tuple:
+    """The group runner (:func:`repro.harness.runner.simulate_group`, with
+    the ``twin`` program when one is given) against separate default runs
+    under ``configs``: ``(fallbacks, departures, mismatches)``, where
+    ``fallbacks`` is the group run's (empty without a twin).
 
-    Each side's projected outcome must equal its separate run's, for every
-    configuration.  A configuration whose separate traces differ must have
-    fallen back (a paired run that served it would have hidden a leak), and
-    a fallback because a paired run raised is a fault of the paired core.
-    ``departures`` names each member that left a group, with the query and
-    the cycle, and a group run that raised.
+    Each configuration's projected outcome, each side's with a twin, must
+    equal its separate run's.  With a twin, a configuration whose separate
+    traces differ must have fallen back (a paired run that served it would
+    have hidden a leak), and a fallback because a paired run raised is a
+    fault of the paired core.  ``departures`` names each member that left
+    a group, with the query and the cycle, and a group or paired run that
+    raised.
     """
-    separate = {config: [run_outcome(program, make_engine(config, model),
-                                     budget)[1]
-                         for program in (program_a, program_b)]
+    programs = (program,) if twin is None else (program, twin)
+    separate = {config: [run_outcome(side, make_engine(config, model),
+                                     budget)[1] for side in programs]
                 for config in configs}
-    run = simulate_group(program_a, configs, model, budget,
-                         setup=_record_pcs, twin=program_b)
-    departures = _departures(run)
+    run = simulate_group(program, configs, model, budget,
+                         setup=_record_pcs, twin=twin)
+    label = "grouped" if twin is None else "paired"
     mismatches = []
-    for config, result, fallback in zip(configs, run.results, run.fallbacks):
+    for config, result, fallback in zip(
+            configs, run.results, run.fallbacks or [None] * len(configs)):
         want = separate[config]
         lines = []
         if isinstance(result, Exception):
@@ -218,13 +220,16 @@ def twin_group_diff_cell(program_a: Program, program_b: Program, configs,
             raised = {"error": f"{type(result).__name__}: {result}"}
             failing = next((side for side in want if "error" in side),
                            want[0])
-            lines += compare_cell(failing, raised, ("separate", "paired"))
+            lines += compare_cell(failing, raised, ("separate", label))
+        elif twin is None:
+            lines += compare_cell(want[0], outcome_of(result),
+                                  ("separate", label))
         else:
             if fallback == PAIRED_ERROR:
                 lines.append(f"the paired run raised:\n{run.error}")
             for name, sim, side in zip("ab", result, want):
                 lines += [f"side {name}: {line}" for line in compare_cell(
-                    side, outcome_of(sim), ("separate", "paired"))]
+                    side, outcome_of(sim), ("separate", label))]
             if fallback is None and not any("error" in side
                                             for side in want) \
                     and differing_channels(want[0]["digests"],
@@ -232,40 +237,12 @@ def twin_group_diff_cell(program_a: Program, program_b: Program, configs,
                 lines.append("the separate runs' traces differ, but one "
                              "paired run served both")
         mismatches += [f"{config}: {line}" for line in lines]
-    return run.fallbacks, departures, mismatches
-
-
-def _departures(run) -> list:
-    """A group run's departures and raise, as report lines."""
     departures = [f"{config} left at cycle {cycle} on {query}"
                   for config, query, cycle in run.departures]
     if run.error:
         departures.append("a group or paired run raised: "
                           + run.error.strip().splitlines()[-1])
-    return departures
-
-
-def group_diff_cell(program: Program, configs, model: AttackModel,
-                    budget: int) -> tuple:
-    """The group runner against separate default runs of ``configs``:
-    ``(departures, mismatches)``.
-
-    Every configuration's projected outcome must equal its separate
-    run's.  ``departures`` names each member that left a group, with the
-    query and the cycle, and a group run that raised (its members then
-    ran separately).
-    """
-    separate = [run_outcome(program, make_engine(config, model), budget)[1]
-                for config in configs]
-    run = simulate_group(program, configs, model, budget, setup=_record_pcs)
-    departures = _departures(run)
-    mismatches = []
-    for config, result, want in zip(configs, run.results, separate):
-        got = ({"error": f"{type(result).__name__}: {result}"}
-               if isinstance(result, Exception) else outcome_of(result))
-        mismatches += [f"{config}: {line}" for line in compare_cell(
-            want, got, ("separate", "grouped"))]
-    return departures, mismatches
+    return run.fallbacks, departures, mismatches
 
 
 def diff_cell(cell) -> list:
@@ -275,7 +252,7 @@ def diff_cell(cell) -> list:
     departures."""
     if isinstance(cell, GroupSpecs):
         first = cell.specs[0]
-        departures, mismatches = group_diff_cell(
+        _, departures, mismatches = group_diff_cell(
             get_workload(first.workload).program(first.scale),
             [spec.config for spec in cell.specs], first.model,
             first.max_instructions)
@@ -290,11 +267,10 @@ def main(argv: Optional[list] = None) -> int:
     workloads, configs, models, budget = GRID.select(args)
     cells = [RunSpec(w, c, m, scale=args.scale, max_instructions=budget)
              for w in workloads for c in configs for m in models]
-    grouped = [c for c in configs if c in GROUPABLE_CONFIGS]
     groups = [GroupSpecs(tuple(RunSpec(w, c, m, scale=args.scale,
                                        max_instructions=budget)
-                               for c in grouped))
-              for w in workloads for m in models] if len(grouped) > 1 else []
+                               for c in configs))
+              for w in workloads for m in models] if len(configs) > 1 else []
     try:
         outcomes = fan_out(diff_cell, cells + groups, default_jobs())
     except RunFailure as failure:
@@ -312,7 +288,7 @@ def main(argv: Optional[list] = None) -> int:
                 print(f"  {line}", file=sys.stderr)
     verdict = "bit-identical" if not failures else f"{failures} DIVERGENT"
     print(f"backend-diff: {len(cells)} cells x default and reference runs"
-          + (f", {len(groups)} groups of {len(grouped)} x grouped and "
+          + (f", {len(groups)} groups of {len(configs)} x grouped and "
              "separate runs" if groups else "")
           + f" (budget {budget}, scale {args.scale}): {verdict}")
     return 1 if failures else 0

@@ -6,11 +6,11 @@ ordinary harness run (parallelised, cached, deduplicated; the
 ``UnsafeBaseline`` runs are even shared between attack models via the
 model-independent cache key).  A cell's two secrets are twins, which
 ``run_many`` simulates as one paired run until the secrets steer an
-address or a branch, and one seed's protected cells under one model are
-adjacent, so they run as one twin group: one paired core per class of
-agreeing engines.  The campaign then folds the per-channel trace digests,
-in (seed, configuration, model) order, into oracle verdicts, triage
-counts, and corpus records.
+address or a branch, and one seed's cells under one model are adjacent,
+so they run as one twin group: one paired core per class of agreeing
+engines, UnsafeBaseline on one of its own.  The campaign then folds the
+per-channel trace digests, in (seed, configuration, model) order, into
+oracle verdicts, triage counts, and corpus records.
 
 Every campaign judges every seed it is asked for.  Work is reused only
 through the result cache, whose key holds everything a verdict depends on:

@@ -93,10 +93,10 @@ def check_pair_direct(a: Program, b: Program, config: str,
             tally.simulations += PAIR_MAX_SIMULATIONS
         raise
     if tally is not None:
-        tally.add(run.runs, [run.fallback])
-    if run.fallback is None:
+        tally.add(run.runs, run.fallbacks)
+    if run.fallbacks[0] is None:
         return []
-    sim_a, sim_b = run.results
+    sim_a, sim_b = run.results[0]
     return differing_channels(channel_digests(sim_a.observer, sim_a.cycles),
                               channel_digests(sim_b.observer, sim_b.cycles))
 

@@ -100,11 +100,6 @@ FIGURE7_ORDER = [
 SECURE_CONFIGS = [name for name in CONFIGURATIONS if name != "UnsafeBaseline"]
 SPT_CONFIGS = [name for name in CONFIGURATIONS if name.startswith("SPT")]
 
-# The configurations whose engines advance the visibility point: every
-# one but UnsafeBaseline.  Runs of several of them on one program and
-# attack model may share one core (repro.pipeline.group).
-GROUPABLE_CONFIGS = frozenset(SECURE_CONFIGS) | frozenset(SPT_ENGINES)
-
 
 # The two attack models, in the order every sweep runs them.
 BOTH_MODELS = (AttackModel.SPECTRE, AttackModel.FUTURISTIC)

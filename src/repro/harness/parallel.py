@@ -11,16 +11,18 @@ the CLI sweeps, ``repro check``, fuzz campaigns): it deduplicates a list
 of :class:`RunSpec` values, satisfies what it can from the persistent
 result cache, and fans out only the misses.  Two adjacent misses that
 differ only in twin workloads (one fuzz plan, two secrets) make one pair
-cell.  Adjacent misses, or adjacent pair cells, that differ only in a
-configuration that advances the visibility point (any but
-UnsafeBaseline), with no sanitizer attached, fan out as one group cell.
-Both kinds run through :func:`~repro.harness.runner.run_group`, as one
-core run per class of agreeing engines, a paired core for pair cells: the
-Figure 7 grid's 280 protected runs take 110 at budget 500, and a quick
-fuzz seed's 14 protected pair cells take about 7.
+cell.  Adjacent misses, or adjacent pair cells, that differ only in
+configuration fan out as one group cell, unless a sanitizer is attached.
+Every cell, a lone spec included, runs through
+:func:`~repro.harness.runner.run_group`, whose
+:func:`~repro.harness.runner.simulate_group` decides which of its
+configurations share a core (those whose engines advance one visibility
+point), a paired core for pair cells: the Figure 7 grid's 300 runs take
+130 core runs in 40 cells at budget 500, and a quick fuzz seed's 14
+protected pair cells take about 7.
 The scenario matrix and ``repro backend-diff`` fan out verdicts, which
-are not cached; the matrix runs each (scenario, model) row's protected
-configurations as one group too.
+are not cached; the matrix runs each (scenario, model) row as one group
+too.
 
 Degradation is graceful at every layer: one job runs serially in-process
 (the debuggable path), and a pool that cannot start (no ``fork``/``spawn``
@@ -38,8 +40,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.core.attack_model import AttackModel
 from repro.harness import cache
-from repro.harness.configs import GROUPABLE_CONFIGS
-from repro.harness.runner import _env_int, run_group, run_one
+from repro.harness.runner import _env_int, run_group
 from repro.pipeline.params import MachineParams
 from repro.workloads.registry import twin_key
 
@@ -105,8 +106,8 @@ class TwinSpecs:
 
 @dataclass(frozen=True)
 class GroupSpecs:
-    """Specs, or twin cells, equal but for their grouped configurations:
-    one fan-out cell."""
+    """Specs, or twin cells, equal but for their configurations: one
+    fan-out cell."""
 
     specs: tuple
 
@@ -114,21 +115,18 @@ class GroupSpecs:
         others = " ".join(spec.config for spec in self.specs[1:])
         return f"{self.specs[0].describe()} grouped with {others}"
 
-    @staticmethod
-    def groupable(spec) -> bool:
-        return (spec.config in GROUPABLE_CONFIGS
-                and (spec.params is None
-                     or spec.params.check_level == "off"))
-
     @classmethod
     def of(cls, last, spec) -> Optional["GroupSpecs"]:
         """The cell of ``last`` (a spec, a twin cell or a group of either)
         with ``spec`` (one of the same kind) added, or None when ``spec``
-        does not join it."""
+        does not join it: it differs in more than its configuration, or a
+        sanitizer is attached (a sanitized run never shares a core, so
+        fusing one would only serialise a sweep)."""
         specs = last.specs if isinstance(last, GroupSpecs) else (last,)
         first = specs[0]
-        if not (cls.groupable(spec) and cls.groupable(first)) \
-                or spec.with_config(first.config) != first:
+        if spec.with_config(first.config) != first or (
+                spec.params is not None
+                and spec.params.check_level != "off"):
             return None
         return cls(specs + (spec,))
 
@@ -174,13 +172,8 @@ def _members(cell) -> tuple:
 
 
 def _execute_cell(cell):
-    """Worker entry point (module-level so it pickles): a RunSpec's
-    ``RunResult``, or a TwinSpecs' or GroupSpecs' ``run_group`` outcome."""
-    if isinstance(cell, RunSpec):
-        return run_one(cell.workload, cell.config, cell.model,
-                       scale=cell.scale,
-                       max_instructions=cell.max_instructions,
-                       params=cell.params, collect_trace=cell.collect_trace)
+    """Worker entry point (module-level so it pickles): the cell's
+    ``run_group`` outcome; a lone spec or twin cell is a group of one."""
     members = _members(cell)
     first = members[0]
     twin = first.b.workload if isinstance(first, TwinSpecs) else None
@@ -257,10 +250,9 @@ def run_many(specs: Sequence[RunSpec],
     :class:`TwinSpecs` make one pair cell, and a run of adjacent misses,
     or of adjacent pair cells, that make a :class:`GroupSpecs` one group
     cell; a configuration whose own run raises fails the call with a
-    :class:`RunFailure` naming its spec (or pair cell), as a cell of its
-    own would.  ``use_cache=None`` consults
-    the environment (``REPRO_NO_CACHE``); pass an explicit bool to
-    override.  ``jobs=None`` reads ``REPRO_JOBS`` / CPU count; ``jobs=1``
+    :class:`RunFailure` naming its spec (or pair cell).  ``use_cache=None``
+    consults the environment (``REPRO_NO_CACHE``); pass an explicit bool
+    to override.  ``jobs=None`` reads ``REPRO_JOBS`` / CPU count; ``jobs=1``
     forces the in-process serial path.  ``tally``, when given, counts the
     simulations this call made.
     """
@@ -298,11 +290,8 @@ def run_many(specs: Sequence[RunSpec],
                 cell_keys, cell = cells.pop()[0] + cell_keys, group
         cells.append((cell_keys, cell))
     if cells:
-        computed = fan_out(_execute_cell, [cell for _, cell in cells], jobs)
-        # A RunSpec's outcome is its result; a cell run_group ran has one
-        # per member, with its core runs.
-        outcomes = [([out], 1) if isinstance(cell, RunSpec) else out
-                    for (_, cell), out in zip(cells, computed)]
+        # Each cell's outcomes, one per member, with its core runs.
+        outcomes = fan_out(_execute_cell, [cell for _, cell in cells], jobs)
         for (_, cell), (outs, _) in zip(cells, outcomes):
             for member, out in zip(_members(cell), outs):
                 if isinstance(out, Exception):

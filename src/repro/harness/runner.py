@@ -1,9 +1,10 @@
-"""Experiment runner: :func:`simulate` builds and runs a core for a Table 2
-configuration; :func:`run_one` does it for a registered workload.
-:func:`simulate_group` runs one program under several configurations as
-one core run per class of agreeing engines, and with a twin program (one
-fuzz plan rendered with two secrets) as one paired run per class where it
-can; :func:`simulate_pair` is its one-configuration twin case."""
+"""Experiment runner: :func:`simulate_group` is the one place that builds
+and runs a core for configuration names.  It runs one program, and a twin
+(one fuzz plan rendered with two secrets) when one is given, under any list
+of configurations, as one core run per class of agreeing engines.  Each
+single-configuration entry point is one of its cases: :func:`simulate`,
+:func:`simulate_pair` (with a twin), and for registered workloads
+:func:`run_group` and its one-configuration case :func:`run_one`."""
 
 from __future__ import annotations
 
@@ -75,18 +76,21 @@ def simulate(program: Program, config: str, model: AttackModel,
              params: Optional[MachineParams] = None,
              setup: Optional[Callable[[OoOCore], None]] = None,
              require_halt: bool = False) -> SimResult:
-    """Run ``program`` on a core with ``config``'s engine.  ``setup`` sees
-    the core before the run (e.g. an attacker planting a BTB entry);
+    """Run ``program`` on a core with ``config``'s engine:
+    :func:`simulate_group`'s one-configuration case.  ``setup`` sees the
+    core before the run (e.g. an attacker planting a BTB entry);
     ``require_halt`` makes a run cut at ``max_instructions`` raise
     ``RuntimeError``, since its trace would describe a truncated run."""
-    core = OoOCore(program, engine=make_engine(config, model),
-                   params=params)
-    if setup is not None:
-        setup(core)
-    sim = core.run(max_instructions=max_instructions)
-    if require_halt:
-        _require_halt(sim, program, config, model, max_instructions)
-    return sim
+    return _sole(simulate_group(program, [config], model, max_instructions,
+                                params, setup, require_halt)).results[0]
+
+
+def _sole(run: GroupRun) -> GroupRun:
+    """The run of one configuration; raises what that run raised."""
+    result, = run.results
+    if isinstance(result, Exception):
+        raise result
+    return run
 
 
 def _require_halt(sim: SimResult, program: Program, config: str,
@@ -100,36 +104,23 @@ def _require_halt(sim: SimResult, program: Program, config: str,
 # Why a twin pair ran as two separate simulations without a paired attempt.
 NOT_TWINS = "not-twins"
 SANITIZER = "sanitizer"
-# The paired run raised something other than a Divergence.
+# The paired run raised something other than a Divergence, or the
+# configuration's engine could not be built.
 PAIRED_ERROR = "error"
-
-
-@dataclass
-class PairRun:
-    """Both results of one :func:`simulate_pair` and how they were made:
-    ``fallback`` and ``error`` as :class:`GroupRun` gives them for its one
-    configuration, and ``runs`` core runs."""
-
-    results: tuple          # (SimResult, SimResult)
-    fallback: Optional[str] = None
-    error: str = ""
-    runs: int = 1
 
 
 def simulate_pair(program_a: Program, program_b: Program, config: str,
                   model: AttackModel, max_instructions: int,
                   params: Optional[MachineParams] = None,
                   setup: Optional[Callable[[OoOCore], None]] = None,
-                  require_halt: bool = False) -> PairRun:
+                  require_halt: bool = False) -> GroupRun:
     """:func:`simulate` both programs, each result equal to its own run's:
-    :func:`simulate_group`'s one-configuration twin case.  Raises what the
-    separate runs raise."""
-    run = simulate_group(program_a, [config], model, max_instructions,
-                         params, setup, require_halt, twin=program_b)
-    result, = run.results
-    if isinstance(result, Exception):
-        raise result
-    return PairRun(result, run.fallbacks[0], run.error, run.runs)
+    :func:`simulate_group`'s one-configuration twin case, whose
+    ``results[0]`` is the pair of results and ``fallbacks[0]`` how they
+    were made.  Raises what the separate runs raise."""
+    return _sole(simulate_group(program_a, [config], model, max_instructions,
+                                params, setup, require_halt,
+                                twin=program_b))
 
 
 @dataclass
@@ -161,27 +152,30 @@ def simulate_group(program: Program, configs, model: AttackModel,
                    setup: Optional[Callable[[OoOCore], None]] = None,
                    require_halt: bool = False,
                    twin: Optional[Program] = None) -> GroupRun:
-    """:func:`simulate` ``program``, and its ``twin`` when one is given,
-    under each of ``configs`` (configurations that advance the visibility
-    point, with no sanitizer when there are several); each result equals
-    its own run's.
+    """Run ``program``, and its ``twin`` when one is given, under each of
+    ``configs``; each result equals that configuration's run on a core of
+    its own.
 
-    The configurations run as one core with an
+    One rule decides which configurations share a core.  Each core carries
+    the first configuration still pending and, unless a sanitizer is
+    attached, every other pending configuration whose engine advances the
+    same visibility point (``engine.vp_predicate``).  So UnsafeBaseline,
+    which advances none, and each sanitized run get a core of their own.
+    Several configurations run as one core with an
     :class:`~repro.pipeline.group.EngineGroup` (a
     :class:`~repro.pipeline.relational.PairedCore` with a twin); the
-    members that left it run again as the next group, in ``configs``
-    order, until every configuration has its result.  A paired run that
-    reaches a steering site with differing values diverges there for every
-    member still in it, so those members run each side separately, as a
-    group per side.  Twins also run separately under a sanitizer and when
-    they are not twins.  A group run that raises falls back to each
-    member's own run, which keeps its own result or exception; a lone
-    paired run that raises, to its separate runs.
+    members that left it are pending again, in ``configs`` order.  A
+    configuration whose engine cannot be built gets that exception as its
+    result.  A paired run that reaches a steering site with differing
+    values diverges there for every member still in it, so those members
+    run each side separately, as a group per side.  Twins also run
+    separately under a sanitizer and when they are not twins.  A group run
+    that raises falls back to each member's own run, which keeps its own
+    result or exception; a lone paired run that raises, to its separate
+    runs.
     """
     configs = list(configs)
     checked = (params or MachineParams()).check_level != "off"
-    if checked and len(configs) > 1:
-        raise ValueError("grouped configurations run without the sanitizer")
     run = GroupRun([])
     done: dict = {}
     fallback: dict = {}
@@ -209,10 +203,26 @@ def simulate_group(program: Program, configs, model: AttackModel,
             separately(configs, SANITIZER)
         elif not twins(program, twin):
             separately(configs, NOT_TWINS)
-    pending = [config for config in configs if config not in done]
-    while pending:
-        engines = [make_engine(config, model) for config in pending]
-        # The last configuration left runs alone: its run is its own.
+    while True:
+        built: dict = {}        # each pending configuration's engine
+        for config in dict.fromkeys(configs):
+            if config not in done:
+                try:
+                    built[config] = make_engine(config, model)
+                except Exception as exc:    # noqa: BLE001 — its outcome
+                    done[config] = exc
+                    fallback[config] = PAIRED_ERROR
+        if not built:
+            break
+        # The rule: the first configuration pending leads, and the others
+        # whose engines advance its visibility point join it; none joins
+        # a sanitized run, since a sanitizer checks one engine.
+        lead, *others = built
+        vp = None if checked else built[lead].vp_predicate
+        members = [lead] + [config for config in others if vp is not None
+                            and built[config].vp_predicate is vp]
+        engines = [built[config] for config in members]
+        # A lone configuration's run is its own.
         group = EngineGroup(engines) if len(engines) > 1 else None
         core = (PairedCore(program, twin, group or engines[0], params)
                 if paired else OoOCore(program, group or engines[0], params))
@@ -220,7 +230,7 @@ def simulate_group(program: Program, configs, model: AttackModel,
             setup(core)
         run.runs += 1
         config_of = {id(engine): config
-                     for config, engine in zip(pending, engines)}
+                     for config, engine in zip(members, engines)}
         try:
             sim = core.run(max_instructions=max_instructions)
         except Exception as exc:    # noqa: BLE001 — the separate runs decide
@@ -232,7 +242,7 @@ def simulate_group(program: Program, configs, model: AttackModel,
                            exc.site)
             elif group is not None:
                 run.error = run.error or traceback.format_exc()
-                for config in pending:
+                for config in members:
                     own = simulate_group(program, [config], model,
                                          max_instructions, params, setup,
                                          require_halt, twin)
@@ -242,9 +252,9 @@ def simulate_group(program: Program, configs, model: AttackModel,
                         fallback[config] = own.fallbacks[0]
             elif paired:
                 run.error = run.error or traceback.format_exc()
-                separately(pending, PAIRED_ERROR)
+                separately(members, PAIRED_ERROR)
             else:
-                done[pending[0]] = exc
+                done[members[0]] = exc
         else:
             for engine in (group.members if group else engines):
                 config = config_of[id(engine)]
@@ -266,7 +276,6 @@ def simulate_group(program: Program, configs, model: AttackModel,
         if group is not None:
             run.departures += [(config_of[id(engine)], query, cycle)
                                for engine, query, cycle in group.departures]
-        pending = [config for config in pending if config not in done]
     run.results = [done[config] for config in configs]
     if paired:
         run.fallbacks = [fallback[config] for config in configs]
@@ -278,16 +287,18 @@ def run_one(workload: str, config: str,
             scale: int = 1, max_instructions: Optional[int] = None,
             params: Optional[MachineParams] = None,
             collect_trace: bool = False) -> RunResult:
-    """Simulate ``workload`` under ``config`` and collect statistics.
+    """Simulate ``workload`` under ``config`` and collect statistics:
+    :func:`run_group`'s one-configuration case.
 
     ``collect_trace=True`` additionally hashes the attacker-visible trace
     per channel into ``RunResult.trace_digests`` (the non-interference
     oracle's comparison unit; cheap and cacheable, unlike the trace).
     """
-    sim = simulate(get_workload(workload).program(scale), config, model,
-                   max_instructions or 10_000_000, params,
-                   require_halt=collect_trace)
-    return run_result(workload, config, model, sim, collect_trace)
+    (result,), _ = run_group(workload, [config], model, scale,
+                             max_instructions, params, collect_trace)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def run_group(workload: str, configs, model: AttackModel, scale: int = 1,
@@ -295,12 +306,13 @@ def run_group(workload: str, configs, model: AttackModel, scale: int = 1,
               params: Optional[MachineParams] = None,
               collect_trace: bool = False,
               twin: Optional[str] = None) -> tuple:
-    """:func:`run_one` for several configurations through
+    """Simulate ``workload`` under each of ``configs`` through
     :func:`simulate_group`, with the ``twin`` workload beside each when one
-    is given: ``(outcomes, core runs)``, with one outcome per
-    configuration: its ``RunResult`` (with a twin, ``(RunResult,
-    RunResult, fallback)``), or the exception its own run raises.  Results
-    of one core run share its observer, whose trace is hashed once."""
+    is given, and collect statistics: ``(outcomes, core runs)``, with one
+    outcome per configuration: its ``RunResult`` (with a twin,
+    ``(RunResult, RunResult, fallback)``), or the exception its own run
+    raises.  Results of one core run share its observer, whose trace is
+    hashed once."""
     run = simulate_group(get_workload(workload).program(scale), configs,
                          model, max_instructions or 10_000_000, params,
                          require_halt=collect_trace,

@@ -24,8 +24,9 @@ non-zero on regression; the CI ``perf-regression`` job gates on it against
 A snapshot may also carry an ``end_to_end`` section: the medians of the
 repo benchmark's end-to-end metrics (``perfbench/run.py --trace 0``, one
 stdout log per run, read by ``record --perfbench``), with the vCPU count
-and Python version of the host.  ``show`` renders it and ``compare``
-prints its deltas; host wall times do not gate.
+and Python version of the host.  ``show`` renders it; ``compare`` ignores
+it, since host wall times from two recordings compare only within one set
+of alternating runs, not across snapshots.
 """
 
 from __future__ import annotations
@@ -58,6 +59,11 @@ THROUGHPUT_WORKLOAD = "mcf"
 STALL_WORKLOAD = "mcf"
 STALL_CONFIG = FULL_SPT
 STALL_MODEL = AttackModel.FUTURISTIC
+
+# The budget of ``BENCH_baseline.json`` and every committed snapshot:
+# ``record`` and ``profile`` default to it (``REPRO_BENCH_BUDGET`` and
+# ``--budget`` override it), so a plain ``bench record`` compares clean.
+SNAPSHOT_BUDGET = 500
 
 
 def default_snapshot_name(today: Optional[datetime.date] = None,
@@ -110,7 +116,7 @@ def profile_cell(path: str, budget: Optional[int] = None,
     import io
     import pstats
 
-    budget = budget or bench_budget()
+    budget = budget or bench_budget(SNAPSHOT_BUDGET)
     scale = scale or bench_scale()
     # One warm-up run keeps import/first-touch costs out of the profile.
     run_one(STALL_WORKLOAD, STALL_CONFIG, model=STALL_MODEL,
@@ -160,7 +166,7 @@ def record_snapshot(budget: Optional[int] = None,
     snapshots record their workload set and ``compare`` refuses to diff
     snapshots whose sets differ.
     """
-    budget = budget or bench_budget()
+    budget = budget or bench_budget(SNAPSHOT_BUDGET)
     scale = scale or bench_scale()
     data = figure7.collect(workloads=workloads, scale=scale, budget=budget,
                            jobs=jobs, use_cache=use_cache)
@@ -238,24 +244,6 @@ def end_to_end_section(paths: list) -> dict:
     return {"host": {"vcpus": os.cpu_count(),
                      "python": platform.python_version()},
             "workloads": workloads}
-
-
-def end_to_end_deltas(baseline: dict, current: dict) -> list:
-    """One line per end-to-end median both snapshots hold: old, new and
-    the relative change.  Reported, never gated: these are host times."""
-    old = baseline.get("end_to_end", {}).get("workloads", {})
-    new = current.get("end_to_end", {}).get("workloads", {})
-    lines = []
-    for workload in sorted(set(old) & set(new)):
-        for name, now in new[workload]["metrics"].items():
-            was = old[workload]["metrics"].get(name)
-            if was is None:
-                continue
-            change = (f"{now['value'] / was['value'] - 1:+.1%}"
-                      if was["value"] else "n/a")
-            lines.append(f"{workload} {name}: {was['value']:.4g} -> "
-                         f"{now['value']:.4g} {now['unit']} ({change})")
-    return lines
 
 
 def write_snapshot(snapshot: dict, path: str) -> str:

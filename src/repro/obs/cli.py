@@ -61,6 +61,11 @@ def stats_main(argv: Optional[list] = None) -> int:
     return 0
 
 
+BUDGET_HELP = ("retired-instruction budget per run (default: "
+               f"REPRO_BENCH_BUDGET or {bench.SNAPSHOT_BUDGET}, the budget "
+               "of every committed snapshot)")
+
+
 def _build_bench_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro bench",
@@ -72,8 +77,7 @@ def _build_bench_parser() -> argparse.ArgumentParser:
                         help="output path (default: the first free name "
                              "of BENCH_<date>.json, BENCH_<date>b.json, ...)")
     record.add_argument("--budget", type=at_least_one, default=None,
-                        help="retired-instruction budget per run "
-                             "(default: REPRO_BENCH_BUDGET or 2500)")
+                        help=BUDGET_HELP)
     record.add_argument("--scale", type=at_least_one, default=None)
     record.add_argument("--jobs", type=at_least_one, default=None)
     record.add_argument("--reps", type=at_least_one, default=3,
@@ -106,7 +110,8 @@ def _build_bench_parser() -> argparse.ArgumentParser:
     profile.add_argument("-o", "--output", default="BENCH_profile.pstats",
                          help="pstats dump path "
                               "(default: BENCH_profile.pstats)")
-    profile.add_argument("--budget", type=at_least_one, default=None)
+    profile.add_argument("--budget", type=at_least_one, default=None,
+                         help=BUDGET_HELP)
     profile.add_argument("--scale", type=at_least_one, default=None)
     profile.add_argument("--runs", type=at_least_one, default=3,
                          help="profiled repetitions (default: 3)")
@@ -150,11 +155,6 @@ def bench_main(argv: Optional[list] = None) -> int:
             throughput_tolerance=args.throughput_tolerance,
             overhead_tolerance=args.overhead_tolerance,
             stall_tolerance=args.stall_tolerance)
-        deltas = bench.end_to_end_deltas(baseline, current)
-        if deltas:
-            print("end-to-end medians (reported, not gated):")
-            for delta in deltas:
-                print(f"  {delta}")
         if failures:
             print(f"{len(failures)} regression(s) against {args.baseline}:")
             for failure in failures:

@@ -21,12 +21,15 @@ quiescent cycle is exact.  Once only the lead is left, the group hands
 the core to it.
 
 Members still in the group when the run ends take its results with their
-own engine metrics, byte-identical to their own runs;
-:func:`repro.harness.runner.simulate_group` runs the members that left as
-the next group.  This rests on engines writing no shared state besides
-the activity counter and the VP frontier (``SPTEngine`` keeps its entry
-bits in its own slot-indexed masks); ``ReferenceSPTEngine`` keeps its bits
-on the ``DynInst`` and is never grouped.
+own engine metrics, byte-identical to their own runs.
+:func:`repro.harness.runner.simulate_group` decides which configurations
+form a group (those whose engines advance one visibility point, with no
+sanitizer attached; the check in :class:`EngineGroup` is a guard) and
+runs the members that left in a later group.  This rests on engines
+writing no shared state besides the activity counter and the VP frontier
+(``SPTEngine`` keeps its entry bits in its own slot-indexed masks);
+``ReferenceSPTEngine`` keeps its bits on the ``DynInst`` and is never
+grouped: no configuration name builds it.
 """
 
 from __future__ import annotations

@@ -22,9 +22,9 @@ speculation windows are wide enough to cover the Futuristic VP delays).
 
 ``scenario_matrix`` runs the full scenario x config x model grid through
 :func:`repro.harness.parallel.fan_out`, one cell per (scenario, model):
-UnsafeBaseline's run, and one group run over the configurations that
-advance the visibility point (:func:`run_attack_group`, one core per
-class of agreeing engines).  ``render_matrix`` pretty-prints it.
+one group run over its configurations (:func:`run_attack_group`, one core
+per class of agreeing engines, UnsafeBaseline on a core of its own).
+``render_matrix`` pretty-prints it.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from repro.core.attack_model import AttackModel
-from repro.harness.configs import (BOTH_MODELS, CONFIGURATIONS,
-                                   GROUPABLE_CONFIGS)
+from repro.harness.configs import BOTH_MODELS, CONFIGURATIONS
 from repro.harness.parallel import RunFailure, fan_out
 from repro.harness.runner import simulate, simulate_group
 from repro.pipeline.core import SimResult
@@ -111,8 +110,7 @@ def run_attack(attack: AttackProgram, config: str, model: AttackModel,
 
 def run_attack_group(attack: AttackProgram, configs, model: AttackModel,
                      params: Optional[MachineParams] = None) -> list:
-    """:func:`run_attack` under each of ``configs`` (configurations that
-    advance the visibility point) through
+    """:func:`run_attack` under each of ``configs`` through
     :func:`~repro.harness.runner.simulate_group`: one core run per class of
     agreeing engines.  Returns each configuration's ``leaked``, or the
     exception its own run raises."""
@@ -181,28 +179,16 @@ class ScenarioResult:
 
 
 def _run_row(row: ScenarioRow) -> list:
-    """Judge one matrix row (module-level: picklable): each configuration's
-    ``ScenarioResult``, or the exception its own run raises.  The
-    configurations that advance the visibility point run as one group."""
+    """Judge one matrix row (module-level: picklable) as one group run:
+    each configuration's ``ScenarioResult``, or the exception its own run
+    raises."""
     scenario = SCENARIOS[row.scenario]
-    attack = scenario.build()
-    model = AttackModel[row.model]
-    grouped = [config for config in row.configs
-               if config in GROUPABLE_CONFIGS]
-    outcomes = dict(zip(grouped, run_attack_group(attack, grouped, model)))
-    results = []
-    for config in row.configs:
-        if config not in outcomes:
-            try:
-                outcomes[config] = run_attack(attack, config, model)[0]
-            except Exception as exc:    # noqa: BLE001 — the cell's outcome
-                outcomes[config] = exc
-        leaked = outcomes[config]
-        results.append(leaked if isinstance(leaked, Exception)
-                       else ScenarioResult(
-                           row.scenario, config, row.model, leaked,
-                           expected_to_leak(scenario.exposure, config)))
-    return results
+    outcomes = run_attack_group(scenario.build(), row.configs,
+                                AttackModel[row.model])
+    return [leaked if isinstance(leaked, Exception)
+            else ScenarioResult(row.scenario, config, row.model, leaked,
+                                expected_to_leak(scenario.exposure, config))
+            for config, leaked in zip(row.configs, outcomes)]
 
 
 def scenario_matrix(scenarios: Optional[Sequence[str]] = None,

@@ -103,9 +103,9 @@ def test_counterexample_runs_count_as_simulations(monkeypatch, tmp_path,
 
 def test_campaign_runs_one_twin_group_per_seed_and_model(monkeypatch,
                                                         run_modes):
-    """``run_many`` makes one twin cell (UnsafeBaseline, whose result the
-    models share) and one twin-group cell of the protected configurations
-    per (seed, model) from the campaign's specs.  On quick seeds 40-79 the
+    """``run_many`` makes one twin-group cell per (seed, model) from the
+    campaign's specs; UnsafeBaseline, whose result the models share, is in
+    the first model's cell.  On quick seeds 40-79 the
     pair counts stay those of one cell per pair: 560 served by one paired
     run, 29 that fell back at a load address and 11 at a branch; and the
     report's simulations are the core runs made."""
@@ -130,10 +130,10 @@ def test_campaign_runs_one_twin_group_per_seed_and_model(monkeypatch,
 
     expected = []
     for seed in range(40, 80):
-        expected.append(twin(seed, "UnsafeBaseline", BOTH_MODELS[0]))
         expected += [GroupSpecs(tuple(twin(seed, config, model)
-                                      for config in SECURE_CONFIGS))
-                     for model in BOTH_MODELS]
+                                      for config in configs))
+                     for model, configs in zip(
+                         BOTH_MODELS, (CONFIGURATIONS, SECURE_CONFIGS))]
     assert cells == expected
     assert report.paired_runs == 560
     assert report.fallbacks == {"load-address": 29, "branch": 11}

@@ -1,23 +1,25 @@
 """Twin groups: one paired core for the protected configurations that agree.
 
-:func:`repro.check.diff.twin_group_diff_cell` is the differential: for
-every configuration, each side's projected outcome from the twin-group
+:func:`repro.check.diff.group_diff_cell` with a twin is the differential:
+for every configuration, each side's projected outcome from the twin-group
 runner (cycles, retired count and PCs, halt, architectural registers,
 every metric path, trace digests) must equal its separate run's, and a
 configuration whose separate traces differ must have fallen back.  The
 leave, divergence and raise paths are planted: a gate patched on one
 design point only, one victim per steering site, and a cycle cap that
-some configurations' runs exceed.
+some configurations' runs exceed.  An unknown configuration in a twin
+group gets its own error.
 """
 
 import pytest
 
-from repro.check.diff import outcome_of, twin_group_diff_cell
+from repro.check.diff import group_diff_cell, outcome_of
 from repro.core.attack_model import AttackModel
 from repro.core.spt import SPTEngine
-from repro.fuzz.generator import generate_plan
+from repro.fuzz.generator import generate_plan, secret_pair, workload_name
 from repro.fuzz.oracle import FUZZ_BUDGET
 from repro.harness.configs import BOTH_MODELS, SECURE_CONFIGS
+from repro.harness.parallel import RunFailure, RunSpec, TwinSpecs, run_many
 from repro.harness.runner import PAIRED_ERROR, simulate_group, simulate_pair
 from repro.pipeline.core import SimulationError
 from repro.pipeline.params import MachineParams
@@ -37,8 +39,9 @@ def _differential(programs) -> tuple:
     or group run that raised."""
     fallbacks, departed, problems = {}, {}, []
     for model in BOTH_MODELS:
-        got, departures, mismatches = twin_group_diff_cell(
-            *programs, SECURE_CONFIGS, model, FUZZ_BUDGET)
+        got, departures, mismatches = group_diff_cell(
+            programs[0], SECURE_CONFIGS, model, FUZZ_BUDGET,
+            twin=programs[1])
         fallbacks[model], departed[model] = got, departures
         problems += [f"{model.value}: {line}" for line in mismatches]
         problems += [f"{model.value}: {line}" for line in departures
@@ -94,7 +97,7 @@ def test_planted_disagreement_leaves_exactly_that_member(monkeypatch):
 
     def pair(config):
         run = simulate_pair(*programs, config, SPECTRE, FUZZ_BUDGET)
-        return run.fallback, [outcome_of(sim) for sim in run.results]
+        return run.fallbacks[0], [outcome_of(sim) for sim in run.results[0]]
 
     unpatched = {config: pair(config) for config in spt}
     original = SPTEngine.may_compute_address
@@ -141,10 +144,28 @@ def test_group_run_that_raises_gives_each_member_its_own_pair_outcome():
             assert fallback == PAIRED_ERROR
             raised.append(config)
         else:
-            assert fallback == want.fallback, config
+            assert fallback == want.fallbacks[0], config
             assert [outcome_of(sim) for sim in result] == \
-                [outcome_of(sim) for sim in want.results], config
+                [outcome_of(sim) for sim in want.results[0]], config
     assert raised == SECURE_CONFIGS[:5]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_many_names_an_unknown_twin_member(jobs):
+    """An unknown configuration fused beside SecureBaseline in a twin group
+    gets its own error, in-process and from a worker (a second cell makes
+    the pool), and the twin cell that names it fails the sweep."""
+    def twin(config):
+        return [RunSpec(workload_name("quick", 0, secret), config, SPECTRE,
+                        max_instructions=FUZZ_BUDGET, collect_trace=True)
+                for secret in secret_pair(0)]
+
+    specs = twin("SecureBaseline") + twin("NotAConfig")
+    other = RunSpec("mcf", "STT", SPECTRE, max_instructions=500)
+    with pytest.raises(RunFailure) as failure:
+        run_many(specs + [other], jobs=jobs, use_cache=False)
+    assert failure.value.spec == TwinSpecs(*specs[2:])
+    assert failure.value.cause.startswith("KeyError")
 
 
 @pytest.mark.slow

@@ -15,15 +15,16 @@ SPEC = RunSpec("mcf", "SPT{Bwd,ShadowL1}", AttackModel.FUTURISTIC,
                max_instructions=BUDGET)
 
 
-def counting_run_one(monkeypatch):
+def counting_configs(monkeypatch):
+    """The workload of each configuration ``run_many`` simulates."""
     calls = []
-    real = parallel.run_one
+    real = parallel.run_group
 
-    def counting(workload, config, *args, **kwargs):
-        calls.append(workload)
-        return real(workload, config, *args, **kwargs)
+    def counting(workload, configs, *args, **kwargs):
+        calls.extend(workload for _ in configs)
+        return real(workload, configs, *args, **kwargs)
 
-    monkeypatch.setattr(parallel, "run_one", counting)
+    monkeypatch.setattr(parallel, "run_group", counting)
     return calls
 
 
@@ -44,7 +45,7 @@ def test_cache_enabled_env(monkeypatch):
 
 
 def test_second_invocation_hits_cache(monkeypatch):
-    calls = counting_run_one(monkeypatch)
+    calls = counting_configs(monkeypatch)
     first = run_many([SPEC], jobs=1)
     assert len(calls) == 1
     second = run_many([SPEC], jobs=1)
@@ -56,7 +57,7 @@ def test_second_invocation_hits_cache(monkeypatch):
 
 def test_no_cache_env_opts_out(monkeypatch):
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
-    calls = counting_run_one(monkeypatch)
+    calls = counting_configs(monkeypatch)
     run_many([SPEC], jobs=1)
     run_many([SPEC], jobs=1)
     assert len(calls) == 2
@@ -138,7 +139,7 @@ def test_corrupt_blob_is_a_miss(monkeypatch, corrupt):
     with open(path, "w") as handle:
         handle.write(text)
     assert cache.load(key) is None
-    calls = counting_run_one(monkeypatch)
+    calls = counting_configs(monkeypatch)
     run_many([SPEC], jobs=1)
     assert len(calls) == 1          # re-simulated and re-stored
 
@@ -167,7 +168,7 @@ def test_checked_and_unchecked_runs_never_share_a_cache_entry(monkeypatch):
     assert commit.key() != SPEC.key()
     assert commit.key() != checked.key()
 
-    calls = counting_run_one(monkeypatch)
+    calls = counting_configs(monkeypatch)
     unchecked_result = run_many([SPEC], jobs=1)[0]
     checked_result = run_many([checked], jobs=1)[0]
     assert len(calls) == 2      # the checked run missed the unchecked entry

@@ -36,13 +36,13 @@ def test_results_in_spec_order():
 
 def test_duplicate_specs_simulated_once(monkeypatch):
     calls = []
-    real = parallel.run_one
+    real = parallel.run_group
 
-    def counting(workload, config, *args, **kwargs):
-        calls.append((workload, config))
-        return real(workload, config, *args, **kwargs)
+    def counting(workload, configs, *args, **kwargs):
+        calls.extend((workload, config) for config in configs)
+        return real(workload, configs, *args, **kwargs)
 
-    monkeypatch.setattr(parallel, "run_one", counting)
+    monkeypatch.setattr(parallel, "run_group", counting)
     spec = RunSpec("xz", "STT", max_instructions=BUDGET)
     results = run_many([spec, spec, spec], jobs=1, use_cache=False)
     assert len(calls) == 1
@@ -67,13 +67,13 @@ def test_duplicate_specs_simulated_once(monkeypatch):
 def test_model_independent_configs_shared(monkeypatch):
     """UnsafeBaseline ignores the attack model: one run serves both."""
     calls = []
-    real = parallel.run_one
+    real = parallel.run_group
 
-    def counting(workload, config, *args, **kwargs):
-        calls.append(workload)
-        return real(workload, config, *args, **kwargs)
+    def counting(workload, configs, *args, **kwargs):
+        calls.extend(workload for _ in configs)
+        return real(workload, configs, *args, **kwargs)
 
-    monkeypatch.setattr(parallel, "run_one", counting)
+    monkeypatch.setattr(parallel, "run_group", counting)
     results = run_many(
         [RunSpec("xz", "UnsafeBaseline", AttackModel.FUTURISTIC,
                  max_instructions=BUDGET),
@@ -131,17 +131,17 @@ def test_pool_failure_falls_back_to_serial(monkeypatch):
 
 
 def test_serial_path_without_timeout_runs_inline(monkeypatch):
-    """The serial path calls run_one directly, on the calling thread."""
+    """The serial path calls run_group directly, on the calling thread."""
     import threading
     threads = []
 
-    real = parallel.run_one
+    real = parallel.run_group
 
     def spy(*args, **kwargs):
         threads.append(threading.current_thread())
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(parallel, "run_one", spy)
+    monkeypatch.setattr(parallel, "run_group", spy)
     run_many([RunSpec("mcf", "UnsafeBaseline", max_instructions=BUDGET)],
              jobs=1, use_cache=False)
     assert threads == [threading.main_thread()]

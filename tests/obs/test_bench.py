@@ -14,6 +14,8 @@ from repro.obs.stall import STALL_CAUSES
 BUDGET = 120
 WORKLOADS = ["mcf", "djbsort"]
 DATA = Path(__file__).with_name("data")
+BASELINE = (Path(__file__).parents[2] / "benchmarks" / "baselines"
+            / "BENCH_baseline.json")
 LOGS = [str(DATA / "perfbench-verify-targets.log"),
         str(DATA / "perfbench-fig7-grid.log")]
 
@@ -130,6 +132,37 @@ def test_bench_cli_record(tmp_path, monkeypatch, capsys):
     assert "end to end (perfbench medians" in capsys.readouterr().out
 
 
+def test_record_and_profile_default_to_the_snapshot_budget(tmp_path,
+                                                          monkeypatch):
+    """``record`` and ``profile`` measure at the committed baseline's
+    budget unless ``REPRO_BENCH_BUDGET`` or ``--budget`` names another; the
+    measurement is stubbed to report the budget it receives."""
+    class Measured(Exception):
+        pass
+
+    def collect(**kwargs):
+        raise Measured(kwargs["budget"])
+
+    def run_one(*_args, max_instructions, **_kwargs):
+        raise Measured(max_instructions)
+
+    monkeypatch.setattr(bench.figure7, "collect", collect)
+    monkeypatch.setattr(bench, "run_one", run_one)
+    baseline = json.loads(BASELINE.read_text())
+    assert bench.SNAPSHOT_BUDGET == baseline["budget"]
+    out = str(tmp_path / "out")
+    for env, flags, want in ((None, [], bench.SNAPSHOT_BUDGET),
+                             ("77", [], 77), ("77", ["--budget", "33"], 33)):
+        if env is None:
+            monkeypatch.delenv("REPRO_BENCH_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_BENCH_BUDGET", env)
+        for command in ("record", "profile"):
+            with pytest.raises(Measured) as measured:
+                bench_main([command, "-o", out, *flags])
+            assert measured.value.args == (want,), (command, env, flags)
+
+
 def test_default_snapshot_name_is_the_first_free_one(tmp_path):
     day = datetime.date(2026, 10, 19)
     for name in ("BENCH_20261019.json", "BENCH_20261019b.json",
@@ -199,21 +232,19 @@ def test_end_to_end_section_takes_each_metric_median(tmp_path):
     assert section["workloads"]["fig7-grid"]["runs"] == 1
 
 
-def test_compare_reports_end_to_end_deltas_without_gating(snapshot,
-                                                          tmp_path, capsys):
+def test_compare_ignores_end_to_end_medians(snapshot, tmp_path, capsys):
+    """Medians of two recordings are no change: ``compare`` ignores them
+    and ``show`` renders them."""
     before = dict(snapshot, end_to_end=bench.end_to_end_section(LOGS))
     after = copy.deepcopy(before)
     after["end_to_end"]["workloads"]["verify-targets"]["metrics"][
         "wall_s"]["value"] = 4.0                # twice as slow
     assert bench.compare_snapshots(before, after) == []
-    assert "verify-targets wall_s: 2 -> 4 s (+100.0%)" in \
-        bench.end_to_end_deltas(before, after)
-    assert bench.end_to_end_deltas(snapshot, after) == []
     old = bench.write_snapshot(before, str(tmp_path / "before.json"))
     new = bench.write_snapshot(after, str(tmp_path / "after.json"))
     capsys.readouterr()
     assert bench_main(["compare", old, new]) == 0
-    assert "(+100.0%)" in capsys.readouterr().out
+    assert "wall_s" not in capsys.readouterr().out
     assert bench_main(["show", new]) == 0
     shown = capsys.readouterr().out
     assert "verify-targets" in shown and "wall_s 4 s" in shown

@@ -1,11 +1,13 @@
-"""Grouped runs: one core for the protected configurations that agree.
+"""Grouped runs: one core for the configurations that agree.
 
 :func:`repro.check.diff.group_diff_cell` is the differential: every
 configuration's projected outcome from the group runner (cycles, retired
 count, halt, retired PCs, architectural registers, every metric path,
 trace digests) must equal its separate default run's.  The leave and the
 failure paths are planted: a gate patched on one design point only, and
-a cycle cap that one configuration's run exceeds.
+a cycle cap that one configuration's run exceeds.  The group runner takes
+any configurations: UnsafeBaseline and sanitized runs get cores of their
+own, and an unknown configuration gets its own error.
 """
 
 import pytest
@@ -16,7 +18,8 @@ from repro.core.baselines import SecureBaseline
 from repro.core.spt import SPTEngine
 from repro.core.stt import STTEngine
 from repro.experiments import figure7
-from repro.harness.configs import BOTH_MODELS, FIGURE7_ORDER, make_engine
+from repro.harness.configs import (BOTH_MODELS, CONFIGURATIONS,
+                                   FIGURE7_ORDER, make_engine)
 from repro.harness.parallel import (GroupSpecs, RunFailure, RunSpec,
                                     SimTally, TwinSpecs, run_many)
 from repro.harness.runner import run_one, simulate, simulate_group
@@ -43,7 +46,7 @@ def _program(workload: str):
 def test_grouped_runs_match_separate_runs(workload):
     departed = {}
     for model in BOTH_MODELS:
-        departures, mismatches = group_diff_cell(
+        _, departures, mismatches = group_diff_cell(
             _program(workload), FIGURE7_ORDER, model, BUDGET)
         assert mismatches == [], "\n".join(mismatches)
         assert not any("raised" in line for line in departures), departures
@@ -106,6 +109,51 @@ def test_group_run_that_raises_gives_each_member_its_own_error():
     assert isinstance(run.results[0], SimulationError)
 
 
+@pytest.mark.parametrize("model", BOTH_MODELS, ids=lambda m: m.value)
+def test_unsafe_baseline_gets_a_core_of_its_own(model):
+    """UnsafeBaseline advances no visibility point: first in the list, it
+    runs alone, and the protected configurations form mcf's 3 classes."""
+    program = _program("mcf")
+    configs = ["UnsafeBaseline", *FIGURE7_ORDER]
+    run = simulate_group(program, configs, model, BUDGET,
+                         setup=lambda core: setattr(core, "retired_pcs", []))
+    assert run.runs == 1 + 3 and run.error == ""
+    # Results of one core run share its observer.
+    cores = [id(sim.observer) for sim in run.results]
+    assert cores.count(cores[0]) == 1 and len(set(cores[1:])) == 3
+    for config, sim in zip(configs, run.results):
+        want = run_outcome(program, make_engine(config, model), BUDGET)[1]
+        assert outcome_of(sim) == want, config
+
+
+def test_sanitized_runs_get_a_core_each(run_modes):
+    """A sanitizer checks one engine: all eight configurations under
+    ``check_level="commit"`` make eight core runs, each its own run."""
+    program = _program("mcf")
+    params = MachineParams(check_level="commit")
+    run = simulate_group(program, CONFIGURATIONS, FUTURISTIC, BUDGET, params)
+    assert run.runs == len(run_modes) == 8
+    for config, sim in zip(CONFIGURATIONS, run.results):
+        want = simulate(program, config, FUTURISTIC, BUDGET, params)
+        assert (sim.cycles, sim.metrics.flatten()) == \
+            (want.cycles, want.metrics.flatten()), config
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_many_names_an_unknown_member(jobs):
+    """An unknown configuration fused beside SecureBaseline gets its own
+    error, in-process and from a worker (a second cell makes the pool)."""
+    secure, unknown = (RunSpec("mcf", config, SPECTRE,
+                               max_instructions=BUDGET)
+                       for config in ("SecureBaseline", "NotAConfig"))
+    other = RunSpec("xz", "STT", SPECTRE, max_instructions=BUDGET)
+    assert GroupSpecs.of(secure, unknown).specs == (secure, unknown)
+    with pytest.raises(RunFailure) as failure:
+        run_many([secure, unknown, other], jobs=jobs, use_cache=False)
+    assert failure.value.spec == unknown
+    assert failure.value.cause.startswith("KeyError")
+
+
 def test_run_many_names_the_failing_member():
     params = MachineParams(max_cycles=3700)
     specs = [RunSpec("mcf", config, FUTURISTIC, max_instructions=BUDGET,
@@ -147,8 +195,8 @@ def test_group_cells_are_decided_from_the_specs():
     group = GroupSpecs.of(GroupSpecs.of(secure, stt), spt)
     assert group.specs == (secure, stt, spt)
     unsafe = RunSpec("mcf", "UnsafeBaseline", SPECTRE, max_instructions=9)
-    assert GroupSpecs.of(unsafe, stt) is None
-    assert GroupSpecs.of(secure, unsafe) is None
+    assert GroupSpecs.of(unsafe, stt).specs == (unsafe, stt)
+    assert GroupSpecs.of(secure, unsafe).specs == (secure, unsafe)
     for other in (RunSpec("xz", "STT", SPECTRE, max_instructions=9),
                   RunSpec("mcf", "STT", FUTURISTIC, max_instructions=9),
                   RunSpec("mcf", "STT", SPECTRE, max_instructions=10),
@@ -167,8 +215,9 @@ def test_twin_cells_group_like_specs():
                           twin(FWD))
     assert group.specs == (twin("SecureBaseline"), twin("STT"), twin(FWD))
     assert group.describe().endswith("grouped with STT " + FWD)
-    for other in (twin("UnsafeBaseline"), twin("STT", FUTURISTIC),
-                  twin("STT").a):
+    assert GroupSpecs.of(twin("UnsafeBaseline"), twin("STT")).specs == \
+        (twin("UnsafeBaseline"), twin("STT"))
+    for other in (twin("STT", FUTURISTIC), twin("STT").a):
         assert GroupSpecs.of(twin("SecureBaseline"), other) is None
     assert GroupSpecs.of(twin("STT").a, twin("SecureBaseline")) is None
 
