@@ -48,7 +48,7 @@ from typing import Optional
 from repro.core.attack_model import AttackModel
 from repro.harness.configs import at_least_one
 from repro.harness.parallel import RunSpec, run_many
-from repro.harness.runner import RunResult, run_result, simulate
+from repro.harness.runner import RunResult, simulate
 from repro.isa.assembler import assemble
 from repro.isa.instructions import Program
 from repro.obs.metrics import Metrics
@@ -244,8 +244,8 @@ def main(argv: Optional[list] = None) -> int:
          for name in sweep], jobs=args.jobs, use_cache=use_cache)))
     for path, program in programs.items():
         sim = simulate(program, config, model, args.max_instructions, params)
-        results[path] = run_result(program.name, config, model, sim,
-                                   collect_trace=False)
+        results[path] = RunResult(program.name, config, model, sim.cycles,
+                                  sim.retired, sim.metrics)
 
     os.makedirs(args.output_dir, exist_ok=True)
     multiple = len(args.executable) > 1

@@ -45,6 +45,3 @@ class SecureBaseline(ProtectionEngine):
         # A load only issues at the VP, where every older store address is
         # architecturally determined; the forwarding decision is public.
         return True
-
-    def tick(self) -> None:
-        self.core.advance_vp(self.vp_predicate)

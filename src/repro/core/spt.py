@@ -195,9 +195,6 @@ class SPTBase(ProtectionEngine):
         self.shadow.invalidate_line(line)
 
     # ------------------------------------------------------------------ tick
-    def tick(self) -> None:
-        self.step(self.core.advance_vp(self.vp_predicate))
-
     def _tick_ideal(self) -> None:
         """Single-cycle fixpoint untainting (SPT {Ideal, ShadowMem})."""
         untainted_this_cycle = 0

@@ -92,9 +92,6 @@ class STTEngine(ProtectionEngine):
         # are past the VP.
         return load.reached_vp and store.reached_vp
 
-    def tick(self) -> None:
-        self.core.advance_vp(self.vp_predicate)
-
     # ------------------------------------------------------------ reporting
     def metrics_tree(self) -> Metrics:
         """Report the core's hold counts as STT's delayed checks.

@@ -11,7 +11,8 @@ Examples::
 Exit status is 0 only when the campaign is clean: no secure-configuration
 counterexample, no generator-invariant breakage, and the UnsafeBaseline
 sanity signal fired (when UnsafeBaseline was part of the sweep) — so a CI
-job can gate directly on this command.
+job can gate directly on this command.  A cell whose run fails (say, a
+victim that cannot halt within ``--max-instructions``) exits 1 as well.
 
 ``--adversarial`` switches from uniform seed sampling to the guided
 hill-climbing search of :mod:`repro.fuzz.adversarial` against a single
@@ -26,6 +27,7 @@ attack model, exits 2 before anything simulates.
 from __future__ import annotations
 
 import argparse
+import sys
 from typing import Optional
 
 from repro.fuzz.campaign import CampaignConfig, run_campaign
@@ -35,6 +37,7 @@ from repro.fuzz.report import render_report
 from repro.harness.configs import (MODELS_HELP, at_least_one,
                                    at_least_zero, parse_config_names,
                                    parse_models)
+from repro.harness.parallel import RunFailure
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -128,7 +131,11 @@ def main(argv: Optional[list] = None) -> int:
         corpus_dir=args.corpus_dir,
         use_cache=False if args.no_cache else None,
         max_instructions=args.max_instructions)
-    report = run_campaign(cfg)
+    try:
+        report = run_campaign(cfg)
+    except RunFailure as failure:
+        print(f"error: {failure}", file=sys.stderr)
+        return 1
     print(render_report(report))
     return 0 if report.ok else 1
 

@@ -2,10 +2,10 @@
 
 :func:`fan_out` maps a picklable function over cells, in order, serially
 or across a ``ProcessPoolExecutor`` (imported only when a pool is first
-built), and fails with a :class:`RunFailure` naming the failing cell.
-A cell ends when its simulation does: at its instruction budget, at
-``MachineParams.max_cycles`` or at the core's no-retirement detector,
-the last two raising an error the failure carries.
+built), and stops at the first cell that fails, with a
+:class:`RunFailure` naming it.  A cell ends when its simulation does: at
+its instruction budget, at ``MachineParams.max_cycles`` or at the core's
+no-retirement detector, the last two raising an error the failure carries.
 :func:`run_many` is the substrate of every paper artefact (Figures 7/8/9,
 the CLI sweeps, ``repro check``, fuzz campaigns): it deduplicates a list
 of :class:`RunSpec` values, satisfies what it can from the persistent
@@ -160,29 +160,39 @@ class RunFailure(RuntimeError):
         self.spec = spec
         self.cause = cause
 
+    def __reduce__(self):
+        # A worker's failure crosses the pool with its spec.
+        return type(self), (self.spec, self.cause)
+
+    @classmethod
+    def of(cls, spec, exc: Exception) -> "RunFailure":
+        """The failure of ``spec``, whose run raised ``exc``."""
+        return cls(spec, f"{type(exc).__name__}: {exc}")
+
 
 def default_jobs() -> int:
     """Worker count: ``REPRO_JOBS`` (validated) or ``os.cpu_count()``."""
     return _env_int("REPRO_JOBS", os.cpu_count() or 1)
 
 
-def _members(cell) -> tuple:
-    """The specs or twin cells a fan-out cell runs, in order."""
-    return cell.specs if isinstance(cell, GroupSpecs) else (cell,)
-
-
 def _execute_cell(cell):
     """Worker entry point (module-level so it pickles): the cell's
-    ``run_group`` outcome; a lone spec or twin cell is a group of one."""
-    members = _members(cell)
+    ``run_group`` run, a lone spec or twin cell being a group of one.
+    Raises the first failing member's :class:`RunFailure`, naming that
+    member."""
+    members = cell.specs if isinstance(cell, GroupSpecs) else (cell,)
     first = members[0]
     twin = first.b.workload if isinstance(first, TwinSpecs) else None
     spec = first.a if twin else first
-    return run_group(spec.workload, [member.config for member in members],
-                     spec.model, scale=spec.scale,
-                     max_instructions=spec.max_instructions,
-                     params=spec.params, collect_trace=spec.collect_trace,
-                     twin=twin)
+    run = run_group(spec.workload, [member.config for member in members],
+                    spec.model, scale=spec.scale,
+                    max_instructions=spec.max_instructions,
+                    params=spec.params, collect_trace=spec.collect_trace,
+                    twin=twin)
+    for member, result in zip(members, run.results):
+        if isinstance(result, Exception):
+            raise RunFailure.of(member, result) from result
+    return run
 
 
 def _run_serial(fn: Callable, cells: Sequence) -> list:
@@ -190,8 +200,10 @@ def _run_serial(fn: Callable, cells: Sequence) -> list:
     for cell in cells:
         try:
             results.append(fn(cell))
+        except RunFailure:
+            raise              # names the member of the cell that failed
         except Exception as exc:
-            raise RunFailure(cell, f"{type(exc).__name__}: {exc}") from exc
+            raise RunFailure.of(cell, exc) from exc
     return results
 
 
@@ -212,9 +224,10 @@ def _run_pool(fn: Callable, cells: Sequence, jobs: int) -> Optional[list]:
                 results.append(future.result())
             except concurrent.futures.process.BrokenProcessPool:
                 return None    # workers died (OOM, signal): retry serially
+            except RunFailure:
+                raise
             except Exception as exc:
-                raise RunFailure(
-                    cell, f"{type(exc).__name__}: {exc}") from exc
+                raise RunFailure.of(cell, exc) from exc
     finally:
         # On success every future is done, so a waiting shutdown is free.
         # After a failing cell the sweep's outcome is decided: cancel the
@@ -228,7 +241,9 @@ def _run_pool(fn: Callable, cells: Sequence, jobs: int) -> Optional[list]:
 def fan_out(fn: Callable, cells: Sequence, jobs: int) -> list:
     """``[fn(cell) for cell in cells]``: across ``jobs`` worker processes
     when there is more than one of each (``fn`` and the cells must
-    pickle), else serially in-process."""
+    pickle), else serially in-process.  The first failing cell stops the
+    fan-out: a :class:`RunFailure` ``fn`` raises passes through, and any
+    other exception becomes one naming the cell."""
     cells = list(cells)
     results = None
     if jobs > 1 and len(cells) > 1:
@@ -250,9 +265,10 @@ def run_many(specs: Sequence[RunSpec],
     :class:`TwinSpecs` make one pair cell, and a run of adjacent misses,
     or of adjacent pair cells, that make a :class:`GroupSpecs` one group
     cell; a configuration whose own run raises fails the call with a
-    :class:`RunFailure` naming its spec (or pair cell).  ``use_cache=None``
-    consults the environment (``REPRO_NO_CACHE``); pass an explicit bool
-    to override.  ``jobs=None`` reads ``REPRO_JOBS`` / CPU count; ``jobs=1``
+    :class:`RunFailure` naming its spec (or pair cell), raised by the cell
+    that ran it, which stops the sweep there.  ``use_cache=None`` consults
+    the environment (``REPRO_NO_CACHE``); pass an explicit bool to
+    override.  ``jobs=None`` reads ``REPRO_JOBS`` / CPU count; ``jobs=1``
     forces the in-process serial path.  ``tally``, when given, counts the
     simulations this call made.
     """
@@ -289,28 +305,16 @@ def run_many(specs: Sequence[RunSpec],
             if group is not None:
                 cell_keys, cell = cells.pop()[0] + cell_keys, group
         cells.append((cell_keys, cell))
-    if cells:
-        # Each cell's outcomes, one per member, with its core runs.
-        outcomes = fan_out(_execute_cell, [cell for _, cell in cells], jobs)
-        for (_, cell), (outs, _) in zip(cells, outcomes):
-            for member, out in zip(_members(cell), outs):
-                if isinstance(out, Exception):
-                    raise RunFailure(
-                        member, f"{type(out).__name__}: {out}") from out
-        for (cell_keys, _), (outs, runs) in zip(cells, outcomes):
-            results = []
-            fallbacks = []
-            for out in outs:
-                if isinstance(out, tuple):
-                    *pair, fallback = out
-                    results += pair
-                    fallbacks.append(fallback)
-                else:
-                    results.append(out)
-            if tally is not None:
-                tally.add(runs, fallbacks)
-            for key, result in zip(cell_keys, results):
-                known[key] = result
-                if use_cache:
-                    cache.store(key, result)
+    runs = fan_out(_execute_cell, [cell for _, cell in cells], jobs)
+    for (cell_keys, _), run in zip(cells, runs):
+        if tally is not None:
+            tally.add(run.runs, run.fallbacks)
+        # With a twin, each member's result is a pair (its fallback says
+        # how the pair was made).
+        results = ([result for pair in run.results for result in pair]
+                   if run.fallbacks else run.results)
+        for key, result in zip(cell_keys, results):
+            known[key] = result
+            if use_cache:
+                cache.store(key, result)
     return [known[key] for key in keys]

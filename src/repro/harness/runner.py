@@ -4,7 +4,9 @@ and runs a core for configuration names.  It runs one program, and a twin
 of configurations, as one core run per class of agreeing engines.  Each
 single-configuration entry point is one of its cases: :func:`simulate`,
 :func:`simulate_pair` (with a twin), and for registered workloads
-:func:`run_group` and its one-configuration case :func:`run_one`."""
+:func:`run_group` and its one-configuration case :func:`run_one`, which
+raise a configuration's own exception; a sweep cell raises it as a
+``RunFailure`` (:mod:`repro.harness.parallel`)."""
 
 from __future__ import annotations
 
@@ -128,12 +130,13 @@ class GroupRun:
     """What one :func:`simulate_group` made.
 
     ``results`` follows the ``configs`` order: each configuration's
-    ``SimResult`` (with a twin program, its pair of them), or the exception
-    its own run raises.  With a twin, ``fallbacks`` follows that order too:
-    None where one paired run served both programs, else why they ran
-    separately: a steering site of :mod:`repro.pipeline.relational` (a
-    paired run diverged there), :data:`NOT_TWINS`, :data:`SANITIZER` or
-    :data:`PAIRED_ERROR`.  ``runs`` counts core runs; ``departures`` lists
+    ``SimResult`` (a ``RunResult`` from :func:`run_group`; with a twin
+    program, its pair of them), or the exception its own run raises.  With
+    a twin, ``fallbacks`` follows that order too: None where one paired run
+    served both programs, else why they ran separately: a steering site of
+    :mod:`repro.pipeline.relational` (a paired run diverged there),
+    :data:`NOT_TWINS`, :data:`SANITIZER` or :data:`PAIRED_ERROR`.
+    ``runs`` counts core runs; ``departures`` lists
     ``(config, query, cycle)`` for each member that left a group, and
     ``error`` is the traceback of the first group or paired run that
     raised.
@@ -294,25 +297,21 @@ def run_one(workload: str, config: str,
     per channel into ``RunResult.trace_digests`` (the non-interference
     oracle's comparison unit; cheap and cacheable, unlike the trace).
     """
-    (result,), _ = run_group(workload, [config], model, scale,
-                             max_instructions, params, collect_trace)
-    if isinstance(result, Exception):
-        raise result
-    return result
+    return _sole(run_group(workload, [config], model, scale,
+                           max_instructions, params,
+                           collect_trace)).results[0]
 
 
 def run_group(workload: str, configs, model: AttackModel, scale: int = 1,
               max_instructions: Optional[int] = None,
               params: Optional[MachineParams] = None,
               collect_trace: bool = False,
-              twin: Optional[str] = None) -> tuple:
+              twin: Optional[str] = None) -> GroupRun:
     """Simulate ``workload`` under each of ``configs`` through
     :func:`simulate_group`, with the ``twin`` workload beside each when one
-    is given, and collect statistics: ``(outcomes, core runs)``, with one
-    outcome per configuration: its ``RunResult`` (with a twin,
-    ``(RunResult, RunResult, fallback)``), or the exception its own run
-    raises.  Results of one core run share its observer, whose trace is
-    hashed once."""
+    is given, and collect statistics: the :class:`GroupRun`, each of whose
+    ``SimResult``s is made a :class:`RunResult` of its workload.  Results
+    of one core run share its observer, whose trace is hashed once."""
     run = simulate_group(get_workload(workload).program(scale), configs,
                          model, max_instructions or 10_000_000, params,
                          require_halt=collect_trace,
@@ -326,26 +325,12 @@ def run_group(workload: str, configs, model: AttackModel, scale: int = 1,
         return RunResult(name, config, model, sim.cycles, sim.retired,
                          sim.metrics, dict(digests.get(key, {})))
 
-    outcomes = []
-    for config, sim, fallback in zip(configs, run.results,
-                                     run.fallbacks or [None] * len(configs)):
-        if isinstance(sim, Exception):
-            outcomes.append(sim)
-        elif twin is None:
-            outcomes.append(result(workload, config, sim))
-        else:
-            outcomes.append((result(workload, config, sim[0]),
-                             result(twin, config, sim[1]), fallback))
-    return outcomes, run.runs
-
-
-def run_result(workload: str, config: str, model: AttackModel,
-               sim: SimResult, collect_trace: bool) -> RunResult:
-    """The :class:`RunResult` of one simulation of ``workload``."""
-    trace_digests = (channel_digests(sim.observer, sim.cycles)
-                     if collect_trace else {})
-    return RunResult(workload, config, model, sim.cycles, sim.retired,
-                     sim.metrics, trace_digests)
+    run.results = [
+        sim if isinstance(sim, Exception)
+        else result(workload, config, sim) if twin is None
+        else (result(workload, config, sim[0]), result(twin, config, sim[1]))
+        for config, sim in zip(configs, run.results)]
+    return run
 
 
 def normalized_time(result: RunResult, baseline: RunResult) -> float:

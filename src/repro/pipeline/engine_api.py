@@ -26,10 +26,11 @@ a weak reference (:attr:`ProtectionEngine.core`), so a finished simulation
 holds no reference cycle and is freed as soon as its last user drops it.
 
 An engine writes no core or ``DynInst`` state besides the activity counter
-and the VP frontier (through :meth:`OoOCore.advance_vp`), except
-:class:`~repro.core.spt.ReferenceSPTEngine`, which keeps its per-entry bits
-on the ``DynInst``.  That is what lets several engines share one core
-(:mod:`repro.pipeline.group`).
+and the VP frontier, except :class:`~repro.core.spt.ReferenceSPTEngine`,
+which keeps its per-entry bits on the ``DynInst``.  That is what lets
+several engines share one core (:mod:`repro.pipeline.group`).  The
+frontier advances in one place, :meth:`ProtectionEngine.tick`; an engine
+adds its end-of-cycle rules in :meth:`ProtectionEngine.step`.
 """
 
 from __future__ import annotations
@@ -135,8 +136,11 @@ class ProtectionEngine:
         """Instruction retired (left the window)."""
 
     def tick(self) -> None:
-        """End-of-cycle hook: VP advance, then :meth:`step` over the
-        instructions that newly reached the VP."""
+        """End-of-cycle hook, the one place the VP advances: an engine with
+        a :attr:`vp_predicate` advances the frontier, then runs
+        :meth:`step` over the instructions that newly reached the VP."""
+        if self.vp_predicate is not None:
+            self.step(self.core.advance_vp(self.vp_predicate))
 
     def step(self, newly_vp: list) -> None:
         """The end-of-cycle rules after the VP advanced (declassification,

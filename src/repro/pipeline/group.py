@@ -12,12 +12,13 @@ An :class:`EngineGroup` is an engine made of such members.  It answers
 every query with its first member's (the lead's) answer and asks every
 other member too; a member whose answer differs leaves the group at that
 query and hears no more events.  Events go to every member still in the
-group; the VP advances once per cycle for all of them, and the group's
-:meth:`EngineGroup.tick` runs each member's :meth:`step`, never a
-member's ``tick``.  A cycle in which any member bumped the activity
-counter is stepped, also for members that would have skipped it: under
-the fast-forward contract of :mod:`repro.pipeline.core` stepping a
-quiescent cycle is exact.  Once only the lead is left, the group hands
+group; the VP advances once per cycle for all of them, in the group's
+inherited :meth:`~repro.pipeline.engine_api.ProtectionEngine.tick`, whose
+:meth:`EngineGroup.step` runs each member's ``step``, never a member's
+``tick``.  A cycle in which any member bumped the activity counter is
+stepped, also for members that would have skipped it: under the
+fast-forward contract of :mod:`repro.pipeline.core` stepping a quiescent
+cycle is exact.  Once only the lead is left, the group hands
 the core to it.
 
 Members still in the group when the run ends take its results with their
@@ -156,7 +157,6 @@ class EngineGroup(ProtectionEngine):
         for hook in self._on_retire:
             hook(di)
 
-    def tick(self) -> None:
-        newly_vp = self.core.advance_vp(self.vp_predicate)
+    def step(self, newly_vp: list) -> None:
         for step in self._step:
             step(newly_vp)

@@ -39,8 +39,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: all)")
     parser.add_argument("--models", type=parse_models, default="both",
                         help=MODELS_HELP)
-    parser.add_argument("--jobs", type=at_least_one, default=1,
-                        help="worker processes for the matrix (default: 1)")
+    parser.add_argument("--jobs", type=at_least_one, default=None,
+                        help="worker processes for the matrix (default: "
+                             "REPRO_JOBS or CPU count)")
     parser.add_argument("--json", action="store_true",
                         help="emit the matrix as JSON instead of a table")
     parser.add_argument("--list", action="store_true",

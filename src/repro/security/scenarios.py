@@ -22,9 +22,10 @@ speculation windows are wide enough to cover the Futuristic VP delays).
 
 ``scenario_matrix`` runs the full scenario x config x model grid through
 :func:`repro.harness.parallel.fan_out`, one cell per (scenario, model):
-one group run over its configurations (:func:`run_attack_group`, one core
-per class of agreeing engines, UnsafeBaseline on a core of its own).
-``render_matrix`` pretty-prints it.
+one :func:`~repro.harness.runner.simulate_group` run over its
+configurations (one core per class of agreeing engines, UnsafeBaseline
+on a core of its own), which raises its first failing cell's
+``RunFailure``.  ``render_matrix`` pretty-prints it.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.core.attack_model import AttackModel
 from repro.harness.configs import BOTH_MODELS, CONFIGURATIONS
-from repro.harness.parallel import RunFailure, fan_out
+from repro.harness.parallel import RunFailure, default_jobs, fan_out
 from repro.harness.runner import simulate, simulate_group
 from repro.pipeline.core import SimResult
 from repro.pipeline.params import MachineParams
@@ -108,19 +109,6 @@ def run_attack(attack: AttackProgram, config: str, model: AttackModel,
     return attack.leaked(sim.observer), sim
 
 
-def run_attack_group(attack: AttackProgram, configs, model: AttackModel,
-                     params: Optional[MachineParams] = None) -> list:
-    """:func:`run_attack` under each of ``configs`` through
-    :func:`~repro.harness.runner.simulate_group`: one core run per class of
-    agreeing engines.  Returns each configuration's ``leaked``, or the
-    exception its own run raises."""
-    run = simulate_group(attack.program, configs, model, ATTACK_BUDGET,
-                         _attack_params(attack, params), setup=attack.setup,
-                         require_halt=True)
-    return [sim if isinstance(sim, Exception)
-            else attack.leaked(sim.observer) for sim in run.results]
-
-
 def _attack_params(attack: AttackProgram,
                    params: Optional[MachineParams]) -> MachineParams:
     params = params or MachineParams()
@@ -179,28 +167,38 @@ class ScenarioResult:
 
 
 def _run_row(row: ScenarioRow) -> list:
-    """Judge one matrix row (module-level: picklable) as one group run:
-    each configuration's ``ScenarioResult``, or the exception its own run
-    raises."""
+    """Judge one matrix row (module-level: picklable) as one group run
+    (:func:`~repro.harness.runner.simulate_group`, one core run per class
+    of agreeing engines): each configuration's ``ScenarioResult``.  Raises
+    the first failing configuration's ``RunFailure``, naming its
+    :class:`ScenarioCell`."""
     scenario = SCENARIOS[row.scenario]
-    outcomes = run_attack_group(scenario.build(), row.configs,
-                                AttackModel[row.model])
-    return [leaked if isinstance(leaked, Exception)
-            else ScenarioResult(row.scenario, config, row.model, leaked,
-                                expected_to_leak(scenario.exposure, config))
-            for config, leaked in zip(row.configs, outcomes)]
+    attack = scenario.build()
+    run = simulate_group(attack.program, row.configs, AttackModel[row.model],
+                         ATTACK_BUDGET, _attack_params(attack, None),
+                         setup=attack.setup, require_halt=True)
+    results = []
+    for config, sim in zip(row.configs, run.results):
+        if isinstance(sim, Exception):
+            raise RunFailure.of(ScenarioCell(row.scenario, config, row.model),
+                                sim) from sim
+        results.append(ScenarioResult(
+            row.scenario, config, row.model, attack.leaked(sim.observer),
+            expected_to_leak(scenario.exposure, config)))
+    return results
 
 
 def scenario_matrix(scenarios: Optional[Sequence[str]] = None,
                     configs: Optional[Sequence[str]] = None,
                     models: Optional[Sequence[AttackModel]] = None,
-                    jobs: int = 1) -> list[ScenarioResult]:
-    """Run the scenario x config x model grid over ``jobs`` processes.
+                    jobs: Optional[int] = None) -> list[ScenarioResult]:
+    """Run the scenario x config x model grid over ``jobs`` processes
+    (``None``: ``REPRO_JOBS`` or the CPU count).
 
     Results are deterministic and ordering-stable regardless of ``jobs``:
     every cell simulation is self-contained, so worker processes return
-    bit-identical verdicts to an in-process run.  A cell that raises fails
-    the matrix with a ``RunFailure`` naming it.
+    bit-identical verdicts to an in-process run.  The first cell that
+    raises fails the matrix with a ``RunFailure`` naming it.
     """
     names = list(scenarios or SCENARIOS)
     for name in names:
@@ -208,15 +206,10 @@ def scenario_matrix(scenarios: Optional[Sequence[str]] = None,
             raise KeyError(name)
     rows = [ScenarioRow(name, model.name, tuple(configs or CONFIGURATIONS))
             for name in names for model in models or BOTH_MODELS]
-    results = []
-    for row, outcomes in zip(rows, fan_out(_run_row, rows, jobs)):
-        for config, outcome in zip(row.configs, outcomes):
-            if isinstance(outcome, Exception):
-                raise RunFailure(
-                    ScenarioCell(row.scenario, config, row.model),
-                    f"{type(outcome).__name__}: {outcome}") from outcome
-        results += outcomes
-    return results
+    if jobs is None:
+        jobs = default_jobs()
+    return [result for results in fan_out(_run_row, rows, jobs)
+            for result in results]
 
 
 def render_matrix(results: Sequence[ScenarioResult]) -> str:

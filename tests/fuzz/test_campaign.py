@@ -242,6 +242,17 @@ def test_cli_runs_a_small_campaign(tmp_path, capsys):
     assert {r["seed"] for r in records} == {0, 1}
 
 
+def test_cli_reports_a_failing_cell(capsys):
+    """A victim that cannot halt within the budget fails its cell: the
+    command prints one line naming the cell and exits 1, as ``check``,
+    ``pentest`` and ``backend-diff`` do."""
+    assert fuzz_main(["--seeds", "1", "--max-instructions", "10",
+                      "--jobs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: run failed (workload=fuzz:")
+    assert "did not halt" in err and len(err.splitlines()) == 1
+
+
 def test_cli_rejects_bad_arguments(capsys):
     for argv in (["--seeds", "0"], ["--configs", "NotAConfig"],
                  ["--profile", "nope"]):

@@ -11,7 +11,7 @@ from repro.core.events import UntaintKind
 from repro.core.spt import SPTEngine
 from repro.core.stt import STTEngine
 from repro.harness.configs import CONFIGURATIONS, make_engine
-from repro.harness.runner import run_result, simulate
+from repro.harness.runner import RunResult, simulate
 from repro.pipeline.core import OoOCore
 from repro.pipeline.params import MachineParams
 from repro.workloads.registry import get as get_workload
@@ -222,8 +222,8 @@ def test_stats_txt_is_the_same_on_both_paths(tmp_path, flags):
     model = AttackModel(args.threat_model or "futuristic")
     sim = simulate(get_workload("mcf").program(1), config, model, 1500,
                    MachineParams())
-    direct = cli.format_stats(run_result("mcf", config, model, sim,
-                                         collect_trace=False))
+    direct = cli.format_stats(RunResult("mcf", config, model, sim.cycles,
+                                        sim.retired, sim.metrics))
     for run in ("cold", "warm"):
         out = tmp_path / run
         assert main(argv + ["--output-dir", str(out)]) == 0

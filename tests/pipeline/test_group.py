@@ -18,6 +18,7 @@ from repro.core.baselines import SecureBaseline
 from repro.core.spt import SPTEngine
 from repro.core.stt import STTEngine
 from repro.experiments import figure7
+from repro.harness import parallel
 from repro.harness.configs import (BOTH_MODELS, CONFIGURATIONS,
                                    FIGURE7_ORDER, make_engine)
 from repro.harness.parallel import (GroupSpecs, RunFailure, RunSpec,
@@ -140,9 +141,19 @@ def test_sanitized_runs_get_a_core_each(run_modes):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_run_many_names_an_unknown_member(jobs):
+def test_run_many_names_an_unknown_member(jobs, monkeypatch):
     """An unknown configuration fused beside SecureBaseline gets its own
-    error, in-process and from a worker (a second cell makes the pool)."""
+    error, in-process and from a worker (a second cell makes the pool).
+    The failing cell raises it where it runs, so the serial path runs no
+    later cell."""
+    cells = []
+    real = parallel.run_group
+
+    def counting(*args, **kwargs):
+        cells.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(parallel, "run_group", counting)
     secure, unknown = (RunSpec("mcf", config, SPECTRE,
                                max_instructions=BUDGET)
                        for config in ("SecureBaseline", "NotAConfig"))
@@ -152,6 +163,8 @@ def test_run_many_names_an_unknown_member(jobs):
         run_many([secure, unknown, other], jobs=jobs, use_cache=False)
     assert failure.value.spec == unknown
     assert failure.value.cause.startswith("KeyError")
+    if jobs == 1:
+        assert len(cells) == 1
 
 
 def test_run_many_names_the_failing_member():

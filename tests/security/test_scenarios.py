@@ -140,10 +140,12 @@ def test_matrix_rejects_unknown_scenario():
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_failing_cell_names_itself(jobs):
+def test_failing_cell_names_itself(jobs, run_modes):
     """A cell that raises, in-process or in a worker, fails the matrix with
     a RunFailure naming the cell, not a bare exception from somewhere (the
-    first failing cell: the Spectre row runs first)."""
+    first failing cell: the Spectre row runs first).  The row raises it
+    where it runs, so in-process the Futuristic row never runs: one core
+    run, the Spectre row's UnsafeBaseline."""
     with pytest.raises(RunFailure) as excinfo:
         scenarios.scenario_matrix(["spectre-pht"],
                                   configs=["UnsafeBaseline", "NotAConfig"],
@@ -153,6 +155,8 @@ def test_failing_cell_names_itself(jobs):
     assert "KeyError" in message
     assert excinfo.value.spec == scenarios.ScenarioCell(
         "spectre-pht", "NotAConfig", "SPECTRE")
+    if jobs == 1:
+        assert len(run_modes) == 1
 
 
 def test_render_matrix_flags_mismatches():
