@@ -8,7 +8,6 @@ simulation, which matters when scaling budgets up.
 import pytest
 
 from repro.core.attack_model import AttackModel
-from repro.check.diff import reference_engine
 from repro.harness.configs import make_engine
 from repro.isa.interpreter import run_program
 from repro.pipeline import OoOCore
@@ -27,9 +26,10 @@ def simulate(config: str) -> int:
 
 
 def simulate_reference(config: str) -> int:
-    """The reference run: stepped mode under the full sanitizer."""
+    """The reference run: the configuration's own engine in stepped mode
+    under the full sanitizer."""
     program = get(WORKLOAD).program(scale=1)
-    engine = reference_engine(make_engine(config, AttackModel.FUTURISTIC))
+    engine = make_engine(config, AttackModel.FUTURISTIC)
     core = OoOCore(program, engine=engine,
                    params=MachineParams(check_level="full"))
     return core.run(max_instructions=BUDGET).cycles

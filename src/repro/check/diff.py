@@ -5,15 +5,15 @@ and demands *bit-identical* outcomes:
 
 * the **default run** is :meth:`OoOCore.run` as every figure, campaign
   and benchmark calls it: quiescent fast-forward and DynInst recycling
-  live, and the packed :class:`~repro.core.spt.SPTEngine`;
-* the **reference run** is the core in stepped mode — every cycle
+  live;
+* the **reference run** is the same engine in stepped mode — every cycle
   stepped, no recycling — under the full lockstep sanitizer
-  (``check_level="full"``), with
-  :class:`~repro.core.spt.ReferenceSPTEngine` in place of ``SPTEngine``.
+  (``check_level="full"``), which holds a packed SPT engine to the
+  per-entry reference it runs beside.
 
 Compared are cycle counts, the retired-PC stream, the architectural
 register file, every metric path of the metrics tree (less the
-sanitizer's own ``check`` group: the sanitizer is passive) and the
+sanitizer's own ``check`` group: the sanitizer changes no answer) and the
 per-channel digests of the attacker-visible trace.  A wedged simulation
 must wedge identically in both runs (same exception, same message, same
 cycle).
@@ -51,7 +51,6 @@ from typing import Optional
 
 from repro.check.violation import InvariantViolation
 from repro.core.attack_model import AttackModel
-from repro.core.spt import ReferenceSPTEngine, SPTEngine
 from repro.harness.configs import Grid, at_least_one, make_engine
 from repro.harness.parallel import (GroupSpecs, RunFailure, RunSpec,
                                     default_jobs, fan_out)
@@ -82,24 +81,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def reference_engine(engine: ProtectionEngine) -> ProtectionEngine:
-    """``engine`` for the reference run: SPT swaps to the per-entry
-    :class:`~repro.core.spt.ReferenceSPTEngine`."""
-    if type(engine) is SPTEngine:
-        return ReferenceSPTEngine(engine.model, backward=engine.backward,
-                                  shadow=engine.shadow_mode,
-                                  ideal=engine.ideal)
-    return engine
-
-
 def run_outcome(program: Program, engine: ProtectionEngine, budget: int,
                 check_level: str = "off") -> tuple:
-    """One run of ``program`` as ``(core, comparable outcome)``.
-
-    ``check_level="full"`` with :func:`reference_engine` makes it the
-    reference run; ``"off"`` with the configuration's own engine is the
-    default run.
-    """
+    """One run of ``program`` as ``(core, comparable outcome)``:
+    ``check_level="full"`` makes it the reference run, ``"off"`` the
+    default run."""
     core = OoOCore(program, engine=engine,
                    params=MachineParams(check_level=check_level))
     core.retired_pcs = []
@@ -129,10 +115,8 @@ def outcome_of(sim: SimResult) -> dict:
 def run_cell(workload: str, config: str, model: AttackModel, scale: int,
              budget: int, reference: bool = False) -> dict:
     """One grid cell's default (or reference) run outcome."""
-    engine = make_engine(config, model)
-    if reference:
-        engine = reference_engine(engine)
-    return run_outcome(get_workload(workload).program(scale), engine, budget,
+    return run_outcome(get_workload(workload).program(scale),
+                       make_engine(config, model), budget,
                        check_level="full" if reference else "off")[1]
 
 

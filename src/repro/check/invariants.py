@@ -129,6 +129,11 @@ _register(
     "in the real L1D: an eviction must drop the shadow line so refills "
     "re-taint.")
 _register(
+    "spt-reference", "full", "§6.6-§6.8",
+    "The packed SPT engine answers every gating query as the per-entry "
+    "reference engine running beside it does, and ends every cycle with "
+    "the same register taint, broadcast queue, untaint ledger and shadow.")
+_register(
     "stall-identity", "full", "repro.obs",
     "Stall-cause accounting attributes every cycle to exactly one cause "
     "(the bucket sum equals the cycle count).")

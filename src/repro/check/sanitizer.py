@@ -4,9 +4,9 @@ A :class:`Sanitizer` attaches to one :class:`~repro.pipeline.core.OoOCore`
 (constructed automatically when ``MachineParams.check_level`` is not
 ``"off"``) and observes the pipeline through a handful of hooks the core
 calls behind ``is not None`` guards — the off-mode cost is a single
-attribute test per event.  The sanitizer is strictly passive: it never
-mutates core, engine, or memory state, so a checked run retires the exact
-cycle-for-cycle schedule of an unchecked one.
+attribute test per event.  It changes no core or memory state, and its
+SPT lockstep group answers as the packed engine does, so a checked run
+retires the exact cycle-for-cycle schedule of an unchecked one.
 
 Checking is layered for independence from the code it checks:
 
@@ -21,7 +21,9 @@ Checking is layered for independence from the code it checks:
   taint disagrees with the recomputation;
 * visibility-point checks re-derive the frontier from the attack model's
   obstacle predicate (:attr:`ProtectionEngine.vp_predicate`) rather than
-  trusting ``advance_vp``.
+  trusting ``advance_vp``;
+* SPT checks read the :class:`~repro.core.spt.ReferenceSPTEngine` that
+  runs beside a packed engine, which ``spt-reference`` holds to it.
 
 Every violated property raises :class:`InvariantViolation`; every passed
 evaluation bumps a per-invariant counter exported into the run metrics
@@ -37,7 +39,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.check.invariants import CHECK_LEVELS
 from repro.check.violation import InvariantViolation
 from repro.core.baselines import SecureBaseline
-from repro.core.spt import SPTBase
+from repro.core.spt import ReferenceSPTEngine, SPTEngine
 from repro.core.stt import STTEngine
 from repro.core.shadow_l1 import ShadowMode
 from repro.core.taint_algebra import initial_output_taint
@@ -46,6 +48,7 @@ from repro.isa.opcodes import WORD_MASK, Kind
 from repro.isa.semantics import effective_address
 from repro.memory.main_memory import uninit_byte
 from repro.obs.metrics import Metrics
+from repro.pipeline.group import EngineGroup
 
 if TYPE_CHECKING:
     from repro.pipeline.core import OoOCore
@@ -112,7 +115,15 @@ class Sanitizer:
         self.window: deque = deque(maxlen=TRACE_WINDOW)
 
         engine = core.engine
-        self._spt = engine if isinstance(engine, SPTBase) else None
+        self._lockstep: Optional[EngineGroup] = None
+        if self.full and isinstance(engine, SPTEngine):
+            # The packed engine leads, re-attached before any cycle ran.
+            reference = ReferenceSPTEngine(engine.model, engine.backward,
+                                           engine.shadow_mode, engine.ideal)
+            core.engine = self._lockstep = EngineGroup([engine, reference])
+            self._lockstep.attach(core)
+            engine = reference
+        self._spt = engine if isinstance(engine, ReferenceSPTEngine) else None
         self._stt = engine if isinstance(engine, STTEngine) else None
         self._secure = isinstance(engine, SecureBaseline)
         self._vp_predicate = getattr(engine, "vp_predicate", None)
@@ -140,6 +151,16 @@ class Sanitizer:
 
     def _fail(self, invariant: str, message: str,
               di: Optional["DynInst"] = None) -> None:
+        if self._lockstep is not None and self._lockstep.departures:
+            # The reference left the group at a query this cycle and heard
+            # no event since: a check of the instruction it left over judges
+            # that answer, any other would read a stale reference.
+            _, query, _, (arg, *_) = self._lockstep.departures[0]
+            if di is not arg:
+                invariant = "spt-reference"
+                message = (f"the reference answered {query}({arg!r}) "
+                           "unlike the packed engine")
+                di = None if query == "untaint_pending" else arg
         raise InvariantViolation(
             invariant, self.core.cycle, message,
             inst=repr(di) if di is not None else None,
@@ -150,15 +171,6 @@ class Sanitizer:
         if not ok:
             self._fail(invariant, message, di)
         self._pass(invariant)
-
-    def _bits(self, di: "DynInst") -> tuple:
-        """The SPT engine's ``(t_src1, t_src2, t_dst, declassified)`` bits
-        of an in-flight entry, read through the engine (the packed engine
-        keeps them off the ``DynInst``); all False for other engines,
-        which declassify nothing."""
-        if self._spt is None:
-            return False, False, False, False
-        return self._spt.entry_bits(di)
 
     def metrics_tree(self) -> Metrics:
         """Per-invariant evaluation counts (grafted under ``check``)."""
@@ -173,31 +185,27 @@ class Sanitizer:
     # --------------------------------------------------------- engine gates
     # Independent recomputations of the engines' gating predicates from
     # their taint state (not their gating methods), so a bug in — or a
-    # mutation of — may_compute_address / may_resolve is visible.
+    # mutation of — may_compute_address / may_resolve is visible.  SPT's
+    # taint state is the reference's ``DynInst`` bits.
     def _transmit_legal(self, di: "DynInst") -> bool:
         if di.reached_vp:
             return True
         if self._spt is not None:
-            return not self._bits(di)[0]
+            return not di.t_src1
         if self._stt is not None:
             return not self._stt_tainted(di.prs1)
-        if self._secure:
-            return False
-        return True
+        return not self._secure
 
     def _resolve_legal(self, di: "DynInst") -> bool:
         if di.reached_vp:
             return True
         if self._spt is not None:
-            t_src1, t_src2 = self._bits(di)[:2]
-            return not t_src1 and not (di.info.reads_rs2 and t_src2)
+            return not di.t_src1 and not (di.info.reads_rs2 and di.t_src2)
         if self._stt is not None:
             return not (self._stt_tainted(di.prs1)
                         or (di.info.reads_rs2
                             and self._stt_tainted(di.prs2)))
-        if self._secure:
-            return False
-        return True
+        return not self._secure
 
     def _stt_live_root(self, preg: int) -> Optional["DynInst"]:
         root = self._yrot.get(preg)
@@ -238,14 +246,13 @@ class Sanitizer:
         want_src1 = di.prs1 >= 0 and taint[di.prs1]
         want_src2 = di.prs2 >= 0 and taint[di.prs2]
         want_dst = initial_output_taint(di.inst, want_src1, want_src2)
-        t_src1, t_src2, t_dst, _ = self._bits(di)
         self._check(
             "taint-init",
-            t_src1 == want_src1 and t_src2 == want_src2
-            and t_dst == want_dst
+            di.t_src1 == want_src1 and di.t_src2 == want_src2
+            and di.t_dst == want_dst
             and (di.prd < 0 or taint[di.prd] == want_dst),
             f"rename taint mismatch: entry bits "
-            f"(src1={t_src1}, src2={t_src2}, dst={t_dst}) vs "
+            f"(src1={di.t_src1}, src2={di.t_src2}, dst={di.t_dst}) vs "
             f"algebra (src1={want_src1}, src2={want_src2}, dst={want_dst})",
             di)
 
@@ -256,7 +263,7 @@ class Sanitizer:
         self._check(
             "gated-transmitter", self._transmit_legal(di),
             "transmitter computed its address while gated "
-            f"(reached_vp={di.reached_vp}, t_src1={self._bits(di)[0]})", di)
+            f"(reached_vp={di.reached_vp}, t_src1={di.t_src1})", di)
 
     def on_cache_access(self, load: "DynInst") -> None:
         """A load is about to access the cache hierarchy."""
@@ -265,8 +272,7 @@ class Sanitizer:
         self._check(
             "gated-transmitter", self._transmit_legal(load),
             "load touched the cache hierarchy while gated "
-            f"(reached_vp={load.reached_vp}, "
-            f"t_src1={self._bits(load)[0]})", load)
+            f"(reached_vp={load.reached_vp}, t_src1={load.t_src1})", load)
 
     def on_forward_skip(self, load: "DynInst", store: "DynInst") -> None:
         """A forwarded load is skipping its cache access."""
@@ -275,8 +281,8 @@ class Sanitizer:
         if self._spt is not None:
             ok = self._stl_public_recompute(load, store)
             detail = (f"STLPublic does not hold "
-                      f"(load.t_src1={self._bits(load)[0]}, "
-                      f"store.t_src1={self._bits(store)[0]})")
+                      f"(load.t_src1={load.t_src1}, "
+                      f"store.t_src1={store.t_src1})")
         elif self._stt is not None:
             ok = load.reached_vp and store.reached_vp
             detail = (f"ends not both at VP (load={load.reached_vp}, "
@@ -296,13 +302,13 @@ class Sanitizer:
     def _stl_public_recompute(self, load: "DynInst",
                               store: "DynInst") -> bool:
         """Re-derive STLPublic(S, L) from the LSQ (paper Section 6.7)."""
-        if self._bits(load)[0] or self._bits(store)[0]:
+        if load.t_src1 or store.t_src1:
             return False
         for st in self.core.lsq:
             if st.seq >= load.seq:
                 break
             if (st.is_store and not st.squashed and st.seq >= store.seq
-                    and self._bits(st)[0]):
+                    and st.t_src1):
                 return False
         return True
 
@@ -313,8 +319,8 @@ class Sanitizer:
         self._check(
             "gated-resolution", self._resolve_legal(di),
             "control resolution applied while the predicate is protected "
-            f"(reached_vp={di.reached_vp}, t_src1={self._bits(di)[0]}, "
-            f"t_src2={self._bits(di)[1]})", di)
+            f"(reached_vp={di.reached_vp}, t_src1={di.t_src1}, "
+            f"t_src2={di.t_src2})", di)
 
     # ----------------------------------------------------------- commit hooks
     def on_retire(self, di: "DynInst") -> None:
@@ -445,6 +451,8 @@ class Sanitizer:
             self._scan_vp(core)
         if self._spt is not None:
             self._scan_taint(core)
+        if self._lockstep is not None:
+            self._compare()
         self._check(
             "stall-identity", sum(core.stall_counts) == core.cycle,
             f"stall buckets sum to {sum(core.stall_counts)} at cycle "
@@ -491,7 +499,7 @@ class Sanitizer:
                     "vp-frontier",
                     f"reached_vp={di.reached_vp} but the frontier "
                     f"recomputation says {expected}", di)
-            if not di.reached_vp and self._bits(di)[3]:
+            if not di.reached_vp and di.declassified:
                 self._fail(
                     "vp-declassify",
                     "declassified while still transient (pre-VP)", di)
@@ -507,16 +515,15 @@ class Sanitizer:
                     "the zero register's physical register became tainted")
 
         for di in core.in_flight():
-            t_src1, t_src2, t_dst, _ = engine.entry_bits(di)
-            if (t_src1 and di.prs1 >= 0 and not taint[di.prs1]) \
-                    or (t_src2 and di.prs2 >= 0 and not taint[di.prs2]) \
-                    or (t_dst and di.prd >= 0 and not taint[di.prd]):
+            if (di.t_src1 and di.prs1 >= 0 and not taint[di.prs1]) \
+                    or (di.t_src2 and di.prs2 >= 0 and not taint[di.prs2]) \
+                    or (di.t_dst and di.prd >= 0 and not taint[di.prd]):
                 self._fail(
                     "taint-entry-bits",
                     "entry taint bit set over an untainted physical "
-                    f"register (src1={t_src1}/{di.prs1}, "
-                    f"src2={t_src2}/{di.prs2}, "
-                    f"dst={t_dst}/{di.prd})", di)
+                    f"register (src1={di.t_src1}/{di.prs1}, "
+                    f"src2={di.t_src2}/{di.prs2}, "
+                    f"dst={di.t_dst}/{di.prd})", di)
         self._pass("taint-entry-bits")
 
         prev = self._prev_taint
@@ -563,3 +570,18 @@ class Sanitizer:
                         f"shadow L1 tracks line {line:#x} which is not "
                         f"resident in the L1D (missed eviction?)")
             self._pass("shadow-residency")
+
+    def _compare(self) -> None:
+        """The packed engine against its reference: a query answered unlike
+        it (a departure), then the end-of-cycle state behind ``engine.*``."""
+        packed, reference = self._lockstep.lead, self._spt
+        if self._lockstep.departures:
+            self._fail("spt-reference", "")     # reported as the departure
+        for part, mine, want in (
+                ("register taint", packed.taint, reference.taint),
+                ("broadcast queue", packed._pending, reference._pending),
+                ("untaint ledger", packed.untaint, reference.untaint),
+                ("shadow", vars(packed.shadow), vars(reference.shadow))):
+            if mine != want:
+                self._fail("spt-reference", f"{part} differs from reference")
+        self._pass("spt-reference")

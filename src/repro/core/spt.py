@@ -32,9 +32,9 @@ slot, so the rules evaluate over the whole window in a few bitwise
 operations, and it writes no ``DynInst`` field: engines sharing one core
 (:mod:`repro.pipeline.group`) share no state.  :class:`ReferenceSPTEngine`
 keeps the bits on the ``DynInst`` and applies the rules one entry at a
-time; it is the reference the differential checks (``repro backend-diff``,
-``tests/fastpath``) compare against.  The sanitizer reads either engine's
-bits through :meth:`SPTBase.entry_bits`.
+time.  Its one home is the full sanitizer (:mod:`repro.check.sanitizer`),
+which runs it beside ``SPTEngine``, reads its bits in every SPT check and
+holds the packed engine to its answers and state cycle by cycle.
 
 Both bump the core's activity counter at every taint-state mutation, so
 the core's fast-forward never skips a cycle in which the engine would have
@@ -115,11 +115,6 @@ class SPTBase(ProtectionEngine):
         self.shadow = ShadowTaint(self.shadow_mode,
                                   core.params.hierarchy.l1_params.line_bytes)
         self.width = core.params.untaint_broadcast_width
-
-    def entry_bits(self, di: DynInst) -> tuple:
-        """``(t_src1, t_src2, t_dst, declassified)`` of an in-flight entry:
-        what the sanitizer checks the engine's rules against."""
-        raise NotImplementedError
 
     # ------------------------------------------------------ untaint requests
     def _enqueue(self, preg: int, cause: UntaintKind) -> None:
@@ -292,9 +287,6 @@ class ReferenceSPTEngine(SPTBase):
     Its per-entry bits live on the ``DynInst`` (``t_src1``, ``t_src2``,
     ``t_dst``, ``declassified``, ``stl_public``), reset at rename.
     """
-
-    def entry_bits(self, di: DynInst) -> tuple:
-        return di.t_src1, di.t_src2, di.t_dst, di.declassified
 
     # ------------------------------------------------------------- tainting
     def on_rename(self, di: DynInst) -> None:
@@ -515,11 +507,6 @@ class SPTEngine(SPTBase):
         self._slot_di = [None] * self._cap
         self._preg_slots = [0] * core.params.num_phys_regs
         self._pc_flags = lower_program(core.program).flags
-
-    def entry_bits(self, di: DynInst) -> tuple:
-        bit = 1 << di.fp_slot
-        return (bool(self._t_src1_m & bit), bool(self._t_src2_m & bit),
-                bool(self._t_dst_m & bit), bool(self._declassified_m & bit))
 
     # ------------------------------------------------------- slot lifecycle
     def on_rename(self, di: DynInst) -> None:

@@ -278,7 +278,7 @@ def simulate_group(program: Program, configs, model: AttackModel,
                 done[config] = result
         if group is not None:
             run.departures += [(config_of[id(engine)], query, cycle)
-                               for engine, query, cycle in group.departures]
+                               for engine, query, cycle, _ in group.departures]
     run.results = [done[config] for config in configs]
     if paired:
         run.fallbacks = [fallback[config] for config in configs]

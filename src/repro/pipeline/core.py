@@ -52,9 +52,9 @@ Stepped mode turns both layers off and records every lifecycle timestamp
 core.  The ``commit`` sanitizer level only hooks retire, squash and
 finish, so it keeps fast-forward.  ``repro backend-diff`` and the
 differential suite in ``tests/fastpath`` pin the default run against the
-*reference run* — stepped mode with
-:class:`~repro.core.spt.ReferenceSPTEngine` under the full sanitizer — and
-against a committed golden record of earlier reference runs.
+*reference run* — the same engine in stepped mode under the full
+sanitizer, which runs SPT beside its reference engine — and against a
+committed golden record of earlier reference runs.
 
 There is one cycle body, ``OoOCore._cycle``: :meth:`OoOCore.run` loops it
 (and fast-forwards between its calls), and :meth:`OoOCore.step` calls it

@@ -13,8 +13,8 @@ class DynInst:
 
     Carries rename state, scheduling state, control/memory state, the
     window slot the core assigns at dispatch, and the per-entry bits of
-    :class:`~repro.core.spt.ReferenceSPTEngine` (the packed ``SPTEngine``
-    keeps its own, indexed by the window slot).
+    :class:`~repro.core.spt.ReferenceSPTEngine`, which the full sanitizer
+    reads (the packed ``SPTEngine`` keeps its own, by window slot).
     """
 
     __slots__ = (

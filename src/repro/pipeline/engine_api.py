@@ -28,9 +28,10 @@ holds no reference cycle and is freed as soon as its last user drops it.
 An engine writes no core or ``DynInst`` state besides the activity counter
 and the VP frontier, except :class:`~repro.core.spt.ReferenceSPTEngine`,
 which keeps its per-entry bits on the ``DynInst``.  That is what lets
-several engines share one core (:mod:`repro.pipeline.group`).  The
-frontier advances in one place, :meth:`ProtectionEngine.tick`; an engine
-adds its end-of-cycle rules in :meth:`ProtectionEngine.step`.
+several engines share one core (:mod:`repro.pipeline.group`; the
+reference only in the full sanitizer's).  The frontier advances in one
+place, :meth:`ProtectionEngine.tick`; an engine adds its end-of-cycle
+rules in :meth:`ProtectionEngine.step`, the only part a group runs.
 """
 
 from __future__ import annotations

@@ -29,8 +29,8 @@ sanitizer attached; the check in :class:`EngineGroup` is a guard) and
 runs the members that left in a later group.  This rests on engines
 writing no shared state besides the activity counter and the VP frontier
 (``SPTEngine`` keeps its entry bits in its own slot-indexed masks);
-``ReferenceSPTEngine`` keeps its bits on the ``DynInst`` and is never
-grouped: no configuration name builds it.
+``ReferenceSPTEngine`` keeps its bits on the ``DynInst`` and joins only
+the full sanitizer's group, behind an ``SPTEngine`` lead.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ class EngineGroup(ProtectionEngine):
     """Several engines sharing one core, answering as the first one does.
 
     ``members`` is the lead followed by the members still agreeing with
-    it; ``departures`` lists ``(engine, query, cycle)`` for each member
-    that left, in the order they left.
+    it; ``departures`` lists ``(engine, query, cycle, args)`` for each
+    member that left, in the order they left.
     """
 
     protects_speculative_data = True
@@ -101,7 +101,7 @@ class EngineGroup(ProtectionEngine):
             core = self.core
             for engine in leaving:
                 self.others.remove(engine)
-                self.departures.append((engine, query, core.cycle))
+                self.departures.append((engine, query, core.cycle, args))
             self._bind()
             if not self.others:
                 # A group of one is its lead: the core asks it directly.

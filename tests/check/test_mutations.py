@@ -1,23 +1,35 @@
 """Seeded-bug mutation suite: the sanitizer must catch every mutation.
 
 Each test injects one bug into the pipeline or a protection engine — via
-monkeypatching, never by editing source — runs a program at
+monkeypatching, never by editing a source file (a one-line rule bug is
+the method recompiled with one fragment replaced) — runs a program at
 ``check_level=full``, and asserts that the sanitizer raises
 :class:`InvariantViolation` with the *correct* invariant id.  This is the
 checker checking the checker: a sanitizer that misses any of these seeded
 bugs, or attributes one to the wrong invariant, fails here.
+
+Every SPT run below is the packed ``SPTEngine`` with the sanitizer's
+``ReferenceSPTEngine`` beside it.  An SPT bug planted on the reference is
+named by the sanitizer's own check of that rule; the same bug planted on
+the packed engine is named ``spt-reference``.  A per-cycle bug patches
+``step``: an engine's inherited ``tick`` never runs in a group.
 """
 
 from __future__ import annotations
+
+import inspect
+import sys
+import textwrap
 
 import pytest
 
 from repro.check import InvariantViolation
 from repro.core.attack_model import AttackModel
 from repro.core.shadow_l1 import ShadowMode
-from repro.core.spt import SPTEngine
+from repro.core.spt import ReferenceSPTEngine, SPTEngine
 from repro.core.stt import STTEngine
 from repro.harness.configs import FULL_SPT, make_engine
+from repro.harness.parallel import RunFailure, RunSpec, run_many
 from repro.isa.assembler import assemble
 from repro.pipeline.core import OoOCore
 from repro.pipeline.params import MachineParams
@@ -65,33 +77,76 @@ loop:
 """
 
 
+def expect_planted(monkeypatch, invariant: str, method: str, make_bug,
+                   program, engine) -> list:
+    """Plant ``make_bug(cls)`` as ``cls.method`` on the reference engine,
+    then on the packed one, and run the packed configuration ``engine()``
+    at ``full`` each time: the reference's bug must be named
+    ``invariant``, the packed engine's ``spt-reference``.  Returns the
+    two violations."""
+    violations = []
+    for cls, expected in ((ReferenceSPTEngine, invariant),
+                          (SPTEngine, "spt-reference")):
+        with monkeypatch.context() as patch:
+            patch.setattr(cls, method, make_bug(cls))
+            violations.append(expect_violation(expected, program,
+                                               engine=engine()))
+    return violations
+
+
+# A load whose address is a loaded value: declassifying it untaints a
+# register, so an early declassification changes the packed engine's
+# state, not just its declassified bit.
+LOADED_ADDRESS = """
+    li s2, 0x4000
+    ld t0, 0(s2)
+    ld a0, 0(t0)
+    halt
+"""
+
+
 # ---------------------------------------------------------------- mutations
 def test_mutation_drop_taint_on_rename(monkeypatch):
     """Seeded bug: rename forgets the source-operand taint bits."""
-    original = SPTEngine.on_rename
+    def make_bug(cls):
+        original = cls.on_rename
 
-    def buggy(self, di):
-        original(self, di)
-        # Drops the Section 6.3 entry taint from the engine's own bit.
-        self._t_src1_m &= ~(1 << di.fp_slot)
+        def buggy(self, di):
+            original(self, di)
+            # Drops the Section 6.3 entry taint from the engine's own bit.
+            if cls is SPTEngine:
+                self._t_src1_m &= ~(1 << di.fp_slot)
+            else:
+                di.t_src1 = False
+        return buggy
 
-    monkeypatch.setattr(SPTEngine, "on_rename", buggy)
-    expect_violation("taint-init", random_program(7), engine=spt_engine())
+    expect_planted(monkeypatch, "taint-init", "on_rename", make_bug,
+                   random_program(7), spt_engine)
 
 
 def test_mutation_untaint_one_cycle_early(monkeypatch):
     """Seeded bug: transmitters declassified while still transient."""
-    original = SPTEngine.tick
+    def make_bug(cls):
+        original = cls.step
 
-    def buggy(self):
-        original(self)
-        for di in self.core.in_flight():
-            if di.is_transmitter and not di.squashed:
-                self._declassify(di)        # ignores the VP frontier
+        def buggy(self, newly_vp):
+            original(self, newly_vp)
+            for di in self.core.in_flight():
+                if di.is_transmitter and not di.squashed:
+                    self._declassify(di)        # ignores the VP frontier
+        return buggy
 
-    monkeypatch.setattr(SPTEngine, "tick", buggy)
-    expect_violation("vp-declassify", assemble(LOOP_WITH_MEMORY),
-                     engine=spt_engine())
+    with monkeypatch.context() as patch:
+        patch.setattr(ReferenceSPTEngine, "step",
+                      make_bug(ReferenceSPTEngine))
+        expect_violation("vp-declassify", assemble(LOOP_WITH_MEMORY),
+                         engine=spt_engine())
+    # In the loop every address is public already, so the packed engine's
+    # early bit changes no answer and no state; a loaded address does.
+    reference, packed = expect_planted(
+        monkeypatch, "vp-declassify", "step", make_bug,
+        assemble(LOADED_ADDRESS), spt_engine)
+    assert packed.cycle == reference.cycle
 
 
 def test_mutation_skip_squash_of_wrong_path_load(monkeypatch):
@@ -222,12 +277,15 @@ skip:
 
 def test_mutation_broadcast_overruns_width(monkeypatch):
     """Seeded bug: the untaint broadcast ignores its width limit."""
-    original = SPTEngine._broadcast
+    def make_bug(cls):
+        original = cls._broadcast
 
-    def buggy(self, limit):
-        return original(self, limit=None)           # unbounded broadcast
+        def buggy(self, limit):
+            # A wider bus, not an unbounded one: ``limit=None`` would also
+            # skip the ledger's per-cycle width record before any overrun.
+            return original(self, limit + 8)
+        return buggy
 
-    monkeypatch.setattr(SPTEngine, "_broadcast", buggy)
     # Eight stores with distinct tainted address registers pile up behind a
     # branch whose predicate hangs on a DRAM miss (the only Spectre-model
     # obstacle).  Resolution releases the frontier in one sweep: all eight
@@ -237,15 +295,13 @@ def test_mutation_broadcast_overruns_width(monkeypatch):
     for reg in ("a0", "a1", "a2", "a3", "a4", "a5", "a6", "a7"):
         source.append(f"sd zero, 0({reg})")
     source.extend(["out:", "    halt"])
-    engine = SPTEngine(AttackModel.SPECTRE, backward=True)
-    expect_violation("broadcast-width", assemble("\n".join(source)),
-                     engine=engine)
+    expect_planted(monkeypatch, "broadcast-width", "_broadcast", make_bug,
+                   assemble("\n".join(source)),
+                   lambda: SPTEngine(AttackModel.SPECTRE, backward=True))
 
 
-def test_mutation_missed_shadow_eviction():
+def test_mutation_missed_shadow_eviction(monkeypatch):
     """Seeded bug: L1 evictions stop invalidating the shadow L1."""
-    engine = spt_engine(shadow=ShadowMode.L1)
-    engine.on_l1_evict = lambda line: None          # type: ignore[assignment]
     # The store creates a shadow line when it retires and fills the L1.  The
     # conflict walk must run *after* that retire, so its address chains
     # through a DRAM miss: t3 becomes 0x4000 only once the miss returns,
@@ -257,8 +313,69 @@ def test_mutation_missed_shadow_eviction():
     for way in range(1, 10):
         source.append(f"ld a1, {way * 4096}(t3)")
     source.append("halt")
-    expect_violation("shadow-residency", assemble("\n".join(source)),
-                     engine=engine)
+    expect_planted(monkeypatch, "shadow-residency", "on_l1_evict",
+                   lambda cls: lambda self, line: None,
+                   assemble("\n".join(source)),
+                   lambda: spt_engine(shadow=ShadowMode.L1))
+
+
+def mutated(cls, method: str, old: str, new: str):
+    """``cls.method`` recompiled with the source fragment ``old`` replaced
+    by ``new``: a one-line bug in an engine rule."""
+    source = textwrap.dedent(inspect.getsource(getattr(cls, method)))
+    assert source.count(old) == 1, f"{method} no longer reads {old!r}"
+    namespace: dict = {}
+    exec(source.replace(old, new), dict(vars(sys.modules[cls.__module__])),
+         namespace)
+    return namespace[method]
+
+
+# Unsound SPT rules, each planted on the packed engine with the cell's
+# attack model and the cycle the lockstep names.  On gcc at budget 500 no
+# check of the checked engine's own bits trips on any of them; the
+# lockstep names each ``spt-reference`` at the first cycle whose end
+# state differs from the reference's.
+UNSOUND_RULES = {
+    "forward-rule-ignores-src2": (
+        "_local_rules",
+        "fwd = self._t_dst_m & self._pure_m & ~t_src1 & ~t_src2",
+        "fwd = self._t_dst_m & self._pure_m & ~t_src1",
+        AttackModel.FUTURISTIC, 5),
+    "loaded-bytes-mirrored-public": (
+        "on_load_data",
+        "self._load_data(di, bool((self._t_dst_m >> di.fp_slot) & 1))",
+        "self._load_data(di, False)",
+        AttackModel.FUTURISTIC, 9),
+    "tainted-store-data-mirrored-public": (
+        "on_store_retire",
+        "self._store_data(di, bool((self._t_src2_m >> di.fp_slot) & 1))",
+        "self._store_data(di, False)",
+        AttackModel.FUTURISTIC, 536),
+    "backward-rule-on-any-pure-op": (
+        "_local_rules",
+        "(self._inv_alu_m & (t_src1 ^ t_src2))",
+        "(self._pure_m & (t_src1 ^ t_src2))",
+        AttackModel.SPECTRE, 167),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNSOUND_RULES))
+def test_unsound_rule_fails_the_lockstep(monkeypatch, name):
+    """Through ``run_many`` (serial, uncached, patched before anything
+    runs) the failure names the cell, the invariant and the cycle."""
+    method, old, new, model, cycle = UNSOUND_RULES[name]
+    monkeypatch.setattr(SPTEngine, method, mutated(SPTEngine, method, old,
+                                                   new))
+    spec = RunSpec("gcc", FULL_SPT, model, max_instructions=500,
+                   params=checked_params())
+    with pytest.raises(RunFailure) as exc_info:
+        run_many([spec], jobs=1, use_cache=False)
+    failure = exc_info.value
+    assert failure.spec == spec and spec.describe() in str(failure)
+    violation = failure.__cause__
+    assert isinstance(violation, InvariantViolation), failure
+    assert (violation.invariant, violation.cycle) == \
+        ("spt-reference", cycle), str(violation)
 
 
 def test_mutation_retire_corrupts_store_data(monkeypatch):
@@ -324,3 +441,25 @@ def test_violation_reports_carry_context():
     assert violation.cycle > 0
     assert violation.inst is not None
     assert "gated-transmitter" in str(violation)
+    # A packed gate that holds what its reference would release gets past
+    # every gating check; the reference leaves the group, and the
+    # violation names the query and the instruction it was asked about.
+    engine = spt_engine()
+    engine.may_compute_address = lambda di: False   # type: ignore[assignment]
+    violation = expect_violation(
+        "spt-reference", assemble(GATED_LOAD_BEHIND_MISS), engine=engine)
+    assert violation.cycle > 0 and "may_compute_address" in str(violation)
+    assert violation.inst is not None and " ld " in violation.inst
+
+
+@pytest.mark.parametrize("gate", ["may_compute_address", "may_resolve"])
+def test_held_gate_is_named_by_the_lockstep(gate):
+    """Seeded bug: a packed gate holds everything.  The reference leaves
+    the group at issue (or resolution), before the cycle's dispatch, and
+    hears no rename after it; the rename check that then reads its stale
+    taint must report the departure, not a ``taint-init`` mismatch."""
+    engine = spt_engine()
+    setattr(engine, gate, lambda di: False)
+    violation = expect_violation("spt-reference", random_program(7),
+                                 engine=engine)
+    assert violation.cycle == 9 and gate in str(violation)

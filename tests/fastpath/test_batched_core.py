@@ -36,7 +36,7 @@ import pytest
 from repro.core.attack_model import AttackModel
 from repro.core.shadow_l1 import ShadowMode
 from repro.core.spt import ReferenceSPTEngine, SPTEngine
-from repro.check.diff import compare_cell, reference_engine, run_outcome
+from repro.check.diff import compare_cell, run_outcome
 from repro.harness.configs import FULL_SPT, make_engine
 from repro.isa.assembler import assemble
 from repro.isa.builder import ProgramBuilder
@@ -57,8 +57,8 @@ def golden_key(program, engine_name: str, model: AttackModel) -> str:
 
 def _reference(program, config, model):
     """The reference run's outcome for a locally built program."""
-    engine = reference_engine(make_engine(config, model))
-    return run_outcome(program, engine, BUDGET, check_level="full")[1]
+    return run_outcome(program, make_engine(config, model), BUDGET,
+                       check_level="full")[1]
 
 
 def _assert_identical(program, config, model=AttackModel.FUTURISTIC,

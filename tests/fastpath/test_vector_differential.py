@@ -15,8 +15,9 @@ from functools import partial
 import pytest
 
 from repro.core.attack_model import AttackModel
-from repro.check.diff import (compare_cell, reference_engine, run_cell,
-                              run_outcome)
+from repro.core.shadow_l1 import ShadowMode
+from repro.core.spt import ReferenceSPTEngine
+from repro.check.diff import compare_cell, run_cell, run_outcome
 from repro.harness.configs import FULL_SPT, make_engine
 from repro.pipeline.core import OoOCore, SimulationError
 from repro.pipeline.params import MachineParams
@@ -81,8 +82,8 @@ def test_reference_engine_on_the_batched_path():
     workload, config, model, budget = REFERENCE_ENGINE_CELL
     program = get_workload(workload).program(1)
 
-    def engine():
-        return reference_engine(make_engine(config, model))
+    def engine():    # FULL_SPT's engine, one entry at a time
+        return ReferenceSPTEngine(model, backward=True, shadow=ShadowMode.L1)
 
     _, ref = run_outcome(program, engine(), budget, check_level="full")
     _, run = run_outcome(program, engine(), budget)
@@ -95,8 +96,6 @@ def _capped(reference: bool) -> tuple:
     ``(error, cycle, retired)``."""
     program = get_workload("mcf").program(1)
     engine = make_engine(FULL_SPT, AttackModel.FUTURISTIC)
-    if reference:
-        engine = reference_engine(engine)
     params = MachineParams(check_level="full" if reference else "off",
                            max_cycles=400)
     core = OoOCore(program, engine=engine, params=params)

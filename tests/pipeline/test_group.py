@@ -257,7 +257,7 @@ def test_group_of_one_hands_the_core_to_its_lead():
     group = EngineGroup(engines)
     core = OoOCore(_program("mcf"), engine=group)
     sim = core.run(max_instructions=BUDGET)
-    assert [query for _, query, _ in group.departures] == \
+    assert [query for _, query, _, _ in group.departures] == \
         ["may_compute_address"]
     assert core.engine is engines[0]
     assert sim.cycles == simulate(_program("mcf"), "SecureBaseline",
