@@ -13,9 +13,11 @@ scans).
 
 A violated invariant raises :class:`~repro.check.violation.
 InvariantViolation` carrying the invariant id, cycle, instruction, and a
-window of recent pipeline events.  The ``repro check`` CLI sweeps a grid
-of (workload, configuration, model) cells with the sanitizer enabled and
-reports per-invariant evaluation counts through the run metrics tree.
+window of recent pipeline events.  The ``repro check`` CLI runs every
+(workload, configuration, model) cell of a grid as the default run at the
+commit level and as the reference run at the full level, requires the
+two outcomes to be bit-identical, and reports per-invariant evaluation
+counts of both runs.
 """
 
 from repro.check.invariants import CHECK_LEVELS, INVARIANTS, InvariantSpec

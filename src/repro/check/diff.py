@@ -1,59 +1,42 @@
-"""``repro backend-diff`` — pin the default run against the reference run.
+"""Differentials: one run's comparable outcome, and how two differ.
 
-Runs every (workload, configuration, attack model) cell of a grid twice
-and demands *bit-identical* outcomes:
+:func:`outcome_of` projects a finished run onto what must not move when
+only the way the run is computed changes: cycle count, retired count and
+halt, the retired-PC stream, the architectural register file, every
+metric path of the metrics tree (less the sanitizer's own ``check``
+group: the sanitizer changes no answer) and the per-channel digests of
+the attacker-visible trace.  :func:`run_outcome` runs a program under
+one engine at a check level and projects it, a wedge or a violation
+being an outcome too, and :func:`run_cell` runs a registered workload's
+cell as one of two runs:
 
 * the **default run** is :meth:`OoOCore.run` as every figure, campaign
   and benchmark calls it: quiescent fast-forward and DynInst recycling
   live;
-* the **reference run** is the same engine in stepped mode — every cycle
-  stepped, no recycling — under the full lockstep sanitizer
+* the **reference run** is the same engine in stepped mode (every cycle
+  stepped, no recycling) under the full sanitizer
   (``check_level="full"``), which holds a packed SPT engine to the
   per-entry reference it runs beside.
 
-Compared are cycle counts, the retired-PC stream, the architectural
-register file, every metric path of the metrics tree (less the
-sanitizer's own ``check`` group: the sanitizer changes no answer) and the
-per-channel digests of the attacker-visible trace.  A wedged simulation
-must wedge identically in both runs (same exception, same message, same
-cycle).
-
-It also checks grouped runs: for every workload and attack model, the
-grid's configurations run through the group runner
+:func:`compare_cell` names every field in which two outcomes differ.
+:func:`group_diff_cell` holds the group runner
 (:func:`repro.harness.runner.simulate_group`, what ``run_many`` does with
-a cell's configurations: UnsafeBaseline, first in the list, on a core of
-its own and the rest as groups), and :func:`group_diff_cell` demands that
-each one's outcome equal its separate default run's.
-
-The cells run through :func:`repro.harness.parallel.fan_out` with
-``REPRO_JOBS`` workers, as ``repro check``'s do; the grid flags are the
-ones ``repro check`` takes, and a usage error exits 2.
-
-With a twin program, :func:`group_diff_cell` compares the same projection
-between the twin-group runner (what ``run_many`` does with a fuzz seed's
-cells under one model) and separate runs of both programs under every
-configuration, and :func:`pair_diff_cell` is its one-configuration twin
-case (:func:`repro.harness.runner.simulate_pair`): the differentials of
-the fuzz oracle's paired runs.
-
-Examples::
-
-    python -m repro.cli backend-diff --smoke
-    python -m repro.cli backend-diff                  # full Figure 7 grid
-    python -m repro.cli backend-diff --workloads mcf --budget 20000
+a cell's configurations) to separate default runs; with a twin program it
+holds the twin-group runner (what ``run_many`` does with a fuzz seed's
+cells under one model) to separate runs of both programs, and
+:func:`pair_diff_cell` is its one-configuration twin case
+(:func:`repro.harness.runner.simulate_pair`): the differentials of the
+fuzz oracle's paired runs.  ``repro check`` (:mod:`repro.check.cli`) runs
+:func:`compare_cell` and :func:`group_diff_cell` over a grid.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
 from typing import Optional
 
 from repro.check.violation import InvariantViolation
 from repro.core.attack_model import AttackModel
-from repro.harness.configs import Grid, at_least_one, make_engine
-from repro.harness.parallel import (GroupSpecs, RunFailure, RunSpec,
-                                    default_jobs, fan_out)
+from repro.harness.configs import make_engine
 from repro.harness.runner import PAIRED_ERROR, simulate_group
 from repro.isa.instructions import Program
 from repro.pipeline.core import OoOCore, SimResult, SimulationError
@@ -62,37 +45,20 @@ from repro.pipeline.params import MachineParams
 from repro.security.observer import channel_digests, differing_channels
 from repro.workloads.registry import get as get_workload
 
-SMOKE_WORKLOADS = ("mcf", "chacha20")
-SMOKE_CONFIGS = ("UnsafeBaseline", "SecureBaseline", "STT",
-                 "SPT{Bwd,ShadowL1}")
-SMOKE_BUDGET = 3000
-FULL_BUDGET = 2000
-GRID = Grid(SMOKE_WORKLOADS, SMOKE_CONFIGS, SMOKE_BUDGET, FULL_BUDGET)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="run_spt backend-diff",
-        description="Run a grid as default and as reference runs and "
-                    "require bit-identical results.")
-    GRID.add_arguments(parser)
-    parser.add_argument("--scale", type=at_least_one, default=1,
-                        help="workload scale factor")
-    return parser
-
 
 def run_outcome(program: Program, engine: ProtectionEngine, budget: int,
                 check_level: str = "off") -> tuple:
     """One run of ``program`` as ``(core, comparable outcome)``:
-    ``check_level="full"`` makes it the reference run, ``"off"`` the
-    default run."""
+    ``check_level="full"`` makes it the reference run; ``"off"`` makes it
+    the default run, and ``"commit"`` the default run under the
+    retire-time lockstep."""
     core = OoOCore(program, engine=engine,
                    params=MachineParams(check_level=check_level))
     core.retired_pcs = []
     try:
         sim = core.run(max_instructions=budget)
     except (SimulationError, InvariantViolation) as exc:
-        # A wedge is an outcome too: both runs must wedge identically.
+        # A wedge is an outcome too: two runs must wedge identically.
         return core, {"error": f"{type(exc).__name__}: {exc}"}
     return core, outcome_of(sim)
 
@@ -227,56 +193,3 @@ def group_diff_cell(program: Program, configs, model: AttackModel,
         departures.append("a group or paired run raised: "
                           + run.error.strip().splitlines()[-1])
     return run.fallbacks, departures, mismatches
-
-
-def diff_cell(cell) -> list:
-    """One cell's mismatches (module-level: the fan-out pickles it): a
-    RunSpec's :func:`compare_cell` of its reference and default runs, or a
-    GroupSpecs' :func:`group_diff_cell` mismatches, each followed by the
-    departures."""
-    if isinstance(cell, GroupSpecs):
-        first = cell.specs[0]
-        _, departures, mismatches = group_diff_cell(
-            get_workload(first.workload).program(first.scale),
-            [spec.config for spec in cell.specs], first.model,
-            first.max_instructions)
-        return mismatches + departures if mismatches else []
-    spec = (cell.workload, cell.config, cell.model, cell.scale,
-            cell.max_instructions)
-    return compare_cell(run_cell(*spec, reference=True), run_cell(*spec))
-
-
-def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
-    workloads, configs, models, budget = GRID.select(args)
-    cells = [RunSpec(w, c, m, scale=args.scale, max_instructions=budget)
-             for w in workloads for c in configs for m in models]
-    groups = [GroupSpecs(tuple(RunSpec(w, c, m, scale=args.scale,
-                                       max_instructions=budget)
-                               for c in configs))
-              for w in workloads for m in models] if len(configs) > 1 else []
-    try:
-        outcomes = fan_out(diff_cell, cells + groups, default_jobs())
-    except RunFailure as failure:
-        print(f"error: {failure}", file=sys.stderr)
-        return 1
-    failures = 0
-    for cell, mismatches in zip(cells + groups, outcomes):
-        if mismatches:
-            failures += 1
-            spec = cell.specs[0] if isinstance(cell, GroupSpecs) else cell
-            what = "grouped" if isinstance(cell, GroupSpecs) else spec.config
-            print(f"MISMATCH {spec.workload}/{what}/{spec.model.value}:",
-                  file=sys.stderr)
-            for line in mismatches:
-                print(f"  {line}", file=sys.stderr)
-    verdict = "bit-identical" if not failures else f"{failures} DIVERGENT"
-    print(f"backend-diff: {len(cells)} cells x default and reference runs"
-          + (f", {len(groups)} groups of {len(configs)} x grouped and "
-             "separate runs" if groups else "")
-          + f" (budget {budget}, scale {args.scale}): {verdict}")
-    return 1 if failures else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -7,6 +7,7 @@ import sys
 from typing import Optional
 
 from repro.harness import cache
+from repro.harness.configs import finite_at_least_zero
 
 _SUFFIXES = {"k": 2**10, "m": 2**20, "g": 2**30}
 
@@ -49,7 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
     gc.add_argument("--max-bytes", type=parse_bytes, default=None,
                     help="evict least recently used entries until the "
                          "cache fits (accepts K/M/G suffixes)")
-    gc.add_argument("--tmp-age", type=float, default=3600.0,
+    gc.add_argument("--tmp-age", type=finite_at_least_zero,
+                    default=3600.0,
                     help="age in seconds beyond which *.tmp files left by "
                          "killed writers are removed (default 3600)")
     sub.add_parser("clear", help="delete every cached result")

@@ -1,6 +1,6 @@
-"""The evaluated design variants (paper Table 2), and the command-line
-grid every sweep command parses: configurations, attack models, workloads
-and sizes."""
+"""The evaluated design variants (paper Table 2), and the argparse types
+every sweep command parses its configurations, attack models, workloads
+and sizes with."""
 
 from __future__ import annotations
 
@@ -186,48 +186,6 @@ def parse_models(text: str) -> list:
 def parse_workloads(text: str) -> list:
     """A comma-separated list of registered workload names."""
     return _known(text.split(","), sorted(WORKLOADS), "workload")
-
-
-@dataclass(frozen=True)
-class Grid:
-    """A sweep command's cells: the smoke grid (``--smoke``) or every
-    workload and configuration, narrowed by ``--workloads``, ``--configs``
-    and ``--models``, at ``--budget`` or the grid's default budget."""
-
-    smoke_workloads: tuple
-    smoke_configs: tuple
-    smoke_budget: int
-    full_budget: int
-
-    def add_arguments(self, parser: argparse.ArgumentParser) -> None:
-        parser.add_argument(
-            "--smoke", action="store_true",
-            help=f"small CI grid: {len(self.smoke_workloads)} workloads x "
-                 f"{len(self.smoke_configs)} configs x both models, "
-                 f"budget {self.smoke_budget}")
-        parser.add_argument("--workloads", type=parse_workloads,
-                            help="comma-separated workload names "
-                                 "(default: all, or the smoke set)")
-        parser.add_argument("--configs", type=parse_config_names,
-                            help="comma-separated Table 2 configuration "
-                                 "names (default: all, or the smoke set)")
-        parser.add_argument("--models", type=parse_models, default="both",
-                            help=MODELS_HELP)
-        parser.add_argument("--budget", type=at_least_one,
-                            help="per-run retired-instruction budget "
-                                 f"(default {self.full_budget}, "
-                                 f"smoke {self.smoke_budget})")
-
-    def select(self, args: argparse.Namespace) -> tuple:
-        """``(workloads, configs, models, budget)`` the parsed flags pick."""
-        smoke = args.smoke
-        return (args.workloads or list(self.smoke_workloads if smoke
-                                       else sorted(WORKLOADS)),
-                args.configs or list(self.smoke_configs if smoke
-                                     else CONFIGURATIONS),
-                args.models,
-                args.budget or (self.smoke_budget if smoke
-                                else self.full_budget))
 
 
 def make_engine(name: str, model: AttackModel) -> ProtectionEngine:

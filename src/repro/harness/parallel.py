@@ -7,9 +7,9 @@ built), and stops at the first cell that fails, with a
 its instruction budget, at ``MachineParams.max_cycles`` or at the core's
 no-retirement detector, the last two raising an error the failure carries.
 :func:`run_many` is the substrate of every paper artefact (Figures 7/8/9,
-the CLI sweeps, ``repro check``, fuzz campaigns): it deduplicates a list
-of :class:`RunSpec` values, satisfies what it can from the persistent
-result cache, and fans out only the misses.  Two adjacent misses that
+the CLI sweeps, fuzz campaigns): it deduplicates a list of
+:class:`RunSpec` values, satisfies what it can from the persistent result
+cache, and fans out only the misses.  Two adjacent misses that
 differ only in twin workloads (one fuzz plan, two secrets) make one pair
 cell.  Adjacent misses, or adjacent pair cells, that differ only in
 configuration fan out as one group cell, unless a sanitizer is attached.
@@ -20,9 +20,8 @@ configurations share a core (those whose engines advance one visibility
 point), a paired core for pair cells: the Figure 7 grid's 300 runs take
 130 core runs in 40 cells at budget 500, and a quick fuzz seed's 14
 protected pair cells take about 7.
-The scenario matrix and ``repro backend-diff`` fan out verdicts, which
-are not cached; the matrix runs each (scenario, model) row as one group
-too.
+The scenario matrix and ``repro check`` fan out verdicts, which are not
+cached; the matrix runs each (scenario, model) row as one group too.
 
 Degradation is graceful at every layer: one job runs serially in-process
 (the debuggable path), and a pool that cannot start (no ``fork``/``spawn``

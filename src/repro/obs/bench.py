@@ -256,13 +256,21 @@ def write_snapshot(snapshot: dict, path: str) -> str:
 
 
 def load_snapshot(path: str) -> dict:
+    """The snapshot at ``path``; ``ValueError`` if it is not one."""
     with open(path) as handle:
         snapshot = json.load(handle)
+    if not isinstance(snapshot, dict):
+        raise ValueError(f"{path}: a snapshot is a JSON object, got "
+                         f"{type(snapshot).__name__}")
     version = snapshot.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(
             f"{path}: snapshot schema {version!r} is not the supported "
             f"schema {SCHEMA_VERSION} (re-record the baseline)")
+    missing = [key for key in ("throughput", "overheads", "stall")
+               if key not in snapshot]
+    if missing:
+        raise ValueError(f"{path}: snapshot lacks {', '.join(missing)}")
     return snapshot
 
 

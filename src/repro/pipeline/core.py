@@ -50,11 +50,11 @@ tracer's squash sink, or a core stepped by hand with :meth:`OoOCore.step`.
 Stepped mode turns both layers off and records every lifecycle timestamp
 (``fetch_cycle`` through ``retire_cycle``).  The mode is decided once per
 core.  The ``commit`` sanitizer level only hooks retire, squash and
-finish, so it keeps fast-forward.  ``repro backend-diff`` and the
-differential suite in ``tests/fastpath`` pin the default run against the
-*reference run* — the same engine in stepped mode under the full
-sanitizer, which runs SPT beside its reference engine — and against a
-committed golden record of earlier reference runs.
+finish, so it keeps fast-forward.  ``repro check`` and the differential
+suite in ``tests/fastpath`` pin the default run against the *reference
+run* — the same engine in stepped mode under the full sanitizer, which
+runs SPT beside its reference engine — and against a committed golden
+record of earlier reference runs.
 
 There is one cycle body, ``OoOCore._cycle``: :meth:`OoOCore.run` loops it
 (and fast-forwards between its calls), and :meth:`OoOCore.step` calls it

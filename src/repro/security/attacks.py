@@ -243,11 +243,7 @@ def nonspec_secret(secret: int = 0x5C, trainings: int = 4) -> AttackProgram:
     b.jal(0, done)
 
     b.place(gadget)
-    # transmit(s6): select a probe line by the register value and load it.
-    b.slli("a2", "s6", 6)
-    b.add("a2", "a2", "s3")
-    b.lb("a3", "a2", 0)
-    b.add("s9", "s9", "a3")
+    _transmit(b, "s6")
     b.jalr(0, "ra", 0)                # return to the call site
 
     b.place(legit)

@@ -19,8 +19,7 @@ programs are built to hit the batched sweeps where they are weakest:
   phase methods.
 
 Each default run is compared with the reference run by the same
-comparator as ``repro backend-diff``
-(:func:`repro.check.diff.compare_cell`), so "match" means cycles,
+comparator as ``repro check`` (:func:`repro.check.diff.compare_cell`), so "match" means cycles,
 retired-PC stream, architectural registers, every metric path of the
 metrics tree and the attacker-visible trace digests are all identical;
 and with its entry in the golden record (:mod:`tests.fastpath.golden`).

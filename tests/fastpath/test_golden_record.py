@@ -2,9 +2,11 @@
 
 The record (:mod:`tests.fastpath.golden`) covers four groups of cells:
 
-* ``grid/...``: the nightly ``repro backend-diff`` grid, every workload x
-  UnsafeBaseline and the Figure 7 configurations x both attack models;
-* ``smoke/...``: the ``repro backend-diff --smoke`` grid;
+* ``grid/...``: every workload x UnsafeBaseline and the Figure 7
+  configurations x both attack models at budget 2000, cells of the
+  nightly ``repro check`` grid;
+* ``smoke/...``: mcf and chacha20 x the four smoke configurations x both
+  attack models at budget 3000, cells of ``repro check --smoke``;
 * ``vector/...``: every cell of ``test_vector_differential``;
 * ``micro/...``: every micro-program cell of ``test_batched_core``.
 
@@ -23,17 +25,17 @@ from functools import partial
 
 import pytest
 
-from repro.check.diff import (FULL_BUDGET, SMOKE_BUDGET, SMOKE_CONFIGS,
-                              SMOKE_WORKLOADS, run_cell)
+from repro.check.diff import run_cell
 from repro.harness.configs import BOTH_MODELS, FIGURE7_ORDER
 from repro.workloads.registry import WORKLOADS
 
 from tests.fastpath import golden, test_batched_core, test_vector_differential
 
 GRIDS = {
-    "grid": (sorted(WORKLOADS), ["UnsafeBaseline", *FIGURE7_ORDER],
-             FULL_BUDGET),
-    "smoke": (SMOKE_WORKLOADS, SMOKE_CONFIGS, SMOKE_BUDGET),
+    "grid": (sorted(WORKLOADS), ["UnsafeBaseline", *FIGURE7_ORDER], 2000),
+    "smoke": (("mcf", "chacha20"),
+              ("UnsafeBaseline", "SecureBaseline", "STT", "SPT{Bwd,ShadowL1}"),
+              3000),
 }
 
 

@@ -1,6 +1,6 @@
 """Tier-1 differential pinning of the default run against the reference run.
 
-The full Figure 7 grid runs nightly (``repro backend-diff``); this suite
+The full grid runs nightly (``repro check``); this suite
 keeps a representative slice in the fast test tier: every protection
 family, a memory-bound and a compute-bound workload, both attack models,
 with fast-forwarding live on the default run so the quiescent-cycle

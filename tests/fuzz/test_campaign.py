@@ -244,8 +244,8 @@ def test_cli_runs_a_small_campaign(tmp_path, capsys):
 
 def test_cli_reports_a_failing_cell(capsys):
     """A victim that cannot halt within the budget fails its cell: the
-    command prints one line naming the cell and exits 1, as ``check``,
-    ``pentest`` and ``backend-diff`` do."""
+    command prints one line naming the cell and exits 1, as ``check``
+    and ``pentest`` do."""
     assert fuzz_main(["--seeds", "1", "--max-instructions", "10",
                       "--jobs", "1"]) == 1
     err = capsys.readouterr().err

@@ -1,17 +1,17 @@
 """The usage-error contract of the command line.
 
-``repro check``, ``repro backend-diff``, ``repro pentest`` and ``repro fuzz``
-parse their grid through :mod:`repro.harness.configs`; the artifact CLI,
-``repro bench`` and ``repro verify`` parse their size flags with its
-``at_least_one`` (``verify``'s speculation bounds and ``fuzz --patience``
-with ``at_least_zero``, ``bench compare``'s tolerances with
-``finite_at_least_zero``), and ``repro stats`` its workload with
-``workload_name``.  A size below 1, a negative bound or tolerance, a NaN
-tolerance, a ``verify`` plan file or corpus directory that is not there,
-or an unknown workload, configuration or attack model must exit 2 with a
-usage message before anything runs, and leave no file behind: exit 1 is
-a failed verdict, and a silently corrected value is a verdict about some
-other grid.
+``repro check``, ``repro pentest`` and ``repro fuzz`` parse their grid
+through :mod:`repro.harness.configs`; the artifact CLI, ``repro bench``
+and ``repro verify`` parse their size flags with its ``at_least_one``
+(``verify``'s speculation bounds and ``fuzz --patience`` with
+``at_least_zero``, ``bench compare``'s tolerances and ``cache gc
+--tmp-age`` with ``finite_at_least_zero``), and ``repro stats`` its
+workload with ``workload_name``.  A size below 1, a negative bound,
+tolerance or age, a NaN tolerance or age, a ``verify`` plan file or
+corpus directory that is not there, or an unknown workload,
+configuration or attack model must exit 2 with a usage message before
+anything runs, and leave no file behind: exit 1 is a failed verdict, and
+a silently corrected value is a verdict about some other grid.
 """
 
 import pytest
@@ -26,11 +26,6 @@ CASES = [
     ("check", "--workloads", "nope"),
     ("check", "--configs", "Nope"),
     ("check", "--models", "quantum"),
-    ("backend-diff", "--budget", "-5"),
-    ("backend-diff", "--scale", "0"),
-    ("backend-diff", "--workloads", "nope"),
-    ("backend-diff", "--configs", "Nope"),
-    ("backend-diff", "--models", "quantum"),
     ("pentest", "--jobs", "0"),
     ("pentest", "--configs", "Nope"),
     ("pentest", "--models", "quantum"),
@@ -57,6 +52,8 @@ CASES = [
     ("bench", "compare", "a.json", "b.json", "--throughput-tolerance",
      "-0.5"),
     ("bench", "compare", "a.json", "b.json", "--overhead-tolerance", "-0.5"),
+    ("cache", "gc", "--tmp-age", "nan"),
+    ("cache", "gc", "--tmp-age", "-1"),
     ("verify", "target", "chacha20", "--scale", "0"),
     ("verify", "target", "--max-instructions", "0"),
     ("verify", "target", "--max-explored", "0"),

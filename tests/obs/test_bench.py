@@ -53,6 +53,24 @@ def test_load_rejects_unknown_schema(snapshot, tmp_path):
         bench.load_snapshot(path)
 
 
+@pytest.mark.parametrize("content, message", [
+    ([1, 2], "JSON object"),
+    ({"schema_version": bench.SCHEMA_VERSION, "budget": BUDGET, "scale": 1,
+      "workloads": WORKLOADS}, "lacks throughput, overheads, stall"),
+])
+def test_malformed_snapshot_is_a_usage_error(tmp_path, capsys, content,
+                                             message):
+    """A file that is not a snapshot exits 2 with an ``error:`` line, not
+    1, which CI reads as a regression."""
+    path = tmp_path / "BENCH_bad.json"
+    path.write_text(json.dumps(content))
+    with pytest.raises(ValueError, match=message):
+        bench.load_snapshot(str(path))
+    assert bench_main(["compare", str(path), str(path)]) == 2
+    assert bench_main(["show", str(path)]) == 2
+    assert capsys.readouterr().err.count(f"error: {path}: ") == 2
+
+
 def test_compare_self_is_clean(snapshot):
     assert bench.compare_snapshots(snapshot, snapshot) == []
 
